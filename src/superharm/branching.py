@@ -33,7 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ck import CKData, ck_extend
-from .exactla import Subspace, kernel, operator_matrix, span_subspace, subspace_polynomials
+from .exactla import (
+    Subspace,
+    kernel,
+    matmul,
+    operator_matrix,
+    span_subspace,
+    subspace_polynomials,
+)
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
@@ -44,7 +51,6 @@ from .harmonics import (
     rsquare_power,
 )
 from .operators import (
-    compose,
     generalized_laplacian_op,
     laplacian,
     laplacian_op,
@@ -228,11 +234,13 @@ def branch_classical(signature: SuperSignature, k: int) -> BranchingReport:
 
 def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
     """Solutions W of lap(r2 W) = 0 in degree `degree`: the admissible
-    prescribed-Laplacian parts for generalized harmonics two degrees up."""
+    prescribed-Laplacian parts for generalized harmonics two degrees up.
+    The matrix is the sparse product L_(degree+2) R_degree."""
     if degree < 0:
         return Subspace.zero(0, (signature, degree))
-    op = compose(laplacian_op(signature), rsquare_op(signature))
-    return kernel(operator_matrix(op, degree), (signature, degree))
+    lap = operator_matrix(laplacian_op(signature), degree + 2)
+    r2 = operator_matrix(rsquare_op(signature), degree)
+    return kernel(matmul(lap, r2), (signature, degree))
 
 
 def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:

@@ -7,6 +7,11 @@ rationals.  RREF is the canonical representation of a subspace: two
 subspaces are equal iff their ambients agree and their basis matrices are
 identical.
 
+Every RREF row is zero at every pivot column other than its own.  So a
+vector is reduced by a subspace by subtracting v[lead] times the row of each
+pivot in its support, in any order: no subtraction changes v at another
+pivot.  Kernel assembly and back-substitution rest on the same fact.
+
 Columns are positions in the canonical monomial basis of one homogeneous
 degree, so a Subspace can be tagged with its (signature, degree) ambient and
 converted back and forth between rows and polynomials.
@@ -15,7 +20,7 @@ converted back and forth between rows and polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .superpoly import (
@@ -180,21 +185,23 @@ def _echelon(int_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def _rref_fraction_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Canonical RREF rows (pivot 1, pivots cleared above), zero rows dropped."""
+    """Canonical RREF rows (pivot 1, pivots cleared above), zero rows dropped.
+
+    Back-substitution runs from the last pivot up.  The rows below are then
+    fully reduced, so clearing a pivot column brings in nonzeros only at
+    non-pivot columns, and each row clears just the pivot columns it holds.
+    """
     pivots = _echelon(_int_row(r) for r in rows)
     leads = sorted(pivots)
-    for pos in range(len(leads) - 1, -1, -1):
-        lead = leads[pos]
-        piv = pivots[lead]
-        for upper in leads[:pos]:
-            row = pivots[upper]
-            if lead in row:
-                pivots[upper] = _eliminate(row, piv, lead)
+    for lead in reversed(leads):
+        row = pivots[lead]
+        for col in [j for j in row if j != lead and j in pivots]:
+            row = _eliminate(row, pivots[col], col)
     out = []
     for lead in leads:
         row = pivots[lead]
-        denom = Fraction(row[lead])
-        out.append({j: v / denom for j, v in row.items()})
+        denom = row[lead]
+        out.append({j: Fraction(v, denom) for j, v in row.items()})
     return out
 
 
@@ -268,28 +275,20 @@ class Subspace:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def _pivot_rows(self) -> dict[int, Mapping[int, Fraction]]:
+        return {min(row): row for row in self.basis_matrix.row_dicts()}
+
     def reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """Remainder of vec after subtracting its projection along basis rows."""
-        v = {j: Fraction(c) for j, c in vec.items() if c}
-        for row in self.basis_matrix.row_dicts():
-            lead = min(row)
-            c = v.get(lead)
-            if not c:
-                continue
-            for j, w in row.items():
-                nv = v.get(j, _ZERO) - c * w
-                if nv:
-                    v[j] = nv
-                else:
-                    v.pop(j, None)
-        return v
+        return _reduce(self._pivot_rows(), vec)
 
     def contains(self, vec: Mapping[int, Fraction]) -> bool:
         return not self.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(r) for r in other.basis_matrix.row_dicts())
+        pivots = self._pivot_rows()
+        return not any(_reduce(pivots, r) for r in other.basis_matrix.row_dicts())
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -319,20 +318,39 @@ class Subspace:
         return f"Subspace(dim={self.dim}, of={self.ambient_dim}{tag})"
 
 
+def _reduce(
+    pivots: Mapping[int, Mapping[int, Fraction]], vec: Mapping[int, Fraction]
+) -> dict[int, Fraction]:
+    """vec minus v[lead] times the RREF row of each pivot in its support."""
+    v = {j: Fraction(c) for j, c in vec.items() if c}
+    for lead in [j for j in v if j in pivots]:
+        c = v[lead]
+        for j, w in pivots[lead].items():
+            nv = v.get(j, _ZERO) - c * w
+            if nv:
+                v[j] = nv
+            else:
+                del v[j]
+    return v
+
+
 def kernel(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
-    """Null space of A, canonical basis."""
-    reduced = _rref_fraction_rows(A.row_dicts())
-    pivot_cols = [min(r) for r in reduced]
-    pivot_set = set(pivot_cols)
-    free_cols = [j for j in range(A.cols) if j not in pivot_set]
-    rows = []
-    for f in free_cols:
-        vec = {f: Fraction(1)}
-        for pc, r in zip(pivot_cols, reduced):
-            c = r.get(f)
-            if c:
-                vec[pc] = -c
-        rows.append(vec)
+    """Null space of A, canonical basis.
+
+    The vector of free column f is e_f minus, for each pivot row holding an
+    entry c at f, c at that row's pivot; one pass over the nonzeros of the
+    pivot rows fills them all.
+    """
+    one = Fraction(1)
+    pivot_cols = set()
+    free_vecs: dict[int, dict[int, Fraction]] = {}
+    for r in _rref_fraction_rows(A.row_dicts()):
+        pc = min(r)
+        pivot_cols.add(pc)
+        for f, c in r.items():
+            if f != pc:
+                free_vecs.setdefault(f, {f: one})[pc] = -c
+    rows = [free_vecs.get(f) or {f: one} for f in range(A.cols) if f not in pivot_cols]
     return Subspace.from_rows(A.cols, rows, ambient)
 
 
@@ -396,14 +414,45 @@ def operator_matrix(op, k: int) -> RationalMatrix:
     return RationalMatrix(len(data), len(source), data)
 
 
+def matmul(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
+    """Sparse product A B, exact.
+
+    Both factors are scaled to integers by the least common denominator of
+    their entries, multiplied in integers and scaled back.
+    """
+    if A.cols != B.rows:
+        raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    den_a, int_a = _scaled_int_rows(A)
+    den_b, int_b = _scaled_int_rows(B)
+    den = den_a * den_b
+    data = []
+    for arow in int_a:
+        acc: dict[int, int] = {}
+        for j, a in arow.items():
+            for col, b in int_b[j].items():
+                acc[col] = acc.get(col, 0) + a * b
+        data.append({col: Fraction(v, den) for col, v in acc.items() if v})
+    return RationalMatrix(A.rows, B.cols, data)
+
+
+def _scaled_int_rows(A: RationalMatrix) -> tuple[int, list[dict[int, int]]]:
+    den = 1
+    for row in A.row_dicts():
+        for v in row.values():
+            den = lcm(den, v.denominator)
+    rows = [
+        {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        for row in A.row_dicts()
+    ]
+    return den, rows
+
+
 def polynomials_rank(polys: Iterable[SuperPolynomial], k: int) -> int:
     """Rank of the span of homogeneous degree-k polynomials."""
     rows = []
-    cols = 0
     for p in polys:
         if p.is_zero():
             continue
-        cols = len(monomial_basis(p.signature, k))
         rows.append(_int_row(polynomial_vector(p, k)))
     if not rows:
         return 0

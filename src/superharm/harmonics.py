@@ -34,17 +34,13 @@ from .exactla import (
     Subspace,
     image,
     kernel,
+    matmul,
     operator_matrix,
     polynomials_rank,
     span_subspace,
     subspace_polynomials,
 )
-from .operators import (
-    generalized_laplacian_op,
-    laplacian_op,
-    rsquare,
-    rsquare_op,
-)
+from .operators import laplacian_op, rsquare, rsquare_op
 from .superpoly import SuperPolynomial, SuperSignature, monomial_basis
 
 
@@ -66,10 +62,17 @@ def harmonic_space(signature: SuperSignature, k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
-    """Ht_k: degree-k kernel of lap r2 lap."""
+    """Ht_k: degree-k kernel of lap r2 lap.
+
+    The matrix is the sparse product L_k R_(k-2) L_k, where L_k is the
+    matrix of lap on P_k and R_(k-2) that of multiplication by r2 on
+    P_(k-2).
+    """
     if k < 0:
         return Subspace.zero(0, (signature, k))
-    return kernel(operator_matrix(generalized_laplacian_op(signature), k), (signature, k))
+    lap = operator_matrix(laplacian_op(signature), k)
+    r2 = operator_matrix(rsquare_op(signature), k - 2)
+    return kernel(matmul(matmul(lap, r2), lap), (signature, k))
 
 
 @lru_cache(maxsize=None)

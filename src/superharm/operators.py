@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .superpoly import (
@@ -169,19 +170,12 @@ def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:
     out = SuperPolynomial.zero(sig)
     q = p_lower
     j = ell
-    fact = _factorial(ell)
+    fact = factorial(ell)
     while not q.is_zero():
         out = out + embed(q) * Fraction(1, fact) * xm**j
         q = -laplacian(q)
         fact *= (j + 1) * (j + 2)
         j += 2
-    return out
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
     return out
 
 

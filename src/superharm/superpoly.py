@@ -424,7 +424,16 @@ def basis_index(signature: SuperSignature, k: int) -> Mapping[SuperMonomial, int
 
 
 def space_dimension(signature: SuperSignature, k: int) -> int:
-    return len(monomial_basis(signature, k))
+    """dim P_k = sum_f C(2n, f) C(k - f + m - 1, m - 1), counted without
+    listing monomials; at m = 0 only f = k contributes."""
+    if k < 0:
+        return 0
+    m, twon = signature.m, signature.fermionic_count
+    if m == 0:
+        return math.comb(twon, k)
+    return sum(
+        math.comb(twon, f) * math.comb(k - f + m - 1, m - 1) for f in range(min(twon, k) + 1)
+    )
 
 
 def restrict_hyperplane(p: SuperPolynomial) -> SuperPolynomial:

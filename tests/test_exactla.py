@@ -9,6 +9,7 @@ from superharm.exactla import (
     Subspace,
     image,
     kernel,
+    matmul,
     operator_matrix,
     polynomial_vector,
     polynomials_rank,
@@ -217,3 +218,138 @@ def test_rref_preserves_row_space(A):
 @given(_matrices())
 def test_rank_transpose_invariant(A):
     assert rank(A) == rank(A.transpose())
+
+
+# -- dense reference path ----------------------------------------------------
+
+
+def _dense_rref(rows, cols):
+    """Textbook Gauss-Jordan over Fraction on dense rows; zero rows dropped."""
+    A = [[Fraction(r.get(j, 0)) for j in range(cols)] for r in rows]
+    top = 0
+    for col in range(cols):
+        hit = next((i for i in range(top, len(A)) if A[i][col]), None)
+        if hit is None:
+            continue
+        A[top], A[hit] = A[hit], A[top]
+        lead = A[top][col]
+        A[top] = [v / lead for v in A[top]]
+        for i in range(len(A)):
+            if i != top and A[i][col]:
+                c = A[i][col]
+                A[i] = [a - c * b for a, b in zip(A[i], A[top])]
+        top += 1
+    return A[:top]
+
+
+def _dense_kernel(rows, cols):
+    R = _dense_rref(rows, cols)
+    leads = [next(j for j, v in enumerate(r) if v) for r in R]
+    basis = []
+    for f in (j for j in range(cols) if j not in leads):
+        vec = {f: Fraction(1)}
+        vec.update({lead: -r[f] for lead, r in zip(leads, R) if r[f]})
+        basis.append(vec)
+    return _dense_rref(basis, cols)
+
+
+_NONZERO = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3
+).filter(bool)
+
+
+@st.composite
+def _sparse_matrices(draw, cols=None):
+    """Few nonzeros per row and more columns than rows, so most columns are
+    free; appended combinations of earlier rows force fill-in and rank loss."""
+    if cols is None:
+        cols = draw(st.integers(min_value=1, max_value=12))
+    entry_rows = st.dictionaries(
+        st.integers(min_value=0, max_value=cols - 1), _NONZERO, max_size=3
+    )
+    rows = draw(st.lists(entry_rows, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        combo: dict[int, Fraction] = {}
+        for row in rows:
+            c = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]))
+            for j, v in row.items():
+                combo[j] = combo.get(j, Fraction(0)) + c * v
+        rows.append(combo)
+    return RationalMatrix(len(rows), cols, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_rref_matches_dense_reference(A):
+    assert rref(A).dense() == _dense_rref(A.row_dicts(), A.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_kernel_matches_dense_reference(A):
+    assert kernel(A).basis_matrix.dense() == _dense_kernel(A.row_dicts(), A.cols)
+
+
+@st.composite
+def _subspace_pairs(draw):
+    cols = draw(st.integers(min_value=1, max_value=10))
+    U = Subspace.from_rows(cols, draw(_sparse_matrices(cols)).row_dicts())
+    V = Subspace.from_rows(cols, draw(_sparse_matrices(cols)).row_dicts())
+    return U, V
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_pairs())
+def test_contains_subspace_matches_dense_reference(pair):
+    U, V = pair
+    u_rows = list(U.basis_matrix.row_dicts())
+    for W in (U, V, U + V, U.intersect(V)):
+        stacked = u_rows + list(W.basis_matrix.row_dicts())
+        expected = len(_dense_rref(stacked, U.ambient_dim)) == U.dim
+        assert U.contains_subspace(W) == expected
+        assert all(U.contains(r) for r in W.basis_matrix.row_dicts()) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subspace_pairs())
+def test_intersect_matches_dense_reference(pair):
+    U, V = pair
+    # Coefficient vectors (a, b) with a U = b V, read off the kernel of the
+    # matrix whose columns are the rows of U and of -V.
+    u_rows = U.basis_matrix.dense()
+    v_rows = V.basis_matrix.dense()
+    columns = u_rows + [[-v for v in r] for r in v_rows]
+    system = [{i: col[j] for i, col in enumerate(columns)} for j in range(U.ambient_dim)]
+    meets = [
+        {j: sum(a[i] * u_rows[i][j] for i in range(U.dim)) for j in range(U.ambient_dim)}
+        for a in _dense_kernel(system, len(columns))
+    ]
+    assert U.intersect(V).basis_matrix.dense() == _dense_rref(meets, U.ambient_dim)
+
+
+def test_contains_fails_only_at_a_non_pivot_column():
+    # Pivots at columns 0 and 1; the remainder of v lives at column 2 alone.
+    U = Subspace.from_rows(
+        3, [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
+    )
+    v = {0: Fraction(1), 1: Fraction(1)}
+    assert U.reduce(v) == {2: Fraction(-2)}
+    assert not U.contains(v)
+    assert not U.contains_subspace(Subspace.from_rows(3, [v]))
+    assert U.contains({0: Fraction(1), 1: Fraction(1), 2: Fraction(2)})
+
+
+def test_matmul_matches_dense_product():
+    rng = random.Random(4242)
+    for _ in range(20):
+        inner = rng.randint(0, 5)
+        A = _random_matrix(rng, rng.randint(0, 4), inner, density=0.4)
+        B = _random_matrix(rng, inner, rng.randint(1, 5), density=0.4)
+        b = B.dense()
+        product = [
+            [sum(a * b[j][col] for j, a in enumerate(row)) for col in range(B.cols)]
+            for row in A.dense()
+        ]
+        assert matmul(A, B).dense() == product
+    with pytest.raises(ValueError):
+        matmul(RationalMatrix.identity(2), RationalMatrix.identity(3))

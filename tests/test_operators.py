@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from superharm.cli import _GRID as VERIFY_GRID
+from superharm.exactla import matmul, operator_matrix
 from superharm.operators import (
     CheckResult,
     commutator_check,
@@ -102,6 +104,17 @@ def test_compose_shifts_add():
     lap = laplacian_op(sig)
     r2 = rsquare_op(sig)
     assert op(p) == lap(r2(lap(p)))
+
+
+@pytest.mark.parametrize("m,n", VERIFY_GRID)
+def test_matrix_products_match_composed_operators(m, n):
+    sig = SuperSignature(m, n)
+    lap, r2 = laplacian_op(sig), rsquare_op(sig)
+    for k in range(7):
+        L = operator_matrix(lap, k)
+        R = operator_matrix(r2, k - 2)
+        assert matmul(matmul(L, R), L) == operator_matrix(generalized_laplacian_op(sig), k)
+        assert matmul(L, R) == operator_matrix(compose(lap, r2), k - 2)
 
 
 def test_graded_commutator_even_case():

@@ -21,6 +21,7 @@ from superharm.superpoly import (
     parse_polynomial,
     restrict_hyperplane,
     scale,
+    space_dimension,
     xm_coefficients,
 )
 
@@ -104,6 +105,18 @@ def test_basis_size_against_counting(m, n, k):
     # canonical order is strictly increasing
     keys = [mono.sort_key() for mono in basis]
     assert keys == sorted(keys)
+
+
+def test_space_dimension_counts_without_listing():
+    for m in range(4):
+        for n in range(4):
+            sig = SuperSignature(m, n)
+            assert space_dimension(sig, -1) == 0
+            for k in range(8):
+                cached = monomial_basis.cache_info().currsize
+                dim = space_dimension(sig, k)
+                assert monomial_basis.cache_info().currsize == cached
+                assert dim == len(monomial_basis(sig, k)), (m, n, k)
 
 
 def test_basis_size_example():
