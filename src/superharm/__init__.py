@@ -13,7 +13,6 @@ used anywhere.
 from .branching import (
     BranchingReport,
     BranchSummand,
-    branch_classical,
     branch_generalized,
     branch_harmonic,
     branching_index_sets,
@@ -34,14 +33,10 @@ from .harmonics import (
     verify_theorem_A,
 )
 from .operators import (
-    euler_op,
-    generalized_laplacian_op,
     invariance_check,
     laplacian,
-    laplacian_op,
     osp_generators,
     rsquare,
-    rsquare_op,
     sl2_relations_check,
 )
 from .superpoly import (
@@ -68,32 +63,27 @@ __all__ = [
     "SuperMonomial",
     "SuperPolynomial",
     "SuperSignature",
-    "branch_classical",
     "branch_generalized",
     "branch_harmonic",
     "branching_index_sets",
     "ck_data",
     "ck_extend",
     "ck_extend_recursive",
-    "euler_op",
     "exceptional_indices",
     "extend_signature",
     "fischer_decomposition",
     "fischer_index_sets",
     "format_polynomial",
     "generalized_harmonic_space",
-    "generalized_laplacian_op",
     "gt_basis",
     "harmonic_basis",
     "harmonic_space",
     "invariance_check",
     "laplacian",
-    "laplacian_op",
     "monomial_basis",
     "osp_generators",
     "parse_polynomial",
     "rsquare",
-    "rsquare_op",
     "rsquare_power",
     "sl2_relations_check",
     "socle_space",

@@ -38,6 +38,7 @@ from .exactla import (
     kernel,
     matmul,
     operator_matrix,
+    polynomials_rank,
     span_subspace,
     subspace_polynomials,
 )
@@ -48,14 +49,10 @@ from .harmonics import (
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
+    rsquare_matrix,
     rsquare_power,
 )
-from .operators import (
-    generalized_laplacian_op,
-    laplacian,
-    laplacian_op,
-    rsquare_op,
-)
+from .operators import laplacian, rsquare
 from .superpoly import (
     SuperPolynomial,
     SuperSignature,
@@ -112,6 +109,11 @@ class BranchingReport:
     verified: bool
     checks: tuple[tuple[str, bool], ...]
     notes: tuple[str, ...] = ()
+
+
+def _spans_lower_space(lower, degree, stack) -> bool:
+    """The stack spans P'_degree: its rank, not its length, is dim P'."""
+    return polynomials_rank(stack, degree) == space_dimension(lower, degree)
 
 
 def _check_boundary_family(signature, k, stack):
@@ -196,8 +198,8 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
         ),
         (
             "lower spanning sets are complete",
-            len(boundary_stack) == space_dimension(lower, k)
-            and len(normal_stack) == space_dimension(lower, k - 1),
+            _spans_lower_space(lower, k, boundary_stack)
+            and _spans_lower_space(lower, k - 1, normal_stack),
         ),
         (
             "boundary-slot generators verify",
@@ -221,26 +223,14 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
     )
 
 
-def branch_classical(signature: SuperSignature, k: int) -> BranchingReport:
-    """Multiplicity-free branching, valid only when the lower
-    superdimension is regular; otherwise use branch_harmonic."""
-    if exceptional_indices(signature.M - 1):
-        raise ValueError(
-            f"superdimension {signature.M - 1} one variable down is "
-            "exceptional; use branch_harmonic"
-        )
-    return branch_harmonic(signature, k)
-
-
 def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
     """Solutions W of lap(r2 W) = 0 in degree `degree`: the admissible
     prescribed-Laplacian parts for generalized harmonics two degrees up.
     The matrix is the sparse product L_(degree+2) R_degree."""
     if degree < 0:
         return Subspace.zero(0, (signature, degree))
-    lap = operator_matrix(laplacian_op(signature), degree + 2)
-    r2 = operator_matrix(rsquare_op(signature), degree)
-    return kernel(matmul(lap, r2), (signature, degree))
+    lap = operator_matrix(laplacian, signature, degree + 2, -2)
+    return kernel(matmul(lap, rsquare_matrix(signature, degree)), (signature, degree))
 
 
 def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
@@ -278,11 +268,12 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
     kernel_stack = subspace_polynomials(ker)
 
     gen_ok = True
-    gl = generalized_laplacian_op(signature)
+    r2 = rsquare(signature)
     m = signature.m
     for w in kernel_stack:
         Q = ck_extend(CKData.from_parts(signature, k, laplacian=w))
-        if laplacian(Q) != w or not gl(Q).is_zero():
+        # lap r2 lap Q = lap(r2 w) once lap Q = w holds
+        if laplacian(Q) != w or not laplacian(r2 * w).is_zero():
             gen_ok = False
             break
         if not restrict_hyperplane(Q).is_zero():
@@ -305,8 +296,8 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
         ),
         (
             "lower spanning sets are complete",
-            len(boundary_stack) == space_dimension(lower, k)
-            and len(normal_stack) == space_dimension(lower, k - 1),
+            _spans_lower_space(lower, k, boundary_stack)
+            and _spans_lower_space(lower, k - 1, normal_stack),
         ),
         (
             "boundary-slot generators verify",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .superpoly import (
     SuperPolynomial,
@@ -69,15 +69,8 @@ class RationalMatrix:
         return cls(len(data), cols, data)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [{} for _ in range(rows)])
-
-    @classmethod
     def identity(cls, nn: int) -> "RationalMatrix":
         return cls(nn, nn, [{i: Fraction(1)} for i in range(nn)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._data[i].get(j, _ZERO)
 
     def row_dict(self, i: int) -> dict[int, Fraction]:
         return dict(self._data[i])
@@ -85,30 +78,12 @@ class RationalMatrix:
     def row_dicts(self) -> tuple[Mapping[int, Fraction], ...]:
         return self._data
 
-    def dense(self) -> list[list[Fraction]]:
-        return [
-            [self._data[i].get(j, _ZERO) for j in range(self.cols)] for i in range(self.rows)
-        ]
-
     def transpose(self) -> "RationalMatrix":
         data: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, v in row.items():
                 data[j][i] = v
         return RationalMatrix(self.cols, self.rows, data)
-
-    def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Matrix times column vector, both sparse."""
-        out: dict[int, Fraction] = {}
-        for i, row in enumerate(self._data):
-            s = _ZERO
-            for j, v in row.items():
-                c = vec.get(j)
-                if c is not None:
-                    s += v * c
-            if s:
-                out[i] = s
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -395,20 +370,22 @@ def subspace_polynomials(space: Subspace) -> tuple[SuperPolynomial, ...]:
     )
 
 
-def operator_matrix(op, k: int) -> RationalMatrix:
-    """Matrix of a degree-homogeneous operator on the degree-k basis.
+def operator_matrix(
+    fn: Callable[[SuperPolynomial], SuperPolynomial],
+    signature: SuperSignature,
+    k: int,
+    shift: int,
+) -> RationalMatrix:
+    """Matrix of a map raising degree by `shift`, on the degree-k basis.
 
-    Columns follow the source basis at degree k, rows the target basis at
-    degree k + op.degree_shift.
+    Columns follow the basis of P_k, rows the basis of P_(k + shift), both
+    of `signature`.
     """
-    source = monomial_basis(op.signature, k)
-    target_sig = op.target_signature
-    tk = k + op.degree_shift
-    tidx = basis_index(target_sig, tk)
+    source = monomial_basis(signature, k)
+    tidx = basis_index(signature, k + shift)
     data: list[dict[int, Fraction]] = [{} for _ in tidx]
-    src_sig = op.signature
     for j, mono in enumerate(source):
-        q = op(SuperPolynomial(src_sig, {mono: Fraction(1)}, _clean=True))
+        q = fn(SuperPolynomial(signature, {mono: Fraction(1)}, _clean=True))
         for tm, c in q.terms.items():
             data[tidx[tm]][j] = c
     return RationalMatrix(len(data), len(source), data)

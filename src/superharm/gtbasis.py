@@ -26,9 +26,9 @@ or by the degree-dependent quadratic
 Theta = t1 t2 + .. + t_{2n-3} t_{2n-2} + (k - n - 1) t_{2n-1} t_{2n}
 (fermionic-3); the one-pair floor is {1} and {t1, t2} (fermionic-base).
 Nonzero fermionic harmonics live only in degrees 0..n.  A generalized
-fermionic target coincides with the plain one; if an exact kernel ever
-exceeded the recursion the basis would be completed with flagged direct
-kernel rows (fermionic-tilde-direct) rather than silently undercounting.
+fermionic target is given the plain basis: the exceptional window of
+M = -2n starts at degree n + 2, beyond every nonzero harmonic, and the count
+check of verify_gt_basis compares that basis with the exact kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ck import CKData, ck_extend
-from .exactla import polynomial_vector, polynomials_rank, span_subspace, subspace_polynomials
+from .exactla import polynomials_rank
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
@@ -152,28 +152,6 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
     return tuple(out)
 
 
-def _fermionic_generalized_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
-    """Generalized target on the fermionic floor: the plain basis, completed
-    with direct kernel rows in the (never observed) event the exact kernel
-    is larger."""
-    sig = SuperSignature(0, n)
-    plain = gt_basis(sig, k, "H")
-    space = generalized_harmonic_space(sig, k)
-    if space.dim == len(plain):
-        return plain
-    out = list(plain)
-    have = span_subspace(sig, k, [el.polynomial for el in plain])
-    for i, p in enumerate(subspace_polynomials(space)):
-        if have.dim == space.dim:
-            break
-        if not have.contains(polynomial_vector(p, k)):
-            out.append(
-                GTBasisElement(GTLabel((ChainStep(n, "fermionic-tilde-direct", k, i),)), p)
-            )
-            have = have + span_subspace(sig, k, [p])
-    return tuple(out)
-
-
 def _boundary_element(signature, k, step, el, lift) -> GTBasisElement:
     Q = ck_extend(CKData.from_parts(signature, k, boundary=lift * el.polynomial))
     return _prepend(step, el, Q)
@@ -248,18 +226,14 @@ def gt_basis(
         raise ValueError(f"target must be 'H' or 'Ht', got {target!r}")
     if k < 0:
         return ()
-    if target == "Ht" and k not in exceptional_indices(signature.M):
+    if target == "Ht" and (signature.m == 0 or k not in exceptional_indices(signature.M)):
         return gt_basis(signature, k, "H")
     key = (signature.m, signature.n, k, target)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
     if signature.m == 0:
-        elements = (
-            _fermionic_basis(signature.n, k)
-            if target == "H"
-            else _fermionic_generalized_basis(signature.n, k)
-        )
+        elements = _fermionic_basis(signature.n, k)
     elif exceptional_indices(signature.M - 1):
         elements = _exceptional_descent(signature, k)
     else:
@@ -377,12 +351,7 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
 
     membership_ok = all(annihilated(p) for p in polys)
 
-    def element_data_ok(el):
-        if el.label.chain[0].kind == "fermionic-tilde-direct":
-            return space.contains(polynomial_vector(el.polynomial, k))
-        return _step_data_ok(signature, k, el)
-
-    data_ok = all(element_data_ok(el) for el in basis)
+    data_ok = all(_step_data_ok(signature, k, el) for el in basis)
 
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),
@@ -394,7 +363,7 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         {
             el.label.chain[0].degree
             for el in basis
-            if el.label.chain[0].kind in ("tilde-b5", "tilde-b6", "fermionic-tilde-direct")
+            if el.label.chain[0].kind in ("tilde-b5", "tilde-b6")
         }
     )
     return GTBasisReport(

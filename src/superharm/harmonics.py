@@ -18,8 +18,8 @@ the remaining starts J_k contribute plain harmonics:
 
 For m = 0 the multiplication by r2 is no longer injective and the formula
 above is not available; the purely fermionic decomposition indexed by
-N_min(k, 2n-k) is used instead, and the report cross-checks it against the
-index-set formula.
+N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
+with the index-set formula.
 
 All spaces are exact kernels of exact matrices; every claimed direct sum is
 verified by an exact rank computation.
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import (
+    RationalMatrix,
     Subspace,
     image,
     kernel,
@@ -40,7 +41,7 @@ from .exactla import (
     span_subspace,
     subspace_polynomials,
 )
-from .operators import laplacian_op, rsquare, rsquare_op
+from .operators import laplacian, rsquare
 from .superpoly import SuperPolynomial, SuperSignature, monomial_basis
 
 
@@ -52,12 +53,18 @@ def exceptional_indices(M: int) -> frozenset[int]:
     return frozenset(range(2 - M // 2, 2 - M + 1))
 
 
+def rsquare_matrix(signature: SuperSignature, degree: int) -> RationalMatrix:
+    """Matrix of multiplication by r2 from P_degree to P_(degree+2)."""
+    r2 = rsquare(signature)
+    return operator_matrix(lambda p: r2 * p, signature, degree, 2)
+
+
 @lru_cache(maxsize=None)
 def harmonic_space(signature: SuperSignature, k: int) -> Subspace:
     """H_k: degree-k kernel of the Laplace operator."""
     if k < 0:
         return Subspace.zero(0, (signature, k))
-    return kernel(operator_matrix(laplacian_op(signature), k), (signature, k))
+    return kernel(operator_matrix(laplacian, signature, k, -2), (signature, k))
 
 
 @lru_cache(maxsize=None)
@@ -70,8 +77,8 @@ def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
     """
     if k < 0:
         return Subspace.zero(0, (signature, k))
-    lap = operator_matrix(laplacian_op(signature), k)
-    r2 = operator_matrix(rsquare_op(signature), k - 2)
+    lap = operator_matrix(laplacian, signature, k, -2)
+    r2 = rsquare_matrix(signature, k - 2)
     return kernel(matmul(matmul(lap, r2), lap), (signature, k))
 
 
@@ -81,7 +88,7 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
     H = harmonic_space(signature, k)
     if k < 2:
         return Subspace.zero(H.ambient_dim, (signature, k))
-    r2_image = image(operator_matrix(rsquare_op(signature), k - 2), (signature, k))
+    r2_image = image(rsquare_matrix(signature, k - 2), (signature, k))
     return H.intersect(r2_image)
 
 
@@ -170,32 +177,26 @@ def _summand_polynomials(
     return [lift * h for h in basis]
 
 
+def _formula_plan(sets: FischerIndexSets) -> list[tuple[str, int, int]]:
+    """Components of the index-set formula, in start-degree order."""
+    plan = [("Ht", l, sets.k - l) for l in sets.exceptional] + [
+        ("H", l, sets.k - l) for l in sets.ordinary
+    ]
+    plan.sort(key=lambda item: item[1])
+    return plan
+
+
 def _decomposition_plan(
     signature: SuperSignature, k: int
-) -> tuple[list[tuple[str, int, int]], tuple[int, ...], tuple[str, ...]]:
+) -> tuple[list[tuple[str, int, int]], tuple[int, ...]]:
     """Component list (kind, start degree, r-power) of the degree-k
-    decomposition, plus suppressed degrees and notes."""
-    notes: list[str] = []
+    decomposition, plus suppressed degrees."""
     sets = fischer_index_sets(signature, k)
     if signature.m == 0:
         plan = _fermionic_summand_plan(signature, k)
-        formula_plan = [("Ht", l, k - l) for l in sets.exceptional] + [
-            ("H", l, k - l) for l in sets.ordinary
-        ]
-        agreement = _plans_agree(signature, plan, formula_plan, k)
-        notes.append(
-            "m=0: purely fermionic decomposition used; index-set formula "
-            + ("matches after dropping trivial components" if agreement else "DISAGREES")
-        )
         starts = {degree for _, degree, _ in plan}
-        suppressed = tuple(sorted(l for l in sets.degrees if l not in starts))
-    else:
-        plan = [("Ht", l, k - l) for l in sets.exceptional] + [
-            ("H", l, k - l) for l in sets.ordinary
-        ]
-        plan.sort(key=lambda item: item[1])
-        suppressed = tuple(sorted(sets.suppressed))
-    return plan, suppressed, tuple(notes)
+        return plan, tuple(sorted(l for l in sets.degrees if l not in starts))
+    return _formula_plan(sets), tuple(sorted(sets.suppressed))
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +206,7 @@ def fischer_stack(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, .
     for k < 0."""
     if k < 0:
         return ()
-    plan, _, _ = _decomposition_plan(signature, k)
+    plan, _ = _decomposition_plan(signature, k)
     stacked: list[SuperPolynomial] = []
     for kind, degree, rpower in plan:
         stacked.extend(_summand_polynomials(signature, kind, degree, rpower))
@@ -227,7 +228,7 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     verify exactness of the direct sum by rank."""
     if k < 0:
         raise ValueError("negative degree")
-    plan, suppressed, notes = _decomposition_plan(signature, k)
+    plan, suppressed = _decomposition_plan(signature, k)
 
     summands = []
     stacked: list[SuperPolynomial] = []
@@ -239,13 +240,24 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
     joint_rank = polynomials_rank(stacked, k)
-    verified = joint_rank == total == space_dim
+    agreement = True
+    notes: tuple[str, ...] = ()
+    if signature.m == 0:
+        formula_plan = _formula_plan(fischer_index_sets(signature, k))
+        agreement = _plans_agree(signature, plan, formula_plan, k)
+        notes = (
+            "m=0: purely fermionic decomposition used; index-set formula "
+            + ("matches after dropping trivial components" if agreement else "DISAGREES"),
+        )
+    verified = joint_rank == total == space_dim and agreement
     witness = None
-    if not verified:
+    if not joint_rank == total == space_dim:
         witness = (
             f"rank {joint_rank} of stacked components vs sum of dims {total} "
             f"vs dim P_{k} = {space_dim}"
         )
+    elif not agreement:
+        witness = "m=0: the index-set formula and the fermionic decomposition differ"
     return DecompositionReport(
         signature=signature,
         k=k,
@@ -255,7 +267,7 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
         space_dim=space_dim,
         verified=verified,
         failure_witness=witness,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 

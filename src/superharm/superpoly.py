@@ -332,19 +332,7 @@ class SuperPolynomial:
 _ZERO = Fraction(0)
 
 
-# -- ring operations as module functions -----------------------------------
-
-
-def add(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    return p + q
-
-
-def multiply(p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-    return p * q
-
-
-def scale(c: ScalarLike, p: SuperPolynomial) -> SuperPolynomial:
-    return p * _as_fraction(c)
+# -- derivatives -------------------------------------------------------------
 
 
 def d_bosonic(p: SuperPolynomial, j: int) -> SuperPolynomial:

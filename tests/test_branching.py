@@ -2,8 +2,8 @@
 
 import pytest
 
+from superharm import branching
 from superharm.branching import (
-    branch_classical,
     branch_generalized,
     branch_harmonic,
     branching_index_sets,
@@ -44,8 +44,6 @@ def test_classical_degeneration(sig):
         assert rep.verified, rep.checks
         assert [s.degree for s in rep.summands] == list(range(k + 1))
         assert all(s.kind == "H" and s.multiplicity == 1 for s in rep.summands)
-        rep2 = branch_classical(sig, k)
-        assert rep2.summands == rep.summands
 
 
 def test_branched_dimension_is_two_lower_space_dimensions():
@@ -136,8 +134,6 @@ def test_defect_kernel_trivial_degree():
 
 def test_guards():
     with pytest.raises(ValueError):
-        branch_classical(SuperSignature(1, 1), 2)  # lower level exceptional
-    with pytest.raises(ValueError):
         branch_generalized(S33, 5)  # odd superdimension, Ht = H
     with pytest.raises(ValueError):
         branch_generalized(S23, 3)  # degree outside the window
@@ -145,6 +141,23 @@ def test_guards():
         branch_harmonic(SuperSignature(0, 2), 1)
     with pytest.raises(ValueError):
         branch_harmonic(SuperSignature(2, 1), -1)
+
+
+def test_dependent_lower_stack_fails_completeness(monkeypatch):
+    # one element repeated: the length still equals dim P', the rank does not
+    original = branching.fischer_stack
+
+    def duplicated(sig, k):
+        stack = list(original(sig, k))
+        if len(stack) > 1:
+            stack[-1] = stack[0]
+        return tuple(stack)
+
+    monkeypatch.setattr(branching, "fischer_stack", duplicated)
+    for rep in (branch_harmonic(S33, 3), branch_generalized(S23, 4)):
+        checks = dict(rep.checks)
+        assert not checks["lower spanning sets are complete"]
+        assert not rep.verified
 
 
 def test_summands_ascend_and_suppressed_absent():

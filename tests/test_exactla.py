@@ -19,8 +19,12 @@ from superharm.exactla import (
     subspace_polynomials,
     vector_polynomial,
 )
-from superharm.operators import euler_op, laplacian_op
+from superharm.operators import euler, laplacian
 from superharm.superpoly import SuperPolynomial, SuperSignature, monomial_basis
+
+
+def _dense(A):
+    return [[row.get(j, Fraction(0)) for j in range(A.cols)] for row in A.row_dicts()]
 
 
 def M(rows, cols=None):
@@ -32,7 +36,7 @@ def M(rows, cols=None):
 def test_rref_canonical_small():
     A = M([[2, 4, 6], [1, 2, 4]])
     R = rref(A)
-    assert R.dense() == [
+    assert _dense(R) == [
         [Fraction(1), Fraction(2), Fraction(0)],
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
@@ -48,7 +52,7 @@ def test_rref_idempotent_and_order_independent():
 
 def test_rank_examples():
     assert rank(M([[1, 2], [2, 4]])) == 1
-    assert rank(RationalMatrix.zeros(3, 5)) == 0
+    assert rank(RationalMatrix(3, 5, [{}, {}, {}])) == 0
     assert rank(RationalMatrix.identity(4)) == 4
 
 
@@ -57,14 +61,14 @@ def test_kernel_of_projection():
     A = M([[1, 0, 0], [0, 1, 0]])
     K = kernel(A)
     assert K.dim == 1
-    assert K.basis_matrix.dense() == [[Fraction(0), Fraction(0), Fraction(1)]]
+    assert _dense(K.basis_matrix) == [[Fraction(0), Fraction(0), Fraction(1)]]
 
 
 def test_image_is_column_space():
     A = M([[1, 2], [2, 4], [0, 0]])
     S = image(A)
     assert S.dim == 1
-    assert S.basis_matrix.dense() == [[Fraction(1), Fraction(2), Fraction(0)]]
+    assert _dense(S.basis_matrix) == [[Fraction(1), Fraction(2), Fraction(0)]]
 
 
 def test_intersect_axes():
@@ -131,14 +135,14 @@ def test_kernel_vectors_are_annihilated():
     for _ in range(20):
         A = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         K = kernel(A)
-        for row in K.basis_matrix.row_dicts():
-            assert not A.apply(row)
+        products = matmul(A, K.basis_matrix.transpose())
+        assert not any(products.row_dicts())
 
 
 def test_operator_matrix_euler_is_k_identity():
     sig = SuperSignature(2, 1)
     for k in (0, 1, 3):
-        A = operator_matrix(euler_op(sig), k)
+        A = operator_matrix(euler, sig, k, 0)
         dim = len(monomial_basis(sig, k))
         expected = RationalMatrix(dim, dim, [{i: Fraction(k)} if k else {} for i in range(dim)])
         assert A == expected
@@ -146,14 +150,14 @@ def test_operator_matrix_euler_is_k_identity():
 
 def test_operator_matrix_laplacian_rank_one_case():
     sig = SuperSignature(1, 1)
-    A = operator_matrix(laplacian_op(sig), 2)
+    A = operator_matrix(laplacian, sig, 2, -2)
     assert (A.rows, A.cols) == (1, 4)
     assert rank(A) == 1
 
 
 def test_operator_matrix_at_degree_zero_target():
     sig = SuperSignature(1, 1)
-    A = operator_matrix(laplacian_op(sig), 0)
+    A = operator_matrix(laplacian, sig, 0, -2)
     assert (A.rows, A.cols) == (0, 1)
     assert kernel(A, (sig, 0)).dim == 1
 
@@ -281,13 +285,13 @@ def _sparse_matrices(draw, cols=None):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_rref_matches_dense_reference(A):
-    assert rref(A).dense() == _dense_rref(A.row_dicts(), A.cols)
+    assert _dense(rref(A)) == _dense_rref(A.row_dicts(), A.cols)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_sparse_matrices())
 def test_kernel_matches_dense_reference(A):
-    assert kernel(A).basis_matrix.dense() == _dense_kernel(A.row_dicts(), A.cols)
+    assert _dense(kernel(A).basis_matrix) == _dense_kernel(A.row_dicts(), A.cols)
 
 
 @st.composite
@@ -316,15 +320,15 @@ def test_intersect_matches_dense_reference(pair):
     U, V = pair
     # Coefficient vectors (a, b) with a U = b V, read off the kernel of the
     # matrix whose columns are the rows of U and of -V.
-    u_rows = U.basis_matrix.dense()
-    v_rows = V.basis_matrix.dense()
+    u_rows = _dense(U.basis_matrix)
+    v_rows = _dense(V.basis_matrix)
     columns = u_rows + [[-v for v in r] for r in v_rows]
     system = [{i: col[j] for i, col in enumerate(columns)} for j in range(U.ambient_dim)]
     meets = [
         {j: sum(a[i] * u_rows[i][j] for i in range(U.dim)) for j in range(U.ambient_dim)}
         for a in _dense_kernel(system, len(columns))
     ]
-    assert U.intersect(V).basis_matrix.dense() == _dense_rref(meets, U.ambient_dim)
+    assert _dense(U.intersect(V).basis_matrix) == _dense_rref(meets, U.ambient_dim)
 
 
 def test_contains_fails_only_at_a_non_pivot_column():
@@ -345,11 +349,11 @@ def test_matmul_matches_dense_product():
         inner = rng.randint(0, 5)
         A = _random_matrix(rng, rng.randint(0, 4), inner, density=0.4)
         B = _random_matrix(rng, inner, rng.randint(1, 5), density=0.4)
-        b = B.dense()
+        b = _dense(B)
         product = [
             [sum(a * b[j][col] for j, a in enumerate(row)) for col in range(B.cols)]
-            for row in A.dense()
+            for row in _dense(A)
         ]
-        assert matmul(A, B).dense() == product
+        assert _dense(matmul(A, B)) == product
     with pytest.raises(ValueError):
         matmul(RationalMatrix.identity(2), RationalMatrix.identity(3))

@@ -8,6 +8,7 @@ from superharm.gtbasis import (
     theta_factor,
     verify_gt_basis,
 )
+from superharm.harmonics import exceptional_indices, generalized_harmonic_space
 from superharm.operators import laplacian
 from superharm.superpoly import (
     SuperPolynomial,
@@ -79,6 +80,16 @@ def test_fermionic_recursion_element_for_element():
 def test_fermionic_gate():
     assert gt_basis(SuperSignature(0, 2), 3) == ()
     assert gt_basis(SuperSignature(0, 2), -1) == ()
+
+
+def test_fermionic_generalized_harmonics_vanish_in_the_window():
+    # the window of M = -2n starts at n + 2, above every nonzero harmonic,
+    # so the plain basis serves the generalized target
+    for n in range(1, 6):
+        sig = SuperSignature(0, n)
+        for k in exceptional_indices(sig.M):
+            assert generalized_harmonic_space(sig, k).dim == 0, (n, k)
+            assert gt_basis(sig, k, "Ht") == gt_basis(sig, k, "H") == ()
 
 
 def test_theta_factor():

@@ -9,7 +9,8 @@ import math
 
 import pytest
 
-from superharm.exactla import operator_matrix, rank
+from superharm import harmonics
+from superharm.exactla import rank
 from superharm.harmonics import (
     exceptional_indices,
     fischer_decomposition,
@@ -17,11 +18,12 @@ from superharm.harmonics import (
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
+    rsquare_matrix,
     rsquare_power,
     socle_space,
     verify_theorem_A,
 )
-from superharm.operators import laplacian, rsquare_op
+from superharm.operators import laplacian
 from superharm.superpoly import SuperSignature, space_dimension
 
 REGULAR = [SuperSignature(1, 1), SuperSignature(3, 2), SuperSignature(3, 0)]
@@ -102,7 +104,7 @@ def test_socle_trivial_below_degree_two():
 def test_socle_inside_both_spaces():
     H0 = socle_space(S23, 4)
     assert harmonic_space(S23, 4).contains_subspace(H0)
-    img_rank = rank(operator_matrix(rsquare_op(S23), 2))
+    img_rank = rank(rsquare_matrix(S23, 2))
     assert H0.dim <= img_rank
 
 
@@ -198,6 +200,14 @@ def test_fermionic_full_range_verifies():
         for k in range(2 * n + 2):
             rep = fischer_decomposition(sig, k)
             assert rep.verified, (sig, k, rep.failure_witness)
+
+
+def test_fermionic_disagreement_fails_verification(monkeypatch):
+    monkeypatch.setattr(harmonics, "_plans_agree", lambda *args: False)
+    rep = fischer_decomposition(SuperSignature(0, 2), 3)
+    assert not rep.verified
+    assert rep.failure_witness
+    assert "DISAGREES" in rep.notes[0]
 
 
 def test_negative_degree_rejected():

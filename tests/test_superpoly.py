@@ -9,7 +9,6 @@ from superharm.superpoly import (
     SuperMonomial,
     SuperPolynomial,
     SuperSignature,
-    add,
     basis_index,
     d_bosonic,
     d_fermionic,
@@ -17,10 +16,8 @@ from superharm.superpoly import (
     extend_signature,
     format_polynomial,
     monomial_basis,
-    multiply,
     parse_polynomial,
     restrict_hyperplane,
-    scale,
     space_dimension,
     xm_coefficients,
 )
