@@ -52,7 +52,7 @@ from .harmonics import (
     rsquare_matrix,
     rsquare_power,
 )
-from .operators import laplacian, rsquare
+from .operators import laplacian, rsquare_mul
 from .superpoly import (
     SuperPolynomial,
     SuperSignature,
@@ -268,12 +268,11 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
     kernel_stack = subspace_polynomials(ker)
 
     gen_ok = True
-    r2 = rsquare(signature)
     m = signature.m
     for w in kernel_stack:
         Q = ck_extend(CKData.from_parts(signature, k, laplacian=w))
         # lap r2 lap Q = lap(r2 w) once lap Q = w holds
-        if laplacian(Q) != w or not laplacian(r2 * w).is_zero():
+        if laplacian(Q) != w or not laplacian(rsquare_mul(w)).is_zero():
             gen_ok = False
             break
         if not restrict_hyperplane(Q).is_zero():

@@ -26,10 +26,13 @@ from .superpoly import (
     SuperSignature,
     format_polynomial,
     monomial_basis,
+    space_dimension,
 )
 
 SCHEMA_VERSION = "1"
 DEFAULT_GUARD = 12
+# Largest dim P_k a command may build; (4|8) at k=10 has 23552 monomials.
+WORK_BUDGET = 100_000
 
 _GRID = (
     (1, 1),
@@ -110,6 +113,18 @@ def _checked_degree(value: int, guard: int, name: str = "k") -> int:
     return value
 
 
+def _checked_work(sig: SuperSignature, degrees) -> None:
+    """Refuse, before any basis is built, degrees whose dim P_k (the closed
+    form, nothing listed) exceeds WORK_BUDGET."""
+    for k in degrees:
+        dim = space_dimension(sig, k)
+        if dim > WORK_BUDGET:
+            raise UsageError(
+                f"dim P_{k} = {dim} for signature {sig} exceeds the work budget "
+                f"{WORK_BUDGET}"
+            )
+
+
 def _signature(args) -> SuperSignature:
     try:
         return SuperSignature(args.m, args.n)
@@ -177,6 +192,7 @@ def _run_fischer(args) -> int:
         degrees = [_checked_degree(args.k, args.guard)]
     else:
         degrees = range(_checked_degree(args.kmax, args.guard, "kmax") + 1)
+    _checked_work(sig, degrees)
     reports = [fischer_decomposition(sig, k) for k in degrees]
     if args.format == "json":
         payload = {
@@ -246,6 +262,7 @@ def _run_branch(args) -> int:
     if args.k is None:
         raise UsageError("branch needs --k")
     k = _checked_degree(args.k, args.guard)
+    _checked_work(sig, [k])
     try:
         rep = branch_generalized(sig, k) if args.generalized else branch_harmonic(sig, k)
     except ValueError as exc:
@@ -271,6 +288,7 @@ def _run_gt_basis(args) -> int:
     if args.k is None:
         raise UsageError("gt-basis needs --k")
     k = _checked_degree(args.k, args.guard)
+    _checked_work(sig, [k])
     basis = gt_basis(sig, k, args.target)
     if args.format == "json":
         payload = {
@@ -373,6 +391,8 @@ def _run_verify(args) -> int:
         sigs = [SuperSignature(m, n) for m, n in _GRID]
     kmax = args.kmax if args.kmax is not None else _SUITE_KMAX[args.suite]
     kmax = _checked_degree(kmax, args.guard, "kmax")
+    for sig in sigs:
+        _checked_work(sig, range(kmax + 1))
     results = list(_SUITE_RUNNERS[args.suite](sigs, kmax))
     failed = [name for name, ok in results if not ok]
     if args.format == "json":

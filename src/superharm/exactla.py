@@ -105,7 +105,7 @@ def _int_row(row: Mapping[int, Fraction]) -> dict[int, int]:
     den = 1
     for v in row.values():
         den = den * v.denominator // gcd(den, v.denominator)
-    out = {j: int(v * den) for j, v in row.items() if v}
+    out = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
     return _reduce_content(out)
 
 
@@ -383,10 +383,11 @@ def operator_matrix(
     """
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k + shift)
+    one = Fraction(1)
     data: list[dict[int, Fraction]] = [{} for _ in tidx]
     for j, mono in enumerate(source):
-        q = fn(SuperPolynomial(signature, {mono: Fraction(1)}, _clean=True))
-        for tm, c in q.terms.items():
+        q = fn(SuperPolynomial(signature, {mono: one}, _clean=True))
+        for tm, c in q:
             data[tidx[tm]][j] = c
     return RationalMatrix(len(data), len(source), data)
 

@@ -41,7 +41,7 @@ from .exactla import (
     span_subspace,
     subspace_polynomials,
 )
-from .operators import laplacian, rsquare
+from .operators import laplacian, rsquare_mul
 from .superpoly import SuperPolynomial, SuperSignature, monomial_basis
 
 
@@ -55,8 +55,7 @@ def exceptional_indices(M: int) -> frozenset[int]:
 
 def rsquare_matrix(signature: SuperSignature, degree: int) -> RationalMatrix:
     """Matrix of multiplication by r2 from P_degree to P_(degree+2)."""
-    r2 = rsquare(signature)
-    return operator_matrix(lambda p: r2 * p, signature, degree, 2)
+    return operator_matrix(rsquare_mul, signature, degree, 2)
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +108,7 @@ def rsquare_power(signature: SuperSignature, j: int) -> SuperPolynomial:
         raise ValueError("negative power of r2")
     if j == 0:
         return SuperPolynomial.one(signature)
-    return rsquare_power(signature, j - 1) * rsquare(signature)
+    return rsquare_mul(rsquare_power(signature, j - 1))
 
 
 @dataclass(frozen=True)

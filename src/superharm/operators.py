@@ -25,6 +25,23 @@ Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
 functions, and a matrix on one degree is derived from a map by
 exactla.operator_matrix, never stored as the primary form.
+
+laplacian and rsquare_mul are applied by their monomial rules, term by term
+into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th fermionic pair:
+
+    laplacian:    a_i (a_i - 1) x^(a - 2e_i) t_F     for each i with a_i >= 2
+                  +4 x^a t_(F minus P_j)             for each P_j inside F
+    rsquare_mul:  x^(a + 2e_i) t_F                   for each i
+                  -x^a t_(F union P_j)               for each P_j disjoint from F
+
+The coefficients are small integers and the signs are fixed.  In the
+Laplacian, d/dt_(2j-1) d/dt_(2j) removes the adjacent pair from the
+ascending word of F: the first derivative passes the c indices of F below
+2j-1 and 2j-1 itself, the second passes the same c, so the sign is
+(-1)^(2c+1) = -1, and times the -4 of the formula it gives +4.  In r2, the
+product t_(2j-1) t_(2j) t_F merges an adjacent pair into F; every index of F
+below the pair is passed twice, so the merge sign is +1 and the -1 of r2
+stays.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ from math import factorial
 from typing import Callable
 
 from .superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
     d_bosonic,
@@ -47,15 +65,31 @@ from .superpoly import (
 # -- the basic operators ------------------------------------------------------
 
 
+def _pair_masks(signature: SuperSignature) -> tuple[int, ...]:
+    """Bitmask of each fermionic pair t_(2j-1) t_(2j)."""
+    return tuple(3 << (2 * j) for j in range(signature.n))
+
+
 def laplacian(p: SuperPolynomial) -> SuperPolynomial:
-    """Second order invariant operator; on t1 t2 it gives 4."""
+    """Second order invariant operator; on t1 t2 it gives 4.  Applied by
+    its monomial rule (module docstring)."""
     sig = p.signature
-    out = SuperPolynomial.zero(sig)
-    for j in range(1, sig.m + 1):
-        out = out + d_bosonic(d_bosonic(p, j), j)
-    for j in range(1, sig.n + 1):
-        out = out - 4 * d_fermionic(d_fermionic(p, 2 * j), 2 * j - 1)
-    return out
+    pairs = _pair_masks(sig)
+    data: dict[SuperMonomial, Fraction] = {}
+    for (powers, f), c in p:
+        for i, e in enumerate(powers):
+            if e > 1:
+                key = SuperMonomial(powers[:i] + (e - 2,) + powers[i + 1 :], f)
+                v = c * (e * (e - 1))
+                old = data.get(key)
+                data[key] = v if old is None else old + v
+        for pair in pairs:
+            if f & pair == pair:
+                key = SuperMonomial(powers, f ^ pair)
+                v = 4 * c
+                old = data.get(key)
+                data[key] = v if old is None else old + v
+    return SuperPolynomial(sig, {k: v for k, v in data.items() if v}, _clean=True)
 
 
 def rsquare(signature: SuperSignature) -> SuperPolynomial:
@@ -70,7 +104,23 @@ def rsquare(signature: SuperSignature) -> SuperPolynomial:
 
 
 def rsquare_mul(p: SuperPolynomial) -> SuperPolynomial:
-    return rsquare(p.signature) * p
+    """Multiplication by r2, applied by its monomial rule (module
+    docstring); never builds r2 itself."""
+    sig = p.signature
+    pairs = _pair_masks(sig)
+    data: dict[SuperMonomial, Fraction] = {}
+    for (powers, f), c in p:
+        for i, e in enumerate(powers):
+            key = SuperMonomial(powers[:i] + (e + 2,) + powers[i + 1 :], f)
+            old = data.get(key)
+            data[key] = c if old is None else old + c
+        neg = -c
+        for pair in pairs:
+            if not f & pair:
+                key = SuperMonomial(powers, f | pair)
+                old = data.get(key)
+                data[key] = neg if old is None else old + neg
+    return SuperPolynomial(sig, {k: v for k, v in data.items() if v}, _clean=True)
 
 
 def euler(p: SuperPolynomial) -> SuperPolynomial:
@@ -153,13 +203,12 @@ def sl2_relations_check(signature: SuperSignature, k: int) -> tuple[CheckResult,
     """The three sl(2) relations, checked exhaustively on degree k."""
     half = Fraction(1, 2)
     shift = Fraction(signature.M, 2)
-    r2 = rsquare(signature)
 
     def e2(p):
         return laplacian(p) * half
 
     def f2(p):
-        return r2 * p * half
+        return rsquare_mul(p) * half
 
     def h(p):
         return euler(p) + p * shift
@@ -168,7 +217,7 @@ def sl2_relations_check(signature: SuperSignature, k: int) -> tuple[CheckResult,
         commutator_check(e2, f2, h, signature, k, "sl2: [lap/2, r2/2] = euler + M/2"),
         commutator_check(e2, h, laplacian, signature, k, "sl2: [lap/2, euler + M/2] = lap"),
         commutator_check(
-            f2, h, lambda p: -(r2 * p), signature, k, "sl2: [r2/2, euler + M/2] = -r2"
+            f2, h, lambda p: -rsquare_mul(p), signature, k, "sl2: [r2/2, euler + M/2] = -r2"
         ),
     )
 
@@ -240,11 +289,10 @@ def osp_generators(signature: SuperSignature) -> tuple[Map, ...]:
 def invariance_check(signature: SuperSignature, k: int) -> CheckResult:
     """Every generator commutes with laplacian, rsquare and euler on degree
     k.  This is the ground truth for the generator conventions."""
-    r2 = rsquare(signature)
     zero = SuperPolynomial.zero(signature)
     basics = (
         ("laplacian", laplacian),
-        ("rsquare_mul", lambda p: r2 * p),
+        ("rsquare_mul", rsquare_mul),
         ("euler", euler),
     )
     for a, b in _osp_index_pairs(signature):

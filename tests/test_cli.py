@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from superharm import cli
 from superharm.cli import main
 
 
@@ -123,6 +125,25 @@ def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("superharm:")
+
+
+def test_work_budget_refuses_before_any_basis_is_built(capsys, monkeypatch):
+    # k=12 passes the degree guard, but dim P_12 of (40|80) is about 1.6e16
+    def forbidden(*args):
+        raise AssertionError("the decomposition was started")
+
+    monkeypatch.setattr(cli, "fischer_decomposition", forbidden)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "fischer", "--m", "40", "--n", "40", "--k", "12")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("superharm: dim P_12 = 15917556512462440 ")
+    assert "work budget" in err
+    assert peak < 1 << 20
 
 
 def test_bad_subcommand_exits_2():

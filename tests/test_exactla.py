@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superharm.exactla import (
     RationalMatrix,
+    _int_row,
     Subspace,
     image,
     kernel,
@@ -357,3 +359,43 @@ def test_matmul_matches_dense_product():
         assert _dense(matmul(A, B)) == product
     with pytest.raises(ValueError):
         matmul(RationalMatrix.identity(2), RationalMatrix.identity(3))
+
+
+# -- integer rows --------------------------------------------------------------
+
+# large pairwise coprime denominators: primes near 2^31, 2^61 and 10^9
+_LARGE_DENOMINATORS = [1, 3, 2**31 - 1, 2**61 - 1, 10**9 + 7, 10**9 + 9, 2 * 3 * 5 * 7 * 11]
+
+
+def _int_row_reference(row):
+    """Scale by the lcm of the denominators in Fraction arithmetic, divide
+    by the content, make the leading entry positive."""
+    den = 1
+    for v in row.values():
+        den = den * v.denominator // gcd(den, v.denominator)
+    scaled = {j: v * den for j, v in row.items() if v}
+    assert all(v.denominator == 1 for v in scaled.values())
+    if not scaled:
+        return {}
+    g = 0
+    for v in scaled.values():
+        g = gcd(g, int(v))
+    if scaled[min(scaled)] < 0:
+        g = -g
+    return {j: int(v / g) for j, v in scaled.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=40),
+        st.builds(
+            Fraction,
+            st.integers(min_value=-(10**30), max_value=10**30),
+            st.sampled_from(_LARGE_DENOMINATORS),
+        ),
+        max_size=8,
+    )
+)
+def test_int_row_matches_fraction_reference(row):
+    assert _int_row(row) == _int_row_reference(row)

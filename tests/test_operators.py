@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superharm import operators
 from superharm.cli import _GRID as VERIFY_GRID
@@ -16,8 +19,11 @@ from superharm.operators import (
     xi,
 )
 from superharm.superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    d_bosonic,
+    d_fermionic,
     monomial_basis,
     parse_polynomial,
 )
@@ -186,3 +192,128 @@ def test_invariance_check_names_the_failing_bracket(monkeypatch):
     assert res.name == "invariance: [laplacian,L(1,2)] = 0 at degree 1"
     mono, lhs, rhs = res.witness
     assert len(mono) == 1 and not lhs.is_zero() and rhs.is_zero()
+
+
+# -- monomial rules against the derivative and product references -------------
+
+PROPERTY_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
+    SuperSignature(4, 4),
+    SuperSignature(0, 3),
+    SuperSignature(3, 0),
+]
+
+
+def _laplacian_reference(p):
+    """Sum of d^2/dx_j^2 minus 4 d/dt_(2j-1) d/dt_(2j), one whole-polynomial
+    step at a time."""
+    sig = p.signature
+    out = SuperPolynomial.zero(sig)
+    for j in range(1, sig.m + 1):
+        out = out + d_bosonic(d_bosonic(p, j), j)
+    for j in range(1, sig.n + 1):
+        out = out - 4 * d_fermionic(d_fermionic(p, 2 * j), 2 * j - 1)
+    return out
+
+
+def _rsquare_reference(p):
+    return rsquare(p.signature) * p
+
+
+def _neighbours(sig, mono, step):
+    """Monomials one rule step from mono: two more (step=1) or two fewer
+    (step=-1) in one x exponent, or one fermionic pair added or removed."""
+    powers, f = mono
+    out = []
+    for i, e in enumerate(powers):
+        if e + 2 * step >= 0:
+            out.append(SuperMonomial(powers[:i] + (e + 2 * step,) + powers[i + 1 :], f))
+    for j in range(sig.n):
+        pair = 3 << (2 * j)
+        if step > 0 and not f & pair:
+            out.append(SuperMonomial(powers, f | pair))
+        if step < 0 and f & pair == pair:
+            out.append(SuperMonomial(powers, f ^ pair))
+    return out
+
+
+_COEFFS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 11), Fraction(2**61 - 1, 10**9 + 7)]
+)
+
+
+@st.composite
+def _cancelling_polynomials(draw, reference, step):
+    """p mixes random terms with two sources whose images under `reference`
+    cancel at one target monomial.  step is +1 for the Laplacian (the
+    sources lie two degrees above the target) and -1 for r2."""
+    sig = draw(st.sampled_from(PROPERTY_SIGS))
+    top = 3 if sig == SuperSignature(4, 4) else 4
+    shift = -2 * step  # target degree minus source degree
+    k = draw(st.sampled_from([k for k in range(2, top + 1) if monomial_basis(sig, k + shift)]))
+    target = draw(st.sampled_from(monomial_basis(sig, k + shift)))
+    sources = _neighbours(sig, target, step)
+    basis = monomial_basis(sig, k)
+    terms = {
+        basis[i]: c
+        for i, c in draw(
+            st.lists(st.tuples(st.integers(0, len(basis) - 1), _COEFFS), max_size=4)
+        )
+    }
+    p = SuperPolynomial(sig, terms)
+    if len(sources) >= 2:
+        i, j = draw(
+            st.lists(
+                st.integers(0, len(sources) - 1), min_size=2, max_size=2, unique=True
+            )
+        )
+        w1 = reference(SuperPolynomial(sig, {sources[i]: 1})).coefficient(target)
+        w2 = reference(SuperPolynomial(sig, {sources[j]: 1})).coefficient(target)
+        scale = draw(_COEFFS)
+        p = p + SuperPolynomial(sig, {sources[i]: scale * w2, sources[j]: -scale * w1})
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cancelling_polynomials(_laplacian_reference, 1))
+def test_laplacian_matches_derivative_reference(p):
+    assert laplacian(p) == _laplacian_reference(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cancelling_polynomials(_rsquare_reference, -1))
+def test_rsquare_mul_matches_product_reference(p):
+    assert rsquare_mul(p) == _rsquare_reference(p)
+
+
+def test_rules_drop_cancelled_terms():
+    sig = SuperSignature(1, 1)
+    # lap(x1^2) = 2 and lap(t1 t2) = 4 cancel
+    assert laplacian(parse_polynomial("x1^2 - 1/2*t1 t2", sig)).is_zero()
+    # r2 x1^2 and r2 t1 t2 both reach x1^2 t1 t2, with opposite signs
+    q = rsquare_mul(parse_polynomial("x1^2 + t1 t2", sig))
+    assert q == parse_polynomial("x1^4", sig)
+    assert len(q) == 1
+
+
+@pytest.mark.parametrize("sig", PROPERTY_SIGS, ids=str)
+def test_operator_matrices_match_reference_matrices(sig):
+    top = 4 if sig == SuperSignature(4, 4) else 6
+    for k in range(top + 1):
+        assert operator_matrix(laplacian, sig, k, -2) == operator_matrix(
+            _laplacian_reference, sig, k, -2
+        )
+        assert operator_matrix(rsquare_mul, sig, k, 2) == operator_matrix(
+            _rsquare_reference, sig, k, 2
+        )
+
+
+def test_rsquare_mul_does_not_build_rsquare(monkeypatch):
+    sig = SuperSignature(2, 2)
+    p = parse_polynomial("x1 t1 - 3/5*x2^2 t2 t3 + t1 t2 t3 t4", sig)
+    expected = rsquare(sig) * p
+
+    def forbidden(signature):
+        raise AssertionError("rsquare_mul rebuilt r2")
+
+    monkeypatch.setattr(operators, "rsquare", forbidden)
+    assert rsquare_mul(p) == expected
