@@ -49,8 +49,8 @@ from .harmonics import (
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
+    rsquare_lift,
     rsquare_matrix,
-    rsquare_power,
 )
 from .operators import laplacian, rsquare_mul
 from .superpoly import (
@@ -258,9 +258,9 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
     total = sum(s.multiplicity * s.dim for s in summands)
 
     ker = defect_kernel(signature, k - 2)
-    rpow = rsquare_power(signature, (2 * k + M - 4) // 2)
+    j = (2 * k + M - 4) // 2
     lifted_mirror = span_subspace(
-        signature, k - 2, [rpow * h for h in harmonic_basis(signature, mirror)]
+        signature, k - 2, [rsquare_lift(h, j) for h in harmonic_basis(signature, mirror)]
     )
 
     boundary_stack = fischer_stack(lower, k)

@@ -12,6 +12,16 @@ vector is reduced by a subspace by subtracting v[lead] times the row of each
 pivot in its support, in any order: no subtraction changes v at another
 pivot.  Kernel assembly and back-substitution rest on the same fact.
 
+The kernel needs a single elimination.  A's columns are reversed
+(j -> cols-1-j) before the RREF, so in original indices each RREF row has a
+1 at its pivot p and its other entries only at free columns f < p.  The null
+vector of a free column f is e_f minus, for each row holding c at f, c at
+that row's pivot p > f.  It has a 1 at f, its other nonzeros only at pivot
+columns above f, and so a zero at every other free column.  Its leading
+column is f and no other null vector is nonzero there, so, sorted by f, the
+null vectors already are the canonical RREF basis of ker A and need no
+second elimination.
+
 Columns are positions in the canonical monomial basis of one homogeneous
 degree, so a Subspace can be tagged with its (signature, degree) ambient and
 converted back and forth between rows and polynomials.
@@ -47,7 +57,8 @@ class RationalMatrix:
             for j, v in r.items():
                 if not 0 <= j < cols:
                     raise ValueError(f"column {j} out of range 0..{cols - 1}")
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     row[j] = v
             clean.append(row)
@@ -310,23 +321,25 @@ def _reduce(
 
 
 def kernel(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
-    """Null space of A, canonical basis.
+    """Null space of A, canonical basis, from one elimination of A with its
+    columns reversed (module docstring).
 
-    The vector of free column f is e_f minus, for each pivot row holding an
-    entry c at f, c at that row's pivot; one pass over the nonzeros of the
-    pivot rows fills them all.
+    One pass over the nonzeros of the pivot rows fills every null vector.
     """
+    last = A.cols - 1
     one = Fraction(1)
     pivot_cols = set()
     free_vecs: dict[int, dict[int, Fraction]] = {}
-    for r in _rref_fraction_rows(A.row_dicts()):
-        pc = min(r)
+    reversed_rows = ({last - j: v for j, v in r.items()} for r in A.row_dicts())
+    for r in _rref_fraction_rows(reversed_rows):
+        pc = last - min(r)
         pivot_cols.add(pc)
-        for f, c in r.items():
+        for rf, c in r.items():
+            f = last - rf
             if f != pc:
                 free_vecs.setdefault(f, {f: one})[pc] = -c
     rows = [free_vecs.get(f) or {f: one} for f in range(A.cols) if f not in pivot_cols]
-    return Subspace.from_rows(A.cols, rows, ambient)
+    return Subspace(RationalMatrix(len(rows), A.cols, rows), ambient)
 
 
 def image(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:

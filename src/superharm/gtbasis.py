@@ -42,7 +42,7 @@ from .harmonics import (
     fischer_index_sets,
     generalized_harmonic_space,
     harmonic_space,
-    rsquare_power,
+    rsquare_lift,
 )
 from .operators import laplacian, rsquare_mul
 from .superpoly import (
@@ -152,14 +152,14 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
     return tuple(out)
 
 
-def _boundary_element(signature, k, step, el, lift) -> GTBasisElement:
-    Q = ck_extend(CKData.from_parts(signature, k, boundary=lift * el.polynomial))
-    return _prepend(step, el, Q)
+def _boundary_element(signature, k, step, el, j) -> GTBasisElement:
+    boundary = rsquare_lift(el.polynomial, j)
+    return _prepend(step, el, ck_extend(CKData.from_parts(signature, k, boundary=boundary)))
 
 
-def _normal_element(signature, k, step, el, lift) -> GTBasisElement:
-    Q = ck_extend(CKData.from_parts(signature, k, normal=lift * el.polynomial))
-    return _prepend(step, el, Q)
+def _normal_element(signature, k, step, el, j) -> GTBasisElement:
+    normal = rsquare_lift(el.polynomial, j)
+    return _prepend(step, el, ck_extend(CKData.from_parts(signature, k, normal=normal)))
 
 
 def _regular_descent(signature: SuperSignature, k: int, target: str) -> tuple[GTBasisElement, ...]:
@@ -167,20 +167,20 @@ def _regular_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
     m = signature.m
     out: list[GTBasisElement] = []
     for l in range(k, -1, -2):
-        lift = rsquare_power(lower, (k - l) // 2)
+        j = (k - l) // 2
         for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-a1", l, i), el, lift))
+            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-a1", l, i), el, j))
     for l in range(k - 1, -1, -2):
-        lift = rsquare_power(lower, (k - 1 - l) // 2)
+        j = (k - 1 - l) // 2
         for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_normal_element(signature, k, ChainStep(m, "ordinary-a2", l, i), el, lift))
+            out.append(_normal_element(signature, k, ChainStep(m, "ordinary-a2", l, i), el, j))
     if target == "Ht":
         M = signature.M
         mirror = 2 - M - k
-        lift = rsquare_power(signature, (2 * k + M - 4) // 2)
+        j = (2 * k + M - 4) // 2
         for i, el in enumerate(gt_basis(signature, mirror, "H")):
             Q = ck_extend(
-                CKData.from_parts(signature, k, laplacian=lift * el.polynomial)
+                CKData.from_parts(signature, k, laplacian=rsquare_lift(el.polynomial, j))
             )
             out.append(_prepend(ChainStep(m, "generalized-a3", mirror, i), el, Q))
     return tuple(out)
@@ -193,26 +193,26 @@ def _exceptional_descent(signature: SuperSignature, k: int) -> tuple[GTBasisElem
     sets_k1 = fischer_index_sets(lower, k - 1) if k >= 1 else None
     out: list[GTBasisElement] = []
     for l in sets_k.ordinary:
-        lift = rsquare_power(lower, (k - l) // 2)
+        j = (k - l) // 2
         for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-b3", l, i), el, lift))
+            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-b3", l, i), el, j))
     if sets_k1 is not None:
         for l in sets_k1.ordinary:
-            lift = rsquare_power(lower, (k - 1 - l) // 2)
+            j = (k - 1 - l) // 2
             for i, el in enumerate(gt_basis(lower, l, "H")):
                 out.append(
-                    _normal_element(signature, k, ChainStep(m, "ordinary-b4", l, i), el, lift)
+                    _normal_element(signature, k, ChainStep(m, "ordinary-b4", l, i), el, j)
                 )
     for l in sets_k.exceptional:
-        lift = rsquare_power(lower, (k - l) // 2)
+        j = (k - l) // 2
         for i, el in enumerate(gt_basis(lower, l, "Ht")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "tilde-b5", l, i), el, lift))
+            out.append(_boundary_element(signature, k, ChainStep(m, "tilde-b5", l, i), el, j))
     if sets_k1 is not None:
         for l in sets_k1.exceptional:
-            lift = rsquare_power(lower, (k - 1 - l) // 2)
+            j = (k - 1 - l) // 2
             for i, el in enumerate(gt_basis(lower, l, "Ht")):
                 out.append(
-                    _normal_element(signature, k, ChainStep(m, "tilde-b6", l, i), el, lift)
+                    _normal_element(signature, k, ChainStep(m, "tilde-b6", l, i), el, j)
                 )
     return tuple(out)
 
@@ -308,11 +308,10 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
         if lo.label.chain != rest:
             return False
         M = signature.M
-        lift = rsquare_power(signature, (2 * k + M - 4) // 2)
         return (
             boundary.is_zero()
             and normal.is_zero()
-            and laplacian(p) == lift * lo.polynomial
+            and laplacian(p) == rsquare_lift(lo.polynomial, (2 * k + M - 4) // 2)
         )
 
     lower = gt_basis(lower_sig, step.degree, _lower_target_for(kind))
@@ -322,11 +321,11 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
     if lo.label.chain != rest:
         return False
     if kind in ("ordinary-a1", "ordinary-b3", "tilde-b5"):
-        lift = rsquare_power(lower_sig, (k - step.degree) // 2)
-        return boundary == lift * lo.polynomial and normal.is_zero()
+        lift = rsquare_lift(lo.polynomial, (k - step.degree) // 2)
+        return boundary == lift and normal.is_zero()
     if kind in ("ordinary-a2", "ordinary-b4", "tilde-b6"):
-        lift = rsquare_power(lower_sig, (k - 1 - step.degree) // 2)
-        return boundary.is_zero() and normal == lift * lo.polynomial
+        lift = rsquare_lift(lo.polynomial, (k - 1 - step.degree) // 2)
+        return boundary.is_zero() and normal == lift
     return False
 
 

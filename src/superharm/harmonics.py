@@ -23,6 +23,11 @@ with the index-set formula.
 
 All spaces are exact kernels of exact matrices; every claimed direct sum is
 verified by an exact rank computation.
+
+Every r-power lift r^(2j) p here and in branching and gtbasis is
+rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
+rule, which touches (m + n) terms per term of the current polynomial, never a
+product with the polynomial (r2)^j.  At j = 0 the lift is p itself.
 """
 
 from __future__ import annotations
@@ -101,6 +106,15 @@ def generalized_harmonic_basis(signature: SuperSignature, k: int) -> tuple[Super
     return subspace_polynomials(generalized_harmonic_space(signature, k))
 
 
+def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:
+    """(r2)^j p, as j applications of rsquare_mul; p itself at j = 0."""
+    if j < 0:
+        raise ValueError("negative power of r2")
+    for _ in range(j):
+        p = rsquare_mul(p)
+    return p
+
+
 @lru_cache(maxsize=None)
 def rsquare_power(signature: SuperSignature, j: int) -> SuperPolynomial:
     """(r2)^j, cached per signature."""
@@ -172,8 +186,7 @@ def _summand_polynomials(
         if kind == "H"
         else generalized_harmonic_basis(signature, degree)
     )
-    lift = rsquare_power(signature, rpower // 2)
-    return [lift * h for h in basis]
+    return [rsquare_lift(h, rpower // 2) for h in basis]
 
 
 def _formula_plan(sets: FischerIndexSets) -> list[tuple[str, int, int]]:
@@ -230,15 +243,20 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     plan, suppressed = _decomposition_plan(signature, k)
 
     summands = []
-    stacked: list[SuperPolynomial] = []
+    components: list[list[SuperPolynomial]] = []
     for kind, degree, rpower in plan:
         polys = _summand_polynomials(signature, kind, degree, rpower)
         summands.append(FischerSummand(kind, degree, rpower, len(polys)))
-        stacked.extend(polys)
+        components.append(polys)
 
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
-    joint_rank = polynomials_rank(stacked, k)
+    # Highest start degree first: the start-k component, when there is one,
+    # is an RREF basis with no lift, so its rows enter the echelon with no
+    # elimination.  Rank ignores order.
+    joint_rank = polynomials_rank(
+        [p for polys in reversed(components) for p in polys], k
+    )
     agreement = True
     notes: tuple[str, ...] = ()
     if signature.m == 0:
@@ -320,8 +338,8 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         mirror_degree = 2 - M - k
         mirror_basis = harmonic_basis(signature, mirror_degree)
         dim_mirror = len(mirror_basis)
-        rpow = rsquare_power(signature, (2 * k + M - 2) // 2)
-        lifted = span_subspace(signature, k, [rpow * h for h in mirror_basis])
+        j = (2 * k + M - 2) // 2
+        lifted = span_subspace(signature, k, [rsquare_lift(h, j) for h in mirror_basis])
         checks.append(("socle is r-power of mirror harmonics", H0 == lifted))
         checks.append(
             (

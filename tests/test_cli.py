@@ -1,5 +1,6 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,3 +169,36 @@ def test_byte_determinism_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty
+
+
+# sha256 of the stdout of commands whose bytes must not change when the
+# library is optimised; exit code 1 at theoremA is the known (0|4) failure.
+_GOLDEN = [
+    (["verify", "--suite", "sl2", "--format", "json"], 0,
+     "1938e02c6235a733134d6ad033a2c51baba1bb5600b680ec8a75e7a44b5276dd"),
+    (["verify", "--suite", "fischer", "--format", "json"], 0,
+     "e96d5a6f7f1dc109bdd5eacef5e326dcdba08ffd21e7b55301f7ba87329a9cfa"),
+    (["verify", "--suite", "theoremA", "--format", "json"], 1,
+     "45aef3bba1c8d55d271392cebacdff786aeea2e51fd9274e411b84d2dbcc4c41"),
+    (["verify", "--suite", "ck", "--format", "json"], 0,
+     "2b98859169a62af03ee0b8a5786c6324086250eeec50b2ab31f3727d038e8b04"),
+    (["verify", "--suite", "branching", "--format", "json"], 0,
+     "b63f4c59fcea278c90d12a2b5b94648d1d77f81a88db1d491cb2994ef288b9c8"),
+    (["verify", "--suite", "gt", "--format", "json"], 0,
+     "2ebb1cbbcd1174839ef4d945691f1504f75452b4b65de3c699a518010bbcebd2"),
+    (["fischer", "--m", "0", "--n", "3", "--kmax", "7"], 0,
+     "27eb67dbf2baba76c9cfd937784ebfc81c0cbd18fb1a627e9fe9f3ea391a27c1"),
+    (["branch", "--m", "2", "--n", "3", "--k", "4", "--generalized"], 0,
+     "7744daab59a3fe5e1e68a1a4d18fcccb580fa2dd481fbd1367f8d74d8b66a08f"),
+    (["gt-basis", "--m", "0", "--n", "2", "--k", "4", "--target", "Ht", "--format", "json"], 0,
+     "12266a1568f307ea48a53a5db43347dfcfbce279ec0adae8dc6852eff642e9d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", _GOLDEN, ids=[" ".join(argv) for argv, _, _ in _GOLDEN]
+)
+def test_golden_output_bytes(capsys, argv, code, digest):
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superharm import exactla
 from superharm.exactla import (
     RationalMatrix,
     _int_row,
@@ -294,6 +295,43 @@ def test_rref_matches_dense_reference(A):
 @given(_sparse_matrices())
 def test_kernel_matches_dense_reference(A):
     assert _dense(kernel(A).basis_matrix) == _dense_kernel(A.row_dicts(), A.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_kernel_basis_is_already_canonical(A):
+    K = kernel(A)
+    assert K == Subspace.from_rows(A.cols, K.basis_matrix.row_dicts())
+
+
+def test_kernel_eliminates_once(monkeypatch):
+    calls = []
+    original = exactla._rref_fraction_rows
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(exactla, "_rref_fraction_rows", counting)
+    A = M([[1, 2, 0, 3, 1], [0, 0, 1, -1, 2], [1, 2, 1, 2, 3]])
+    assert kernel(A).dim == 3
+    assert len(calls) == 1
+
+
+def test_kernel_edge_shapes():
+    # no rows: every column is free
+    assert kernel(RationalMatrix(0, 3, [])) == Subspace.full(3)
+    # full column rank: nothing is free
+    assert kernel(M([[1, 2], [3, 4], [5, 6]])) == Subspace.zero(2)
+    # no columns: the zero space of a zero-dimensional ambient
+    K = kernel(RationalMatrix(2, 0, [{}, {}]))
+    assert K == Subspace.zero(0) and K.dim == 0
+
+
+def test_matrix_entries_become_fractions():
+    A = RationalMatrix(1, 3, [{0: 2, 1: 0, 2: Fraction(1, 3)}])
+    assert A.row_dict(0) == {0: Fraction(2), 2: Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in A.row_dict(0).values())
 
 
 @st.composite

@@ -8,8 +8,10 @@ regular signatures, and a hand-checked table of kernel dimensions at (2|6).
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superharm import harmonics
+from superharm.cli import _GRID as VERIFY_GRID
 from superharm.exactla import rank
 from superharm.harmonics import (
     exceptional_indices,
@@ -18,13 +20,19 @@ from superharm.harmonics import (
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
+    rsquare_lift,
     rsquare_matrix,
     rsquare_power,
     socle_space,
     verify_theorem_A,
 )
 from superharm.operators import laplacian
-from superharm.superpoly import SuperSignature, space_dimension
+from superharm.superpoly import (
+    SuperPolynomial,
+    SuperSignature,
+    monomial_basis,
+    space_dimension,
+)
 
 REGULAR = [SuperSignature(1, 1), SuperSignature(3, 2), SuperSignature(3, 0)]
 S23 = SuperSignature(2, 3)
@@ -115,6 +123,39 @@ def test_rsquare_power_cached_values():
     assert rsquare_power(sig, 2).is_zero()
     with pytest.raises(ValueError):
         rsquare_power(sig, -1)
+
+
+LIFT_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
+    SuperSignature(4, 4),
+    SuperSignature(0, 3),
+    SuperSignature(3, 0),
+]
+
+
+@st.composite
+def _lift_cases(draw):
+    """A random polynomial of degree at most 2 (mixed degrees included) and
+    a power 0..3 of r2."""
+    sig = draw(st.sampled_from(LIFT_SIGS))
+    monos = [mono for k in range(3) for mono in monomial_basis(sig, k)]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=5))
+    return SuperPolynomial(sig, terms), draw(st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lift_cases())
+def test_rsquare_lift_matches_power_product(case):
+    p, j = case
+    assert rsquare_lift(p, j) == rsquare_power(p.signature, j) * p
+
+
+def test_rsquare_lift_rejects_negative_power():
+    sig = SuperSignature(2, 1)
+    p = SuperPolynomial.x(sig, 1)
+    assert rsquare_lift(p, 0) is p
+    with pytest.raises(ValueError):
+        rsquare_lift(p, -1)
 
 
 def test_index_sets_regular_signature():
