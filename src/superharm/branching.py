@@ -37,9 +37,7 @@ from .exactla import (
     Subspace,
     kernel,
     matmul,
-    operator_matrix,
     polynomials_rank,
-    span_subspace,
     subspace_polynomials,
 )
 from .harmonics import (
@@ -47,9 +45,9 @@ from .harmonics import (
     fischer_index_sets,
     fischer_stack,
     generalized_harmonic_space,
-    harmonic_basis,
     harmonic_space,
-    rsquare_lift,
+    laplacian_matrix,
+    rsquare_lift_rows,
     rsquare_matrix,
 )
 from .operators import laplacian, rsquare_mul
@@ -229,7 +227,7 @@ def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
     The matrix is the sparse product L_(degree+2) R_degree."""
     if degree < 0:
         return Subspace.zero(0, (signature, degree))
-    lap = operator_matrix(laplacian, signature, degree + 2, -2)
+    lap = laplacian_matrix(signature, degree + 2)
     return kernel(matmul(lap, rsquare_matrix(signature, degree)), (signature, degree))
 
 
@@ -259,8 +257,10 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
 
     ker = defect_kernel(signature, k - 2)
     j = (2 * k + M - 4) // 2
-    lifted_mirror = span_subspace(
-        signature, k - 2, [rsquare_lift(h, j) for h in harmonic_basis(signature, mirror)]
+    lifted_mirror = Subspace.from_rows(
+        ker.ambient_dim,
+        rsquare_lift_rows(harmonic_space(signature, mirror), j, k - 2),
+        (signature, k - 2),
     )
 
     boundary_stack = fischer_stack(lower, k)

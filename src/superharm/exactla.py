@@ -2,25 +2,35 @@
 
 Matrices are stored sparsely, one dict per row mapping column index to a
 nonzero rational.  Elimination runs fraction-free over integers with per-row
-content reduction, then normalizes to reduced row echelon form over the
-rationals.  RREF is the canonical representation of a subspace: two
-subspaces are equal iff their ambients agree and their basis matrices are
-identical.
+content reduction.
 
-Every RREF row is zero at every pivot column other than its own.  So a
-vector is reduced by a subspace by subtracting v[lead] times the row of each
-pivot in its support, in any order: no subtraction changes v at another
-pivot.  Kernel assembly and back-substitution rest on the same fact.
+A Subspace is held by its canonical basis in integers: the primitive integer
+multiples of its reduced row echelon rows.  Each row has content 1, a
+positive entry at its pivot (its leading column), and a zero at every pivot
+column other than its own.  Dividing each row by its pivot entry gives the
+rational RREF and scaling an RREF row by the least common multiple of its
+denominators gives the primitive row back, so the two forms determine each
+other: two subspaces are equal iff their ambients agree and their rows are
+identical.  Kernels, sums, intersections, containment and ranks all work on
+these integer rows; Fractions appear only at the boundary, where basis_matrix,
+rref, reduce and subspace_polynomials divide by the pivots.
+
+Every canonical row is zero at every pivot column other than its own.  So a
+vector is reduced by a subspace by eliminating, with the row of each pivot in
+its support, that pivot's column, in any order: no elimination changes
+whether the vector is zero at another pivot.  Kernel assembly and
+back-substitution rest on the same fact.
 
 The kernel needs a single elimination.  A's columns are reversed
-(j -> cols-1-j) before the RREF, so in original indices each RREF row has a
-1 at its pivot p and its other entries only at free columns f < p.  The null
-vector of a free column f is e_f minus, for each row holding c at f, c at
-that row's pivot p > f.  It has a 1 at f, its other nonzeros only at pivot
-columns above f, and so a zero at every other free column.  Its leading
-column is f and no other null vector is nonzero there, so, sorted by f, the
-null vectors already are the canonical RREF basis of ker A and need no
-second elimination.
+(j -> cols-1-j) before the echelon, so in original indices each canonical row
+has its pivot p and its other entries only at free columns f < p.  The null
+vector of a free column f is e_f minus, for each row holding c at f with
+pivot entry d, c/d at that row's pivot p > f.  It has a 1 at f, its other
+nonzeros only at pivot columns above f, and so a zero at every other free
+column.  Its leading column is f and no other null vector is nonzero there,
+so, sorted by f, the null vectors already are the canonical basis of ker A
+and need no second elimination.  Scaled by the lcm of the pivot entries d
+involved and divided by its content, each is the primitive integer row.
 
 Columns are positions in the canonical monomial basis of one homogeneous
 degree, so a Subspace can be tagged with its (signature, degree) ambient and
@@ -79,10 +89,6 @@ class RationalMatrix:
                 data.append({j: Fraction(v) for j, v in enumerate(r) if v})
         return cls(len(data), cols, data)
 
-    @classmethod
-    def identity(cls, nn: int) -> "RationalMatrix":
-        return cls(nn, nn, [{i: Fraction(1)} for i in range(nn)])
-
     def row_dict(self, i: int) -> dict[int, Fraction]:
         return dict(self._data[i])
 
@@ -112,7 +118,7 @@ class RationalMatrix:
 # -- integer row elimination -------------------------------------------------
 
 
-def _int_row(row: Mapping[int, Fraction]) -> dict[int, int]:
+def _int_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
     den = 1
     for v in row.values():
         den = den * v.denominator // gcd(den, v.denominator)
@@ -170,12 +176,18 @@ def _echelon(int_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _rref_fraction_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Canonical RREF rows (pivot 1, pivots cleared above), zero rows dropped.
+def _rref_fraction_rows(rows: Iterable[Mapping[int, Fraction | int]]) -> list[dict[int, int]]:
+    """Canonical primitive integer RREF rows (module docstring), sorted by
+    pivot, zero rows dropped.
+
+    The name predates the integer form: the benchmark's tracer
+    (perfbench/tracing.py) and the test that counts eliminations patch this
+    function by name, so it keeps the name until the benchmark reads another.
 
     Back-substitution runs from the last pivot up.  The rows below are then
     fully reduced, so clearing a pivot column brings in nonzeros only at
     non-pivot columns, and each row clears just the pivot columns it holds.
+    Content reduction leaves each row primitive with a positive pivot.
     """
     pivots = _echelon(_int_row(r) for r in rows)
     leads = sorted(pivots)
@@ -183,39 +195,48 @@ def _rref_fraction_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int
         row = pivots[lead]
         for col in [j for j in row if j != lead and j in pivots]:
             row = _eliminate(row, pivots[col], col)
-    out = []
-    for lead in leads:
-        row = pivots[lead]
-        denom = row[lead]
-        out.append({j: Fraction(v, denom) for j, v in row.items()})
-    return out
+    return [pivots[lead] for lead in leads]
+
+
+def _fraction_row(row: Mapping[int, int]) -> dict[int, Fraction]:
+    """A canonical integer row divided by its pivot entry: the RREF row."""
+    d = row[min(row)]
+    return {j: Fraction(v, d) for j, v in row.items()}
 
 
 def rref(A: RationalMatrix) -> RationalMatrix:
     """Reduced row echelon form with zero rows dropped."""
-    rows = _rref_fraction_rows(A.row_dicts())
+    rows = [_fraction_row(r) for r in _rref_fraction_rows(A.row_dicts())]
     return RationalMatrix(len(rows), A.cols, rows)
 
 
-def rank(A: RationalMatrix) -> int:
-    return len(_echelon(_int_row(r) for r in A.row_dicts()))
+def rank(A: RationalMatrix | Iterable[Mapping[int, int]]) -> int:
+    """Rank of a matrix, or of the span of integer rows (column -> int)."""
+    if isinstance(A, RationalMatrix):
+        return len(_echelon(_int_row(r) for r in A.row_dicts()))
+    return len(_echelon(A))
 
 
 class Subspace:
-    """Subspace of a based vector space, held as a canonical RREF matrix.
+    """Subspace of a based vector space, held by its canonical primitive
+    integer RREF rows (module docstring), sorted by pivot.
 
     ``ambient`` is the (signature, degree) pair naming the monomial basis the
-    coordinates refer to, or None for a bare coordinate space.
+    coordinates refer to, or None for a bare coordinate space.  Construct
+    with from_rows, zero, kernel or image; the constructor trusts its rows
+    to be canonical.
     """
 
-    __slots__ = ("ambient", "basis_matrix")
+    __slots__ = ("ambient", "ambient_dim", "rows")
 
     def __init__(
         self,
-        basis_matrix: RationalMatrix,
+        cols: int,
+        rows: Sequence[dict[int, int]],
         ambient: tuple[SuperSignature, int] | None = None,
     ):
-        object.__setattr__(self, "basis_matrix", basis_matrix)
+        object.__setattr__(self, "ambient_dim", cols)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "ambient", ambient)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -225,27 +246,26 @@ class Subspace:
     def from_rows(
         cls,
         cols: int,
-        rows: Iterable[Mapping[int, Fraction]],
+        rows: Iterable[Mapping[int, Fraction | int]],
         ambient: tuple[SuperSignature, int] | None = None,
     ) -> "Subspace":
-        reduced = _rref_fraction_rows(rows)
-        return cls(RationalMatrix(len(reduced), cols, reduced), ambient)
+        """Span of rows with rational or integer entries."""
+        return cls(cols, _rref_fraction_rows(rows), ambient)
 
     @classmethod
     def zero(cls, cols: int, ambient=None) -> "Subspace":
-        return cls(RationalMatrix(0, cols, []), ambient)
-
-    @classmethod
-    def full(cls, cols: int, ambient=None) -> "Subspace":
-        return cls(RationalMatrix.identity(cols), ambient)
+        return cls(cols, (), ambient)
 
     @property
     def dim(self) -> int:
-        return self.basis_matrix.rows
+        return len(self.rows)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.basis_matrix.cols
+    def basis_matrix(self) -> RationalMatrix:
+        """The rational RREF basis, one row per dimension."""
+        return RationalMatrix(
+            len(self.rows), self.ambient_dim, [_fraction_row(r) for r in self.rows]
+        )
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.ambient_dim != other.ambient_dim:
@@ -256,47 +276,53 @@ class Subspace:
             return NotImplemented
         return (
             self.ambient == other.ambient
-            and self.basis_matrix == other.basis_matrix
+            and self.ambient_dim == other.ambient_dim
+            and self.rows == other.rows
         )
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _pivot_rows(self) -> dict[int, Mapping[int, Fraction]]:
-        return {min(row): row for row in self.basis_matrix.row_dicts()}
+    def _pivot_rows(self) -> dict[int, dict[int, int]]:
+        return {min(row): row for row in self.rows}
 
     def reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """Remainder of vec after subtracting its projection along basis rows."""
-        return _reduce(self._pivot_rows(), vec)
+        """Remainder of vec after subtracting its projection along the RREF
+        basis rows, exact."""
+        pivots = self._pivot_rows()
+        v = {j: Fraction(c) for j, c in vec.items() if c}
+        for lead in [j for j in v if j in pivots]:
+            row = pivots[lead]
+            c = v[lead] / row[lead]
+            for j, w in row.items():
+                nv = v.get(j, _ZERO) - c * w
+                if nv:
+                    v[j] = nv
+                else:
+                    del v[j]
+        return v
 
-    def contains(self, vec: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(vec)
+    def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
+        return not _reduce_int(self._pivot_rows(), _int_row(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         pivots = self._pivot_rows()
-        return not any(_reduce(pivots, r) for r in other.basis_matrix.row_dicts())
+        return not any(_reduce_int(pivots, dict(r)) for r in other.rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        stacked = list(self.basis_matrix.row_dicts()) + list(other.basis_matrix.row_dicts())
-        return Subspace.from_rows(self.ambient_dim, stacked, self.ambient)
+        return Subspace.from_rows(self.ambient_dim, self.rows + other.rows, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: [U|U] and [V|0] rows; echelon rows with zero left block
         carry an intersection basis in the right block."""
         self._check_compatible(other)
         c = self.ambient_dim
-        doubled: list[dict[int, int]] = []
-        for r in self.basis_matrix.row_dicts():
-            ir = _int_row(r)
-            doubled.append({**ir, **{j + c: v for j, v in ir.items()}})
-        for r in other.basis_matrix.row_dicts():
-            doubled.append(_int_row(r))
-        pivots = _echelon(doubled)
-        inter_rows = []
-        for lead, row in pivots.items():
-            if lead >= c:
-                inter_rows.append({j - c: Fraction(v) for j, v in row.items()})
+        doubled = [{**r, **{j + c: v for j, v in r.items()}} for r in self.rows]
+        pivots = _echelon(doubled + list(other.rows))
+        inter_rows = [
+            {j - c: v for j, v in row.items()} for lead, row in pivots.items() if lead >= c
+        ]
         return Subspace.from_rows(c, inter_rows, self.ambient)
 
     def __repr__(self) -> str:
@@ -304,42 +330,45 @@ class Subspace:
         return f"Subspace(dim={self.dim}, of={self.ambient_dim}{tag})"
 
 
-def _reduce(
-    pivots: Mapping[int, Mapping[int, Fraction]], vec: Mapping[int, Fraction]
-) -> dict[int, Fraction]:
-    """vec minus v[lead] times the RREF row of each pivot in its support."""
-    v = {j: Fraction(c) for j, c in vec.items() if c}
-    for lead in [j for j in v if j in pivots]:
-        c = v[lead]
-        for j, w in pivots[lead].items():
-            nv = v.get(j, _ZERO) - c * w
-            if nv:
-                v[j] = nv
-            else:
-                del v[j]
-    return v
+def _reduce_int(pivots: Mapping[int, Mapping[int, int]], row: dict[int, int]) -> dict[int, int]:
+    """A multiple of row with the column of each pivot in its support
+    eliminated; zero iff row lies in the span.  row is consumed."""
+    for lead in [j for j in row if j in pivots]:
+        row = _eliminate(row, pivots[lead], lead)
+    return row
 
 
 def kernel(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
     """Null space of A, canonical basis, from one elimination of A with its
     columns reversed (module docstring).
 
-    One pass over the nonzeros of the pivot rows fills every null vector.
+    One pass over the nonzeros of the pivot rows collects, per free column,
+    the pivot rows that hold it; each null vector is then scaled to integers
+    by the lcm of their pivot entries.
     """
     last = A.cols - 1
-    one = Fraction(1)
     pivot_cols = set()
-    free_vecs: dict[int, dict[int, Fraction]] = {}
+    held: dict[int, list[tuple[int, int, int]]] = {}  # f -> [(pivot col, c, d)]
     reversed_rows = ({last - j: v for j, v in r.items()} for r in A.row_dicts())
     for r in _rref_fraction_rows(reversed_rows):
-        pc = last - min(r)
+        rp = min(r)
+        d = r[rp]
+        pc = last - rp
         pivot_cols.add(pc)
         for rf, c in r.items():
-            f = last - rf
-            if f != pc:
-                free_vecs.setdefault(f, {f: one})[pc] = -c
-    rows = [free_vecs.get(f) or {f: one} for f in range(A.cols) if f not in pivot_cols]
-    return Subspace(RationalMatrix(len(rows), A.cols, rows), ambient)
+            if rf != rp:
+                held.setdefault(last - rf, []).append((pc, c, d))
+    rows = []
+    for f in range(A.cols):
+        if f in pivot_cols:
+            continue
+        terms = held.get(f, ())
+        scale = lcm(*(d for _, _, d in terms))
+        vec = {f: scale}
+        for pc, c, d in terms:
+            vec[pc] = -c * (scale // d)
+        rows.append(_reduce_content(vec))
+    return Subspace(A.cols, rows, ambient)
 
 
 def image(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
@@ -378,9 +407,7 @@ def subspace_polynomials(space: Subspace) -> tuple[SuperPolynomial, ...]:
     if space.ambient is None:
         raise ValueError("subspace carries no monomial ambient")
     sig, k = space.ambient
-    return tuple(
-        vector_polynomial(sig, k, row) for row in space.basis_matrix.row_dicts()
-    )
+    return tuple(vector_polynomial(sig, k, _fraction_row(row)) for row in space.rows)
 
 
 def operator_matrix(

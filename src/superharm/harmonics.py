@@ -22,12 +22,18 @@ N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
 with the index-set formula.
 
 All spaces are exact kernels of exact matrices; every claimed direct sum is
-verified by an exact rank computation.
+verified by an exact rank computation.  The matrices of the Laplacian and of
+multiplication by r2 are built once per (signature, degree) and cached.
 
-Every r-power lift r^(2j) p here and in branching and gtbasis is
-rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
-rule, which touches (m + n) terms per term of the current polynomial, never a
-product with the polynomial (r2)^j.  At j = 0 the lift is p itself.
+Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
+integer rows of a Subspace through the integer column images of
+rsquare_matrix, one degree step at a time, and the Fischer rank, Theorem A's
+mirror lift and branching's lifted mirror work on those integer rows with no
+polynomial in between.  Polynomials are lifted by rsquare_lift(p, j): j
+applications of multiplication by r2 by its monomial rule, never a product
+with the polynomial (r2)^j; it serves the polynomial consumers (fischer_stack
+for the CK generators in branching, and gtbasis).  At j = 0 both lifts are
+the identity.
 """
 
 from __future__ import annotations
@@ -42,8 +48,7 @@ from .exactla import (
     kernel,
     matmul,
     operator_matrix,
-    polynomials_rank,
-    span_subspace,
+    rank,
     subspace_polynomials,
 )
 from .operators import laplacian, rsquare_mul
@@ -58,9 +63,51 @@ def exceptional_indices(M: int) -> frozenset[int]:
     return frozenset(range(2 - M // 2, 2 - M + 1))
 
 
+@lru_cache(maxsize=None)
+def laplacian_matrix(signature: SuperSignature, k: int) -> RationalMatrix:
+    """Matrix of the Laplacian from P_k to P_(k-2)."""
+    return operator_matrix(laplacian, signature, k, -2)
+
+
+@lru_cache(maxsize=None)
 def rsquare_matrix(signature: SuperSignature, degree: int) -> RationalMatrix:
     """Matrix of multiplication by r2 from P_degree to P_(degree+2)."""
     return operator_matrix(rsquare_mul, signature, degree, 2)
+
+
+@lru_cache(maxsize=None)
+def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[dict[int, int], ...]:
+    """Column j of rsquare_matrix as {target index: coefficient}: the image
+    of the j-th monomial.  r2 has coefficients +-1, so every entry is an
+    integer."""
+    R = rsquare_matrix(signature, degree)
+    columns: list[dict[int, int]] = [{} for _ in range(R.cols)]
+    for target, row in enumerate(R.row_dicts()):
+        for source, v in row.items():
+            columns[source][target] = v.numerator
+    return tuple(columns)
+
+
+def rsquare_lift_rows(space: Subspace, j: int, k: int) -> list[dict[int, int]]:
+    """The rows of a Subspace multiplied by (r2)^j, as integer rows in the
+    degree-k basis; the space's degree plus 2j must be k.  At j = 0 they are
+    the space's own rows, not copies."""
+    signature, degree = space.ambient
+    if j < 0:
+        raise ValueError("negative power of r2")
+    if degree + 2 * j != k:
+        raise ValueError(f"r^{2 * j} lifts degree {degree} to {degree + 2 * j}, not {k}")
+    steps = [_rsquare_columns(signature, d) for d in range(degree, k, 2)]
+    lifted = []
+    for row in space.rows:
+        for columns in steps:
+            acc: dict[int, int] = {}
+            for source, a in row.items():
+                for target, c in columns[source].items():
+                    acc[target] = acc.get(target, 0) + a * c
+            row = {t: v for t, v in acc.items() if v}
+        lifted.append(row)
+    return lifted
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +115,7 @@ def harmonic_space(signature: SuperSignature, k: int) -> Subspace:
     """H_k: degree-k kernel of the Laplace operator."""
     if k < 0:
         return Subspace.zero(0, (signature, k))
-    return kernel(operator_matrix(laplacian, signature, k, -2), (signature, k))
+    return kernel(laplacian_matrix(signature, k), (signature, k))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +128,7 @@ def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
     """
     if k < 0:
         return Subspace.zero(0, (signature, k))
-    lap = operator_matrix(laplacian, signature, k, -2)
+    lap = laplacian_matrix(signature, k)
     r2 = rsquare_matrix(signature, k - 2)
     return kernel(matmul(matmul(lap, r2), lap), (signature, k))
 
@@ -178,6 +225,14 @@ class DecompositionReport:
     notes: tuple[str, ...] = ()
 
 
+def _component_rows(
+    signature: SuperSignature, kind: str, degree: int, rpower: int, k: int
+) -> list[dict[int, int]]:
+    """Integer rows of the component r^rpower * (H or Ht)_degree of P_k."""
+    space = harmonic_space if kind == "H" else generalized_harmonic_space
+    return rsquare_lift_rows(space(signature, degree), rpower // 2, k)
+
+
 def _summand_polynomials(
     signature: SuperSignature, kind: str, degree: int, rpower: int
 ) -> list[SuperPolynomial]:
@@ -243,20 +298,18 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     plan, suppressed = _decomposition_plan(signature, k)
 
     summands = []
-    components: list[list[SuperPolynomial]] = []
+    components: list[list[dict[int, int]]] = []
     for kind, degree, rpower in plan:
-        polys = _summand_polynomials(signature, kind, degree, rpower)
-        summands.append(FischerSummand(kind, degree, rpower, len(polys)))
-        components.append(polys)
+        rows = _component_rows(signature, kind, degree, rpower, k)
+        summands.append(FischerSummand(kind, degree, rpower, len(rows)))
+        components.append(rows)
 
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
     # Highest start degree first: the start-k component, when there is one,
-    # is an RREF basis with no lift, so its rows enter the echelon with no
-    # elimination.  Rank ignores order.
-    joint_rank = polynomials_rank(
-        [p for polys in reversed(components) for p in polys], k
-    )
+    # is a canonical basis with no lift, so its rows enter the echelon with
+    # no elimination.  Rank ignores order.
+    joint_rank = rank([row for rows in reversed(components) for row in rows])
     agreement = True
     notes: tuple[str, ...] = ()
     if signature.m == 0:
@@ -293,12 +346,11 @@ def _plans_agree(signature, fermionic_plan, formula_plan, k) -> bool:
     must never miss a nonzero one and never claim a nonzero extra one."""
 
     def nonzero_components(plan):
-        found = set()
-        for kind, degree, rpower in plan:
-            polys = _summand_polynomials(signature, kind, degree, rpower)
-            if polys and polynomials_rank(polys, k) > 0:
-                found.add((degree, rpower))  # Ht equals H at m = 0
-        return found
+        return {
+            (degree, rpower)  # Ht equals H at m = 0
+            for kind, degree, rpower in plan
+            if any(_component_rows(signature, kind, degree, rpower, k))
+        }
 
     return nonzero_components(fermionic_plan) == nonzero_components(formula_plan)
 
@@ -335,11 +387,12 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         checks.append(("generalized equals harmonic", Ht == H))
         checks.append(("socle is zero", H0.dim == 0))
     else:
-        mirror_degree = 2 - M - k
-        mirror_basis = harmonic_basis(signature, mirror_degree)
-        dim_mirror = len(mirror_basis)
+        mirror = harmonic_space(signature, 2 - M - k)
+        dim_mirror = mirror.dim
         j = (2 * k + M - 2) // 2
-        lifted = span_subspace(signature, k, [rsquare_lift(h, j) for h in mirror_basis])
+        lifted = Subspace.from_rows(
+            H.ambient_dim, rsquare_lift_rows(mirror, j, k), (signature, k)
+        )
         checks.append(("socle is r-power of mirror harmonics", H0 == lifted))
         checks.append(
             (

@@ -56,7 +56,7 @@ def test_rref_idempotent_and_order_independent():
 def test_rank_examples():
     assert rank(M([[1, 2], [2, 4]])) == 1
     assert rank(RationalMatrix(3, 5, [{}, {}, {}])) == 0
-    assert rank(RationalMatrix.identity(4)) == 4
+    assert rank(RationalMatrix(4, 4, [{i: 1} for i in range(4)])) == 4
 
 
 def test_kernel_of_projection():
@@ -320,7 +320,7 @@ def test_kernel_eliminates_once(monkeypatch):
 
 def test_kernel_edge_shapes():
     # no rows: every column is free
-    assert kernel(RationalMatrix(0, 3, [])) == Subspace.full(3)
+    assert kernel(RationalMatrix(0, 3, [])) == Subspace.from_rows(3, [{i: 1} for i in range(3)])
     # full column rank: nothing is free
     assert kernel(M([[1, 2], [3, 4], [5, 6]])) == Subspace.zero(2)
     # no columns: the zero space of a zero-dimensional ambient
@@ -340,6 +340,55 @@ def _subspace_pairs(draw):
     U = Subspace.from_rows(cols, draw(_sparse_matrices(cols)).row_dicts())
     V = Subspace.from_rows(cols, draw(_sparse_matrices(cols)).row_dicts())
     return U, V
+
+
+def _assert_canonical_integer_rows(S):
+    """Sorted distinct pivots; each row primitive, with integer entries, a
+    positive pivot entry and a zero at every other pivot."""
+    pivots = [min(r) for r in S.rows]
+    assert pivots == sorted(set(pivots))
+    for row, p in zip(S.rows, pivots):
+        assert all(type(v) is int and v for v in row.values())
+        assert row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in pivots if q != p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_subspace_pairs())
+def test_subspace_rows_are_canonical_primitive_integers(pair):
+    U, V = pair
+    A = U.basis_matrix
+    for S in (U, V, U + V, U.intersect(V), kernel(A), image(A.transpose())):
+        _assert_canonical_integer_rows(S)
+
+
+@st.composite
+def _reordered_rescaled(draw):
+    """Rows of a sparse matrix, and the same rows permuted and each scaled
+    by a nonzero rational."""
+    A = draw(_sparse_matrices())
+    rows = list(A.row_dicts())
+    order = draw(st.permutations(range(len(rows))))
+    scales = draw(st.lists(_NONZERO, min_size=len(rows), max_size=len(rows)))
+    moved = [{j: c * v for j, v in rows[i].items()} for i, c in zip(order, scales)]
+    return A.cols, rows, moved
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reordered_rescaled())
+def test_from_rows_ignores_row_order_and_scale(case):
+    cols, rows, moved = case
+    assert Subspace.from_rows(cols, moved) == Subspace.from_rows(cols, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_matrices())
+def test_rank_of_integer_rows_matches_matrix_rank(A):
+    rows = [_int_row(r) for r in A.row_dicts()]
+    before = [dict(r) for r in rows]
+    assert rank(rows) == rank(A)
+    assert rows == before
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,7 +445,7 @@ def test_matmul_matches_dense_product():
         ]
         assert _dense(matmul(A, B)) == product
     with pytest.raises(ValueError):
-        matmul(RationalMatrix.identity(2), RationalMatrix.identity(3))
+        matmul(RationalMatrix(2, 2, [{0: 1}, {1: 1}]), RationalMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}]))
 
 
 # -- integer rows --------------------------------------------------------------

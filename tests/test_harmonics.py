@@ -10,9 +10,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superharm import harmonics
+from superharm import exactla, harmonics
 from superharm.cli import _GRID as VERIFY_GRID
-from superharm.exactla import rank
+from superharm.exactla import polynomial_vector, rank, span_subspace, subspace_polynomials
 from superharm.harmonics import (
     exceptional_indices,
     fischer_decomposition,
@@ -21,6 +21,7 @@ from superharm.harmonics import (
     harmonic_basis,
     harmonic_space,
     rsquare_lift,
+    rsquare_lift_rows,
     rsquare_matrix,
     rsquare_power,
     socle_space,
@@ -150,6 +151,47 @@ def test_rsquare_lift_matches_power_product(case):
     assert rsquare_lift(p, j) == rsquare_power(p.signature, j) * p
 
 
+@st.composite
+def _space_lift_cases(draw):
+    """The span of up to three random polynomials of one degree 0..2, and a
+    power 0..3 of r2."""
+    sig = draw(st.sampled_from(LIFT_SIGS))
+    d = draw(st.integers(min_value=0, max_value=2))
+    monos = monomial_basis(sig, d)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = draw(
+        st.lists(st.dictionaries(st.sampled_from(monos), coeff, max_size=4), max_size=3)
+    )
+    space = span_subspace(sig, d, [SuperPolynomial(sig, terms) for terms in polys])
+    return space, draw(st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_space_lift_cases())
+def test_coordinate_lift_matches_polynomial_lift(case):
+    """Each canonical integer row is its RREF polynomial times its pivot
+    entry, so its lift is the polynomial lift times that entry."""
+    space, j = case
+    _, d = space.ambient
+    lifted = rsquare_lift_rows(space, j, d + 2 * j)
+    assert len(lifted) == space.dim
+    for row, lifted_row, poly in zip(space.rows, lifted, subspace_polynomials(space)):
+        scale = row[min(row)]
+        expected = polynomial_vector(rsquare_lift(poly, j), d + 2 * j)
+        assert lifted_row == {t: scale * c for t, c in expected.items()}
+
+
+def test_coordinate_lift_guards_its_degree():
+    space = harmonic_space(S23, 2)
+    assert rsquare_lift_rows(space, 0, 2) == list(space.rows)
+    with pytest.raises(ValueError):
+        rsquare_lift_rows(space, 1, 6)
+    with pytest.raises(ValueError):
+        rsquare_lift_rows(space, 2, 4)
+    with pytest.raises(ValueError):
+        rsquare_lift_rows(space, -1, 0)
+
+
 def test_rsquare_lift_rejects_negative_power():
     sig = SuperSignature(2, 1)
     p = SuperPolynomial.x(sig, 1)
@@ -251,6 +293,62 @@ def test_fermionic_disagreement_fails_verification(monkeypatch):
     assert "DISAGREES" in rep.notes[0]
 
 
+def test_duplicated_component_fails_verification(monkeypatch):
+    original = harmonics._decomposition_plan
+
+    def duplicated(signature, k):
+        plan, suppressed = original(signature, k)
+        return plan + plan[:1], suppressed
+
+    monkeypatch.setattr(harmonics, "_decomposition_plan", duplicated)
+    rep = fischer_decomposition(S23, 5)
+    assert not rep.verified
+    assert rep.total_dim == 64 + 64 + 128
+    assert rep.failure_witness == (
+        "rank 192 of stacked components vs sum of dims 256 vs dim P_5 = 192"
+    )
+
+
+def test_joint_rank_takes_every_stacked_row(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return exactla.rank(rows)
+
+    monkeypatch.setattr(harmonics, "rank", counting)
+    rep = fischer_decomposition(S23, 7)
+    assert rep.verified
+    assert calls == [rep.space_dim]
+
+
+def test_matrices_are_built_once_per_degree(monkeypatch):
+    cached = (
+        harmonics.laplacian_matrix,
+        harmonics.rsquare_matrix,
+        harmonics._rsquare_columns,
+        harmonics.harmonic_space,
+        harmonics.generalized_harmonic_space,
+        harmonics.socle_space,
+    )
+    for fn in cached:
+        fn.cache_clear()
+    built = []
+    original = harmonics.operator_matrix
+
+    def counting(fn, signature, k, shift):
+        built.append((fn.__name__, signature, k))
+        return original(fn, signature, k, shift)
+
+    monkeypatch.setattr(harmonics, "operator_matrix", counting)
+    for k in (4, 5, 6, 7):
+        assert fischer_decomposition(S23, k).verified
+    for k in (4, 5, 6):
+        assert verify_theorem_A(S23, k).verified
+    assert built and len(built) == len(set(built))
+
+
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         fischer_decomposition(S23, -1)
@@ -273,6 +371,24 @@ def test_filtration_strict_at_exceptional_degrees():
         assert rep.dim_mirror == mirror
         assert rep.dim_ht - rep.dim_h == rep.dim_socle == mirror
         assert rep.quotient_dim == rep.dim_h - rep.dim_socle
+
+
+def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
+    # Lift the mirror's neighbour H_(l+2) by one power of r2 fewer: the
+    # degree still comes out at k, the space is not the socle.
+    original = harmonics.rsquare_lift_rows
+
+    def one_power_short(space, j, k):
+        signature, degree = space.ambient
+        return original(harmonic_space(signature, degree + 2), j - 1, k)
+
+    monkeypatch.setattr(harmonics, "rsquare_lift_rows", one_power_short)
+    for k in (4, 5):
+        rep = verify_theorem_A(S23, k)
+        checks = dict(rep.checks)
+        assert not rep.verified
+        assert not checks["socle is r-power of mirror harmonics"]
+        assert checks["strict chain socle < H < Ht"] and checks["defect dimensions agree"]
 
 
 def test_filtration_smallest_exceptional_signature():
