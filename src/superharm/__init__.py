@@ -28,7 +28,6 @@ from .harmonics import (
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
-    rsquare_power,
     socle_space,
     verify_theorem_A,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "osp_generators",
     "parse_polynomial",
     "rsquare",
-    "rsquare_power",
     "sl2_relations_check",
     "socle_space",
     "space_dimension",

@@ -1,8 +1,12 @@
 """Exact rational linear algebra over fixed monomial bases.
 
 Matrices are stored sparsely, one dict per row mapping column index to a
-nonzero rational.  Elimination runs fraction-free over integers with per-row
-content reduction.
+nonzero exact rational: an int or a Fraction.  operator_matrix and matmul
+store every integral entry as an int and make a Fraction only for an entry
+that is not integral, so the Laplacian, r2 and their products reach kernel,
+image, matmul and rank as integer rows with no Fraction arithmetic.
+Elimination runs fraction-free over integers with per-row content
+reduction.
 
 A Subspace is held by its canonical basis in integers: the primitive integer
 multiples of its reduced row echelon rows.  Each row has content 1, a
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .superpoly import (
     SuperPolynomial,
@@ -53,12 +57,27 @@ from .superpoly import (
 _ZERO = Fraction(0)
 
 
+Rational = Union[int, Fraction]
+
+
+def _rational(num: int, den: int) -> Rational:
+    """num / den, as an int when it is integral."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class RationalMatrix:
-    """Immutable sparse matrix with exact rational entries."""
+    """Immutable sparse matrix with exact rational entries.
+
+    An entry is an int or a Fraction, kept as given; any other number is
+    stored as an int when integral and as a Fraction otherwise.  An int and
+    a Fraction of the same value are equal, so two matrices of the same
+    values are equal whichever type holds them.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Mapping[int, Fraction]]):
+    def __init__(self, rows: int, cols: int, data: Sequence[Mapping[int, Rational]]):
         if rows != len(data):
             raise ValueError("row count does not match data")
         clean = []
@@ -67,8 +86,8 @@ class RationalMatrix:
             for j, v in r.items():
                 if not 0 <= j < cols:
                     raise ValueError(f"column {j} out of range 0..{cols - 1}")
-                if type(v) is not Fraction:
-                    v = Fraction(v)
+                if type(v) is not int and type(v) is not Fraction:
+                    v = _rational(*Fraction(v).as_integer_ratio())
                 if v:
                     row[j] = v
             clean.append(row)
@@ -80,23 +99,23 @@ class RationalMatrix:
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[Mapping[int, Fraction] | Sequence[Fraction]]):
+    def from_rows(cls, cols: int, rows: Iterable[Mapping[int, Rational] | Sequence[Rational]]):
         data = []
         for r in rows:
             if isinstance(r, Mapping):
                 data.append(dict(r))
             else:
-                data.append({j: Fraction(v) for j, v in enumerate(r) if v})
+                data.append(dict(enumerate(r)))
         return cls(len(data), cols, data)
 
-    def row_dict(self, i: int) -> dict[int, Fraction]:
+    def row_dict(self, i: int) -> dict[int, Rational]:
         return dict(self._data[i])
 
-    def row_dicts(self) -> tuple[Mapping[int, Fraction], ...]:
+    def row_dicts(self) -> tuple[Mapping[int, Rational], ...]:
         return self._data
 
     def transpose(self) -> "RationalMatrix":
-        data: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        data: list[dict[int, Rational]] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, v in row.items():
                 data[j][i] = v
@@ -118,11 +137,21 @@ class RationalMatrix:
 # -- integer row elimination -------------------------------------------------
 
 
-def _int_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+def _int_row(row: Mapping[int, Rational]) -> dict[int, int]:
+    """The primitive integer multiple of a row (content 1, positive leading
+    entry), as a new dict.  A row of ints is only copied and reduced."""
     den = 1
+    ints = True
     for v in row.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    out = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
+        if type(v) is not int:
+            ints = False
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if ints:
+        out = {j: v for j, v in row.items() if v}
+    else:
+        out = {j: v.numerator * (den // v.denominator) for j, v in row.items() if v}
     return _reduce_content(out)
 
 
@@ -176,7 +205,7 @@ def _echelon(int_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def _rref_fraction_rows(rows: Iterable[Mapping[int, Fraction | int]]) -> list[dict[int, int]]:
+def _rref_fraction_rows(rows: Iterable[Mapping[int, Rational]]) -> list[dict[int, int]]:
     """Canonical primitive integer RREF rows (module docstring), sorted by
     pivot, zero rows dropped.
 
@@ -246,7 +275,7 @@ class Subspace:
     def from_rows(
         cls,
         cols: int,
-        rows: Iterable[Mapping[int, Fraction | int]],
+        rows: Iterable[Mapping[int, Rational]],
         ambient: tuple[SuperSignature, int] | None = None,
     ) -> "Subspace":
         """Span of rows with rational or integer entries."""
@@ -285,7 +314,7 @@ class Subspace:
     def _pivot_rows(self) -> dict[int, dict[int, int]]:
         return {min(row): row for row in self.rows}
 
-    def reduce(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def reduce(self, vec: Mapping[int, Rational]) -> dict[int, Fraction]:
         """Remainder of vec after subtracting its projection along the RREF
         basis rows, exact."""
         pivots = self._pivot_rows()
@@ -301,7 +330,7 @@ class Subspace:
                     del v[j]
         return v
 
-    def contains(self, vec: Mapping[int, Fraction | int]) -> bool:
+    def contains(self, vec: Mapping[int, Rational]) -> bool:
         return not _reduce_int(self._pivot_rows(), _int_row(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -419,15 +448,19 @@ def operator_matrix(
     """Matrix of a map raising degree by `shift`, on the degree-k basis.
 
     Columns follow the basis of P_k, rows the basis of P_(k + shift), both
-    of `signature`.
+    of `signature`.  Each basis monomial enters the map with the int
+    coefficient 1, so a map with integer rules (laplacian, rsquare_mul)
+    computes in ints; integral entries are stored as ints and only the
+    others as Fractions.
     """
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k + shift)
-    one = Fraction(1)
-    data: list[dict[int, Fraction]] = [{} for _ in tidx]
+    data: list[dict[int, Rational]] = [{} for _ in tidx]
     for j, mono in enumerate(source):
-        q = fn(SuperPolynomial(signature, {mono: one}, _clean=True))
+        q = fn(SuperPolynomial(signature, {mono: 1}, _clean=True))
         for tm, c in q:
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
             data[tidx[tm]][j] = c
     return RationalMatrix(len(data), len(source), data)
 
@@ -436,7 +469,9 @@ def matmul(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     """Sparse product A B, exact.
 
     Both factors are scaled to integers by the least common denominator of
-    their entries, multiplied in integers and scaled back.
+    their entries (1 for a matrix of ints, which is used as it is),
+    multiplied in integers and scaled back; integral entries of the product
+    are ints.
     """
     if A.cols != B.rows:
         raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
@@ -449,15 +484,23 @@ def matmul(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
         for j, a in arow.items():
             for col, b in int_b[j].items():
                 acc[col] = acc.get(col, 0) + a * b
-        data.append({col: Fraction(v, den) for col, v in acc.items() if v})
+        if den == 1:
+            data.append({col: v for col, v in acc.items() if v})
+        else:
+            data.append({col: _rational(v, den) for col, v in acc.items() if v})
     return RationalMatrix(A.rows, B.cols, data)
 
 
-def _scaled_int_rows(A: RationalMatrix) -> tuple[int, list[dict[int, int]]]:
+def _scaled_int_rows(A: RationalMatrix) -> tuple[int, Sequence[Mapping[int, int]]]:
     den = 1
+    ints = True
     for row in A.row_dicts():
         for v in row.values():
-            den = lcm(den, v.denominator)
+            if type(v) is not int:
+                ints = False
+                den = lcm(den, v.denominator)
+    if ints:
+        return 1, A.row_dicts()
     rows = [
         {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         for row in A.row_dicts()

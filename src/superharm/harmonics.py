@@ -24,12 +24,16 @@ with the index-set formula.
 All spaces are exact kernels of exact matrices; every claimed direct sum is
 verified by an exact rank computation.  The matrices of the Laplacian and of
 multiplication by r2 are built once per (signature, degree) and cached.
+Their entries are ints, and so are those of the products lap r2 lap (for Ht)
+and lap r2 (branching's defect kernel): from the monomial maps to the
+canonical integer rows of a Subspace no Fraction is made.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
 integer rows of a Subspace through the integer column images of
 rsquare_matrix, one degree step at a time, and the Fischer rank, Theorem A's
 mirror lift and branching's lifted mirror work on those integer rows with no
-polynomial in between.  Polynomials are lifted by rsquare_lift(p, j): j
+polynomial in between.  The same column images span r2 P_(k-2), the space
+the socle is cut from.  Polynomials are lifted by rsquare_lift(p, j): j
 applications of multiplication by r2 by its monomial rule, never a product
 with the polynomial (r2)^j; it serves the polynomial consumers (fischer_stack
 for the CK generators in branching, and gtbasis).  At j = 0 both lifts are
@@ -40,11 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 from .exactla import (
     RationalMatrix,
     Subspace,
-    image,
     kernel,
     matmul,
     operator_matrix,
@@ -76,16 +80,11 @@ def rsquare_matrix(signature: SuperSignature, degree: int) -> RationalMatrix:
 
 
 @lru_cache(maxsize=None)
-def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[dict[int, int], ...]:
+def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[Mapping[int, int], ...]:
     """Column j of rsquare_matrix as {target index: coefficient}: the image
     of the j-th monomial.  r2 has coefficients +-1, so every entry is an
-    integer."""
-    R = rsquare_matrix(signature, degree)
-    columns: list[dict[int, int]] = [{} for _ in range(R.cols)]
-    for target, row in enumerate(R.row_dicts()):
-        for source, v in row.items():
-            columns[source][target] = v.numerator
-    return tuple(columns)
+    int."""
+    return rsquare_matrix(signature, degree).transpose().row_dicts()
 
 
 def rsquare_lift_rows(space: Subspace, j: int, k: int) -> list[dict[int, int]]:
@@ -139,7 +138,9 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
     H = harmonic_space(signature, k)
     if k < 2:
         return Subspace.zero(H.ambient_dim, (signature, k))
-    r2_image = image(rsquare_matrix(signature, k - 2), (signature, k))
+    r2_image = Subspace.from_rows(
+        H.ambient_dim, _rsquare_columns(signature, k - 2), (signature, k)
+    )
     return H.intersect(r2_image)
 
 
@@ -160,16 +161,6 @@ def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:
     for _ in range(j):
         p = rsquare_mul(p)
     return p
-
-
-@lru_cache(maxsize=None)
-def rsquare_power(signature: SuperSignature, j: int) -> SuperPolynomial:
-    """(r2)^j, cached per signature."""
-    if j < 0:
-        raise ValueError("negative power of r2")
-    if j == 0:
-        return SuperPolynomial.one(signature)
-    return rsquare_mul(rsquare_power(signature, j - 1))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,10 @@ commutator a b - b a.
 
 Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
-functions, and a matrix on one degree is derived from a map by
-exactla.operator_matrix, never stored as the primary form.
+functions.  The matrix of a map on one degree is built from the map by
+exactla.operator_matrix, which applies it to each basis monomial with the
+int coefficient 1; the rules below then compute in ints, so the matrices of
+laplacian and rsquare_mul have int entries.
 
 laplacian and rsquare_mul are applied by their monomial rules, term by term
 into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th fermionic pair:
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable
 
@@ -65,8 +68,9 @@ from .superpoly import (
 # -- the basic operators ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pair_masks(signature: SuperSignature) -> tuple[int, ...]:
-    """Bitmask of each fermionic pair t_(2j-1) t_(2j)."""
+    """Bitmask of each fermionic pair t_(2j-1) t_(2j), once per signature."""
     return tuple(3 << (2 * j) for j in range(signature.n))
 
 

@@ -26,7 +26,6 @@ from superharm import (
     gt_basis,
     harmonic_basis,
     monomial_basis,
-    rsquare_power,
     sl2_relations_check,
     space_dimension,
     theta_factor,
@@ -35,6 +34,7 @@ from superharm import (
 )
 from superharm.branching import defect_kernel
 from superharm.exactla import span_subspace
+from superharm.operators import rsquare
 
 GRID = (
     SuperSignature(1, 1),
@@ -192,7 +192,7 @@ def test_criterion_7_generalized_branching():
         # the degree k-2 polynomials killed by the composed operator are
         # exactly the lifted mirror harmonics
         ker = defect_kernel(sig, k - 2)
-        lift = rsquare_power(sig, (2 * k + sig.M - 4) // 2)
+        lift = rsquare(sig) ** ((2 * k + sig.M - 4) // 2)
         lifted = span_subspace(sig, k - 2, [lift * h for h in harmonic_basis(sig, mirror)])
         if ker.dim != lifted.dim or not ker.contains_subspace(lifted):
             failures.append(f"{sig} k={k}: kernel {ker.dim} vs lifted mirror {lifted.dim}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superharm import exactla
+from superharm.cli import _GRID as VERIFY_GRID
 from superharm.exactla import (
     RationalMatrix,
     _int_row,
@@ -22,8 +23,8 @@ from superharm.exactla import (
     subspace_polynomials,
     vector_polynomial,
 )
-from superharm.operators import euler, laplacian
-from superharm.superpoly import SuperPolynomial, SuperSignature, monomial_basis
+from superharm.operators import euler, laplacian, rsquare, rsquare_mul
+from superharm.superpoly import SuperPolynomial, SuperSignature, basis_index, monomial_basis
 
 
 def _dense(A):
@@ -328,10 +329,14 @@ def test_kernel_edge_shapes():
     assert K == Subspace.zero(0) and K.dim == 0
 
 
-def test_matrix_entries_become_fractions():
-    A = RationalMatrix(1, 3, [{0: 2, 1: 0, 2: Fraction(1, 3)}])
-    assert A.row_dict(0) == {0: Fraction(2), 2: Fraction(1, 3)}
-    assert all(type(v) is Fraction for v in A.row_dict(0).values())
+def test_matrix_entries_stay_exact():
+    A = RationalMatrix(1, 6, [{0: 2, 1: 0, 2: Fraction(1, 3), 3: Fraction(4), 4: 2.0, 5: 0.5}])
+    assert A.row_dict(0) == {0: 2, 2: Fraction(1, 3), 3: 4, 4: 2, 5: Fraction(1, 2)}
+    # ints and Fractions are kept as given; other numbers become an int
+    # when integral and a Fraction otherwise
+    types = [type(v) for v in A.row_dict(0).values()]
+    assert types == [int, Fraction, Fraction, int, Fraction]
+    assert A == RationalMatrix(1, 6, [{j: Fraction(v) for j, v in A.row_dict(0).items()}])
 
 
 @st.composite
@@ -486,3 +491,126 @@ def _int_row_reference(row):
 )
 def test_int_row_matches_fraction_reference(row):
     assert _int_row(row) == _int_row_reference(row)
+
+
+# -- int and Fraction entries ---------------------------------------------------
+
+OPERATOR_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
+    SuperSignature(4, 4),
+    SuperSignature(0, 3),
+    SuperSignature(3, 0),
+]
+
+
+@st.composite
+def _operator_degrees(draw):
+    """A signature and a degree 0..7 (0..4 for (4|8)); the Laplacian's
+    target is empty at degrees 0 and 1, and at m = 0 so is r2's above
+    2n - 2."""
+    sig = draw(st.sampled_from(OPERATOR_SIGS))
+    return sig, draw(st.integers(min_value=0, max_value=4 if sig.m == 4 else 7))
+
+
+def _fraction_operator_rows(fn, sig, k, shift):
+    """The matrix of fn with every basis monomial entering as Fraction(1),
+    so every entry is a Fraction."""
+    tidx = basis_index(sig, k + shift)
+    rows = [{} for _ in tidx]
+    for j, mono in enumerate(monomial_basis(sig, k)):
+        for tm, c in fn(SuperPolynomial(sig, {mono: Fraction(1)})):
+            rows[tidx[tm]][j] = c
+    return rows
+
+
+def _typed(A):
+    return [{j: (type(v), v) for j, v in row.items()} for row in A.row_dicts()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator_degrees())
+def test_operator_matrix_has_int_entries_equal_to_the_fraction_matrix(case):
+    sig, k = case
+    for fn, shift in ((laplacian, -2), (rsquare_mul, 2)):
+        A = operator_matrix(fn, sig, k, shift)
+        reference = _fraction_operator_rows(fn, sig, k, shift)
+        assert (A.rows, A.cols) == (len(reference), len(monomial_basis(sig, k)))
+        assert all(type(v) is Fraction for row in reference for v in row.values())
+        assert all(type(v) is int for row in A.row_dicts() for v in row.values())
+        assert list(A.row_dicts()) == reference
+    # a map whose polynomials hold Fractions still gives int entries
+    r2 = rsquare(sig)
+    product = operator_matrix(lambda p: r2 * p, sig, k, 2)
+    assert _typed(product) == _typed(operator_matrix(rsquare_mul, sig, k, 2))
+
+
+def _int_form(A):
+    """A with every integral entry an int."""
+    return RationalMatrix(
+        A.rows,
+        A.cols,
+        [
+            {j: v.numerator if v.denominator == 1 else Fraction(v) for j, v in row.items()}
+            for row in A.row_dicts()
+        ],
+    )
+
+
+def _fraction_form(A):
+    """A with every entry a Fraction."""
+    return RationalMatrix(
+        A.rows, A.cols, [{j: Fraction(v) for j, v in row.items()} for row in A.row_dicts()]
+    )
+
+
+def _assert_forms_agree(A, B):
+    """kernel, image and rank of A, and the product A B, do not depend on
+    whether the integral entries are ints or Fractions."""
+    Ai, Af = _int_form(A), _fraction_form(A)
+    Bi, Bf = _int_form(B), _fraction_form(B)
+    assert all(type(v) is Fraction for row in Af.row_dicts() for v in row.values())
+    assert kernel(Ai) == kernel(Af)
+    assert image(Ai) == image(Af)
+    assert rank(Ai) == rank(Af)
+    product = matmul(Ai, Bi)
+    for P in (matmul(Af, Bf), matmul(Ai, Bf), matmul(Af, Bi)):
+        assert _typed(P) == _typed(product)
+    # integral entries of a product are ints, the others Fractions
+    assert all(
+        (type(v) is int) == (Fraction(v).denominator == 1)
+        for row in product.row_dicts()
+        for v in row.values()
+    )
+
+
+_ROW_SCALES = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-5, 2)])
+
+
+def _scale_rows(A, scales):
+    return RationalMatrix(
+        A.rows,
+        A.cols,
+        [{j: v * s for j, v in row.items()} for row, s in zip(A.row_dicts(), scales)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operator_degrees(), st.data())
+def test_operator_consumers_agree_on_int_and_fraction_entries(case, data):
+    """Laplacian L on P_k and r2 R on P_(k-2), with rows scaled by rationals
+    so some entries are not integral; the product is lap r2."""
+    sig, k = case
+    L = operator_matrix(laplacian, sig, k, -2)
+    R = operator_matrix(rsquare_mul, sig, k - 2, 2)
+    _assert_forms_agree(L, R)
+    scales = data.draw(st.lists(_ROW_SCALES, min_size=L.rows, max_size=L.rows))
+    _assert_forms_agree(_scale_rows(L, scales), R)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_consumers_agree_on_int_and_fraction_entries(data):
+    A = data.draw(_sparse_matrices())
+    B = data.draw(_sparse_matrices(cols=data.draw(st.integers(min_value=1, max_value=6))))
+    # B's rows padded with zero rows or cut to A's column count
+    B = RationalMatrix(A.cols, B.cols, (list(B.row_dicts()) + [{}] * A.cols)[: A.cols])
+    _assert_forms_agree(A, B)

@@ -23,11 +23,10 @@ from superharm.harmonics import (
     rsquare_lift,
     rsquare_lift_rows,
     rsquare_matrix,
-    rsquare_power,
     socle_space,
     verify_theorem_A,
 )
-from superharm.operators import laplacian
+from superharm.operators import laplacian, rsquare
 from superharm.superpoly import (
     SuperPolynomial,
     SuperSignature,
@@ -117,13 +116,18 @@ def test_socle_inside_both_spaces():
     assert H0.dim <= img_rank
 
 
-def test_rsquare_power_cached_values():
+def test_rsquare_powers_at_one_fermionic_pair():
     sig = SuperSignature(0, 1)
-    assert rsquare_power(sig, 0).is_zero() is False
+    one = SuperPolynomial.one(sig)
+    assert (rsquare(sig) ** 0).is_zero() is False
     # r2 = -t1 t2 here, so (r2)^2 = 0
-    assert rsquare_power(sig, 2).is_zero()
+    assert (rsquare(sig) ** 2).is_zero()
     with pytest.raises(ValueError):
-        rsquare_power(sig, -1)
+        rsquare(sig) ** -1
+    for j in range(3):
+        assert rsquare_lift(one, j) == rsquare(sig) ** j
+    with pytest.raises(ValueError):
+        rsquare_lift(one, -1)
 
 
 LIFT_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
@@ -148,7 +152,7 @@ def _lift_cases(draw):
 @given(_lift_cases())
 def test_rsquare_lift_matches_power_product(case):
     p, j = case
-    assert rsquare_lift(p, j) == rsquare_power(p.signature, j) * p
+    assert rsquare_lift(p, j) == rsquare(p.signature) ** j * p
 
 
 @st.composite
