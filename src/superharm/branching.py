@@ -26,6 +26,13 @@ whose restriction data is triangular: the boundary slot reads family one
 back, the normal slot family two, the Laplace image family three.
 Independence therefore reduces to the already verified lower
 decompositions, and the dimension count closes the span argument.
+
+The spanning sets of the boundary and normal slots are the lifted Fischer
+component rows one level down (harmonics.fischer_rows, degrees k and k - 1):
+their rank against dim P' is the completeness check, and the same rows, as
+polynomials, are the data extended.  The Laplacian slot takes the rows of the
+defect kernel.  One check, _slot_generators_ok, serves all three slots: each
+extension must read its data back in its own slot and zero in the other two.
 """
 
 from __future__ import annotations
@@ -33,17 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ck import CKData, ck_extend
-from .exactla import (
-    Subspace,
-    kernel,
-    matmul,
-    polynomials_rank,
-    subspace_polynomials,
-)
+from .exactla import Subspace, kernel, matmul, rank, vector_polynomial
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
-    fischer_stack,
+    fischer_rows,
     generalized_harmonic_space,
     harmonic_space,
     laplacian_matrix,
@@ -109,38 +110,60 @@ class BranchingReport:
     notes: tuple[str, ...] = ()
 
 
-def _spans_lower_space(lower, degree, stack) -> bool:
-    """The stack spans P'_degree: its rank, not its length, is dim P'."""
-    return polynomials_rank(stack, degree) == space_dimension(lower, degree)
+def _polynomials(signature, degree, rows) -> list[SuperPolynomial]:
+    return [vector_polynomial(signature, degree, row) for row in rows]
 
 
-def _check_boundary_family(signature, k, stack):
-    """Extensions of a degree-k lower spanning set with zero normal and
-    Laplacian parts: must be harmonic and read back through the boundary
-    slot alone."""
+def _slot_generators_ok(signature, k, slot, stack) -> bool:
+    """Extensions of degree-k data with only `slot` ("boundary", "normal" or
+    "laplacian") set to each element of the stack: each must read its data
+    back in that slot alone, through the restriction, the normal restriction
+    and the Laplacian.  A Laplacian part w must also satisfy lap(r2 w) = 0,
+    so that the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w)
+    once lap Q = w holds."""
     m = signature.m
+    read_back = (
+        ("laplacian", laplacian),
+        ("boundary", restrict_hyperplane),
+        ("normal", lambda Q: restrict_hyperplane(d_bosonic(Q, m))),
+    )
     for p in stack:
-        Q = ck_extend(CKData.from_parts(signature, k, boundary=p))
-        if not laplacian(Q).is_zero():
+        if slot == "laplacian" and not laplacian(rsquare_mul(p)).is_zero():
             return False
-        if restrict_hyperplane(Q) != p:
-            return False
-        if not restrict_hyperplane(d_bosonic(Q, m)).is_zero():
-            return False
+        Q = ck_extend(CKData.from_parts(signature, k, **{slot: p}))
+        for part, read in read_back:
+            got = read(Q)
+            if (got != p) if part == slot else not got.is_zero():
+                return False
     return True
 
 
-def _check_normal_family(signature, k, stack):
-    m = signature.m
-    for q in stack:
-        Q = ck_extend(CKData.from_parts(signature, k, normal=q))
-        if not laplacian(Q).is_zero():
-            return False
-        if not restrict_hyperplane(Q).is_zero():
-            return False
-        if restrict_hyperplane(d_bosonic(Q, m)) != q:
-            return False
-    return True
+def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
+    """The lower Fischer rows of degrees k and k - 1 span P'_k and P'_(k-1)
+    (their rank, not their count, is dim P'), and the boundary- and
+    normal-slot generators made from the same rows verify."""
+    lower = signature.restricted()
+    boundary_rows = fischer_rows(lower, k)
+    normal_rows = fischer_rows(lower, k - 1)
+    complete = (
+        rank(boundary_rows) == space_dimension(lower, k)
+        and rank(normal_rows) == space_dimension(lower, k - 1)
+    )
+    return [
+        ("lower spanning sets are complete", complete),
+        (
+            "boundary-slot generators verify",
+            _slot_generators_ok(
+                signature, k, "boundary", _polynomials(lower, k, boundary_rows)
+            ),
+        ),
+        (
+            "normal-slot generators verify",
+            _slot_generators_ok(
+                signature, k, "normal", _polynomials(lower, k - 1, normal_rows)
+            ),
+        ),
+    ]
 
 
 def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
@@ -159,28 +182,18 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
         if l in sets.suppressed:
             continue
         kind = "Ht" if l in sets.exceptional else "H"
-        dim = (
-            generalized_harmonic_space(lower, l).dim
-            if kind == "Ht"
-            else harmonic_space(lower, l).dim
-        )
-        summands.append(BranchSummand(kind, l, 1, dim))
+        space = generalized_harmonic_space if kind == "Ht" else harmonic_space
+        summands.append(BranchSummand(kind, l, 1, space(lower, l).dim))
 
     lhs_dim = harmonic_space(signature, k).dim
     total = sum(s.multiplicity * s.dim for s in summands)
 
-    boundary_stack = fischer_stack(lower, k)
-    normal_stack = fischer_stack(lower, k - 1)
-
-    lower_sets_k = fischer_index_sets(lower, k)
-    lower_sets_k1 = fischer_index_sets(lower, k - 1) if k >= 1 else None
-    assembled_exceptional = set(lower_sets_k.exceptional)
-    assembled_suppressed = set(lower_sets_k.suppressed)
-    assembled_ordinary = set(lower_sets_k.ordinary)
-    if lower_sets_k1 is not None:
-        assembled_exceptional |= set(lower_sets_k1.exceptional)
-        assembled_suppressed |= set(lower_sets_k1.suppressed)
-        assembled_ordinary |= set(lower_sets_k1.ordinary)
+    # at k = 0 the degree -1 sets are empty
+    lower_sets = (fischer_index_sets(lower, k), fischer_index_sets(lower, k - 1))
+    assembled = all(
+        set(getattr(sets, role)) == {l for s in lower_sets for l in getattr(s, role)}
+        for role in ("exceptional", "suppressed", "ordinary")
+    )
 
     checks = [
         ("summand dimensions sum to the branched dimension", total == lhs_dim),
@@ -188,25 +201,8 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
             "boundary data accounts for every harmonic",
             lhs_dim == space_dimension(lower, k) + space_dimension(lower, k - 1),
         ),
-        (
-            "index sets assemble from the two lower decompositions",
-            assembled_exceptional == set(sets.exceptional)
-            and assembled_suppressed == set(sets.suppressed)
-            and assembled_ordinary == set(sets.ordinary),
-        ),
-        (
-            "lower spanning sets are complete",
-            _spans_lower_space(lower, k, boundary_stack)
-            and _spans_lower_space(lower, k - 1, normal_stack),
-        ),
-        (
-            "boundary-slot generators verify",
-            _check_boundary_family(signature, k, boundary_stack),
-        ),
-        (
-            "normal-slot generators verify",
-            _check_normal_family(signature, k, normal_stack),
-        ),
+        ("index sets assemble from the two lower decompositions", assembled),
+        *_lower_generator_checks(signature, k),
     ]
     return BranchingReport(
         signature=signature,
@@ -263,25 +259,6 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
         (signature, k - 2),
     )
 
-    boundary_stack = fischer_stack(lower, k)
-    normal_stack = fischer_stack(lower, k - 1)
-    kernel_stack = subspace_polynomials(ker)
-
-    gen_ok = True
-    m = signature.m
-    for w in kernel_stack:
-        Q = ck_extend(CKData.from_parts(signature, k, laplacian=w))
-        # lap r2 lap Q = lap(r2 w) once lap Q = w holds
-        if laplacian(Q) != w or not laplacian(rsquare_mul(w)).is_zero():
-            gen_ok = False
-            break
-        if not restrict_hyperplane(Q).is_zero():
-            gen_ok = False
-            break
-        if not restrict_hyperplane(d_bosonic(Q, m)).is_zero():
-            gen_ok = False
-            break
-
     checks = [
         ("summand dimensions sum to the branched dimension", total == lhs_dim),
         (
@@ -293,20 +270,13 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
             lhs_dim
             == space_dimension(lower, k) + space_dimension(lower, k - 1) + ker.dim,
         ),
+        *_lower_generator_checks(signature, k),
         (
-            "lower spanning sets are complete",
-            _spans_lower_space(lower, k, boundary_stack)
-            and _spans_lower_space(lower, k - 1, normal_stack),
+            "Laplacian-slot generators verify",
+            _slot_generators_ok(
+                signature, k, "laplacian", _polynomials(signature, k - 2, ker.rows)
+            ),
         ),
-        (
-            "boundary-slot generators verify",
-            _check_boundary_family(signature, k, boundary_stack),
-        ),
-        (
-            "normal-slot generators verify",
-            _check_normal_family(signature, k, normal_stack),
-        ),
-        ("Laplacian-slot generators verify", gen_ok),
     ]
     notes = (
         f"degrees 0..{mirror} receive a second copy from the "

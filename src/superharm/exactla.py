@@ -417,10 +417,13 @@ def polynomial_vector(p: SuperPolynomial, k: int) -> dict[int, Fraction]:
 
 
 def vector_polynomial(
-    signature: SuperSignature, k: int, vec: Mapping[int, Fraction]
+    signature: SuperSignature, k: int, vec: Mapping[int, Rational]
 ) -> SuperPolynomial:
+    """The polynomial with coordinates `vec` (int or Fraction entries) in
+    the degree-k basis.  The monomials are the basis's own and zeros are
+    dropped here, so the terms need no validation."""
     basis = monomial_basis(signature, k)
-    return SuperPolynomial(signature, {basis[j]: c for j, c in vec.items() if c})
+    return SuperPolynomial(signature, {basis[j]: c for j, c in vec.items() if c}, _clean=True)
 
 
 def span_subspace(

@@ -17,7 +17,9 @@ harmonics, themselves taken in this basis at the same level
 slots instead follow the lower decomposition: ordinary starts give
 ordinary-b3/b4 and exceptional starts give tilde-b5/b6 with the
 generalized lower space as target; the mirrors of exceptional starts are
-suppressed.
+suppressed.  One table maps each kind to its CK slot and the target of the
+lower basis; the descent and the per-step check both read it, and both take
+the start degrees from fischer_index_sets of the level below.
 
 The purely fermionic floor is built by a recursion removing the last pair
 t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged
@@ -152,68 +154,54 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
     return tuple(out)
 
 
-def _boundary_element(signature, k, step, el, j) -> GTBasisElement:
-    boundary = rsquare_lift(el.polynomial, j)
-    return _prepend(step, el, ck_extend(CKData.from_parts(signature, k, boundary=boundary)))
+# kind -> (CK slot the lower element enters, target of the lower basis).
+# The boundary slot takes degree-k data, the normal slot degree k - 1, both
+# one bosonic variable down; the Laplacian slot takes degree k - 2 data at the
+# same level.
+_BOSONIC_KINDS = {
+    "ordinary-a1": ("boundary", "H"),
+    "ordinary-a2": ("normal", "H"),
+    "ordinary-b3": ("boundary", "H"),
+    "ordinary-b4": ("normal", "H"),
+    "tilde-b5": ("boundary", "Ht"),
+    "tilde-b6": ("normal", "Ht"),
+    "generalized-a3": ("laplacian", "H"),
+}
+_DATA_DROP = {"boundary": 0, "normal": 1, "laplacian": 2}
 
 
-def _normal_element(signature, k, step, el, j) -> GTBasisElement:
-    normal = rsquare_lift(el.polynomial, j)
-    return _prepend(step, el, ck_extend(CKData.from_parts(signature, k, normal=normal)))
+def _source_level(signature: SuperSignature, slot: str) -> SuperSignature:
+    return signature if slot == "laplacian" else signature.restricted()
 
 
-def _regular_descent(signature: SuperSignature, k: int, target: str) -> tuple[GTBasisElement, ...]:
-    lower = signature.restricted()
-    m = signature.m
-    out: list[GTBasisElement] = []
-    for l in range(k, -1, -2):
-        j = (k - l) // 2
-        for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-a1", l, i), el, j))
-    for l in range(k - 1, -1, -2):
-        j = (k - 1 - l) // 2
-        for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_normal_element(signature, k, ChainStep(m, "ordinary-a2", l, i), el, j))
+def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GTBasisElement, ...]:
+    """Extensions of GT elements one level down (boundary and normal slots)
+    or of the mirror degree at this level (Laplacian slot), each lifted by
+    the power of r2 that brings it to the degree of its slot.  Over a regular
+    level every lower degree is ordinary (a1/a2); over an exceptional one the
+    lower decomposition sorts the degrees into ordinary (b3/b4) and
+    exceptional (b5/b6) starts.  A generalized target adds the a3 elements
+    last."""
+    kinds = ["ordinary-a1", "ordinary-a2"]
+    if exceptional_indices(signature.M - 1):
+        kinds = ["ordinary-b3", "ordinary-b4", "tilde-b5", "tilde-b6"]
     if target == "Ht":
-        M = signature.M
-        mirror = 2 - M - k
-        j = (2 * k + M - 4) // 2
-        for i, el in enumerate(gt_basis(signature, mirror, "H")):
-            Q = ck_extend(
-                CKData.from_parts(signature, k, laplacian=rsquare_lift(el.polynomial, j))
-            )
-            out.append(_prepend(ChainStep(m, "generalized-a3", mirror, i), el, Q))
-    return tuple(out)
-
-
-def _exceptional_descent(signature: SuperSignature, k: int) -> tuple[GTBasisElement, ...]:
-    lower = signature.restricted()
-    m = signature.m
-    sets_k = fischer_index_sets(lower, k)
-    sets_k1 = fischer_index_sets(lower, k - 1) if k >= 1 else None
+        kinds.append("generalized-a3")
     out: list[GTBasisElement] = []
-    for l in sets_k.ordinary:
-        j = (k - l) // 2
-        for i, el in enumerate(gt_basis(lower, l, "H")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "ordinary-b3", l, i), el, j))
-    if sets_k1 is not None:
-        for l in sets_k1.ordinary:
-            j = (k - 1 - l) // 2
-            for i, el in enumerate(gt_basis(lower, l, "H")):
-                out.append(
-                    _normal_element(signature, k, ChainStep(m, "ordinary-b4", l, i), el, j)
-                )
-    for l in sets_k.exceptional:
-        j = (k - l) // 2
-        for i, el in enumerate(gt_basis(lower, l, "Ht")):
-            out.append(_boundary_element(signature, k, ChainStep(m, "tilde-b5", l, i), el, j))
-    if sets_k1 is not None:
-        for l in sets_k1.exceptional:
-            j = (k - 1 - l) // 2
-            for i, el in enumerate(gt_basis(lower, l, "Ht")):
-                out.append(
-                    _normal_element(signature, k, ChainStep(m, "tilde-b6", l, i), el, j)
-                )
+    for kind in kinds:
+        slot, lower_target = _BOSONIC_KINDS[kind]
+        source = _source_level(signature, slot)
+        degree = k - _DATA_DROP[slot]
+        if slot == "laplacian":
+            starts: tuple[int, ...] = (2 - signature.M - k,)
+        else:
+            sets = fischer_index_sets(source, degree)
+            starts = sets.exceptional if lower_target == "Ht" else sets.ordinary
+        for l in starts:
+            for i, el in enumerate(gt_basis(source, l, lower_target)):
+                data = rsquare_lift(el.polynomial, (degree - l) // 2)
+                Q = ck_extend(CKData.from_parts(signature, k, **{slot: data}))
+                out.append(_prepend(ChainStep(signature.m, kind, l, i), el, Q))
     return tuple(out)
 
 
@@ -234,10 +222,8 @@ def gt_basis(
         return cached
     if signature.m == 0:
         elements = _fermionic_basis(signature.n, k)
-    elif exceptional_indices(signature.M - 1):
-        elements = _exceptional_descent(signature, k)
     else:
-        elements = _regular_descent(signature, k, target)
+        elements = _bosonic_descent(signature, k, target)
     _CACHE[key] = elements
     return elements
 
@@ -252,10 +238,6 @@ class GTBasisReport:
     checks: tuple[tuple[str, bool], ...]
     flagged: tuple[int, ...]
     verified: bool
-
-
-def _lower_target_for(kind: str) -> str:
-    return "Ht" if kind in ("tilde-b5", "tilde-b6") else "H"
 
 
 def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) -> bool:
@@ -297,36 +279,27 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
             return p == theta_factor(sig, k) * lifted
         return False
 
-    lower_sig = signature.restricted()
-    boundary = restrict_hyperplane(p)
-    normal = restrict_hyperplane(d_bosonic(p, signature.m))
-    if kind == "generalized-a3":
-        mirror_basis = gt_basis(signature, step.degree, "H")
-        if step.pos >= len(mirror_basis):
-            return False
-        lo = mirror_basis[step.pos]
-        if lo.label.chain != rest:
-            return False
-        M = signature.M
-        return (
-            boundary.is_zero()
-            and normal.is_zero()
-            and laplacian(p) == rsquare_lift(lo.polynomial, (2 * k + M - 4) // 2)
-        )
-
-    lower = gt_basis(lower_sig, step.degree, _lower_target_for(kind))
+    if kind not in _BOSONIC_KINDS:
+        return False
+    slot, lower_target = _BOSONIC_KINDS[kind]
+    lower = gt_basis(_source_level(signature, slot), step.degree, lower_target)
     if step.pos >= len(lower):
         return False
     lo = lower[step.pos]
     if lo.label.chain != rest:
         return False
-    if kind in ("ordinary-a1", "ordinary-b3", "tilde-b5"):
-        lift = rsquare_lift(lo.polynomial, (k - step.degree) // 2)
+    # a label whose degree cannot reach the slot's degree fails, not raises
+    j, odd = divmod(k - _DATA_DROP[slot] - step.degree, 2)
+    if j < 0 or odd:
+        return False
+    lift = rsquare_lift(lo.polynomial, j)
+    boundary = restrict_hyperplane(p)
+    normal = restrict_hyperplane(d_bosonic(p, signature.m))
+    if slot == "boundary":
         return boundary == lift and normal.is_zero()
-    if kind in ("ordinary-a2", "ordinary-b4", "tilde-b6"):
-        lift = rsquare_lift(lo.polynomial, (k - 1 - step.degree) // 2)
+    if slot == "normal":
         return boundary.is_zero() and normal == lift
-    return False
+    return boundary.is_zero() and normal.is_zero() and laplacian(p) == lift
 
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:

@@ -33,11 +33,11 @@ integer rows of a Subspace through the integer column images of
 rsquare_matrix, one degree step at a time, and the Fischer rank, Theorem A's
 mirror lift and branching's lifted mirror work on those integer rows with no
 polynomial in between.  The same column images span r2 P_(k-2), the space
-the socle is cut from.  Polynomials are lifted by rsquare_lift(p, j): j
-applications of multiplication by r2 by its monomial rule, never a product
-with the polynomial (r2)^j; it serves the polynomial consumers (fischer_stack
-for the CK generators in branching, and gtbasis).  At j = 0 both lifts are
-the identity.
+the socle is cut from.  fischer_rows stacks the lifted component rows of P_k
+in summand order; the Fischer rank and branching's lower spanning sets both
+take them.  A polynomial is lifted by rsquare_lift(p, j): j applications of
+multiplication by r2 by its monomial rule, never a product with the
+polynomial (r2)^j; gtbasis uses it.  At j = 0 both lifts are the identity.
 """
 
 from __future__ import annotations
@@ -149,11 +149,6 @@ def harmonic_basis(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, 
     return subspace_polynomials(harmonic_space(signature, k))
 
 
-@lru_cache(maxsize=None)
-def generalized_harmonic_basis(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
-    return subspace_polynomials(generalized_harmonic_space(signature, k))
-
-
 def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:
     """(r2)^j p, as j applications of rsquare_mul; p itself at j = 0."""
     if j < 0:
@@ -216,23 +211,14 @@ class DecompositionReport:
     notes: tuple[str, ...] = ()
 
 
+_SPACES = {"H": harmonic_space, "Ht": generalized_harmonic_space}
+
+
 def _component_rows(
     signature: SuperSignature, kind: str, degree: int, rpower: int, k: int
 ) -> list[dict[int, int]]:
     """Integer rows of the component r^rpower * (H or Ht)_degree of P_k."""
-    space = harmonic_space if kind == "H" else generalized_harmonic_space
-    return rsquare_lift_rows(space(signature, degree), rpower // 2, k)
-
-
-def _summand_polynomials(
-    signature: SuperSignature, kind: str, degree: int, rpower: int
-) -> list[SuperPolynomial]:
-    basis = (
-        harmonic_basis(signature, degree)
-        if kind == "H"
-        else generalized_harmonic_basis(signature, degree)
-    )
-    return [rsquare_lift(h, rpower // 2) for h in basis]
+    return rsquare_lift_rows(_SPACES[kind](signature, degree), rpower // 2, k)
 
 
 def _formula_plan(sets: FischerIndexSets) -> list[tuple[str, int, int]]:
@@ -257,18 +243,19 @@ def _decomposition_plan(
     return _formula_plan(sets), tuple(sorted(sets.suppressed))
 
 
-@lru_cache(maxsize=None)
-def fischer_stack(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
-    """Concatenated lifted component bases of the degree-k decomposition, in
-    summand order; spans P_k exactly when the decomposition verifies.  Empty
-    for k < 0."""
+def fischer_rows(signature: SuperSignature, k: int) -> tuple[dict[int, int], ...]:
+    """Integer rows of the lifted components of the degree-k decomposition,
+    stacked in summand order, one row per basis element of each component;
+    they span P_k exactly when the decomposition verifies.  Empty for
+    k < 0."""
     if k < 0:
         return ()
     plan, _ = _decomposition_plan(signature, k)
-    stacked: list[SuperPolynomial] = []
-    for kind, degree, rpower in plan:
-        stacked.extend(_summand_polynomials(signature, kind, degree, rpower))
-    return tuple(stacked)
+    return tuple(
+        row
+        for kind, degree, rpower in plan
+        for row in _component_rows(signature, kind, degree, rpower, k)
+    )
 
 
 def _fermionic_summand_plan(signature: SuperSignature, k: int) -> list[tuple[str, int, int]]:
@@ -287,20 +274,17 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     if k < 0:
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
-
-    summands = []
-    components: list[list[dict[int, int]]] = []
-    for kind, degree, rpower in plan:
-        rows = _component_rows(signature, kind, degree, rpower, k)
-        summands.append(FischerSummand(kind, degree, rpower, len(rows)))
-        components.append(rows)
+    summands = [
+        FischerSummand(kind, degree, rpower, _SPACES[kind](signature, degree).dim)
+        for kind, degree, rpower in plan
+    ]
 
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
-    # Highest start degree first: the start-k component, when there is one,
-    # is a canonical basis with no lift, so its rows enter the echelon with
-    # no elimination.  Rank ignores order.
-    joint_rank = rank([row for rows in reversed(components) for row in rows])
+    # Reversed, so the highest start degree comes first: the start-k
+    # component, when there is one, is a canonical basis with no lift, so its
+    # rows enter the echelon with no elimination.  Rank ignores order.
+    joint_rank = rank(fischer_rows(signature, k)[::-1])
     agreement = True
     notes: tuple[str, ...] = ()
     if signature.m == 0:
@@ -367,6 +351,8 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     degrees: the socle is the r-power image of the mirror harmonics, the
     chain socle < H_k < Ht_k is strict, and the three defect dimensions
     agree."""
+    if k < 0:
+        raise ValueError("negative degree")
     M = signature.M
     H = harmonic_space(signature, k)
     Ht = generalized_harmonic_space(signature, k)

@@ -9,8 +9,10 @@ from superharm.branching import (
     branching_index_sets,
     defect_kernel,
 )
+from superharm.ck import CKData
+from superharm.exactla import Subspace
 from superharm.harmonics import harmonic_space
-from superharm.superpoly import SuperSignature, space_dimension
+from superharm.superpoly import SuperPolynomial, SuperSignature, space_dimension
 
 S33 = SuperSignature(3, 3)
 S23 = SuperSignature(2, 3)
@@ -144,19 +146,47 @@ def test_guards():
 
 
 def test_dependent_lower_stack_fails_completeness(monkeypatch):
-    # one element repeated: the length still equals dim P', the rank does not
-    original = branching.fischer_stack
+    # one row repeated: the count still equals dim P', the rank does not
+    original = branching.fischer_rows
 
     def duplicated(sig, k):
-        stack = list(original(sig, k))
-        if len(stack) > 1:
-            stack[-1] = stack[0]
-        return tuple(stack)
+        rows = list(original(sig, k))
+        if len(rows) > 1:
+            rows[-1] = rows[0]
+        return tuple(rows)
 
-    monkeypatch.setattr(branching, "fischer_stack", duplicated)
+    monkeypatch.setattr(branching, "fischer_rows", duplicated)
     for rep in (branch_harmonic(S33, 3), branch_generalized(S23, 4)):
         checks = dict(rep.checks)
         assert not checks["lower spanning sets are complete"]
+        assert not rep.verified
+
+
+@pytest.mark.parametrize(
+    "slot,name",
+    [
+        ("boundary", "boundary-slot generators verify"),
+        ("normal", "normal-slot generators verify"),
+        ("laplacian", "Laplacian-slot generators verify"),
+    ],
+)
+def test_slot_check_fails_when_extension_drops_its_term(monkeypatch, slot, name):
+    # the extension ignores one slot of its data: that slot's generators
+    # no longer read their data back, and only that check fails
+    original = branching.ck_extend
+
+    def dropping(data):
+        parts = {"boundary": data.boundary, "normal": data.normal, "laplacian": data.laplacian}
+        parts[slot] = SuperPolynomial.zero(parts[slot].signature)
+        return original(CKData(data.degree, **parts))
+
+    monkeypatch.setattr(branching, "ck_extend", dropping)
+    reports = [branch_generalized(S23, 4)]
+    if slot != "laplacian":
+        reports.append(branch_harmonic(S33, 3))
+    for rep in reports:
+        failed = [check for check, ok in rep.checks if not ok]
+        assert failed == [name]
         assert not rep.verified
 
 
@@ -165,3 +195,16 @@ def test_summands_ascend_and_suppressed_absent():
     degrees = [s.degree for s in rep.summands]
     assert degrees == sorted(degrees)
     assert set(degrees).isdisjoint(rep.index_sets.suppressed)
+
+
+def test_inadmissible_laplacian_part_fails_its_slot_check(monkeypatch):
+    # every w of degree k - 2 offered as a prescribed Laplacian: each still
+    # reads back, but lap(r2 w) = 0 fails for most, so the extensions are
+    # not generalized harmonics
+    def everything(sig, degree):
+        dim = space_dimension(sig, degree)
+        return Subspace.from_rows(dim, [{i: 1} for i in range(dim)], (sig, degree))
+
+    monkeypatch.setattr(branching, "defect_kernel", everything)
+    checks = dict(branch_generalized(S23, 4).checks)
+    assert not checks["Laplacian-slot generators verify"]

@@ -192,6 +192,12 @@ _GOLDEN = [
      "7744daab59a3fe5e1e68a1a4d18fcccb580fa2dd481fbd1367f8d74d8b66a08f"),
     (["gt-basis", "--m", "0", "--n", "2", "--k", "4", "--target", "Ht", "--format", "json"], 0,
      "12266a1568f307ea48a53a5db43347dfcfbce279ec0adae8dc6852eff642e9d3"),
+    # bosonic descent: a1/a2/a3 over a regular lower level (63/57/8 elements)
+    (["gt-basis", "--m", "2", "--n", "3", "--k", "5", "--target", "Ht", "--format", "json"], 0,
+     "46fded9827c26dbe903026f571596d56ce1c9d5979d0a181fc0882f2e138f76f"),
+    # bosonic descent: b3/b4/b5/b6 over an exceptional lower level (32/16/32/32)
+    (["gt-basis", "--m", "3", "--n", "2", "--k", "5", "--format", "json"], 0,
+     "8832252bdc635557a9296326fca707e9f16cee161ede71dbf296010718146c81"),
 ]
 
 

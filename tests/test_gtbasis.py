@@ -1,14 +1,19 @@
 """Chain-adapted bases and their labels."""
 
+from dataclasses import replace
+
 import pytest
 
+from superharm import gtbasis
+from superharm.ck import CKData, ck_extend
 from superharm.gtbasis import (
     GTBasisElement,
+    GTLabel,
     gt_basis,
     theta_factor,
     verify_gt_basis,
 )
-from superharm.harmonics import exceptional_indices, generalized_harmonic_space
+from superharm.harmonics import exceptional_indices, generalized_harmonic_space, rsquare_lift
 from superharm.operators import laplacian
 from superharm.superpoly import (
     SuperPolynomial,
@@ -169,3 +174,68 @@ def test_report_shape():
     assert rep.target == "Ht"
     assert dict(rep.checks)["restriction data matches one level down"]
     assert isinstance(rep.flagged, tuple)
+
+
+def _data_check_with(monkeypatch, sig, k, target, kind, make_bad):
+    """Verify the basis with its first element of `kind` replaced by
+    make_bad(element); return the restriction-data verdict."""
+    basis = list(gt_basis(sig, k, target))
+    i = next(i for i, el in enumerate(basis) if el.label.chain[0].kind == kind)
+    basis[i] = make_bad(basis[i])
+    monkeypatch.setitem(gtbasis._CACHE, (sig.m, sig.n, k, target), tuple(basis))
+    rep = verify_gt_basis(sig, k, target)
+    assert not rep.verified
+    return dict(rep.checks)["restriction data matches one level down"]
+
+
+@pytest.mark.parametrize(
+    "m,n,k,target,kind,wrong",
+    [
+        (2, 3, 5, "Ht", "ordinary-a1", "ordinary-a2"),
+        (3, 2, 5, "H", "tilde-b5", "tilde-b6"),
+    ],
+)
+def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, kind, wrong):
+    # a boundary-slot element labelled as a normal-slot one
+    def relabel(el):
+        chain = el.label.chain
+        return GTBasisElement(GTLabel((replace(chain[0], kind=wrong),) + chain[1:]), el.polynomial)
+
+    assert not _data_check_with(monkeypatch, SuperSignature(m, n), k, target, kind, relabel)
+
+
+@pytest.mark.parametrize(
+    "m,n,k,target,kind",
+    [
+        (2, 3, 5, "Ht", "ordinary-a1"),
+        (2, 3, 5, "Ht", "ordinary-a2"),
+        (3, 2, 5, "H", "tilde-b5"),
+        (3, 2, 5, "H", "tilde-b6"),
+    ],
+)
+def test_foreign_polynomial_fails_restriction_data(monkeypatch, m, n, k, target, kind):
+    # a valid label carrying the polynomial of the next element of its kind
+    sig = SuperSignature(m, n)
+    same_kind = [el for el in gt_basis(sig, k, target) if el.label.chain[0].kind == kind]
+
+    def foreign(el):
+        return GTBasisElement(el.label, same_kind[1].polynomial)
+
+    assert not _data_check_with(monkeypatch, sig, k, target, kind, foreign)
+
+
+@pytest.mark.parametrize("k,shift", [(4, 1), (6, -1)])
+def test_a3_lift_off_by_one_fails_restriction_data(monkeypatch, k, shift):
+    # same label, but the prescribed Laplacian carries r2 to the power
+    # j + shift of the GT element two degrees lower (or higher) at the same
+    # position, where the label asks for the power j of the mirror element
+    sig = SuperSignature(2, 3)
+
+    def off_by_one(el):
+        step = el.label.chain[0]
+        j = (k - 2 - step.degree) // 2
+        source = gt_basis(sig, step.degree - 2 * shift, "H")[step.pos]
+        lap = rsquare_lift(source.polynomial, j + shift)
+        return GTBasisElement(el.label, ck_extend(CKData.from_parts(sig, k, laplacian=lap)))
+
+    assert not _data_check_with(monkeypatch, sig, k, "Ht", "generalized-a3", off_by_one)

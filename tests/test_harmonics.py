@@ -358,6 +358,11 @@ def test_negative_degree_rejected():
         fischer_decomposition(S23, -1)
 
 
+def test_theorem_A_rejects_negative_degree():
+    with pytest.raises(ValueError, match="negative degree"):
+        verify_theorem_A(S23, -1)
+
+
 def test_filtration_collapses_at_regular_degrees():
     rep = verify_theorem_A(S23, 3)
     assert not rep.exceptional
