@@ -17,7 +17,9 @@ zero laplacian part.
 
 ck_extend_recursive rebuilds Q by the two-step coefficient recursion
 instead; it exists so the closed form can be checked against an independent
-construction.
+construction.  Both extensions write their terms directly: a term c x^a t_F
+of the coefficient of x_m^j/j! becomes c/j! x^(a, j) t_F, with no power of
+x_m and no polynomial product (xi applies the same rule, in operators).
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from math import factorial
 
 from .operators import laplacian, xi
 from .superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
     d_bosonic,
-    embed,
     restrict_hyperplane,
     xm_coefficients,
 )
@@ -139,8 +141,10 @@ def ck_extend_recursive(data: CKData) -> SuperPolynomial:
     slices = xm_coefficients(data.laplacian, k - 2) if k >= 2 else ()
     for j in range(k - 1):
         coeffs[j + 2] = slices[j] - laplacian(coeffs[j])
-    xm = SuperPolynomial.x(sig, sig.m)
-    out = SuperPolynomial.zero(sig)
+    terms: dict[SuperMonomial, Fraction] = {}
     for j, c in enumerate(coeffs):
-        out = out + embed(c) * Fraction(1, factorial(j)) * xm**j
-    return out
+        top = (j,)
+        fact = factorial(j)
+        for (powers, f), v in c:
+            terms[SuperMonomial(powers + top, f)] = Fraction(v, fact)
+    return SuperPolynomial(sig, terms, _clean=True)

@@ -306,6 +306,8 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     """Exact verification: count against the kernel dimension, annihilation
     by the defining operator, linear independence, and one-step restriction
     data for every element."""
+    if k < 0:
+        raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
     exceptional = target == "Ht" and k in exceptional_indices(signature.M)
     space = (

@@ -28,22 +28,28 @@ exactla.operator_matrix, which applies it to each basis monomial with the
 int coefficient 1; the rules below then compute in ints, so the matrices of
 laplacian and rsquare_mul have int entries.
 
-laplacian and rsquare_mul are applied by their monomial rules, term by term
-into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th fermionic pair:
+laplacian, rsquare_mul and the lift xi are applied by their monomial rules,
+term by term into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th
+fermionic pair:
 
     laplacian:    a_i (a_i - 1) x^(a - 2e_i) t_F     for each i with a_i >= 2
                   +4 x^a t_(F minus P_j)             for each P_j inside F
     rsquare_mul:  x^(a + 2e_i) t_F                   for each i
                   -x^a t_(F union P_j)               for each P_j disjoint from F
+    xi(ell, p):   (-1)^s c/(ell+2s)! x^(a, ell+2s) t_F
+                                  for each term c x^a t_F of lap^s p, s >= 0
 
-The coefficients are small integers and the signs are fixed.  In the
-Laplacian, d/dt_(2j-1) d/dt_(2j) removes the adjacent pair from the
-ascending word of F: the first derivative passes the c indices of F below
-2j-1 and 2j-1 itself, the second passes the same c, so the sign is
-(-1)^(2c+1) = -1, and times the -4 of the formula it gives +4.  In r2, the
-product t_(2j-1) t_(2j) t_F merges an adjacent pair into F; every index of F
-below the pair is passed twice, so the merge sign is +1 and the -1 of r2
-stays.
+In laplacian and rsquare_mul the coefficients are small integers and the
+signs are fixed.  In the Laplacian, d/dt_(2j-1) d/dt_(2j) removes the
+adjacent pair from the ascending word of F: the first derivative passes the
+c indices of F below 2j-1 and 2j-1 itself, the second passes the same c, so
+the sign is (-1)^(2c+1) = -1, and times the -4 of the formula it gives +4.
+In r2, the product t_(2j-1) t_(2j) t_F merges an adjacent pair into F;
+every index of F below the pair is passed twice, so the merge sign is +1 and
+the -1 of r2 stays.  In xi, appending the exponent ell+2s of the new bosonic
+variable x_m is the product with x_m^(ell+2s), and the sign (-1)^s rides on
+the running factorial, so each term is written once and no power of x_m is
+built.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .superpoly import (
     SuperSignature,
     d_bosonic,
     d_fermionic,
-    embed,
     monomial_basis,
 )
 
@@ -140,23 +145,23 @@ def euler(p: SuperPolynomial) -> SuperPolynomial:
 
 def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:
     """Series x_m^ell/ell! p - x_m^(ell+2)/(ell+2)! lap(p) + .. lifting a
-    polynomial one bosonic variable up; terminates because each step lowers
-    the degree by two."""
+    polynomial one bosonic variable up, applied by its monomial rule
+    (module docstring); terminates because each step lowers the degree by
+    two."""
     if ell < 0:
         raise ValueError("xi needs a nonnegative series offset")
-    lower_sig = p_lower.signature
-    sig = lower_sig.extended()
-    xm = SuperPolynomial.x(sig, sig.m)
-    out = SuperPolynomial.zero(sig)
+    data: dict[SuperMonomial, Fraction] = {}
     q = p_lower
     j = ell
-    fact = factorial(ell)
+    scale = factorial(ell)
     while not q.is_zero():
-        out = out + embed(q) * Fraction(1, fact) * xm**j
-        q = -laplacian(q)
-        fact *= (j + 1) * (j + 2)
+        top = (j,)
+        for (powers, f), c in q:
+            data[SuperMonomial(powers + top, f)] = Fraction(c.numerator, c.denominator * scale)
+        q = laplacian(q)
+        scale *= -(j + 1) * (j + 2)
         j += 2
-    return out
+    return SuperPolynomial(p_lower.signature.extended(), data, _clean=True)
 
 
 # -- commutator checks --------------------------------------------------------

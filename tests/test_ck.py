@@ -1,19 +1,27 @@
 """Extension from hyperplane data and its inverse."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superharm import ck
+from superharm.branching import branch_harmonic
 from superharm.ck import CKData, ck_data, ck_extend, ck_extend_recursive
-from superharm.operators import laplacian
+from superharm.cli import _GRID as VERIFY_GRID
+from superharm.exactla import vector_polynomial
+from superharm.operators import laplacian, xi
 from superharm.superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    embed,
     monomial_basis,
     restrict_hyperplane,
     space_dimension,
+    xm_coefficients,
 )
 
 SIGS = [SuperSignature(1, 1), SuperSignature(2, 1), SuperSignature(3, 2)]
@@ -180,3 +188,153 @@ def test_extension_is_linear(a, b):
 @settings(max_examples=40, deadline=None)
 def test_round_trip_property(data):
     assert ck_data(ck_extend(data), data.degree) == data
+
+
+# -- the CK series against polynomial products ---------------------------------
+
+LOWER_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
+    SuperSignature(3, 3),
+    SuperSignature(0, 3),
+    SuperSignature(4, 1),
+]
+
+
+def _xm_power(sig, j):
+    """x_m^j / j! in signature sig, built as a polynomial product."""
+    return SuperPolynomial.x(sig, sig.m) ** j * Fraction(1, factorial(j))
+
+
+def _xi_by_products(ell, p):
+    """The series xi summed by polynomial products, one step at a time."""
+    sig = p.signature.extended()
+    out = SuperPolynomial.zero(sig)
+    q, j = p, ell
+    while not q.is_zero():
+        out = out + embed(q) * _xm_power(sig, j)
+        q = -laplacian(q)
+        j += 2
+    return out
+
+
+def _recursive_by_products(data):
+    """ck_extend_recursive with the slices summed by polynomial products."""
+    k = data.degree
+    coeffs = [data.boundary, data.normal][: k + 1]
+    slices = xm_coefficients(data.laplacian, k - 2) if k >= 2 else ()
+    for j in range(k - 1):
+        coeffs.append(slices[j] - laplacian(coeffs[j]))
+    out = SuperPolynomial.zero(data.signature)
+    for j, c in enumerate(coeffs):
+        out = out + embed(c) * _xm_power(data.signature, j)
+    return out
+
+
+@st.composite
+def _sparse_polynomials(draw, sig, k):
+    """Up to six terms of degree k in sig, int or Fraction coefficients,
+    sometimes only on the purely fermionic monomials; zero when empty."""
+    if k < 0:
+        return SuperPolynomial.zero(sig)
+    basis = monomial_basis(sig, k)
+    slots = range(len(basis))
+    if draw(st.booleans()):
+        slots = [j for j, mono in enumerate(basis) if not any(mono.powers)]
+    if not slots:
+        return SuperPolynomial.zero(sig)
+    coefficient = st.one_of(
+        st.integers(min_value=-5, max_value=5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+    vec = draw(st.dictionaries(st.sampled_from(slots), coefficient, max_size=6))
+    return vector_polynomial(sig, k, vec)
+
+
+@st.composite
+def _series_inputs(draw):
+    sig = draw(st.sampled_from(LOWER_SIGS))
+    p = draw(_sparse_polynomials(sig, draw(st.integers(min_value=0, max_value=4))))
+    return draw(st.integers(min_value=0, max_value=4)), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_inputs())
+def test_xi_matches_the_product_series(case):
+    ell, p = case
+    got = xi(ell, p)
+    assert got.signature == p.signature.extended()
+    assert dict(got.terms) == dict(_xi_by_products(ell, p).terms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_series_inputs())
+def test_xi_solves_its_laplace_equation(case):
+    # lap xi(ell, p) = x_m^(ell-2)/(ell-2)! p, and 0 for ell = 0, 1
+    ell, p = case
+    image = laplacian(xi(ell, p))
+    if ell < 2:
+        assert image.is_zero()
+    else:
+        assert image == embed(p) * _xm_power(image.signature, ell - 2)
+
+
+@st.composite
+def _lifted_triples(draw):
+    lower = draw(st.sampled_from(LOWER_SIGS))
+    sig = lower.extended()
+    k = draw(st.integers(min_value=0, max_value=4))
+    return CKData(
+        k,
+        draw(_sparse_polynomials(lower, k)),
+        draw(_sparse_polynomials(lower, k - 1)),
+        draw(_sparse_polynomials(sig, k - 2)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lifted_triples())
+def test_recursive_extension_matches_the_product_sum(data):
+    got = ck_extend_recursive(data)
+    assert dict(got.terms) == dict(_recursive_by_products(data).terms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got == ck_extend(data)
+
+
+def _xi_variant(alternate, grow):
+    """The monomial rule of xi, optionally without the sign alternation
+    (alternate=False) or with ell! in place of (ell+2s)! (grow=False)."""
+
+    def variant(ell, p):
+        terms = {}
+        q, j, scale = p, ell, factorial(ell)
+        while not q.is_zero():
+            for (powers, f), c in q:
+                terms[SuperMonomial(powers + (j,), f)] = Fraction(c) / scale
+            q = laplacian(q)
+            if grow:
+                scale *= (j + 1) * (j + 2)
+            if alternate:
+                scale = -scale
+            j += 2
+        return SuperPolynomial(p.signature.extended(), terms)
+
+    return variant
+
+
+@pytest.mark.parametrize(
+    "alternate,grow,faithful",
+    [(True, True, True), (False, True, False), (True, False, False)],
+    ids=["faithful", "no-sign", "ell-factorial"],
+)
+def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, grow, faithful):
+    monkeypatch.setattr(ck, "xi", _xi_variant(alternate, grow))
+    for sig in (SuperSignature(2, 1), SuperSignature(2, 2)):
+        round_trips = [
+            ck_extend(ck_data(p, k)) == p
+            for k in range(2, 5)
+            for p in (SuperPolynomial(sig, {mono: 1}) for mono in monomial_basis(sig, k))
+        ]
+        assert all(round_trips) if faithful else not all(round_trips)
+    rep = branch_harmonic(SuperSignature(3, 2), 4)
+    assert dict(rep.checks)["boundary-slot generators verify"] is faithful
+    assert rep.verified is faithful

@@ -239,3 +239,9 @@ def test_a3_lift_off_by_one_fails_restriction_data(monkeypatch, k, shift):
         return GTBasisElement(el.label, ck_extend(CKData.from_parts(sig, k, laplacian=lap)))
 
     assert not _data_check_with(monkeypatch, sig, k, "Ht", "generalized-a3", off_by_one)
+
+
+@pytest.mark.parametrize("k,target", [(-1, "H"), (-2, "Ht")])
+def test_verification_rejects_negative_degree(k, target):
+    with pytest.raises(ValueError, match="negative degree"):
+        verify_gt_basis(SuperSignature(2, 3), k, target)
