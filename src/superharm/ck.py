@@ -20,19 +20,24 @@ instead; it exists so the closed form can be checked against an independent
 construction.  Both extensions write their terms directly: a term c x^a t_F
 of the coefficient of x_m^j/j! becomes c/j! x^(a, j) t_F, with no power of
 x_m and no polynomial product (xi applies the same rule, in operators).
+Every series term of ck_extend has x_m-degree at most k, so it adds all of
+them with operators.xi_into into one dict of integer numerators over the
+common denominator k!, and divides once per term.  Both extensions store a
+coefficient as an int when it is integral and as a Fraction otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
-from .operators import laplacian, xi
+from .operators import laplacian, xi_into
 from .superpoly import (
+    ScalarLike,
     SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    _rational,
     d_bosonic,
     restrict_hyperplane,
     xm_coefficients,
@@ -120,12 +125,19 @@ def ck_data(p: SuperPolynomial, k: int | None = None) -> CKData:
 def ck_extend(data: CKData) -> SuperPolynomial:
     """Closed-form extension: xi(0) and xi(1) carry the boundary data, the
     shifted series xi(j+2) turn each x_m-slice of the prescribed Laplacian
-    into a particular solution."""
-    out = xi(0, data.boundary) + xi(1, data.normal)
-    if data.degree >= 2:
-        for j, w in enumerate(xm_coefficients(data.laplacian, data.degree - 2)):
-            out = out + xi(j + 2, w)
-    return out
+    into a particular solution.  Every series term has x_m-degree at most
+    k, so all of them are summed as numerators over k! and divided once."""
+    k = data.degree
+    top = factorial(k)
+    acc: dict[SuperMonomial, ScalarLike] = {}
+    xi_into(acc, 0, data.boundary, top)
+    xi_into(acc, 1, data.normal, top)
+    if k >= 2:
+        for j, w in enumerate(xm_coefficients(data.laplacian, k - 2)):
+            xi_into(acc, j + 2, w, top)
+    return SuperPolynomial(
+        data.signature, {mono: _rational(v, top) for mono, v in acc.items() if v}, _clean=True
+    )
 
 
 def ck_extend_recursive(data: CKData) -> SuperPolynomial:
@@ -141,10 +153,10 @@ def ck_extend_recursive(data: CKData) -> SuperPolynomial:
     slices = xm_coefficients(data.laplacian, k - 2) if k >= 2 else ()
     for j in range(k - 1):
         coeffs[j + 2] = slices[j] - laplacian(coeffs[j])
-    terms: dict[SuperMonomial, Fraction] = {}
+    terms: dict[SuperMonomial, ScalarLike] = {}
     for j, c in enumerate(coeffs):
         top = (j,)
         fact = factorial(j)
         for (powers, f), v in c:
-            terms[SuperMonomial(powers + top, f)] = Fraction(v, fact)
+            terms[SuperMonomial(powers + top, f)] = _rational(v, fact)
     return SuperPolynomial(sig, terms, _clean=True)

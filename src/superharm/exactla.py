@@ -50,6 +50,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 from .superpoly import (
     SuperPolynomial,
     SuperSignature,
+    _rational,
     basis_index,
     monomial_basis,
 )
@@ -58,12 +59,6 @@ _ZERO = Fraction(0)
 
 
 Rational = Union[int, Fraction]
-
-
-def _rational(num: int, den: int) -> Rational:
-    """num / den, as an int when it is integral."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
 
 
 class RationalMatrix:
@@ -408,7 +403,7 @@ def image(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) 
 # -- polynomial coordinates ---------------------------------------------------
 
 
-def polynomial_vector(p: SuperPolynomial, k: int) -> dict[int, Fraction]:
+def polynomial_vector(p: SuperPolynomial, k: int) -> dict[int, Rational]:
     """Coordinates of a homogeneous polynomial in the canonical degree-k basis."""
     if not p.is_homogeneous(k):
         raise ValueError(f"polynomial is not homogeneous of degree {k}")

@@ -40,16 +40,22 @@ fermionic pair:
                                   for each term c x^a t_F of lap^s p, s >= 0
 
 In laplacian and rsquare_mul the coefficients are small integers and the
-signs are fixed.  In the Laplacian, d/dt_(2j-1) d/dt_(2j) removes the
-adjacent pair from the ascending word of F: the first derivative passes the
-c indices of F below 2j-1 and 2j-1 itself, the second passes the same c, so
-the sign is (-1)^(2c+1) = -1, and times the -4 of the formula it gives +4.
-In r2, the product t_(2j-1) t_(2j) t_F merges an adjacent pair into F;
-every index of F below the pair is passed twice, so the merge sign is +1 and
-the -1 of r2 stays.  In xi, appending the exponent ell+2s of the new bosonic
-variable x_m is the product with x_m^(ell+2s), and the sign (-1)^s rides on
-the running factorial, so each term is written once and no power of x_m is
-built.
+signs are fixed, so int coefficients stay ints.  In the Laplacian,
+d/dt_(2j-1) d/dt_(2j) removes the adjacent pair from the ascending word of
+F: the first derivative passes the c indices of F below 2j-1 and 2j-1
+itself, the second passes the same c, so the sign is (-1)^(2c+1) = -1, and
+times the -4 of the formula it gives +4.  In r2, the product
+t_(2j-1) t_(2j) t_F merges an adjacent pair into F; every index of F below
+the pair is passed twice, so the merge sign is +1 and the -1 of r2 stays.
+In xi, appending the exponent ell+2s of the new bosonic variable x_m is the
+product with x_m^(ell+2s), and the sign (-1)^s rides on the running scale,
+so each term is written once and no power of x_m is built.
+
+xi_into adds the xi series into a caller's dict as integer numerators over
+a common denominator top, a multiple of (ell + deg p)!: the term becomes
+top (-1)^s/(ell+2s)! times c, an exact int scale, so int coefficients stay
+ints, and the caller divides by top once per term.  xi uses
+top = (ell + deg p)!; ck_extend sums all its series over k! (module ck).
 """
 
 from __future__ import annotations
@@ -61,9 +67,11 @@ from math import factorial
 from typing import Callable
 
 from .superpoly import (
+    ScalarLike,
     SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    _rational,
     d_bosonic,
     d_fermionic,
     monomial_basis,
@@ -84,7 +92,7 @@ def laplacian(p: SuperPolynomial) -> SuperPolynomial:
     its monomial rule (module docstring)."""
     sig = p.signature
     pairs = _pair_masks(sig)
-    data: dict[SuperMonomial, Fraction] = {}
+    data: dict[SuperMonomial, ScalarLike] = {}
     for (powers, f), c in p:
         for i, e in enumerate(powers):
             if e > 1:
@@ -117,7 +125,7 @@ def rsquare_mul(p: SuperPolynomial) -> SuperPolynomial:
     docstring); never builds r2 itself."""
     sig = p.signature
     pairs = _pair_masks(sig)
-    data: dict[SuperMonomial, Fraction] = {}
+    data: dict[SuperMonomial, ScalarLike] = {}
     for (powers, f), c in p:
         for i, e in enumerate(powers):
             key = SuperMonomial(powers[:i] + (e + 2,) + powers[i + 1 :], f)
@@ -143,25 +151,46 @@ def euler(p: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial(sig, data, _clean=True)
 
 
+def xi_into(
+    out: dict[SuperMonomial, ScalarLike], ell: int, p_lower: SuperPolynomial, top: int
+) -> None:
+    """Add top * xi(ell, p_lower) into out, term by term (module
+    docstring).  top must be a multiple of (ell + deg p_lower)!, so every
+    scale top (-1)^s / (ell+2s)! is an exact int and int coefficients stay
+    ints; terminates because each step lowers the degree by two."""
+    q = p_lower
+    if q.is_zero():
+        return
+    j = ell
+    scale = top // factorial(ell)
+    while True:
+        tail = (j,)
+        for (powers, f), c in q:
+            key = SuperMonomial(powers + tail, f)
+            v = c * scale
+            old = out.get(key)
+            out[key] = v if old is None else old + v
+        q = laplacian(q)
+        if q.is_zero():
+            return
+        scale //= -(j + 1) * (j + 2)
+        j += 2
+
+
 def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:
     """Series x_m^ell/ell! p - x_m^(ell+2)/(ell+2)! lap(p) + .. lifting a
-    polynomial one bosonic variable up, applied by its monomial rule
-    (module docstring); terminates because each step lowers the degree by
-    two."""
+    polynomial one bosonic variable up: xi_into over the common
+    denominator (ell + deg p)!, then one division per term."""
     if ell < 0:
         raise ValueError("xi needs a nonnegative series offset")
-    data: dict[SuperMonomial, Fraction] = {}
-    q = p_lower
-    j = ell
-    scale = factorial(ell)
-    while not q.is_zero():
-        top = (j,)
-        for (powers, f), c in q:
-            data[SuperMonomial(powers + top, f)] = Fraction(c.numerator, c.denominator * scale)
-        q = laplacian(q)
-        scale *= -(j + 1) * (j + 2)
-        j += 2
-    return SuperPolynomial(p_lower.signature.extended(), data, _clean=True)
+    sig = p_lower.signature.extended()
+    deg = p_lower.degree()
+    if deg is None:
+        return SuperPolynomial.zero(sig)
+    top = factorial(ell + deg)
+    data: dict[SuperMonomial, ScalarLike] = {}
+    xi_into(data, ell, p_lower, top)
+    return SuperPolynomial(sig, {k: _rational(v, top) for k, v in data.items()}, _clean=True)
 
 
 # -- commutator checks --------------------------------------------------------
@@ -200,7 +229,7 @@ def commutator_check(
     graded sign never enters.
     """
     for mono in monomial_basis(signature, k):
-        p = SuperPolynomial(signature, {mono: Fraction(1)}, _clean=True)
+        p = SuperPolynomial(signature, {mono: 1}, _clean=True)
         lhs = a(b(p)) - b(a(p))
         rhs = expected(p)
         if lhs != rhs:

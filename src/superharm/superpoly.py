@@ -3,7 +3,13 @@ variables.
 
 The ring is R[x1..xm] tensor Lambda(t1..t2n): m commuting variables x_j and
 2n anticommuting variables t_j with t_i t_j = -t_j t_i, so t_j^2 = 0.
-Coefficients are arbitrary-precision rationals.
+Coefficients are exact rationals: an int when the value is integral, a
+Fraction only when it is not.  The constructor, x, t, constant and
+parse_polynomial store an integral coefficient as an int, and arithmetic on
+int coefficients stays in ints; arithmetic on Fractions may leave an
+integral value as a Fraction.  An int and a Fraction of the same value are
+equal, so polynomials compare by value whichever type holds a coefficient.
+Division is exact: p / c multiplies by the Fraction 1/c.
 
 A monomial stores a bosonic exponent vector together with a fermionic index
 set kept as an integer bitmask; the ascending-index word is the canonical
@@ -109,12 +115,21 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def _as_fraction(c: ScalarLike) -> Fraction:
-    if isinstance(c, Fraction):
+def _exact(c: ScalarLike) -> ScalarLike:
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+
+
+def _rational(num: ScalarLike, den: int) -> ScalarLike:
+    """num / den for a positive int den, as an int when it is integral."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class SuperPolynomial:
@@ -134,7 +149,7 @@ class SuperPolynomial:
             object.__setattr__(self, "_terms", terms)
             return
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[SuperMonomial, Fraction] = {}
+        data: dict[SuperMonomial, ScalarLike] = {}
         top = 1 << signature.fermionic_count
         for mono, c in items:
             if len(mono.powers) != signature.m:
@@ -143,8 +158,7 @@ class SuperPolynomial:
                 raise ValueError(f"fermionic indices of {mono} exceed signature {signature}")
             if any(e < 0 for e in mono.powers):
                 raise ValueError(f"negative exponent in {mono}")
-            c = _as_fraction(c)
-            acc = data.get(mono, _ZERO) + c
+            acc = _exact(data.get(mono, _ZERO) + _exact(c))
             if acc:
                 data[mono] = acc
             else:
@@ -162,7 +176,7 @@ class SuperPolynomial:
 
     @classmethod
     def constant(cls, signature: SuperSignature, c: ScalarLike) -> "SuperPolynomial":
-        c = _as_fraction(c)
+        c = _exact(c)
         mono = SuperMonomial((0,) * signature.m, 0)
         return cls(signature, {mono: c} if c else {}, _clean=True)
 
@@ -176,7 +190,7 @@ class SuperPolynomial:
         if not 1 <= j <= signature.m:
             raise ValueError(f"x{j} not in signature {signature}")
         powers = tuple(1 if i == j - 1 else 0 for i in range(signature.m))
-        return cls(signature, {SuperMonomial(powers, 0): Fraction(1)}, _clean=True)
+        return cls(signature, {SuperMonomial(powers, 0): 1}, _clean=True)
 
     @classmethod
     def t(cls, signature: SuperSignature, j: int) -> "SuperPolynomial":
@@ -184,16 +198,16 @@ class SuperPolynomial:
         if not 1 <= j <= signature.fermionic_count:
             raise ValueError(f"t{j} not in signature {signature}")
         mono = SuperMonomial((0,) * signature.m, 1 << (j - 1))
-        return cls(signature, {mono: Fraction(1)}, _clean=True)
+        return cls(signature, {mono: 1}, _clean=True)
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[SuperMonomial, Fraction]:
+    def terms(self) -> Mapping[SuperMonomial, ScalarLike]:
         """Read-only view of the term map."""
         return MappingProxyType(self._terms)
 
-    def coefficient(self, mono: SuperMonomial) -> Fraction:
+    def coefficient(self, mono: SuperMonomial) -> ScalarLike:
         return self._terms.get(mono, _ZERO)
 
     def is_zero(self) -> bool:
@@ -223,7 +237,7 @@ class SuperPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[SuperMonomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[SuperMonomial, ScalarLike]]:
         return iter(self._terms.items())
 
     def __bool__(self) -> bool:
@@ -273,7 +287,7 @@ class SuperPolynomial:
             self.signature, {mono: -c for mono, c in self._terms.items()}, _clean=True
         )
 
-    def _scaled(self, c: Fraction) -> "SuperPolynomial":
+    def _scaled(self, c: ScalarLike) -> "SuperPolynomial":
         if not c:
             return SuperPolynomial.zero(self.signature)
         return SuperPolynomial(
@@ -282,11 +296,11 @@ class SuperPolynomial:
 
     def __mul__(self, other: "SuperPolynomial | ScalarLike") -> "SuperPolynomial":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(_as_fraction(other))
+            return self._scaled(_exact(other))
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         self._check_same_ring(other)
-        data: dict[SuperMonomial, Fraction] = {}
+        data: dict[SuperMonomial, ScalarLike] = {}
         for ma, ca in self._terms.items():
             pa, fa = ma.powers, ma.fermions
             for mb, cb in other._terms.items():
@@ -306,12 +320,12 @@ class SuperPolynomial:
 
     def __rmul__(self, other: ScalarLike) -> "SuperPolynomial":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(_as_fraction(other))
+            return self._scaled(_exact(other))
         return NotImplemented
 
     def __truediv__(self, other: ScalarLike) -> "SuperPolynomial":
         if isinstance(other, (int, Fraction)):
-            return self._scaled(1 / _as_fraction(other))
+            return self._scaled(_exact(Fraction(1, other)))
         return NotImplemented
 
     def __pow__(self, e: int) -> "SuperPolynomial":
@@ -329,7 +343,7 @@ class SuperPolynomial:
         return format_polynomial(self)
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 # -- derivatives -------------------------------------------------------------
@@ -340,7 +354,7 @@ def d_bosonic(p: SuperPolynomial, j: int) -> SuperPolynomial:
     if not 1 <= j <= p.signature.m:
         raise ValueError(f"x{j} not in signature {p.signature}")
     i = j - 1
-    data: dict[SuperMonomial, Fraction] = {}
+    data: dict[SuperMonomial, ScalarLike] = {}
     for mono, c in p._terms.items():
         e = mono.powers[i]
         if e == 0:
@@ -357,7 +371,7 @@ def d_fermionic(p: SuperPolynomial, j: int) -> SuperPolynomial:
         raise ValueError(f"t{j} not in signature {p.signature}")
     bit = 1 << (j - 1)
     below = bit - 1
-    data: dict[SuperMonomial, Fraction] = {}
+    data: dict[SuperMonomial, ScalarLike] = {}
     for mono, c in p._terms.items():
         f = mono.fermions
         if not f & bit:
@@ -470,7 +484,7 @@ def xm_coefficients(p: SuperPolynomial, k: int | None = None) -> tuple[SuperPoly
             raise ValueError("degree of the zero polynomial must be given explicitly")
     if not p.is_homogeneous(k):
         raise ValueError(f"polynomial is not homogeneous of degree {k}")
-    buckets: list[dict[SuperMonomial, Fraction]] = [{} for _ in range(k + 1)]
+    buckets: list[dict[SuperMonomial, ScalarLike]] = [{} for _ in range(k + 1)]
     for mono, c in p._terms.items():
         j = mono.powers[-1]
         buckets[j][SuperMonomial(mono.powers[:-1], mono.fermions)] = c
@@ -525,10 +539,10 @@ def parse_polynomial(text: str, signature: SuperSignature) -> SuperPolynomial:
     """Parse the plain text grammar, e.g. '3/2*x1^2 x3 t1 t4 - t2 t3'."""
     if not text.strip():
         raise ValueError("empty polynomial text")
-    total = SuperPolynomial.zero(signature)
+    terms: list[tuple[SuperMonomial, ScalarLike]] = []
     for sign, chunk in _split_signed_terms(text.strip()):
         tokens = [tok for piece in chunk.split() for tok in piece.split("*") if tok]
-        coeff = Fraction(sign)
+        coeff: ScalarLike = sign
         powers = [0] * signature.m
         fermions = 0
         for pos, tok in enumerate(tokens):
@@ -539,7 +553,7 @@ def parse_polynomial(text: str, signature: SuperSignature) -> SuperPolynomial:
                 num, den = mrat.groups()
                 if den is not None and int(den) == 0:
                     raise ValueError(f"zero denominator in {tok!r}")
-                coeff *= Fraction(int(num), int(den) if den else 1)
+                coeff *= _rational(int(num), int(den) if den else 1)
                 continue
             mx = _XFACTOR_RE.match(tok)
             if mx:
@@ -556,16 +570,15 @@ def parse_polynomial(text: str, signature: SuperSignature) -> SuperPolynomial:
                 bit = 1 << (j - 1)
                 s = _merge_sign(fermions, bit)
                 if s == 0:
-                    coeff = Fraction(0)
+                    coeff = 0
                     break
                 if s < 0:
                     coeff = -coeff
                 fermions |= bit
                 continue
             raise ValueError(f"unrecognized token {tok!r} in polynomial text")
-        mono = SuperMonomial(tuple(powers), fermions)
-        total = total + SuperPolynomial(signature, {mono: coeff} if coeff else {}, _clean=True)
-    return total
+        terms.append((SuperMonomial(tuple(powers), fermions), coeff))
+    return SuperPolynomial(signature, terms)
 
 
 def _format_monomial(mono: SuperMonomial) -> str:

@@ -204,6 +204,11 @@ def _xm_power(sig, j):
     return SuperPolynomial.x(sig, sig.m) ** j * Fraction(1, factorial(j))
 
 
+def _int_when_integral(p):
+    """Every coefficient is an int exactly when its value is integral."""
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in p.terms.values())
+
+
 def _xi_by_products(ell, p):
     """The series xi summed by polynomial products, one step at a time."""
     sig = p.signature.extended()
@@ -263,7 +268,7 @@ def test_xi_matches_the_product_series(case):
     got = xi(ell, p)
     assert got.signature == p.signature.extended()
     assert dict(got.terms) == dict(_xi_by_products(ell, p).terms)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert _int_when_integral(got)
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,27 +301,27 @@ def _lifted_triples(draw):
 def test_recursive_extension_matches_the_product_sum(data):
     got = ck_extend_recursive(data)
     assert dict(got.terms) == dict(_recursive_by_products(data).terms)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert _int_when_integral(got)
     assert got == ck_extend(data)
 
 
-def _xi_variant(alternate, grow):
-    """The monomial rule of xi, optionally without the sign alternation
-    (alternate=False) or with ell! in place of (ell+2s)! (grow=False)."""
+def _xi_into_variant(alternate, grow):
+    """The monomial rule of xi_into, optionally without the sign
+    alternation (alternate=False) or with ell! in place of (ell+2s)!
+    (grow=False)."""
 
-    def variant(ell, p):
-        terms = {}
-        q, j, scale = p, ell, factorial(ell)
+    def variant(out, ell, p, top):
+        q, j, scale = p, ell, Fraction(top, factorial(ell))
         while not q.is_zero():
             for (powers, f), c in q:
-                terms[SuperMonomial(powers + (j,), f)] = Fraction(c) / scale
+                key = SuperMonomial(powers + (j,), f)
+                out[key] = out.get(key, 0) + c * scale
             q = laplacian(q)
             if grow:
-                scale *= (j + 1) * (j + 2)
+                scale /= (j + 1) * (j + 2)
             if alternate:
                 scale = -scale
             j += 2
-        return SuperPolynomial(p.signature.extended(), terms)
 
     return variant
 
@@ -327,7 +332,7 @@ def _xi_variant(alternate, grow):
     ids=["faithful", "no-sign", "ell-factorial"],
 )
 def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, grow, faithful):
-    monkeypatch.setattr(ck, "xi", _xi_variant(alternate, grow))
+    monkeypatch.setattr(ck, "xi_into", _xi_into_variant(alternate, grow))
     for sig in (SuperSignature(2, 1), SuperSignature(2, 2)):
         round_trips = [
             ck_extend(ck_data(p, k)) == p
@@ -338,3 +343,40 @@ def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, gr
     rep = branch_harmonic(SuperSignature(3, 2), 4)
     assert dict(rep.checks)["boundary-slot generators verify"] is faithful
     assert rep.verified is faithful
+
+
+# -- the common denominator against the Fraction series --------------------------
+
+
+def _xi_fraction_terms(ell, p):
+    """xi with every term written as the Fraction (-1)^s c/(ell+2s)!."""
+    terms = {}
+    q, j, scale = p, ell, factorial(ell)
+    while not q.is_zero():
+        for (powers, f), c in q:
+            c = Fraction(c)
+            terms[SuperMonomial(powers + (j,), f)] = Fraction(c.numerator, c.denominator * scale)
+        q = laplacian(q)
+        scale *= -(j + 1) * (j + 2)
+        j += 2
+    return SuperPolynomial(p.signature.extended(), terms, _clean=True)
+
+
+def _ck_extend_by_fraction_series(data):
+    """ck_extend as a sum of separate Fraction series, one per slot and slice."""
+    out = _xi_fraction_terms(0, data.boundary) + _xi_fraction_terms(1, data.normal)
+    if data.degree >= 2:
+        for j, w in enumerate(xm_coefficients(data.laplacian, data.degree - 2)):
+            out = out + _xi_fraction_terms(j + 2, w)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lifted_triples())
+def test_common_denominator_matches_the_fraction_series(data):
+    got = ck_extend(data)
+    reference = _ck_extend_by_fraction_series(data)
+    assert all(type(c) is Fraction for c in reference.terms.values())
+    assert dict(got.terms) == dict(reference.terms)
+    assert _int_when_integral(got)
+    assert dict(ck_extend_recursive(data).terms) == dict(reference.terms)

@@ -512,13 +512,14 @@ def _operator_degrees(draw):
 
 
 def _fraction_operator_rows(fn, sig, k, shift):
-    """The matrix of fn with every basis monomial entering as Fraction(1),
-    so every entry is a Fraction."""
+    """The matrix of fn with every basis monomial entering as Fraction(1, 2)
+    and every image doubled, so every entry is a Fraction (a polynomial
+    stores the integral Fraction(1) as the int 1)."""
     tidx = basis_index(sig, k + shift)
     rows = [{} for _ in tidx]
     for j, mono in enumerate(monomial_basis(sig, k)):
-        for tm, c in fn(SuperPolynomial(sig, {mono: Fraction(1)})):
-            rows[tidx[tm]][j] = c
+        for tm, c in fn(SuperPolynomial(sig, {mono: Fraction(1, 2)})):
+            rows[tidx[tm]][j] = 2 * c
     return rows
 
 
@@ -538,8 +539,9 @@ def test_operator_matrix_has_int_entries_equal_to_the_fraction_matrix(case):
         assert all(type(v) is int for row in A.row_dicts() for v in row.values())
         assert list(A.row_dicts()) == reference
     # a map whose polynomials hold Fractions still gives int entries
-    r2 = rsquare(sig)
-    product = operator_matrix(lambda p: r2 * p, sig, k, 2)
+    half_r2 = rsquare(sig) * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half_r2.terms.values())
+    product = operator_matrix(lambda p: half_r2 * p * 2, sig, k, 2)
     assert _typed(product) == _typed(operator_matrix(rsquare_mul, sig, k, 2))
 
 

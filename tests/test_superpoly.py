@@ -292,3 +292,60 @@ def test_restrict_is_ring_map_on_even_inputs(p):
     q = embed(restrict_hyperplane(p * p))
     r = restrict_hyperplane(p)
     assert restrict_hyperplane(p * p) == r * r
+
+
+# -- int-or-Fraction coefficients ----------------------------------------------
+
+
+def _coefficient_types(p):
+    return [(type(c), c) for _, c in sorted(p.terms.items(), key=lambda kv: kv[0].sort_key())]
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    one = SuperMonomial((0, 0), 0)
+    for c in (3, Fraction(6, 2)):
+        assert _coefficient_types(SuperPolynomial(SIG21, {one: c})) == [(int, 3)]
+        assert _coefficient_types(SuperPolynomial.constant(SIG21, c)) == [(int, 3)]
+    halves = [(one, Fraction(1, 2)), (one, Fraction(5, 2))]
+    assert _coefficient_types(SuperPolynomial(SIG21, halves)) == [(int, 3)]
+    assert _coefficient_types(SuperPolynomial.x(SIG21, 2)) == [(int, 1)]
+    assert _coefficient_types(SuperPolynomial.t(SIG21, 1)) == [(int, 1)]
+    assert _coefficient_types(parse_polynomial("3 x1 - 6/2 t1 t2", SIG21)) == [(int, 3), (int, -3)]
+    assert _coefficient_types(parse_polynomial("1/2 x1 + 5/2 x1", SIG21)) == [(int, 3)]
+    assert _coefficient_types(parse_polynomial("3/2 x1 t2 t1", SIG21)) == [
+        (Fraction, Fraction(-3, 2))
+    ]
+    assert SuperPolynomial(SIG21, {one: 0}).is_zero()
+    assert SuperPolynomial(SIG21).coefficient(one) == 0
+    with pytest.raises(TypeError):
+        SuperPolynomial(SIG21, {one: 0.5})
+
+
+def test_int_arithmetic_stays_in_ints():
+    p = parse_polynomial("2 x1^2 - x2 t1 + 3 t1 t2", SIG21)
+    q = parse_polynomial("x1 + 5 t2", SIG21)
+    for r in (p + q, p - q, p * q, -p, p * 3, 3 * p, p * Fraction(4, 2), p / Fraction(1, 3), p**2):
+        assert all(type(c) is int for c in r.terms.values()), r
+
+
+def test_division_is_exact():
+    p = parse_polynomial("3 x1 - x2 t1", SIG21)
+    for divisor, expected in ((2, "3/2*x1 - 1/2*x2 t1"), (Fraction(2, 3), "9/2*x1 - 3/2*x2 t1")):
+        got = p / divisor
+        assert got == parse_polynomial(expected, SIG21)
+        assert all(type(c) is Fraction for c in got.terms.values())
+    assert p / 1 == p and p / Fraction(-1) == -p
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            p / zero
+
+
+def test_format_ignores_the_coefficient_type():
+    monos = monomial_basis(SIG21, 2)
+    for values in ((3, -1, 1, 7), (Fraction(3, 2), -1, Fraction(-5, 3), 2)):
+        ints = dict(zip(monos, values))
+        fractions = {mono: Fraction(c) for mono, c in ints.items()}
+        as_int = SuperPolynomial(SIG21, ints, _clean=True)
+        as_fraction = SuperPolynomial(SIG21, fractions, _clean=True)
+        assert as_int == as_fraction
+        assert format_polynomial(as_int).encode() == format_polynomial(as_fraction).encode()
