@@ -1,12 +1,10 @@
-"""Exact rational linear algebra over fixed monomial bases.
+"""Exact linear algebra over fixed monomial bases, in integers.
 
-Matrices are stored sparsely, one dict per row mapping column index to a
-nonzero exact rational: an int or a Fraction.  operator_matrix and matmul
-store every integral entry as an int and make a Fraction only for an entry
-that is not integral, so the Laplacian, r2 and their products reach kernel,
-image, matmul and rank as integer rows with no Fraction arithmetic.
-Elimination runs fraction-free over integers with per-row content
-reduction.
+An IntMatrix is stored sparsely, one dict per row mapping column index to a
+nonzero int.  operator_matrix builds the Laplacian and r2 on one degree with
+int entries, and matmul multiplies int rows, so kernels, products and ranks
+make no Fraction.  Elimination runs fraction-free over integers with
+per-row content reduction.
 
 A Subspace is held by its canonical basis in integers: the primitive integer
 multiples of its reduced row echelon rows.  Each row has content 1, a
@@ -16,8 +14,10 @@ rational RREF and scaling an RREF row by the least common multiple of its
 denominators gives the primitive row back, so the two forms determine each
 other: two subspaces are equal iff their ambients agree and their rows are
 identical.  Kernels, sums, intersections, containment and ranks all work on
-these integer rows; Fractions appear only at the boundary, where basis_matrix,
-rref, reduce and subspace_polynomials divide by the pivots.
+these integer rows.  Fractions appear only at the polynomial boundary:
+_int_row scales a row of rational coordinates (the coordinates of a
+polynomial with Fraction coefficients) to its primitive integer multiple, and
+_fraction_row divides a canonical row by its pivot for subspace_polynomials.
 
 Every canonical row is zero at every pivot column other than its own.  So a
 vector is reduced by a subspace by eliminating, with the row of each pivot in
@@ -47,86 +47,68 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .superpoly import (
-    SuperPolynomial,
-    SuperSignature,
-    _rational,
-    basis_index,
-    monomial_basis,
-)
-
-_ZERO = Fraction(0)
-
+from .superpoly import SuperPolynomial, SuperSignature, basis_index, monomial_basis
 
 Rational = Union[int, Fraction]
 
 
-class RationalMatrix:
-    """Immutable sparse matrix with exact rational entries.
+class IntMatrix:
+    """Immutable sparse matrix of ints, one dict per row (column -> nonzero
+    int).
 
-    An entry is an int or a Fraction, kept as given; any other number is
-    stored as an int when integral and as a Fraction otherwise.  An int and
-    a Fraction of the same value are equal, so two matrices of the same
-    values are equal whichever type holds them.
+    The constructor trusts its rows, as Subspace's does; from_rows is the
+    checked entry.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Mapping[int, Rational]]):
-        if rows != len(data):
-            raise ValueError("row count does not match data")
-        clean = []
-        for r in data:
-            row = {}
-            for j, v in r.items():
-                if not 0 <= j < cols:
-                    raise ValueError(f"column {j} out of range 0..{cols - 1}")
-                if type(v) is not int and type(v) is not Fraction:
-                    v = _rational(*Fraction(v).as_integer_ratio())
-                if v:
-                    row[j] = v
-            clean.append(row)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, cols: int, data: Sequence[Mapping[int, int]]):
+        object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_data", tuple(clean))
+        object.__setattr__(self, "_data", tuple(data))
 
     def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("RationalMatrix is immutable")
+        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[Mapping[int, Rational] | Sequence[Rational]]):
+    def from_rows(
+        cls, cols: int, rows: Iterable[Mapping[int, int] | Sequence[int]]
+    ) -> "IntMatrix":
+        """The matrix of rows given as dicts or dense sequences of ints;
+        zeros are dropped.  Raises ValueError for a column out of range and
+        TypeError for an entry that is not an int (bool included)."""
         data = []
         for r in rows:
-            if isinstance(r, Mapping):
-                data.append(dict(r))
-            else:
-                data.append(dict(enumerate(r)))
-        return cls(len(data), cols, data)
+            row = {}
+            for j, v in r.items() if isinstance(r, Mapping) else enumerate(r):
+                if not 0 <= j < cols:
+                    raise ValueError(f"column {j} out of range 0..{cols - 1}")
+                if type(v) is not int:
+                    raise TypeError(f"matrix entry {v!r} is not an int")
+                if v:
+                    row[j] = v
+            data.append(row)
+        return cls(cols, data)
 
-    def row_dict(self, i: int) -> dict[int, Rational]:
-        return dict(self._data[i])
-
-    def row_dicts(self) -> tuple[Mapping[int, Rational], ...]:
+    def row_dicts(self) -> tuple[Mapping[int, int], ...]:
         return self._data
 
-    def transpose(self) -> "RationalMatrix":
-        data: list[dict[int, Rational]] = [{} for _ in range(self.cols)]
+    def transpose(self) -> "IntMatrix":
+        data: list[dict[int, int]] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, v in row.items():
                 data[j][i] = v
-        return RationalMatrix(self.cols, self.rows, data)
+        return IntMatrix(self.rows, data)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalMatrix):
+        if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows and self.cols == other.cols and self._data == other._data
-        )
+        return self.cols == other.cols and self._data == other._data
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols}, nnz={sum(len(r) for r in self._data)})"
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={sum(len(r) for r in self._data)})"
 
 
 # -- integer row elimination -------------------------------------------------
@@ -185,11 +167,13 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int
     return _reduce_content(row)
 
 
-def _echelon(int_rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Forward elimination; returns a map from pivot column to pivot row."""
+def _echelon(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, int]]:
+    """Forward elimination of int or rational rows, each first made its
+    primitive integer multiple by _int_row (the inputs are not changed);
+    returns a map from pivot column to pivot row."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in int_rows:
-        row = _reduce_content(dict(row))
+    for row in rows:
+        row = _int_row(row)
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -213,7 +197,7 @@ def _rref_fraction_rows(rows: Iterable[Mapping[int, Rational]]) -> list[dict[int
     non-pivot columns, and each row clears just the pivot columns it holds.
     Content reduction leaves each row primitive with a positive pivot.
     """
-    pivots = _echelon(_int_row(r) for r in rows)
+    pivots = _echelon(rows)
     leads = sorted(pivots)
     for lead in reversed(leads):
         row = pivots[lead]
@@ -228,17 +212,10 @@ def _fraction_row(row: Mapping[int, int]) -> dict[int, Fraction]:
     return {j: Fraction(v, d) for j, v in row.items()}
 
 
-def rref(A: RationalMatrix) -> RationalMatrix:
-    """Reduced row echelon form with zero rows dropped."""
-    rows = [_fraction_row(r) for r in _rref_fraction_rows(A.row_dicts())]
-    return RationalMatrix(len(rows), A.cols, rows)
-
-
-def rank(A: RationalMatrix | Iterable[Mapping[int, int]]) -> int:
-    """Rank of a matrix, or of the span of integer rows (column -> int)."""
-    if isinstance(A, RationalMatrix):
-        return len(_echelon(_int_row(r) for r in A.row_dicts()))
-    return len(_echelon(A))
+def rank(rows: Iterable[Mapping[int, Rational]]) -> int:
+    """Rank of the span of rows (column -> int or Fraction); the rows are
+    not changed."""
+    return len(_echelon(rows))
 
 
 class Subspace:
@@ -247,7 +224,7 @@ class Subspace:
 
     ``ambient`` is the (signature, degree) pair naming the monomial basis the
     coordinates refer to, or None for a bare coordinate space.  Construct
-    with from_rows, zero, kernel or image; the constructor trusts its rows
+    with from_rows, zero or kernel; the constructor trusts its rows
     to be canonical.
     """
 
@@ -284,13 +261,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis_matrix(self) -> RationalMatrix:
-        """The rational RREF basis, one row per dimension."""
-        return RationalMatrix(
-            len(self.rows), self.ambient_dim, [_fraction_row(r) for r in self.rows]
-        )
-
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspaces live in different ambients")
@@ -308,22 +278,6 @@ class Subspace:
 
     def _pivot_rows(self) -> dict[int, dict[int, int]]:
         return {min(row): row for row in self.rows}
-
-    def reduce(self, vec: Mapping[int, Rational]) -> dict[int, Fraction]:
-        """Remainder of vec after subtracting its projection along the RREF
-        basis rows, exact."""
-        pivots = self._pivot_rows()
-        v = {j: Fraction(c) for j, c in vec.items() if c}
-        for lead in [j for j in v if j in pivots]:
-            row = pivots[lead]
-            c = v[lead] / row[lead]
-            for j, w in row.items():
-                nv = v.get(j, _ZERO) - c * w
-                if nv:
-                    v[j] = nv
-                else:
-                    del v[j]
-        return v
 
     def contains(self, vec: Mapping[int, Rational]) -> bool:
         return not _reduce_int(self._pivot_rows(), _int_row(vec))
@@ -362,7 +316,7 @@ def _reduce_int(pivots: Mapping[int, Mapping[int, int]], row: dict[int, int]) ->
     return row
 
 
-def kernel(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
+def kernel(A: IntMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
     """Null space of A, canonical basis, from one elimination of A with its
     columns reversed (module docstring).
 
@@ -395,11 +349,6 @@ def kernel(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None)
     return Subspace(A.cols, rows, ambient)
 
 
-def image(A: RationalMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
-    """Column space of A, canonical basis."""
-    return Subspace.from_rows(A.rows, A.transpose().row_dicts(), ambient)
-
-
 # -- polynomial coordinates ---------------------------------------------------
 
 
@@ -424,8 +373,14 @@ def vector_polynomial(
 def span_subspace(
     signature: SuperSignature, k: int, polys: Iterable[SuperPolynomial]
 ) -> Subspace:
+    """Span of degree-k polynomials of `signature`, in the degree-k basis;
+    a polynomial of another signature raises ValueError."""
     cols = len(monomial_basis(signature, k))
-    rows = [polynomial_vector(p, k) for p in polys if not p.is_zero()]
+    rows = []
+    for p in polys:
+        if p.signature != signature:
+            raise ValueError(f"polynomial of {p.signature} in a span over {signature}")
+        rows.append(polynomial_vector(p, k))
     return Subspace.from_rows(cols, rows, (signature, k))
 
 
@@ -442,77 +397,37 @@ def operator_matrix(
     signature: SuperSignature,
     k: int,
     shift: int,
-) -> RationalMatrix:
-    """Matrix of a map raising degree by `shift`, on the degree-k basis.
+) -> IntMatrix:
+    """Integer matrix of a map raising degree by `shift`, on the degree-k
+    basis.
 
     Columns follow the basis of P_k, rows the basis of P_(k + shift), both
     of `signature`.  Each basis monomial enters the map with the int
     coefficient 1, so a map with integer rules (laplacian, rsquare_mul)
-    computes in ints; integral entries are stored as ints and only the
-    others as Fractions.
+    computes in ints; a coefficient that is not an int raises TypeError.
     """
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k + shift)
-    data: list[dict[int, Rational]] = [{} for _ in tidx]
+    data: list[dict[int, int]] = [{} for _ in tidx]
     for j, mono in enumerate(source):
         q = fn(SuperPolynomial(signature, {mono: 1}, _clean=True))
         for tm, c in q:
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
+            if type(c) is not int:
+                raise TypeError(f"operator_matrix needs int coefficients, got {c!r}")
             data[tidx[tm]][j] = c
-    return RationalMatrix(len(data), len(source), data)
+    return IntMatrix(len(source), data)
 
 
-def matmul(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
-    """Sparse product A B, exact.
-
-    Both factors are scaled to integers by the least common denominator of
-    their entries (1 for a matrix of ints, which is used as it is),
-    multiplied in integers and scaled back; integral entries of the product
-    are ints.
-    """
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """Sparse product A B, in integers."""
     if A.cols != B.rows:
         raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
-    den_a, int_a = _scaled_int_rows(A)
-    den_b, int_b = _scaled_int_rows(B)
-    den = den_a * den_b
+    rows_b = B.row_dicts()
     data = []
-    for arow in int_a:
+    for arow in A.row_dicts():
         acc: dict[int, int] = {}
         for j, a in arow.items():
-            for col, b in int_b[j].items():
+            for col, b in rows_b[j].items():
                 acc[col] = acc.get(col, 0) + a * b
-        if den == 1:
-            data.append({col: v for col, v in acc.items() if v})
-        else:
-            data.append({col: _rational(v, den) for col, v in acc.items() if v})
-    return RationalMatrix(A.rows, B.cols, data)
-
-
-def _scaled_int_rows(A: RationalMatrix) -> tuple[int, Sequence[Mapping[int, int]]]:
-    den = 1
-    ints = True
-    for row in A.row_dicts():
-        for v in row.values():
-            if type(v) is not int:
-                ints = False
-                den = lcm(den, v.denominator)
-    if ints:
-        return 1, A.row_dicts()
-    rows = [
-        {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        for row in A.row_dicts()
-    ]
-    return den, rows
-
-
-def polynomials_rank(polys: Iterable[SuperPolynomial], k: int) -> int:
-    """Rank of the span of homogeneous degree-k polynomials."""
-    rows = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        rows.append(_int_row(polynomial_vector(p, k)))
-    if not rows:
-        return 0
-    return len(_echelon(rows))
+        data.append({col: v for col, v in acc.items() if v})
+    return IntMatrix(B.cols, data)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ck import CKData, ck_extend
-from .exactla import polynomials_rank
+from .exactla import polynomial_vector, rank
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
@@ -330,7 +330,10 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),
         ("every element is annihilated", membership_ok),
-        ("elements are linearly independent", polynomials_rank(polys, k) == len(basis)),
+        (
+            "elements are linearly independent",
+            rank(polynomial_vector(p, k) for p in polys) == len(basis),
+        ),
         ("restriction data matches one level down", data_ok),
     )
     flagged = sorted(

@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .exactla import (
-    RationalMatrix,
+    IntMatrix,
     Subspace,
     kernel,
     matmul,
@@ -68,13 +68,13 @@ def exceptional_indices(M: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def laplacian_matrix(signature: SuperSignature, k: int) -> RationalMatrix:
+def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
     """Matrix of the Laplacian from P_k to P_(k-2)."""
     return operator_matrix(laplacian, signature, k, -2)
 
 
 @lru_cache(maxsize=None)
-def rsquare_matrix(signature: SuperSignature, degree: int) -> RationalMatrix:
+def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
     """Matrix of multiplication by r2 from P_degree to P_(degree+2)."""
     return operator_matrix(rsquare_mul, signature, degree, 2)
 

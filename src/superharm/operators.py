@@ -238,26 +238,34 @@ def commutator_check(
 
 
 def sl2_relations_check(signature: SuperSignature, k: int) -> tuple[CheckResult, ...]:
-    """The three sl(2) relations, checked exhaustively on degree k."""
-    half = Fraction(1, 2)
-    shift = Fraction(signature.M, 2)
+    """The three sl(2) relations, checked exhaustively on degree k.
 
-    def e2(p):
-        return laplacian(p) * half
-
-    def f2(p):
-        return rsquare_mul(p) * half
-
-    def h(p):
-        return euler(p) + p * shift
-
-    return (
-        commutator_check(e2, f2, h, signature, k, "sl2: [lap/2, r2/2] = euler + M/2"),
-        commutator_check(e2, h, laplacian, signature, k, "sl2: [lap/2, euler + M/2] = lap"),
-        commutator_check(
-            f2, h, lambda p: -rsquare_mul(p), signature, k, "sl2: [r2/2, euler + M/2] = -r2"
+    Each relation is checked doubled, in integers: [lap, r2] = 4 euler + 2M,
+    [lap, euler] = 2 lap and [r2, euler] = -2 r2, which are the displayed
+    relations times 4, 2 and 2 (the scalar M/2 commutes with everything).  A
+    failing check divides its witness by that factor, so it reports the
+    sides of the relation its name displays.
+    """
+    M = signature.M
+    doubled = (
+        (
+            "sl2: [lap/2, r2/2] = euler + M/2",
+            laplacian,
+            rsquare_mul,
+            4,
+            lambda p: euler(p) * 4 + p * (2 * M),
         ),
+        ("sl2: [lap/2, euler + M/2] = lap", laplacian, euler, 2, lambda p: laplacian(p) * 2),
+        ("sl2: [r2/2, euler + M/2] = -r2", rsquare_mul, euler, 2, lambda p: rsquare_mul(p) * -2),
     )
+    results = []
+    for name, a, b, factor, expected in doubled:
+        check = commutator_check(a, b, expected, signature, k, name)
+        if not check.ok:
+            p, lhs, rhs = check.witness
+            check = CheckResult(False, name, (p, lhs / factor, rhs / factor))
+        results.append(check)
+    return tuple(results)
 
 
 # -- orthosymplectic generators -----------------------------------------------

@@ -112,7 +112,7 @@ def test_socle_trivial_below_degree_two():
 def test_socle_inside_both_spaces():
     H0 = socle_space(S23, 4)
     assert harmonic_space(S23, 4).contains_subspace(H0)
-    img_rank = rank(rsquare_matrix(S23, 2))
+    img_rank = rank(rsquare_matrix(S23, 2).row_dicts())
     assert H0.dim <= img_rank
 
 
