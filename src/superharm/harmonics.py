@@ -25,19 +25,27 @@ All spaces are exact kernels of exact matrices; every claimed direct sum is
 verified by an exact rank computation.  The matrices of the Laplacian and of
 multiplication by r2 are built once per (signature, degree) and cached.
 Their entries are ints, and so are those of the products lap r2 lap (for Ht)
-and lap r2 (branching's defect kernel): from the monomial maps to the
-canonical integer rows of a Subspace no Fraction is made.
+and lap r2 (the defect kernel): from the monomial maps to the canonical
+integer rows of a Subspace no Fraction is made.
+
+The socle is r2 times the defect kernel two degrees down: an element of
+r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
+H0_k = r2 ker(L_k R_(k-2)).  This holds for every m, also at m = 0 where r2
+is not injective, and needs no intersection: the kernel is taken on the
+dim P_(k-2) columns of L_k R_(k-2), not on a stack of 2 dim P_k columns.
+defect_kernel is cached beside the spaces, and branching's
+prescribed-Laplacian slot takes the same kernel.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
 integer rows of a Subspace through the integer column images of
-rsquare_matrix, one degree step at a time, and the Fischer rank, Theorem A's
-mirror lift and branching's lifted mirror work on those integer rows with no
-polynomial in between.  The same column images span r2 P_(k-2), the space
-the socle is cut from.  fischer_rows stacks the lifted component rows of P_k
-in summand order; the Fischer rank and branching's lower spanning sets both
-take them.  A polynomial is lifted by rsquare_lift(p, j): j applications of
-multiplication by r2 by its monomial rule, never a product with the
-polynomial (r2)^j; gtbasis uses it.  At j = 0 both lifts are the identity.
+rsquare_matrix, one degree step at a time.  The socle, the Fischer rank,
+Theorem A's mirror lift and branching's lifted mirror work on those integer
+rows with no polynomial in between.  fischer_rows stacks the lifted
+component rows of P_k in summand order; the Fischer rank and branching's
+lower spanning sets both take them.  A polynomial is lifted by
+rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
+rule, never a product with the polynomial (r2)^j; gtbasis uses it.  At
+j = 0 both lifts are the identity.
 """
 
 from __future__ import annotations
@@ -133,15 +141,27 @@ def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
 
 
 @lru_cache(maxsize=None)
+def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
+    """Solutions W of lap(r2 W) = 0 in degree `degree`: the admissible
+    prescribed-Laplacian parts for generalized harmonics two degrees up, and
+    the preimage under r2 of the socle there.  The matrix is the sparse
+    product L_(degree+2) R_degree."""
+    if degree < 0:
+        return Subspace.zero(0, (signature, degree))
+    lap = laplacian_matrix(signature, degree + 2)
+    return kernel(matmul(lap, rsquare_matrix(signature, degree)), (signature, degree))
+
+
+@lru_cache(maxsize=None)
 def socle_space(signature: SuperSignature, k: int) -> Subspace:
-    """H0_k: harmonics that are also multiples of r2."""
-    H = harmonic_space(signature, k)
+    """H0_k: harmonics that are also multiples of r2, the r2-image of the
+    defect kernel two degrees down."""
+    cols = len(monomial_basis(signature, k))
     if k < 2:
-        return Subspace.zero(H.ambient_dim, (signature, k))
-    r2_image = Subspace.from_rows(
-        H.ambient_dim, _rsquare_columns(signature, k - 2), (signature, k)
+        return Subspace.zero(cols, (signature, k))
+    return Subspace.from_rows(
+        cols, rsquare_lift_rows(defect_kernel(signature, k - 2), 1, k), (signature, k)
     )
-    return H.intersect(r2_image)
 
 
 @lru_cache(maxsize=None)

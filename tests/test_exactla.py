@@ -556,6 +556,73 @@ def test_int_row_matches_fraction_reference(row):
     assert _int_row(row) == _int_row_reference(row)
 
 
+def test_subspace_from_rows_checks_its_entries():
+    # a column outside 0..cols-1
+    for rows in ([{5: 1}, {-1: 2}], [{3: 1}], [{0: 1}, {-1: 2}]):
+        with pytest.raises(ValueError):
+            Subspace.from_rows(3, rows)
+    # an entry that is neither an int nor a Fraction; a bool is not taken as 1
+    for bad in (1.5, 2.0, True, False, "1"):
+        with pytest.raises(TypeError):
+            Subspace.from_rows(3, [{0: 1, 2: bad}])
+        with pytest.raises(TypeError):
+            rank([{1: bad}])
+    # ints and Fractions, integral or not, are the accepted entries
+    S = Subspace.from_rows(3, [{0: Fraction(2), 2: 4}, {1: Fraction(1, 3)}])
+    assert S.rows == ({0: 1, 2: 2}, {1: 1})
+
+
+_BIG = st.integers(min_value=-(2**40), max_value=2**40).filter(bool)
+
+
+@st.composite
+def _big_int_rows(draw):
+    """Sparse int rows with entries up to 2^40, some scaled by a common
+    factor and some combinations of earlier ones, so eliminations meet
+    content and negative leads."""
+    cols = draw(st.integers(min_value=1, max_value=10))
+    entries = st.dictionaries(st.integers(min_value=0, max_value=cols - 1), _BIG, max_size=4)
+    factors = st.sampled_from([1, -1, 6, -35, 2**20])
+    rows = [
+        {j: f * v for j, v in row.items()}
+        for row, f in draw(st.lists(st.tuples(entries, factors), max_size=7))
+    ]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        combo: dict[int, int] = {}
+        for row in rows:
+            c = draw(st.integers(min_value=-3, max_value=3))
+            for j, v in row.items():
+                combo[j] = combo.get(j, 0) + c * v
+        rows.append({j: v for j, v in combo.items() if v})
+    probes = draw(st.lists(st.tuples(entries, factors), max_size=4))
+    return cols, rows, [{j: f * v for j, v in row.items()} for row, f in probes] + rows
+
+
+def _assert_primitive(row):
+    assert row and all(type(v) is int and v for v in row.values())
+    assert row[min(row)] > 0
+    assert gcd(*row.values()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_big_int_rows())
+def test_eliminations_leave_primitive_rows_with_positive_leads(case):
+    cols, rows, probes = case
+    for lead, row in exactla._echelon(rows).items():
+        assert min(row) == lead
+        _assert_primitive(row)
+    for row in _rref_fraction_rows(rows):
+        _assert_primitive(row)
+    for row in kernel(IntMatrix.from_rows(cols, rows)).rows:
+        _assert_primitive(row)
+    pivots = Subspace.from_rows(cols, rows)._pivot_rows()
+    for probe in probes:
+        remainder = _reduce_int(pivots, dict(probe))
+        if remainder:
+            _assert_primitive(remainder)
+        assert not any(j in pivots for j in remainder)
+
+
 # -- operator matrices ----------------------------------------------------------
 
 OPERATOR_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [

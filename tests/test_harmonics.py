@@ -12,14 +12,23 @@ from hypothesis import given, settings, strategies as st
 
 from superharm import exactla, harmonics
 from superharm.cli import _GRID as VERIFY_GRID
-from superharm.exactla import polynomial_vector, rank, span_subspace, subspace_polynomials
+from superharm.exactla import (
+    Subspace,
+    kernel,
+    polynomial_vector,
+    rank,
+    span_subspace,
+    subspace_polynomials,
+)
 from superharm.harmonics import (
+    defect_kernel,
     exceptional_indices,
     fischer_decomposition,
     fischer_index_sets,
     generalized_harmonic_space,
     harmonic_basis,
     harmonic_space,
+    laplacian_matrix,
     rsquare_lift,
     rsquare_lift_rows,
     rsquare_matrix,
@@ -114,6 +123,68 @@ def test_socle_inside_both_spaces():
     assert harmonic_space(S23, 4).contains_subspace(H0)
     img_rank = rank(rsquare_matrix(S23, 2).row_dicts())
     assert H0.dim <= img_rank
+
+
+def _zassenhaus_socle(sig, k):
+    """H_k intersect r2 P_(k-2) by the Zassenhaus intersection: the
+    reference for the socle cut from the defect kernel."""
+    H = harmonic_space(sig, k)
+    if k < 2:
+        return Subspace.zero(H.ambient_dim, (sig, k))
+    image = Subspace.from_rows(
+        H.ambient_dim, harmonics._rsquare_columns(sig, k - 2), (sig, k)
+    )
+    return H.intersect(image)
+
+
+# m = 0..4, n = 0..3 at k <= 6, and (4|8) at k = 4..7; m = 0 included, where
+# r2 is not injective
+SOCLE_GRID = [(SuperSignature(m, n), range(7)) for m in range(5) for n in range(4)] + [
+    (SuperSignature(4, 4), range(4, 8))
+]
+
+
+@pytest.mark.parametrize("sig, degrees", SOCLE_GRID, ids=lambda v: str(v))
+def test_socle_matches_the_zassenhaus_intersection(sig, degrees):
+    for k in degrees:
+        assert socle_space(sig, k) == _zassenhaus_socle(sig, k), k
+
+
+def test_socle_grid_meets_nonzero_socles():
+    # the exceptional windows of (2|6) and (4|8), M = -4: degrees 4..6
+    for sig in (S23, SuperSignature(4, 4)):
+        assert [socle_space(sig, k).dim for k in (4, 5, 6)] == [
+            harmonic_space(sig, 2 - sig.M - k).dim for k in (4, 5, 6)
+        ]
+        assert all(socle_space(sig, k).dim for k in (4, 5, 6))
+
+
+@pytest.fixture
+def fresh_socles():
+    socle_space.cache_clear()
+    yield
+    socle_space.cache_clear()
+
+
+def test_socle_cut_from_the_wrong_kernel_fails_the_socle_check(monkeypatch, fresh_socles):
+    # r2 times the degree-(k-2) harmonics in place of r2 times the defect
+    # kernel: a space of the right degree that is not the socle.  At the
+    # bottom of the window, k = 4, the mirror degree is k - 2 and the two
+    # kernels coincide (both are H_2), so only k = 5, 6 can tell them apart.
+    def harmonic_kernel(sig, degree):
+        return kernel(laplacian_matrix(sig, degree), (sig, degree))
+
+    assert defect_kernel(S23, 2) == harmonic_kernel(S23, 2)
+    monkeypatch.setattr(harmonics, "defect_kernel", harmonic_kernel)
+    for k in (5, 6):
+        checks = dict(verify_theorem_A(S23, k).checks)
+        assert not checks["socle is r-power of mirror harmonics"], k
+
+
+def test_defect_kernel_is_shared_with_branching():
+    from superharm import branching
+
+    assert branching.defect_kernel is defect_kernel
 
 
 def test_rsquare_powers_at_one_fermionic_pair():
@@ -335,6 +406,7 @@ def test_matrices_are_built_once_per_degree(monkeypatch):
         harmonics.harmonic_space,
         harmonics.generalized_harmonic_space,
         harmonics.socle_space,
+        harmonics.defect_kernel,
     )
     for fn in cached:
         fn.cache_clear()
@@ -384,8 +456,11 @@ def test_filtration_strict_at_exceptional_degrees():
 
 def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
     # Lift the mirror's neighbour H_(l+2) by one power of r2 fewer: the
-    # degree still comes out at k, the space is not the socle.
+    # degree still comes out at k, the space is not the socle.  The socle
+    # itself is an r2-lift too, so it is built before the lift is broken.
     original = harmonics.rsquare_lift_rows
+    for k in (4, 5):
+        socle_space(S23, k)
 
     def one_power_short(space, j, k):
         signature, degree = space.ambient
