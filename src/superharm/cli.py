@@ -394,6 +394,11 @@ def _run_verify(args) -> int:
     for sig in sigs:
         _checked_work(sig, range(kmax + 1))
     results = list(_SUITE_RUNNERS[args.suite](sigs, kmax))
+    if not results:
+        raise UsageError(
+            f"suite {args.suite} has no check for signature "
+            f"{', '.join(map(str, sigs))} up to kmax={kmax}"
+        )
     failed = [name for name, ok in results if not ok]
     if args.format == "json":
         payload = {

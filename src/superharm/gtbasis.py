@@ -26,11 +26,14 @@ t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged
 (fermionic-0), multiplied by t_{2n-1} (fermionic-1), by t_{2n} (fermionic-2),
 or by the degree-dependent quadratic
 Theta = t1 t2 + .. + t_{2n-3} t_{2n-2} + (k - n - 1) t_{2n-1} t_{2n}
-(fermionic-3); the one-pair floor is {1} and {t1, t2} (fermionic-base).
-Nonzero fermionic harmonics live only in degrees 0..n.  A generalized
-fermionic target is given the plain basis: the exceptional window of
-M = -2n starts at degree n + 2, beyond every nonzero harmonic, and the count
-check of verify_gt_basis compares that basis with the exact kernel.
+(fermionic-3); the floor of at most one pair is {1} and {t1, t2}
+(fermionic-base).  A second table maps each of these kinds to its degree drop
+and multiplier, and the floor is one function; the recursion and the
+per-step check both read them.  Nonzero fermionic harmonics live only in
+degrees 0..n.  A generalized fermionic target is given the plain basis: the
+exceptional window of M = -2n starts at degree n + 2, beyond every nonzero
+harmonic, and the count check of verify_gt_basis compares that basis with the
+exact kernel.
 """
 
 from __future__ import annotations
@@ -100,57 +103,41 @@ def _prepend(step: ChainStep, element: GTBasisElement, polynomial) -> GTBasisEle
     return GTBasisElement(GTLabel((step,) + element.label.chain), polynomial)
 
 
+# kind -> (degree drop, multiplier at degree k) of the pair-removal recursion:
+# the lower element is a harmonic of one pair fewer, taken into this ring.
+_FERMIONIC_KINDS = {
+    "fermionic-0": (0, lambda sig, k: 1),
+    "fermionic-1": (1, lambda sig, k: SuperPolynomial.t(sig, 2 * sig.n - 1)),
+    "fermionic-2": (1, lambda sig, k: SuperPolynomial.t(sig, 2 * sig.n)),
+    "fermionic-3": (2, theta_factor),
+}
+
+
+def _fermionic_floor(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
+    """Basis of H_k with at most one pair: {1} in degree 0, {t1, t2} in
+    degree 1."""
+    if k == 0:
+        return (SuperPolynomial.one(signature),)
+    if k == 1 and signature.n == 1:
+        return (SuperPolynomial.t(signature, 1), SuperPolynomial.t(signature, 2))
+    return ()
+
+
 def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
     sig = SuperSignature(0, n)
     if k < 0 or k > n:
         return ()
-    if n == 0:
-        return (
-            GTBasisElement(
-                GTLabel((ChainStep(0, "fermionic-base", 0, 0),)),
-                SuperPolynomial.one(sig),
-            ),
-        )
-    if n == 1:
-        if k == 0:
-            return (
-                GTBasisElement(
-                    GTLabel((ChainStep(1, "fermionic-base", 0, 0),)),
-                    SuperPolynomial.one(sig),
-                ),
-            )
+    if n <= 1:
         return tuple(
-            GTBasisElement(
-                GTLabel((ChainStep(1, "fermionic-base", 1, i),)),
-                SuperPolynomial.t(sig, i + 1),
-            )
-            for i in range(2)
+            GTBasisElement(GTLabel((ChainStep(n, "fermionic-base", k, i),)), p)
+            for i, p in enumerate(_fermionic_floor(sig, k))
         )
     out: list[GTBasisElement] = []
-    for i, el in enumerate(gt_basis(SuperSignature(0, n - 1), k, "H")):
-        out.append(
-            _prepend(
-                ChainStep(n, "fermionic-0", k, i), el, extend_signature(el.polynomial, sig)
-            )
-        )
-    for j, factor in ((1, SuperPolynomial.t(sig, 2 * n - 1)), (2, SuperPolynomial.t(sig, 2 * n))):
-        for i, el in enumerate(gt_basis(SuperSignature(0, n - 1), k - 1, "H")):
-            out.append(
-                _prepend(
-                    ChainStep(n, f"fermionic-{j}", k - 1, i),
-                    el,
-                    factor * extend_signature(el.polynomial, sig),
-                )
-            )
-    theta = theta_factor(sig, k)
-    for i, el in enumerate(gt_basis(SuperSignature(0, n - 1), k - 2, "H")):
-        out.append(
-            _prepend(
-                ChainStep(n, "fermionic-3", k - 2, i),
-                el,
-                theta * extend_signature(el.polynomial, sig),
-            )
-        )
+    for kind, (drop, multiplier) in _FERMIONIC_KINDS.items():
+        factor = multiplier(sig, k)
+        for i, el in enumerate(gt_basis(SuperSignature(0, n - 1), k - drop, "H")):
+            Q = factor * extend_signature(el.polynomial, sig)
+            out.append(_prepend(ChainStep(n, kind, k - drop, i), el, Q))
     return tuple(out)
 
 
@@ -242,57 +229,37 @@ class GTBasisReport:
 
 def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) -> bool:
     """Check the restriction data of one element against the lower-level
-    element its label points to, one level only."""
-    step = element.label.chain[0]
-    rest = element.label.chain[1:]
+    element its label points to, one level only.  A kind that does not step
+    down from this level fails."""
+    if not element.label.chain:
+        return False
+    step, rest = element.label.chain[0], element.label.chain[1:]
     p = element.polynomial
-    kind = step.kind
-
-    if kind.startswith("fermionic"):
-        sig = signature
-        n = signature.n
-        if kind == "fermionic-base":
-            if n > 1 or rest:
-                return False
-            if step.degree == 0:
-                expected = (SuperPolynomial.one(sig),)
-            elif n == 1:
-                expected = (SuperPolynomial.t(sig, 1), SuperPolynomial.t(sig, 2))
-            else:
-                return False
-            return step.pos < len(expected) and p == expected[step.pos]
-        lower_sig = SuperSignature(0, n - 1)
-        lower = gt_basis(lower_sig, step.degree, "H")
-        if step.pos >= len(lower):
+    m, n = signature.m, signature.n
+    if m == 0 and n <= 1:
+        if rest or step.kind != "fermionic-base":
             return False
-        lo = lower[step.pos]
-        if lo.label.chain != rest:
-            return False
-        lifted = extend_signature(lo.polynomial, sig)
-        if kind == "fermionic-0":
-            return p == lifted
-        if kind == "fermionic-1":
-            return p == SuperPolynomial.t(sig, 2 * n - 1) * lifted
-        if kind == "fermionic-2":
-            return p == SuperPolynomial.t(sig, 2 * n) * lifted
-        if kind == "fermionic-3":
-            return p == theta_factor(sig, k) * lifted
+        floor = _fermionic_floor(signature, step.degree)
+        return 0 <= step.pos < len(floor) and p == floor[step.pos]
+    if m == 0 and step.kind in _FERMIONIC_KINDS:
+        source, lower_target = SuperSignature(0, n - 1), "H"
+    elif m > 0 and step.kind in _BOSONIC_KINDS:
+        slot, lower_target = _BOSONIC_KINDS[step.kind]
+        source = _source_level(signature, slot)
+    else:
         return False
-
-    if kind not in _BOSONIC_KINDS:
+    lower = gt_basis(source, step.degree, lower_target)
+    if not 0 <= step.pos < len(lower) or lower[step.pos].label.chain != rest:
         return False
-    slot, lower_target = _BOSONIC_KINDS[kind]
-    lower = gt_basis(_source_level(signature, slot), step.degree, lower_target)
-    if step.pos >= len(lower):
-        return False
-    lo = lower[step.pos]
-    if lo.label.chain != rest:
-        return False
+    lo = lower[step.pos].polynomial
+    if m == 0:
+        multiplier = _FERMIONIC_KINDS[step.kind][1]
+        return p == multiplier(signature, k) * extend_signature(lo, signature)
     # a label whose degree cannot reach the slot's degree fails, not raises
     j, odd = divmod(k - _DATA_DROP[slot] - step.degree, 2)
     if j < 0 or odd:
         return False
-    lift = rsquare_lift(lo.polynomial, j)
+    lift = rsquare_lift(lo, j)
     boundary = restrict_hyperplane(p)
     normal = restrict_hyperplane(d_bosonic(p, signature.m))
     if slot == "boundary":

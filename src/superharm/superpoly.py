@@ -449,16 +449,6 @@ def restrict_hyperplane(p: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial(sig, data, _clean=True)
 
 
-def embed(p: SuperPolynomial) -> SuperPolynomial:
-    """Include a polynomial into the ring with one extra bosonic variable,
-    fixing every existing variable."""
-    sig = p.signature.extended()
-    data = {
-        SuperMonomial(mono.powers + (0,), mono.fermions): c for mono, c in p._terms.items()
-    }
-    return SuperPolynomial(sig, data, _clean=True)
-
-
 def extend_signature(p: SuperPolynomial, signature: SuperSignature) -> SuperPolynomial:
     """Include a polynomial into a larger signature, keeping variable names."""
     if signature.m < p.signature.m or signature.n < p.signature.n:

@@ -17,7 +17,7 @@ from superharm.superpoly import (
     SuperMonomial,
     SuperPolynomial,
     SuperSignature,
-    embed,
+    extend_signature,
     monomial_basis,
     restrict_hyperplane,
     space_dimension,
@@ -215,7 +215,7 @@ def _xi_by_products(ell, p):
     out = SuperPolynomial.zero(sig)
     q, j = p, ell
     while not q.is_zero():
-        out = out + embed(q) * _xm_power(sig, j)
+        out = out + extend_signature(q, sig) * _xm_power(sig, j)
         q = -laplacian(q)
         j += 2
     return out
@@ -230,7 +230,7 @@ def _recursive_by_products(data):
         coeffs.append(slices[j] - laplacian(coeffs[j]))
     out = SuperPolynomial.zero(data.signature)
     for j, c in enumerate(coeffs):
-        out = out + embed(c) * _xm_power(data.signature, j)
+        out = out + extend_signature(c, data.signature) * _xm_power(data.signature, j)
     return out
 
 
@@ -280,7 +280,7 @@ def test_xi_solves_its_laplace_equation(case):
     if ell < 2:
         assert image.is_zero()
     else:
-        assert image == embed(p) * _xm_power(image.signature, ell - 2)
+        assert image == extend_signature(p, image.signature) * _xm_power(image.signature, ell - 2)
 
 
 @st.composite

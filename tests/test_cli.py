@@ -128,6 +128,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("superharm:")
 
 
+@pytest.mark.parametrize("suite", ["ck", "branching"])
+def test_verify_with_no_check_exits_2(capsys, suite):
+    # both suites need a bosonic variable, so (0|4) yields no check
+    code, out, err = run(capsys, "verify", "--suite", suite, "--m", "0", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"superharm: suite {suite} has no check for signature (0|4) up to kmax=")
+
+
 def test_work_budget_refuses_before_any_basis_is_built(capsys, monkeypatch):
     # k=12 passes the degree guard, but dim P_12 of (40|80) is about 1.6e16
     def forbidden(*args):
@@ -198,6 +207,9 @@ _GOLDEN = [
     # bosonic descent: b3/b4/b5/b6 over an exceptional lower level (32/16/32/32)
     (["gt-basis", "--m", "3", "--n", "2", "--k", "5", "--format", "json"], 0,
      "8832252bdc635557a9296326fca707e9f16cee161ede71dbf296010718146c81"),
+    # the fermionic pair recursion: fermionic-0/1/2/3 (5/4/4/1 elements)
+    (["gt-basis", "--m", "0", "--n", "3", "--k", "2", "--format", "json"], 0,
+     "140df3e111eeb27bb069b6f50d11a9c5ae29b2eb1083c5363dec4f30858e9a43"),
 ]
 
 

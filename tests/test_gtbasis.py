@@ -193,10 +193,18 @@ def _data_check_with(monkeypatch, sig, k, target, kind, make_bad):
     [
         (2, 3, 5, "Ht", "ordinary-a1", "ordinary-a2"),
         (3, 2, 5, "H", "tilde-b5", "tilde-b6"),
+        (0, 6, 2, "H", "fermionic-1", "fermionic-2"),
+        (0, 6, 2, "H", "fermionic-3", "fermionic-0"),
+        # kinds that do not step down from the element's level fail, not raise
+        (0, 2, 1, "H", "fermionic-0", "ordinary-a1"),
+        (0, 0, 0, "H", "fermionic-base", "fermionic-1"),
+        (2, 0, 2, "H", "ordinary-a1", "fermionic-1"),
     ],
 )
 def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, kind, wrong):
-    # a boundary-slot element labelled as a normal-slot one
+    # an element labelled with another kind: a boundary-slot element as a
+    # normal-slot one, a pair-removal step as another, or a step of the
+    # wrong half of the chain
     def relabel(el):
         chain = el.label.chain
         return GTBasisElement(GTLabel((replace(chain[0], kind=wrong),) + chain[1:]), el.polynomial)
@@ -205,21 +213,46 @@ def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, ki
 
 
 @pytest.mark.parametrize(
-    "m,n,k,target,kind",
-    [
-        (2, 3, 5, "Ht", "ordinary-a1"),
-        (2, 3, 5, "Ht", "ordinary-a2"),
-        (3, 2, 5, "H", "tilde-b5"),
-        (3, 2, 5, "H", "tilde-b6"),
-    ],
+    "m,n,k", [(0, 0, 0), (0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 1, 1), (2, 0, 2), (3, 2, 2)]
 )
-def test_foreign_polynomial_fails_restriction_data(monkeypatch, m, n, k, target, kind):
-    # a valid label carrying the polynomial of the next element of its kind
+def test_step_check_judges_every_kind_without_raising(m, n, k):
+    # each element passes under its own label; under any kind, an empty
+    # chain or a negative position the check answers with a bool
+    kinds = [*gtbasis._BOSONIC_KINDS, *gtbasis._FERMIONIC_KINDS, "fermionic-base", "no-such-kind"]
     sig = SuperSignature(m, n)
-    same_kind = [el for el in gt_basis(sig, k, target) if el.label.chain[0].kind == kind]
+    for el in gt_basis(sig, k):
+        step, rest = el.label.chain[0], el.label.chain[1:]
+        assert gtbasis._step_data_ok(sig, k, el) is True
+        for bad in [replace(step, kind=kind) for kind in kinds] + [replace(step, pos=-1)]:
+            relabelled = GTBasisElement(GTLabel((bad,) + rest), el.polynomial)
+            assert isinstance(gtbasis._step_data_ok(sig, k, relabelled), bool)
+        assert gtbasis._step_data_ok(sig, k, GTBasisElement(GTLabel(()), el.polynomial)) is False
+
+
+_FOREIGN = [
+    (2, 3, 5, "Ht", "ordinary-a1", "ordinary-a1"),
+    (2, 3, 5, "Ht", "ordinary-a2", "ordinary-a2"),
+    (3, 2, 5, "H", "tilde-b5", "tilde-b5"),
+    (3, 2, 5, "H", "tilde-b6", "tilde-b6"),
+    (0, 6, 2, "H", "fermionic-3", "fermionic-0"),
+]
+
+
+@pytest.mark.parametrize(
+    "m,n,k,target,kind,donor",
+    _FOREIGN,
+    ids=["-".join(map(str, case[:5])) for case in _FOREIGN],
+)
+def test_foreign_polynomial_fails_restriction_data(monkeypatch, m, n, k, target, kind, donor):
+    # a valid label carrying the polynomial of another element: the next one
+    # of its own kind, or the first one of the donor kind
+    sig = SuperSignature(m, n)
+    basis = gt_basis(sig, k, target)
+    first = next(el for el in basis if el.label.chain[0].kind == kind)
+    other = next(el for el in basis if el.label.chain[0].kind == donor and el is not first)
 
     def foreign(el):
-        return GTBasisElement(el.label, same_kind[1].polynomial)
+        return GTBasisElement(el.label, other.polynomial)
 
     assert not _data_check_with(monkeypatch, sig, k, target, kind, foreign)
 
