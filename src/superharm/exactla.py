@@ -1,9 +1,9 @@
 """Exact linear algebra over fixed monomial bases, in integers.
 
 An IntMatrix is stored sparsely, one dict per row mapping column index to a
-nonzero int.  operator_matrix builds the Laplacian and r2 on one degree with
-int entries, and matmul multiplies int rows, so kernels, products and ranks
-make no Fraction.  Elimination runs fraction-free over integers.  A row's
+nonzero int.  operator_matrix builds the Laplacian on one degree with int
+entries (module harmonics reads r2 off it), and matmul multiplies int rows,
+so kernels, products and ranks make no Fraction.  Elimination runs fraction-free over integers.  A row's
 content (the gcd of its entries) is reduced once per pivot row, not after
 every elimination step: when a row becomes a pivot of the forward
 elimination, after its back-substitution, and on the remainder of a

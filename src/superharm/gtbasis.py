@@ -229,13 +229,16 @@ class GTBasisReport:
 
 def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) -> bool:
     """Check the restriction data of one element against the lower-level
-    element its label points to, one level only.  A kind that does not step
-    down from this level fails."""
+    element its label points to, one level only.  A step that claims
+    another level than this one (m on the bosonic half, n on the fermionic
+    half) or a kind that does not step down from this level fails."""
     if not element.label.chain:
         return False
     step, rest = element.label.chain[0], element.label.chain[1:]
     p = element.polynomial
     m, n = signature.m, signature.n
+    if step.level != (m or n):
+        return False
     if m == 0 and n <= 1:
         if rest or step.kind != "fermionic-base":
             return False
@@ -271,8 +274,9 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:
     """Exact verification: count against the kernel dimension, annihilation
-    by the defining operator, linear independence, and one-step restriction
-    data for every element."""
+    by the defining operator, linear independence (an element that is not
+    homogeneous of degree k makes it false), and one-step restriction data
+    for every element."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
@@ -299,7 +303,8 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         ("every element is annihilated", membership_ok),
         (
             "elements are linearly independent",
-            rank(polynomial_vector(p, k) for p in polys) == len(basis),
+            all(p.is_homogeneous(k) for p in polys)
+            and rank(polynomial_vector(p, k) for p in polys) == len(basis),
         ),
         ("restriction data matches one level down", data_ok),
     )

@@ -21,12 +21,50 @@ above is not available; the purely fermionic decomposition indexed by
 N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
 with the index-set formula.
 
-All spaces are exact kernels of exact matrices; every claimed direct sum is
-verified by an exact rank computation.  The matrices of the Laplacian and of
-multiplication by r2 are built once per (signature, degree) and cached.
-Their entries are ints, and so are those of the products lap r2 lap (for Ht)
-and lap r2 (the defect kernel): from the monomial maps to the canonical
-integer rows of a Subspace no Fraction is made.
+All spaces are exact kernels of exact matrices.  The matrix L_k of the
+Laplacian is the one matrix built from polynomials, once per (signature,
+degree), and cached.  The matrix R_d of multiplication by r2 is read off
+L_(d+2): under the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the
+number of whole pairs in F, r2 is the adjoint of lap, so
+R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
+(a_i+2)(a_i+1) for t = x_i^2 s or -4 for a pair added, is nonzero, so the
+supports agree, and the entry is +1 where the two fermion masks agree and -1
+where a pair was added.  _rsquare_columns reads row s of L_(d+2) as column s
+of R_d, and rsquare_matrix is its transpose.  All entries are ints, and so
+are those of the products lap r2 lap (for Ht) and lap r2 (the defect
+kernel): from the monomial maps to the canonical integer rows of a Subspace
+no Fraction is made.
+
+For m >= 1 the direct sum is proved from the sl(2) structure, with no rank.
+[lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
+
+    (a)  L_(d+2) R_d - R_(d-2) L_d = (4d + 2M) I      (no second term for d < 2).
+
+Applied j times it gives lap r^(2j) u = r^(2j) lap u + c r^(2j-2) u for u in
+P_l, with c = 2j (2l + 2j + M - 2).  So r2 lap acts on r^(k-l) H_l as
+
+    c_l = (k - l)(k + l + M - 2) = q(k) - q(l),   q(d) = (d + M/2)(d + M/2 - 2),
+
+and since lap r2 lap u = 0 on Ht_l, (r2 lap - c_l)^2 = 0 on r^(k-l) Ht_l.
+q(l) = q(l') exactly when l' = 2 - M - l, the mirror that the index sets
+suppress.  Components in distinct generalised eigenspaces of r2 lap are
+independent.  And r2 is injective for m >= 1:
+
+    (b)  each column s of R_d has a 1 at x1^2 s, and every other entry has a
+         smaller x1 exponent,
+
+so among the columns of a vanishing combination, those of the highest x1
+exponent have leads no other entry reaches, and their coefficients are 0.
+Each lifted component then has the dimension of its start space.
+fischer_decomposition checks, in this order: (c) every component lies in
+P_k and the values c_l are distinct over the plan's starts; (d) the start
+dimensions sum to dim P_k; (b) and then (a) at d = k - 2, k - 4, .. >= 0.
+Together they prove the sum direct and equal to P_k.  A failed report's
+witness names the first check that failed: the component out of degree or
+the repeated eigenvalue and its two starts, the dimension sum, the degree
+and column of the lead, or the degree and row of the identity.  At m = 0, r2
+is nilpotent and (b) is false; there the decomposition is verified by the
+rank of the stacked lifted components.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -38,11 +76,11 @@ prescribed-Laplacian slot takes the same kernel.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
 integer rows of a Subspace through the integer column images of
-rsquare_matrix, one degree step at a time.  The socle, the Fischer rank,
-Theorem A's mirror lift and branching's lifted mirror work on those integer
-rows with no polynomial in between.  fischer_rows stacks the lifted
-component rows of P_k in summand order; the Fischer rank and branching's
-lower spanning sets both take them.  A polynomial is lifted by
+rsquare_matrix, one degree step at a time.  The socle, the m = 0 Fischer
+rank, Theorem A's mirror lift and branching's lifted mirror work on those
+integer rows with no polynomial in between.  fischer_rows stacks the lifted
+component rows of P_k in summand order; the m = 0 Fischer rank and
+branching's lower spanning sets both take them.  A polynomial is lifted by
 rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
 rule, never a product with the polynomial (r2)^j; gtbasis uses it.  At
 j = 0 both lifts are the identity.
@@ -64,7 +102,13 @@ from .exactla import (
     subspace_polynomials,
 )
 from .operators import laplacian, rsquare_mul
-from .superpoly import SuperPolynomial, SuperSignature, monomial_basis
+from .superpoly import (
+    SuperMonomial,
+    SuperPolynomial,
+    SuperSignature,
+    basis_index,
+    monomial_basis,
+)
 
 
 def exceptional_indices(M: int) -> frozenset[int]:
@@ -82,17 +126,25 @@ def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
-    """Matrix of multiplication by r2 from P_degree to P_(degree+2)."""
-    return operator_matrix(rsquare_mul, signature, degree, 2)
+def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[Mapping[int, int], ...]:
+    """Column s of the matrix of r2 on P_degree as {target index: +-1}: the
+    image of the s-th monomial, read off row s of the Laplacian matrix two
+    degrees up (module docstring).  A target with the same fermion mask is
+    x_i^2 times the monomial (+1); one with a pair added carries -1."""
+    rows = laplacian_matrix(signature, degree + 2).row_dicts()
+    target = monomial_basis(signature, degree + 2)
+    return tuple(
+        {t: 1 if target[t].fermions == mono.fermions else -1 for t in row}
+        for mono, row in zip(monomial_basis(signature, degree), rows)
+    )
 
 
 @lru_cache(maxsize=None)
-def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[Mapping[int, int], ...]:
-    """Column j of rsquare_matrix as {target index: coefficient}: the image
-    of the j-th monomial.  r2 has coefficients +-1, so every entry is an
-    int."""
-    return rsquare_matrix(signature, degree).transpose().row_dicts()
+def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
+    """Matrix of multiplication by r2 from P_degree to P_(degree+2): the
+    transpose of its columns."""
+    cols = len(monomial_basis(signature, degree + 2))
+    return IntMatrix(cols, _rsquare_columns(signature, degree)).transpose()
 
 
 def rsquare_lift_rows(space: Subspace, j: int, k: int) -> list[dict[int, int]]:
@@ -288,49 +340,122 @@ def _fermionic_summand_plan(signature: SuperSignature, k: int) -> list[tuple[str
     return [("H", l, k - l) for l in range(base % 2, base + 1, 2)]
 
 
+def _lead_failure(signature: SuperSignature, d: int) -> str | None:
+    """Check (b) at degree d: every column s of the r2 matrix has a 1 at
+    x1^2 s and its other entries at smaller x1 exponents, so r2 is
+    injective on P_d.  The witness names the first column that fails."""
+    target = monomial_basis(signature, d + 2)
+    tidx = basis_index(signature, d + 2)
+    columns = _rsquare_columns(signature, d)
+    for s, (mono, column) in enumerate(zip(monomial_basis(signature, d), columns)):
+        top = mono.powers[0] + 2
+        lead = tidx[SuperMonomial((top,) + mono.powers[1:], mono.fermions)]
+        if column.get(lead) != 1 or any(
+            target[t].powers[0] >= top for t in column if t != lead
+        ):
+            return f"r2 lead certificate fails at degree {d}, column {s}"
+    return None
+
+
+def _commutator_failure(signature: SuperSignature, d: int) -> str | None:
+    """Check (a) at degree d: L_(d+2) R_d - R_(d-2) L_d = (4d + 2M) I, the
+    second term absent for d < 2.  Row s of the difference is summed from
+    the rows it reads and dropped, so neither product is held whole.  The
+    witness names the first row that fails."""
+    c = 4 * d + 2 * signature.M
+    lap_up = laplacian_matrix(signature, d + 2).row_dicts()
+    r2_up = rsquare_matrix(signature, d).row_dicts()
+    if d >= 2:
+        r2_down = rsquare_matrix(signature, d - 2).row_dicts()
+        lap_down = laplacian_matrix(signature, d).row_dicts()
+    for s, row in enumerate(lap_up):
+        acc = {s: -c}
+        for t, a in row.items():
+            for j, b in r2_up[t].items():
+                acc[j] = acc.get(j, 0) + a * b
+        if d >= 2:
+            for u, a in r2_down[s].items():
+                for j, b in lap_down[u].items():
+                    acc[j] = acc.get(j, 0) - a * b
+        if any(acc.values()):
+            return f"[lap, r2] = {c} fails at degree {d}, row {s}"
+    return None
+
+
+def _certificate_failure(
+    signature: SuperSignature,
+    k: int,
+    summands: tuple[FischerSummand, ...],
+    total: int,
+    space_dim: int,
+) -> str | None:
+    """The directness certificate for m >= 1 (module docstring): a witness
+    naming the first check that fails, or None.  The checks on the plan
+    come first, then the r2 leads and the commutator identity at degrees
+    k - 2, k - 4, .. >= 0."""
+    starts: dict[int, int] = {}
+    for s in summands:
+        if s.rpower < 0 or s.rpower % 2 or s.degree + s.rpower != k:
+            return f"r2 lap eigenvalue: {s.describe()} is not a component of P_{k}"
+        c = s.rpower * (2 * s.degree + s.rpower + signature.M - 2)
+        if c in starts:
+            return f"r2 lap eigenvalue {c} repeats at starts {starts[c]} and {s.degree}"
+        starts[c] = s.degree
+    if total != space_dim:
+        return f"sum of dims {total} vs dim P_{k} = {space_dim}"
+    degrees = range(k - 2, -1, -2)
+    for check in (_lead_failure, _commutator_failure):
+        for d in degrees:
+            witness = check(signature, d)
+            if witness:
+                return witness
+    return None
+
+
 def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionReport:
     """Decompose P_k into r-power multiples of (generalized) harmonics and
-    verify exactness of the direct sum by rank."""
+    verify that the sum is direct and fills P_k: by the sl(2) certificate
+    for m >= 1, by the rank of the stacked components for m = 0."""
     if k < 0:
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
-    summands = [
+    summands = tuple(
         FischerSummand(kind, degree, rpower, _SPACES[kind](signature, degree).dim)
         for kind, degree, rpower in plan
-    ]
-
+    )
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
-    # Reversed, so the highest start degree comes first: the start-k
-    # component, when there is one, is a canonical basis with no lift, so its
-    # rows enter the echelon with no elimination.  Rank ignores order.
-    joint_rank = rank(fischer_rows(signature, k)[::-1])
-    agreement = True
     notes: tuple[str, ...] = ()
-    if signature.m == 0:
+    if signature.m:
+        witness = _certificate_failure(signature, k, summands, total, space_dim)
+    else:
+        # Reversed, so the highest start degree comes first: the start-k
+        # component, when there is one, is a canonical basis with no lift,
+        # so its rows enter the echelon with no elimination.  Rank ignores
+        # order.
+        joint_rank = rank(fischer_rows(signature, k)[::-1])
         formula_plan = _formula_plan(fischer_index_sets(signature, k))
         agreement = _plans_agree(signature, plan, formula_plan, k)
         notes = (
             "m=0: purely fermionic decomposition used; index-set formula "
             + ("matches after dropping trivial components" if agreement else "DISAGREES"),
         )
-    verified = joint_rank == total == space_dim and agreement
-    witness = None
-    if not joint_rank == total == space_dim:
-        witness = (
-            f"rank {joint_rank} of stacked components vs sum of dims {total} "
-            f"vs dim P_{k} = {space_dim}"
-        )
-    elif not agreement:
-        witness = "m=0: the index-set formula and the fermionic decomposition differ"
+        witness = None
+        if not joint_rank == total == space_dim:
+            witness = (
+                f"rank {joint_rank} of stacked components vs sum of dims {total} "
+                f"vs dim P_{k} = {space_dim}"
+            )
+        elif not agreement:
+            witness = "m=0: the index-set formula and the fermionic decomposition differ"
     return DecompositionReport(
         signature=signature,
         k=k,
-        summands=tuple(summands),
+        summands=summands,
         suppressed=suppressed,
         total_dim=total,
         space_dim=space_dim,
-        verified=verified,
+        verified=witness is None,
         failure_witness=witness,
         notes=notes,
     )

@@ -23,10 +23,12 @@ commutator a b - b a.
 
 Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
-functions.  The matrix of a map on one degree is built from the map by
-exactla.operator_matrix, which applies it to each basis monomial with the
-int coefficient 1; the rules below then compute in ints, so the matrices of
-laplacian and rsquare_mul have int entries.
+functions.  The matrix of the Laplacian on one degree is built from the map
+by exactla.operator_matrix, which applies it to each basis monomial with the
+int coefficient 1; the rules below then compute in ints, so the matrix has
+int entries.  The matrix of rsquare_mul is read off the Laplacian's, as its
+adjoint under the Fischer weights (module harmonics); operator_matrix of
+rsquare_mul stays the tests' reference for it.
 
 laplacian, rsquare_mul and the lift xi are applied by their monomial rules,
 term by term into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th

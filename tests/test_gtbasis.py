@@ -213,6 +213,34 @@ def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, ki
 
 
 @pytest.mark.parametrize(
+    "m,n,k,kind,level",
+    [(0, 3, 2, "fermionic-0", 10), (2, 3, 4, "ordinary-a1", 9)],
+)
+def test_wrong_level_fails_restriction_data(monkeypatch, m, n, k, kind, level):
+    # the first step claims level 10 on (0|6) (not n = 3), or level 9 on
+    # (2|6) (not m = 2); the restriction data alone would still match
+    def relabel(el):
+        chain = el.label.chain
+        return GTBasisElement(GTLabel((replace(chain[0], level=level),) + chain[1:]), el.polynomial)
+
+    assert not _data_check_with(monkeypatch, SuperSignature(m, n), k, "H", kind, relabel)
+
+
+def test_non_homogeneous_element_fails_independence(monkeypatch):
+    # the constant 1 in a degree-2 basis: a failed check, not a ValueError
+    sig = SuperSignature(0, 3)
+    basis = list(gt_basis(sig, 2))
+    basis[0] = GTBasisElement(basis[0].label, SuperPolynomial.one(sig))
+    monkeypatch.setitem(gtbasis._CACHE, (0, 3, 2, "H"), tuple(basis))
+    rep = verify_gt_basis(sig, 2)
+    checks = dict(rep.checks)
+    assert not rep.verified
+    assert not checks["elements are linearly independent"]
+    assert checks["element count equals space dimension"]
+    assert list(checks) == [name for name, _ in verify_gt_basis(SuperSignature(0, 2), 1).checks]
+
+
+@pytest.mark.parametrize(
     "m,n,k", [(0, 0, 0), (0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 1, 1), (2, 0, 2), (3, 2, 2)]
 )
 def test_step_check_judges_every_kind_without_raising(m, n, k):

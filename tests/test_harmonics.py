@@ -15,6 +15,7 @@ from superharm.cli import _GRID as VERIFY_GRID
 from superharm.exactla import (
     Subspace,
     kernel,
+    operator_matrix,
     polynomial_vector,
     rank,
     span_subspace,
@@ -35,10 +36,12 @@ from superharm.harmonics import (
     socle_space,
     verify_theorem_A,
 )
-from superharm.operators import laplacian, rsquare
+from superharm.operators import laplacian, rsquare, rsquare_mul
 from superharm.superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    basis_index,
     monomial_basis,
     space_dimension,
 )
@@ -368,23 +371,28 @@ def test_fermionic_disagreement_fails_verification(monkeypatch):
     assert "DISAGREES" in rep.notes[0]
 
 
-def test_duplicated_component_fails_verification(monkeypatch):
+def _with_plan(monkeypatch, edit):
     original = harmonics._decomposition_plan
 
-    def duplicated(signature, k):
+    def edited(signature, k):
         plan, suppressed = original(signature, k)
-        return plan + plan[:1], suppressed
+        return edit(plan), suppressed
 
-    monkeypatch.setattr(harmonics, "_decomposition_plan", duplicated)
+    monkeypatch.setattr(harmonics, "_decomposition_plan", edited)
+
+
+def test_duplicated_component_fails_verification(monkeypatch):
+    _with_plan(monkeypatch, lambda plan: plan + plan[:1])
     rep = fischer_decomposition(S23, 5)
     assert not rep.verified
     assert rep.total_dim == 64 + 64 + 128
-    assert rep.failure_witness == (
-        "rank 192 of stacked components vs sum of dims 256 vs dim P_5 = 192"
-    )
+    # r^2*H_3 twice: both copies carry the eigenvalue 2 (2*3 + 2 - 4 - 2) = 4
+    assert rep.failure_witness == "r2 lap eigenvalue 4 repeats at starts 3 and 3"
 
 
 def test_joint_rank_takes_every_stacked_row(monkeypatch):
+    # the joint rank is the m = 0 path, over every stacked row; m >= 1 is
+    # verified by the sl(2) certificate and takes no rank
     calls = []
 
     def counting(rows):
@@ -393,23 +401,36 @@ def test_joint_rank_takes_every_stacked_row(monkeypatch):
         return exactla.rank(rows)
 
     monkeypatch.setattr(harmonics, "rank", counting)
-    rep = fischer_decomposition(S23, 7)
+    assert fischer_decomposition(S23, 7).verified
+    assert calls == []
+    rep = fischer_decomposition(SuperSignature(0, 3), 3)
     assert rep.verified
     assert calls == [rep.space_dim]
 
 
-def test_matrices_are_built_once_per_degree(monkeypatch):
-    cached = (
-        harmonics.laplacian_matrix,
-        harmonics.rsquare_matrix,
-        harmonics._rsquare_columns,
-        harmonics.harmonic_space,
-        harmonics.generalized_harmonic_space,
-        harmonics.socle_space,
-        harmonics.defect_kernel,
-    )
-    for fn in cached:
+_HARMONIC_CACHES = (
+    laplacian_matrix,
+    rsquare_matrix,
+    harmonics._rsquare_columns,
+    harmonic_space,
+    generalized_harmonic_space,
+    socle_space,
+    defect_kernel,
+)
+
+
+@pytest.fixture
+def fresh_caches():
+    for fn in _HARMONIC_CACHES:
         fn.cache_clear()
+    yield
+    for fn in _HARMONIC_CACHES:
+        fn.cache_clear()
+
+
+def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
+    # the Laplacian is the only matrix built from polynomials, once per
+    # degree; r2 is read off it
     built = []
     original = harmonics.operator_matrix
 
@@ -423,6 +444,99 @@ def test_matrices_are_built_once_per_degree(monkeypatch):
     for k in (4, 5, 6):
         assert verify_theorem_A(S23, k).verified
     assert built and len(built) == len(set(built))
+    assert {name for name, _, _ in built} == {"laplacian"}
+
+
+FAST_PATH_GRID = [SuperSignature(m, n) for m in range(5) for n in range(4)]
+
+
+@pytest.mark.parametrize("sig", FAST_PATH_GRID, ids=str)
+def test_rsquare_read_off_the_laplacian_matches_the_operator_matrix(sig):
+    for d in range(6):
+        reference = operator_matrix(rsquare_mul, sig, d, 2)
+        assert rsquare_matrix(sig, d) == reference, d
+        assert harmonics._rsquare_columns(sig, d) == reference.transpose().row_dicts(), d
+
+
+def _plan_mutations(plan):
+    """The plan itself, with its first component duplicated, and with its
+    first component dropped."""
+    return [plan, plan + plan[:1], plan[1:]]
+
+
+@pytest.mark.parametrize("sig", FAST_PATH_GRID, ids=str)
+def test_certificate_verdict_matches_the_joint_rank(monkeypatch, sig):
+    # the joint rank of the stacked lifted components is the reference
+    # verdict, on the real plan and on two broken ones
+    original = harmonics._decomposition_plan
+    for k in range(7):
+        plan, suppressed = original(sig, k)
+        for mutated in _plan_mutations(plan):
+            monkeypatch.setattr(
+                harmonics, "_decomposition_plan", lambda s, d: (mutated, suppressed)
+            )
+            rep = fischer_decomposition(sig, k)
+            joint = rank(harmonics.fischer_rows(sig, k))
+            assert rep.verified == (joint == rep.total_dim == rep.space_dim), (k, mutated)
+            if mutated is plan:
+                assert rep.verified, (k, rep.failure_witness)
+
+
+@pytest.mark.parametrize(
+    "edit, witness",
+    [
+        # r^4*H_3 in place of r^2*H_3: a lift to degree 7, not 5
+        (
+            lambda plan: [("H", 3, 4)] + plan[1:],
+            "r2 lap eigenvalue: r^4*H_3 is not a component of P_5",
+        ),
+        # the suppressed mirror 1 = 2 - M - 5 of the exceptional start 5
+        (lambda plan: plan + [("H", 1, 4)], "r2 lap eigenvalue 0 repeats at starts 5 and 1"),
+        (lambda plan: plan[1:], "sum of dims 128 vs dim P_5 = 192"),
+    ],
+    ids=["wrong-lift-power", "unsuppressed-mirror", "dropped-component"],
+)
+def test_broken_plan_fails_the_certificate(monkeypatch, edit, witness):
+    assert [item[1:] for item in harmonics._decomposition_plan(S23, 5)[0]] == [(3, 2), (5, 0)]
+    _with_plan(monkeypatch, edit)
+    rep = fischer_decomposition(S23, 5)
+    assert not rep.verified
+    assert rep.failure_witness == witness
+
+
+REGULAR_MIXED = SuperSignature(3, 2)  # M = -1: no Ht, so the spaces take no r2
+
+
+def _with_rsquare_columns(monkeypatch, edit):
+    original = harmonics._rsquare_columns.__wrapped__
+    monkeypatch.setattr(harmonics, "_rsquare_columns", lambda s, d: edit(s, d, original(s, d)))
+
+
+def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_caches):
+    def drop_first_lead(sig, d, columns):
+        if d != 3:
+            return columns
+        powers, fermions = monomial_basis(sig, d)[0]
+        lead = basis_index(sig, d + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
+        return ({t: v for t, v in columns[0].items() if t != lead},) + columns[1:]
+
+    _with_rsquare_columns(monkeypatch, drop_first_lead)
+    rep = fischer_decomposition(REGULAR_MIXED, 5)
+    assert not rep.verified
+    assert rep.failure_witness == "r2 lead certificate fails at degree 3, column 0"
+
+
+def test_flipped_rsquare_sign_fails_the_commutator_identity(monkeypatch, fresh_caches):
+    # +1 where a pair is added, in place of -1: every lead is still a 1 at
+    # x1^2 times its monomial, so only [lap, r2] = 4E + 2M can tell
+    def flip_pair_signs(sig, d, columns):
+        return tuple({t: abs(v) for t, v in column.items()} for column in columns)
+
+    _with_rsquare_columns(monkeypatch, flip_pair_signs)
+    rep = fischer_decomposition(REGULAR_MIXED, 5)
+    assert not rep.verified
+    # at degree 3: 4*3 + 2*(3 - 4) = 10
+    assert rep.failure_witness.startswith("[lap, r2] = 10 fails at degree 3, row ")
 
 
 def test_negative_degree_rejected():
