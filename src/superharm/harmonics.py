@@ -35,7 +35,7 @@ are those of the products lap r2 lap (for Ht) and lap r2 (the defect
 kernel): from the monomial maps to the canonical integer rows of a Subspace
 no Fraction is made.
 
-For m >= 1 the direct sum is proved from the sl(2) structure, with no rank.
+The direct sum is proved from the sl(2) structure, with no rank.
 [lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
 
     (a)  L_(d+2) R_d - R_(d-2) L_d = (4d + 2M) I      (no second term for d < 2).
@@ -48,23 +48,27 @@ P_l, with c = 2j (2l + 2j + M - 2).  So r2 lap acts on r^(k-l) H_l as
 and since lap r2 lap u = 0 on Ht_l, (r2 lap - c_l)^2 = 0 on r^(k-l) Ht_l.
 q(l) = q(l') exactly when l' = 2 - M - l, the mirror that the index sets
 suppress.  Components in distinct generalised eigenspaces of r2 lap are
-independent.  And r2 is injective for m >= 1:
+independent.  Each lifted component must also keep the dimension of its
+start space.  For m >= 1, r2 is injective:
 
     (b)  each column s of R_d has a 1 at x1^2 s, and every other entry has a
          smaller x1 exponent,
 
 so among the columns of a vanishing combination, those of the highest x1
 exponent have leads no other entry reaches, and their coefficients are 0.
-Each lifted component then has the dimension of its start space.
+At m = 0, r2 is nilpotent and (b) is false, but every component is a plain
+r^(2j) H_l, and (a) gives lap^j r^(2j) u = c_1 .. c_j u for u in H_l, with
+c_i = 2i (2l + 2i + M - 2).  A nonzero product proves that lift injective;
+a vanishing c_i is the witness.
 fischer_decomposition checks, in this order: (c) every component lies in
-P_k and the values c_l are distinct over the plan's starts; (d) the start
-dimensions sum to dim P_k; (b) and then (a) at d = k - 2, k - 4, .. >= 0.
+P_k and the values c_l are distinct over the plan's starts, and at m = 0
+each component is an H_l with c_1 .. c_j != 0; (d) the start dimensions
+sum to dim P_k; for m >= 1 (b); and (a) at d = k - 2, k - 4, .. >= 0.
 Together they prove the sum direct and equal to P_k.  A failed report's
 witness names the first check that failed: the component out of degree or
-the repeated eigenvalue and its two starts, the dimension sum, the degree
-and column of the lead, or the degree and row of the identity.  At m = 0, r2
-is nilpotent and (b) is false; there the decomposition is verified by the
-rank of the stacked lifted components.
+the repeated eigenvalue and its two starts, the component whose lift is not
+injective, the dimension sum, the degree and column of the lead, or the
+degree and row of the identity.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -76,11 +80,9 @@ prescribed-Laplacian slot takes the same kernel.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
 integer rows of a Subspace through the integer column images of
-rsquare_matrix, one degree step at a time.  The socle, the m = 0 Fischer
-rank, Theorem A's mirror lift and branching's lifted mirror work on those
-integer rows with no polynomial in between.  fischer_rows stacks the lifted
-component rows of P_k in summand order; the m = 0 Fischer rank and
-branching's lower spanning sets both take them.  A polynomial is lifted by
+rsquare_matrix, one degree step at a time.  The socle, Theorem A's mirror
+lift, the m = 0 plan agreement and branching's lifted mirror work on those
+integer rows with no polynomial in between.  A polynomial is lifted by
 rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
 rule, never a product with the polynomial (r2)^j; gtbasis uses it.  At
 j = 0 both lifts are the identity.
@@ -98,7 +100,6 @@ from .exactla import (
     kernel,
     matmul,
     operator_matrix,
-    rank,
     subspace_polynomials,
 )
 from .operators import laplacian, rsquare_mul
@@ -315,21 +316,6 @@ def _decomposition_plan(
     return _formula_plan(sets), tuple(sorted(sets.suppressed))
 
 
-def fischer_rows(signature: SuperSignature, k: int) -> tuple[dict[int, int], ...]:
-    """Integer rows of the lifted components of the degree-k decomposition,
-    stacked in summand order, one row per basis element of each component;
-    they span P_k exactly when the decomposition verifies.  Empty for
-    k < 0."""
-    if k < 0:
-        return ()
-    plan, _ = _decomposition_plan(signature, k)
-    return tuple(
-        row
-        for kind, degree, rpower in plan
-        for row in _component_rows(signature, kind, degree, rpower, k)
-    )
-
-
 def _fermionic_summand_plan(signature: SuperSignature, k: int) -> list[tuple[str, int, int]]:
     """Components of degree k for m = 0: starts N_min(k, 2n-k), plain
     harmonics only."""
@@ -389,22 +375,30 @@ def _certificate_failure(
     total: int,
     space_dim: int,
 ) -> str | None:
-    """The directness certificate for m >= 1 (module docstring): a witness
-    naming the first check that fails, or None.  The checks on the plan
-    come first, then the r2 leads and the commutator identity at degrees
-    k - 2, k - 4, .. >= 0."""
+    """The directness certificate (module docstring): a witness naming the
+    first check that fails, or None.  The checks on the plan come first,
+    with the closed-form lift injectivity at m = 0; then, for m >= 1, the
+    r2 leads; then the commutator identity at degrees k - 2, k - 4, .. >= 0."""
+    M = signature.M
     starts: dict[int, int] = {}
     for s in summands:
         if s.rpower < 0 or s.rpower % 2 or s.degree + s.rpower != k:
             return f"r2 lap eigenvalue: {s.describe()} is not a component of P_{k}"
-        c = s.rpower * (2 * s.degree + s.rpower + signature.M - 2)
+        c = s.rpower * (2 * s.degree + s.rpower + M - 2)
         if c in starts:
             return f"r2 lap eigenvalue {c} repeats at starts {starts[c]} and {s.degree}"
         starts[c] = s.degree
+        if signature.m == 0:
+            if s.kind != "H":
+                return f"r2 lift injectivity: {s.describe()} is not an r-power of H"
+            for i in range(1, s.rpower // 2 + 1):
+                if 2 * s.degree + 2 * i + M - 2 == 0:  # c_i = 2i (2l + 2i + M - 2)
+                    return f"r2 lift injectivity: c_{i} = 0 on {s.describe()}"
     if total != space_dim:
         return f"sum of dims {total} vs dim P_{k} = {space_dim}"
     degrees = range(k - 2, -1, -2)
-    for check in (_lead_failure, _commutator_failure):
+    checks = (_lead_failure, _commutator_failure) if signature.m else (_commutator_failure,)
+    for check in checks:
         for d in degrees:
             witness = check(signature, d)
             if witness:
@@ -414,8 +408,7 @@ def _certificate_failure(
 
 def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionReport:
     """Decompose P_k into r-power multiples of (generalized) harmonics and
-    verify that the sum is direct and fills P_k: by the sl(2) certificate
-    for m >= 1, by the rank of the stacked components for m = 0."""
+    verify that the sum is direct and fills P_k by the sl(2) certificate."""
     if k < 0:
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
@@ -425,28 +418,16 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     )
     space_dim = len(monomial_basis(signature, k))
     total = sum(s.dim for s in summands)
+    witness = _certificate_failure(signature, k, summands, total, space_dim)
     notes: tuple[str, ...] = ()
-    if signature.m:
-        witness = _certificate_failure(signature, k, summands, total, space_dim)
-    else:
-        # Reversed, so the highest start degree comes first: the start-k
-        # component, when there is one, is a canonical basis with no lift,
-        # so its rows enter the echelon with no elimination.  Rank ignores
-        # order.
-        joint_rank = rank(fischer_rows(signature, k)[::-1])
+    if signature.m == 0:
         formula_plan = _formula_plan(fischer_index_sets(signature, k))
         agreement = _plans_agree(signature, plan, formula_plan, k)
         notes = (
             "m=0: purely fermionic decomposition used; index-set formula "
             + ("matches after dropping trivial components" if agreement else "DISAGREES"),
         )
-        witness = None
-        if not joint_rank == total == space_dim:
-            witness = (
-                f"rank {joint_rank} of stacked components vs sum of dims {total} "
-                f"vs dim P_{k} = {space_dim}"
-            )
-        elif not agreement:
+        if witness is None and not agreement:
             witness = "m=0: the index-set formula and the fermionic decomposition differ"
     return DecompositionReport(
         signature=signature,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from superharm import branching
+from superharm import branching, harmonics
 from superharm.branching import (
     branch_generalized,
     branch_harmonic,
@@ -10,7 +10,8 @@ from superharm.branching import (
     defect_kernel,
 )
 from superharm.ck import CKData
-from superharm.exactla import Subspace
+from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
+from superharm.exactla import Subspace, span_subspace, vector_polynomial
 from superharm.harmonics import harmonic_space
 from superharm.superpoly import SuperPolynomial, SuperSignature, space_dimension
 
@@ -145,21 +146,84 @@ def test_guards():
         branch_harmonic(SuperSignature(2, 1), -1)
 
 
-def test_dependent_lower_stack_fails_completeness(monkeypatch):
-    # one row repeated: the count still equals dim P', the rank does not
-    original = branching.fischer_rows
+def test_broken_lower_plan_fails_completeness(monkeypatch):
+    # the lower Fischer plan of one degree, k or k - 1, and of the lower
+    # signature only, repeats or loses a component: completeness is the
+    # lower Fischer verdict, so exactly that check fails, and the slot
+    # checks on the monomial bases still hold
+    original = harmonics._decomposition_plan
+    for edit in (lambda plan: plan + plan[:1], lambda plan: plan[1:]):
+        for sig, branch, k in ((S33, branch_harmonic, 3), (S23, branch_generalized, 4)):
+            for broken in ((sig.restricted(), k), (sig.restricted(), k - 1)):
 
-    def duplicated(sig, k):
-        rows = list(original(sig, k))
-        if len(rows) > 1:
-            rows[-1] = rows[0]
-        return tuple(rows)
+                def edited(signature, d, edit=edit, broken=broken):
+                    plan, suppressed = original(signature, d)
+                    return (edit(plan) if (signature, d) == broken else plan), suppressed
 
-    monkeypatch.setattr(branching, "fischer_rows", duplicated)
-    for rep in (branch_harmonic(S33, 3), branch_generalized(S23, 4)):
-        checks = dict(rep.checks)
-        assert not checks["lower spanning sets are complete"]
-        assert not rep.verified
+                monkeypatch.setattr(harmonics, "_decomposition_plan", edited)
+                rep = branch(sig, k)
+                failed = [name for name, ok in rep.checks if not ok]
+                assert failed == ["lower spanning sets are complete"], (sig, k, broken)
+                assert not rep.verified
+
+
+def _fischer_generators(lower, d):
+    """The lower Fischer components of P'_d as polynomials, stacked from
+    their lifted rows: the generators the slot checks stand for."""
+    plan, _ = harmonics._decomposition_plan(lower, d)
+    return [
+        vector_polynomial(lower, d, row)
+        for kind, degree, rpower in plan
+        for row in harmonics._component_rows(lower, kind, degree, rpower, d)
+    ]
+
+
+BRANCHING_GRID = [SuperSignature(m, n) for m, n in VERIFY_GRID if m]
+
+
+@pytest.mark.parametrize("sig", BRANCHING_GRID, ids=str)
+def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypatch, sig):
+    # CK extension is linear, so the boundary and normal checks on a basis
+    # of P' agree with the same checks on the lower Fischer generators; and
+    # both fail when the extension drops the slot's term.  branch_harmonic
+    # must hand each check a whole basis of P'.
+    lower = sig.restricted()
+    stacks = {}
+    original = branching._slot_generators_ok
+
+    def recording(signature, k, slot, stack):
+        stacks[slot] = stack
+        return original(signature, k, slot, stack)
+
+    for k in range(_SUITE_KMAX["branching"] + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(branching, "_slot_generators_ok", recording)
+            assert branch_harmonic(sig, k).verified
+        for slot, d in (("boundary", k), ("normal", k - 1)):
+            basis = stacks[slot]
+            assert len(basis) == span_subspace(lower, d, basis).dim == space_dimension(lower, d)
+            if not basis:
+                continue  # d < 0, or above the top degree of a fermionic P'
+            fischer = _fischer_generators(lower, d)
+            assert len(fischer) == space_dimension(lower, d)
+            assert branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
+            assert branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
+            with monkeypatch.context() as patch:
+                _drop_slot_term(patch, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
+
+
+def _drop_slot_term(monkeypatch, slot):
+    """Patch branching's CK extension to ignore the data of one slot."""
+    original = branching.ck_extend
+
+    def dropping(data):
+        parts = {"boundary": data.boundary, "normal": data.normal, "laplacian": data.laplacian}
+        parts[slot] = SuperPolynomial.zero(parts[slot].signature)
+        return original(CKData(data.degree, **parts))
+
+    monkeypatch.setattr(branching, "ck_extend", dropping)
 
 
 @pytest.mark.parametrize(
@@ -173,14 +237,7 @@ def test_dependent_lower_stack_fails_completeness(monkeypatch):
 def test_slot_check_fails_when_extension_drops_its_term(monkeypatch, slot, name):
     # the extension ignores one slot of its data: that slot's generators
     # no longer read their data back, and only that check fails
-    original = branching.ck_extend
-
-    def dropping(data):
-        parts = {"boundary": data.boundary, "normal": data.normal, "laplacian": data.laplacian}
-        parts[slot] = SuperPolynomial.zero(parts[slot].signature)
-        return original(CKData(data.degree, **parts))
-
-    monkeypatch.setattr(branching, "ck_extend", dropping)
+    _drop_slot_term(monkeypatch, slot)
     reports = [branch_generalized(S23, 4)]
     if slot != "laplacian":
         reports.append(branch_harmonic(S33, 3))

@@ -390,22 +390,20 @@ def test_duplicated_component_fails_verification(monkeypatch):
     assert rep.failure_witness == "r2 lap eigenvalue 4 repeats at starts 3 and 3"
 
 
-def test_joint_rank_takes_every_stacked_row(monkeypatch):
-    # the joint rank is the m = 0 path, over every stacked row; m >= 1 is
-    # verified by the sl(2) certificate and takes no rank
+def test_no_fischer_path_takes_a_rank(monkeypatch):
+    # the sl(2) certificate is the one proof for every m: neither m >= 1 nor
+    # m = 0 ranks a stack of rows
     calls = []
 
     def counting(rows):
-        rows = list(rows)
-        calls.append(len(rows))
-        return exactla.rank(rows)
+        calls.append(rows)
+        return rank(rows)
 
-    monkeypatch.setattr(harmonics, "rank", counting)
+    monkeypatch.setattr(exactla, "rank", counting)
+    assert "rank" not in vars(harmonics)
     assert fischer_decomposition(S23, 7).verified
+    assert fischer_decomposition(SuperSignature(0, 3), 3).verified
     assert calls == []
-    rep = fischer_decomposition(SuperSignature(0, 3), 3)
-    assert rep.verified
-    assert calls == [rep.space_dim]
 
 
 _HARMONIC_CACHES = (
@@ -464,10 +462,20 @@ def _plan_mutations(plan):
     return [plan, plan + plan[:1], plan[1:]]
 
 
+def _joint_rank(sig, plan, k):
+    """Rank of the lifted component rows of a plan, stacked: the reference
+    verdict on directness, built here and not in the library."""
+    return rank(
+        row
+        for kind, degree, rpower in plan
+        for row in harmonics._component_rows(sig, kind, degree, rpower, k)
+    )
+
+
 @pytest.mark.parametrize("sig", FAST_PATH_GRID, ids=str)
 def test_certificate_verdict_matches_the_joint_rank(monkeypatch, sig):
     # the joint rank of the stacked lifted components is the reference
-    # verdict, on the real plan and on two broken ones
+    # verdict, on the real plan and on two broken ones, for m = 0 as well
     original = harmonics._decomposition_plan
     for k in range(7):
         plan, suppressed = original(sig, k)
@@ -476,7 +484,7 @@ def test_certificate_verdict_matches_the_joint_rank(monkeypatch, sig):
                 harmonics, "_decomposition_plan", lambda s, d: (mutated, suppressed)
             )
             rep = fischer_decomposition(sig, k)
-            joint = rank(harmonics.fischer_rows(sig, k))
+            joint = _joint_rank(sig, mutated, k)
             assert rep.verified == (joint == rep.total_dim == rep.space_dim), (k, mutated)
             if mutated is plan:
                 assert rep.verified, (k, rep.failure_witness)
@@ -502,6 +510,29 @@ def test_broken_plan_fails_the_certificate(monkeypatch, edit, witness):
     rep = fischer_decomposition(S23, 5)
     assert not rep.verified
     assert rep.failure_witness == witness
+
+
+@pytest.mark.parametrize(
+    "plan, witness, joint",
+    [
+        # c_1 = 2 (2*3 + 2 - 6 - 2) = 0: r^2*H_3 is zero, though 3 + 2 = 5
+        ([("H", 3, 2)], "r2 lift injectivity: c_1 = 0 on r^2*H_3", 0),
+        # Ht_1 = H_1 outside the window 5..8, so these rows span P_5; the
+        # certificate still refuses, as its argument covers plain H only
+        ([("Ht", 1, 4)], "r2 lift injectivity: r^4*Ht_1 is not an r-power of H", 6),
+    ],
+    ids=["vanishing-lift", "generalized-component"],
+)
+def test_fermionic_plan_fails_the_injectivity_check(monkeypatch, plan, witness, joint):
+    sig = SuperSignature(0, 3)
+    assert harmonics._decomposition_plan(sig, 5)[0] == [("H", 1, 4)]
+    _with_plan(monkeypatch, lambda _: plan)
+    rep = fischer_decomposition(sig, 5)
+    assert not rep.verified
+    assert rep.failure_witness == witness
+    # checked per component, before the dimension sum (14 vs 6 for H_3)
+    assert rep.space_dim == 6
+    assert _joint_rank(sig, plan, 5) == joint
 
 
 REGULAR_MIXED = SuperSignature(3, 2)  # M = -1: no Ht, so the spaces take no r2
