@@ -38,7 +38,9 @@ takes the rows of the defect kernel ker(L_k R_(k-2)), which lives in
 harmonics: it is cached there beside the spaces it serves, and the socle of
 Theorem A is its r2-image, so one kernel serves both.  One check,
 _slot_generators_ok, serves all three slots: each extension must read its
-data back in its own slot and zero in the other two.
+data back in its own slot and zero in the other two.  That read-back is a
+left inverse of the extension, so the extension is injective and its image
+has the dimension of its data, which the count checks compare with lhs_dim.
 """
 
 from __future__ import annotations

@@ -21,19 +21,21 @@ above is not available; the purely fermionic decomposition indexed by
 N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
 with the index-set formula.
 
-All spaces are exact kernels of exact matrices.  The matrix L_k of the
-Laplacian is the one matrix built from polynomials, once per (signature,
-degree), and cached.  The matrix R_d of multiplication by r2 is read off
-L_(d+2): under the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the
-number of whole pairs in F, r2 is the adjoint of lap, so
-R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
-(a_i+2)(a_i+1) for t = x_i^2 s or -4 for a pair added, is nonzero, so the
-supports agree, and the entry is +1 where the two fermion masks agree and -1
-where a pair was added.  _rsquare_columns reads row s of L_(d+2) as column s
-of R_d, and rsquare_matrix is its transpose.  All entries are ints, and so
-are those of the products lap r2 lap (for Ht) and lap r2 (the defect
-kernel): from the monomial maps to the canonical integer rows of a Subspace
-no Fraction is made.
+H_k, Ht_k and the defect kernel below are exact kernels of exact matrices;
+for m >= 1 the Fischer decomposition counts its start dimensions instead
+(see the end of the certificate).  The matrix L_k of the Laplacian is the
+one matrix built from polynomials, once per (signature, degree), and
+cached.  The matrix R_d of multiplication by r2 is read off L_(d+2): under
+the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the number of whole
+pairs in F, r2 is the adjoint of lap, so R_d[t, s] w(t) = L_(d+2)[s, t] w(s).
+Every ratio w(t)/w(s) on the support, (a_i+2)(a_i+1) for t = x_i^2 s or -4
+for a pair added, is nonzero, so the supports agree, and the entry is +1
+where the two fermion masks agree and -1 where a pair was added.
+_rsquare_columns reads row s of L_(d+2) as column s of R_d, and
+rsquare_matrix is its transpose.  All entries are ints, and so are those of
+the products lap r2 lap (for Ht) and lap r2 (the defect kernel): from the
+monomial maps to the canonical integer rows of a Subspace no Fraction is
+made.
 
 The direct sum is proved from the sl(2) structure, with no rank.
 [lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
@@ -69,6 +71,19 @@ witness names the first check that failed: the component out of degree or
 the repeated eigenvalue and its two starts, the component whose lift is not
 injective, the dimension sum, the degree and column of the lead, or the
 degree and row of the identity.
+
+For m >= 1 the start dimensions that (d) sums take no kernel on P_l.  R_(l-2)
+is read off L_l, so its transpose and L_l have the same support.  (b) at
+l - 2 then makes the minor of L_l on the columns {x1^2 s : s in P_(l-2)}
+triangular in the x1 exponent, with a nonzero diagonal, so L_l is onto
+P_(l-2) and dim H_l = dim P_l - dim P_(l-2).  Ht_l = L_l^-1(ker L_l R_(l-2)),
+so, L_l being onto, dim Ht_l = dim H_l + dim D_(l-2), D the defect kernel
+below.  The certificate runs (b) at every d = k - 2, k - 4, .. >= 0, which
+is l - 2 for every start l >= 2 (below, P_(l-2) = 0): a report that verifies
+has proved the dimensions it summed, with no further check.  A wrong defect
+kernel fails (d); a missing lead fails (b), or (d) first where it also
+shrinks a defect kernel.  At m = 0 (b) is false, and the starts keep their
+kernels.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -406,14 +421,30 @@ def _certificate_failure(
     return None
 
 
+def _start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
+    """dim (H or Ht)_degree: counted for m >= 1, where (b) at degree - 2
+    proves the count (module docstring); the kernel's at m = 0."""
+    if signature.m == 0:
+        return _SPACES[kind](signature, degree).dim
+    dim = len(monomial_basis(signature, degree)) - len(monomial_basis(signature, degree - 2))
+    if kind == "Ht":
+        dim += defect_kernel(signature, degree - 2).dim
+    return dim
+
+
 def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionReport:
     """Decompose P_k into r-power multiples of (generalized) harmonics and
-    verify that the sum is direct and fills P_k by the sl(2) certificate."""
+    verify that the sum is direct and fills P_k by the sl(2) certificate.
+
+    For m >= 1 no kernel is taken on the P_l of a start: the start dimensions
+    are dim P_l - dim P_(l-2), plus the defect kernel on P_(l-2) at an
+    exceptional start, and the certificate's lead check (b) at l - 2 is what
+    proves them.  At m = 0 they are the dimensions of the kernels."""
     if k < 0:
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
     summands = tuple(
-        FischerSummand(kind, degree, rpower, _SPACES[kind](signature, degree).dim)
+        FischerSummand(kind, degree, rpower, _start_dim(signature, kind, degree))
         for kind, degree, rpower in plan
     )
     space_dim = len(monomial_basis(signature, k))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superharm import exactla, harmonics
-from superharm.cli import _GRID as VERIFY_GRID
+from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
     Subspace,
     kernel,
@@ -445,6 +445,77 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
     assert {name for name, _, _ in built} == {"laplacian"}
 
 
+def _recorded_kernels(monkeypatch):
+    """(ambient degree, columns) of every kernel harmonics takes."""
+    calls = []
+
+    def recording(A, ambient=None):
+        calls.append((ambient[1], A.cols))
+        return kernel(A, ambient)
+
+    monkeypatch.setattr(harmonics, "kernel", recording)
+    return calls
+
+
+@pytest.mark.parametrize("sig", [S23, SuperSignature(4, 4)], ids=str)
+def test_no_fischer_start_takes_a_kernel_on_its_degree(monkeypatch, fresh_caches, sig):
+    # for m >= 1 the start dimensions are counted; the only kernels are the
+    # defect kernels on P_(l-2) below the exceptional starts (here Ht_5)
+    calls = _recorded_kernels(monkeypatch)
+    rep = fischer_decomposition(sig, 7)
+    assert rep.verified
+    assert [s.describe() for s in rep.summands] == ["r^4*H_3", "r^2*Ht_5", "H_7"]
+    assert calls == [(3, len(monomial_basis(sig, 3)))]
+
+
+def test_fermionic_fischer_starts_keep_their_kernels(monkeypatch, fresh_caches):
+    sig = SuperSignature(0, 3)
+    calls = _recorded_kernels(monkeypatch)
+    rep = fischer_decomposition(sig, 3)
+    assert rep.verified
+    assert sorted(set(calls)) == [(l, len(monomial_basis(sig, l))) for l in (1, 3)]
+
+
+# the m >= 1 signatures of the verify grid at the fischer suite's degrees, and
+# (4|8) through its exceptional window 4..6 and one degree past it
+COUNTED_START_CASES = [
+    (SuperSignature(m, n), range(_SUITE_KMAX["fischer"] + 1)) for m, n in VERIFY_GRID if m
+] + [(SuperSignature(4, 4), range(8))]
+
+
+def _kernel_start_dim(sig, kind, degree):
+    space = harmonic_space if kind == "H" else generalized_harmonic_space
+    return space(sig, degree).dim
+
+
+@pytest.mark.parametrize("sig, degrees", COUNTED_START_CASES, ids=lambda v: str(v))
+def test_counted_start_dims_match_the_kernels(monkeypatch, sig, degrees):
+    # the reference report takes every start dimension from the kernel on
+    # P_l: dims, verdicts and witnesses must all agree with it
+    counted = [fischer_decomposition(sig, k) for k in degrees]
+    monkeypatch.setattr(harmonics, "_start_dim", _kernel_start_dim)
+    for k, rep in zip(degrees, counted):
+        assert rep == fischer_decomposition(sig, k), k
+        assert rep.verified, (k, rep.failure_witness)
+
+
+def test_wrong_defect_kernel_fails_the_dimension_sum(monkeypatch):
+    # one row short at degree 3: the Ht_5 start of (2|6) k = 5 is counted one
+    # too small, and nothing but the sum can see it
+    original = harmonics.defect_kernel
+
+    def one_row_short(sig, degree):
+        space = original(sig, degree)
+        if degree != 3:
+            return space
+        return Subspace(space.ambient_dim, space.rows[1:], space.ambient)
+
+    monkeypatch.setattr(harmonics, "defect_kernel", one_row_short)
+    rep = fischer_decomposition(S23, 5)
+    assert not rep.verified
+    assert rep.failure_witness == "sum of dims 191 vs dim P_5 = 192"
+
+
 FAST_PATH_GRID = [SuperSignature(m, n) for m in range(5) for n in range(4)]
 
 
@@ -543,18 +614,48 @@ def _with_rsquare_columns(monkeypatch, edit):
     monkeypatch.setattr(harmonics, "_rsquare_columns", lambda s, d: edit(s, d, original(s, d)))
 
 
-def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_caches):
-    def drop_first_lead(sig, d, columns):
-        if d != 3:
-            return columns
-        powers, fermions = monomial_basis(sig, d)[0]
-        lead = basis_index(sig, d + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
-        return ({t: v for t, v in columns[0].items() if t != lead},) + columns[1:]
+def _drop_lead(monkeypatch, degree, column):
+    """Drop the x1^2 lead of one column of R_degree."""
 
-    _with_rsquare_columns(monkeypatch, drop_first_lead)
+    def edit(sig, d, columns):
+        if d != degree:
+            return columns
+        powers, fermions = monomial_basis(sig, d)[column]
+        lead = basis_index(sig, d + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
+        dropped = {t: v for t, v in columns[column].items() if t != lead}
+        return columns[:column] + (dropped,) + columns[column + 1 :]
+
+    _with_rsquare_columns(monkeypatch, edit)
+
+
+def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_caches):
+    # t1 t2 t3 in degree 3, below H_5: every start is an H, so the counted
+    # dimensions telescope to dim P_5 whatever the leads say
+    _drop_lead(monkeypatch, 3, 0)
     rep = fischer_decomposition(REGULAR_MIXED, 5)
     assert not rep.verified
     assert rep.failure_witness == "r2 lead certificate fails at degree 3, column 0"
+
+
+@pytest.mark.parametrize(
+    "column, witness",
+    [
+        # x1 x2^3: the defect kernel on P_4 keeps its dimension
+        (98, "r2 lead certificate fails at degree 4, column 98"),
+        # t1 t2 t3 t4: the defect kernel shrinks, so the dimension sum fails first
+        (0, "sum of dims 255 vs dim P_6 = 256"),
+    ],
+    ids=["lead-witness", "sum-witness"],
+)
+def test_dropped_rsquare_lead_below_an_exceptional_start_fails(
+    monkeypatch, fresh_caches, column, witness
+):
+    # degree 4 lies below the Ht_6 start of (2|6) k = 6, whose counted
+    # dimension takes the defect kernel on P_4 built with this R_4
+    _drop_lead(monkeypatch, 4, column)
+    rep = fischer_decomposition(S23, 6)
+    assert not rep.verified
+    assert rep.failure_witness == witness
 
 
 def test_flipped_rsquare_sign_fails_the_commutator_identity(monkeypatch, fresh_caches):
