@@ -38,16 +38,18 @@ takes the rows of the defect kernel ker(L_k R_(k-2)), which lives in
 harmonics: it is cached there beside the spaces it serves, and the socle of
 Theorem A is its r2-image, so one kernel serves both.  One check,
 _slot_generators_ok, serves all three slots: each extension must read its
-data back in its own slot and zero in the other two.  That read-back is a
-left inverse of the extension, so the extension is injective and its image
-has the dimension of its data, which the count checks compare with lhs_dim.
+data back in its own slot and zero in the other two.  The slots, their
+degrees, the read-back and that predicate live in ck, and the GT step check
+of gtbasis states the same predicate.  The read-back is a left inverse of
+the extension, so the extension is injective and its image has the
+dimension of its data, which the count checks compare with lhs_dim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ck import CKData, ck_extend
+from .ck import CKData, ck_extend, only_in_slot, restriction_triple, slot_ambient
 # kernel is not called here (the defect kernel is built in harmonics); the
 # benchmark's tracer test (perfbench/tests) checks that its wrapper is also
 # bound under this module's name.
@@ -62,14 +64,7 @@ from .harmonics import (
     rsquare_lift_rows,
 )
 from .operators import laplacian, rsquare_mul
-from .superpoly import (
-    SuperPolynomial,
-    SuperSignature,
-    d_bosonic,
-    monomial_basis,
-    restrict_hyperplane,
-    space_dimension,
-)
+from .superpoly import SuperPolynomial, SuperSignature, monomial_basis, space_dimension
 
 
 @dataclass(frozen=True)
@@ -124,24 +119,15 @@ class BranchingReport:
 def _slot_generators_ok(signature, k, slot, stack) -> bool:
     """Extensions of degree-k data with only `slot` ("boundary", "normal" or
     "laplacian") set to each element of the stack: each must read its data
-    back in that slot alone, through the restriction, the normal restriction
-    and the Laplacian.  A Laplacian part w must also satisfy lap(r2 w) = 0,
-    so that the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w)
-    once lap Q = w holds."""
-    m = signature.m
-    read_back = (
-        ("laplacian", laplacian),
-        ("boundary", restrict_hyperplane),
-        ("normal", lambda Q: restrict_hyperplane(d_bosonic(Q, m))),
-    )
+    back in that slot alone (ck.only_in_slot).  A Laplacian part w must also
+    satisfy lap(r2 w) = 0, so that the extension is a generalized harmonic:
+    lap r2 lap Q = lap(r2 w) once lap Q = w holds."""
     for p in stack:
         if slot == "laplacian" and not laplacian(rsquare_mul(p)).is_zero():
             return False
         Q = ck_extend(CKData.from_parts(signature, k, **{slot: p}))
-        for part, read in read_back:
-            got = read(Q)
-            if (got != p) if part == slot else not got.is_zero():
-                return False
+        if not only_in_slot(restriction_triple(Q), slot, p):
+            return False
     return True
 
 
@@ -151,8 +137,9 @@ def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
     normal-slot checks hold on the monomial bases of those spaces."""
     lower = signature.restricted()
 
-    def slot_ok(slot, d):
-        basis = [SuperPolynomial(lower, {mono: 1}) for mono in monomial_basis(lower, d)]
+    def slot_ok(slot):
+        ring, d = slot_ambient(signature, k, slot)
+        basis = [SuperPolynomial(ring, {mono: 1}) for mono in monomial_basis(ring, d)]
         return _slot_generators_ok(signature, k, slot, basis)
 
     return [
@@ -160,8 +147,8 @@ def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
             "lower spanning sets are complete",
             all(fischer_decomposition(lower, d).verified for d in (k, k - 1) if d >= 0),
         ),
-        ("boundary-slot generators verify", slot_ok("boundary", k)),
-        ("normal-slot generators verify", slot_ok("normal", k - 1)),
+        ("boundary-slot generators verify", slot_ok("boundary")),
+        ("normal-slot generators verify", slot_ok("normal")),
     ]
 
 
@@ -240,14 +227,15 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
     lhs_dim = generalized_harmonic_space(signature, k).dim
     total = sum(s.multiplicity * s.dim for s in summands)
 
-    ker = defect_kernel(signature, k - 2)
+    ring, d = slot_ambient(signature, k, "laplacian")  # the full ring, degree k - 2
+    ker = defect_kernel(ring, d)
     j = (2 * k + M - 4) // 2
     lifted_mirror = Subspace.from_rows(
         ker.ambient_dim,
-        rsquare_lift_rows(harmonic_space(signature, mirror), j, k - 2),
-        (signature, k - 2),
+        rsquare_lift_rows(harmonic_space(signature, mirror), j, d),
+        (ring, d),
     )
-    laplacian_parts = [vector_polynomial(signature, k - 2, w) for w in ker.rows]
+    laplacian_parts = [vector_polynomial(ring, d, w) for w in ker.rows]
 
     checks = [
         ("summand dimensions sum to the branched dimension", total == lhs_dim),

@@ -15,6 +15,13 @@ dimension count dim P_k = dim P'_k + dim P'_{k-1} + dim P_{k-2} with P' one
 bosonic variable down; in particular harmonics correspond to triples with
 zero laplacian part.
 
+ck owns the slot protocol, so the callers that read it (branching's slot
+checks, the GT descent and its per-step check) know no restriction of
+their own.  SLOTS gives each slot's ring and degree below k, and
+slot_ambient reads it for one slot; restriction_triple reads the three
+slots of any polynomial, and only_in_slot states that a triple carries
+given data in one slot and zero in the other two.
+
 ck_extend_recursive rebuilds Q by the two-step coefficient recursion
 instead; it exists so the closed form can be checked against an independent
 construction.  Both extensions write their terms directly: a term c x^a t_F
@@ -44,6 +51,32 @@ from .superpoly import (
 )
 
 
+# slot -> (its data lives one bosonic variable down, its degree below the
+# degree k of the polynomial).  Iteration follows the order of the triple.
+SLOTS = {"boundary": (True, 0), "normal": (True, 1), "laplacian": (False, 2)}
+
+
+def slot_ambient(signature: SuperSignature, k: int, slot: str) -> tuple[SuperSignature, int]:
+    """Ring and degree of `slot`'s data for a degree-k polynomial in
+    `signature`."""
+    down, drop = SLOTS[slot]
+    return (signature.restricted() if down else signature), k - drop
+
+
+def restriction_triple(p: SuperPolynomial) -> tuple[SuperPolynomial, ...]:
+    """(boundary, normal, laplacian) of p, in the order of SLOTS, with no
+    check of degree: the read-back of an extension."""
+    return restrict_hyperplane(p), restrict_hyperplane(d_bosonic(p, p.signature.m)), laplacian(p)
+
+
+def only_in_slot(triple, slot: str, p: SuperPolynomial) -> bool:
+    """The triple is p in `slot` and zero in the other two slots."""
+    for name, got in zip(SLOTS, triple):
+        if (got != p) if name == slot else not got.is_zero():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class CKData:
     """Restriction data of a degree-k polynomial: value and normal
@@ -62,18 +95,13 @@ class CKData:
         if full.m == 0:
             raise ValueError("extension needs at least one bosonic variable")
         lower = full.restricted()
-        if self.boundary.signature != lower or self.normal.signature != lower:
-            raise ValueError(
-                f"boundary data must live in {lower}, got "
-                f"{self.boundary.signature} and {self.normal.signature}"
-            )
-        for part, deg, name in (
-            (self.boundary, k, "boundary"),
-            (self.normal, k - 1, "normal"),
-            (self.laplacian, k - 2, "laplacian"),
-        ):
+        parts = (self.boundary, self.normal, self.laplacian)
+        for (slot, (down, drop)), part in zip(SLOTS.items(), parts):
+            ring, deg = (lower if down else full), k - drop
+            if part.signature != ring:
+                raise ValueError(f"{slot} data must live in {ring}, got {part.signature}")
             if not part.is_homogeneous(deg):
-                raise ValueError(f"{name} part is not homogeneous of degree {deg}")
+                raise ValueError(f"{slot} part is not homogeneous of degree {deg}")
 
     @property
     def signature(self) -> SuperSignature:
@@ -85,22 +113,15 @@ class CKData:
 
     @classmethod
     def from_parts(
-        cls,
-        signature: SuperSignature,
-        degree: int,
-        boundary: SuperPolynomial | None = None,
-        normal: SuperPolynomial | None = None,
-        laplacian: SuperPolynomial | None = None,
+        cls, signature: SuperSignature, degree: int, **parts: SuperPolynomial
     ) -> "CKData":
-        """Build a triple in full signature `signature`, filling omitted
-        parts with zero."""
+        """Build a triple in full signature `signature` from the parts given
+        by slot name, filling omitted parts with zero."""
         lower = signature.restricted()
-        return cls(
-            degree,
-            boundary if boundary is not None else SuperPolynomial.zero(lower),
-            normal if normal is not None else SuperPolynomial.zero(lower),
-            laplacian if laplacian is not None else SuperPolynomial.zero(signature),
-        )
+        for slot, (down, _) in SLOTS.items():
+            if slot not in parts:
+                parts[slot] = SuperPolynomial.zero(lower if down else signature)
+        return cls(degree, **parts)
 
 
 def ck_data(p: SuperPolynomial, k: int | None = None) -> CKData:
@@ -111,15 +132,9 @@ def ck_data(p: SuperPolynomial, k: int | None = None) -> CKData:
             raise ValueError("degree of the zero polynomial must be given explicitly")
     if not p.is_homogeneous(k):
         raise ValueError(f"polynomial is not homogeneous of degree {k}")
-    m = p.signature.m
-    if m == 0:
+    if p.signature.m == 0:
         raise ValueError("extension needs at least one bosonic variable")
-    return CKData(
-        k,
-        restrict_hyperplane(p),
-        restrict_hyperplane(d_bosonic(p, m)),
-        laplacian(p),
-    )
+    return CKData(k, *restriction_triple(p))
 
 
 def ck_extend(data: CKData) -> SuperPolynomial:

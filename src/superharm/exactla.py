@@ -21,7 +21,7 @@ column other than its own.  Dividing each row by its pivot entry gives the
 rational RREF and scaling an RREF row by the least common multiple of its
 denominators gives the primitive row back, so the two forms determine each
 other: two subspaces are equal iff their ambients agree and their rows are
-identical.  Kernels, sums, intersections, containment and ranks all work on
+identical.  Kernels, intersections, containment and ranks all work on
 these integer rows.  Fractions appear only at the polynomial boundary:
 _int_row scales a row of rational coordinates (the coordinates of a
 polynomial with Fraction coefficients) to its primitive integer multiple, and
@@ -311,11 +311,6 @@ class Subspace:
         self._check_compatible(other)
         pivots = self._pivot_rows()
         return not any(_reduce_int(pivots, dict(r)) for r in other.rows)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        rows = _rref_fraction_rows(self.rows + other.rows)
-        return Subspace(self.ambient_dim, rows, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: [U|U] and [V|0] rows; echelon rows with zero left block

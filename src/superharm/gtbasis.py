@@ -19,7 +19,10 @@ ordinary-b3/b4 and exceptional starts give tilde-b5/b6 with the
 generalized lower space as target; the mirrors of exceptional starts are
 suppressed.  One table maps each kind to its CK slot and the target of the
 lower basis; the descent and the per-step check both read it, and both take
-the start degrees from fischer_index_sets of the level below.
+the start degrees from fischer_index_sets of the level below.  The slot's
+ring and degree, the read-back of an element and the per-step predicate
+(its data in the kind's slot, zero in the other two) come from ck, which
+branching's slot checks share.
 
 The purely fermionic floor is built by a recursion removing the last pair
 t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ck import CKData, ck_extend
+from .ck import CKData, ck_extend, only_in_slot, restriction_triple, slot_ambient
 from .exactla import polynomial_vector, rank
 from .harmonics import (
     exceptional_indices,
@@ -50,13 +53,7 @@ from .harmonics import (
     rsquare_lift,
 )
 from .operators import laplacian, rsquare_mul
-from .superpoly import (
-    SuperPolynomial,
-    SuperSignature,
-    d_bosonic,
-    extend_signature,
-    restrict_hyperplane,
-)
+from .superpoly import SuperPolynomial, SuperSignature, extend_signature
 
 
 @dataclass(frozen=True)
@@ -141,10 +138,8 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
     return tuple(out)
 
 
-# kind -> (CK slot the lower element enters, target of the lower basis).
-# The boundary slot takes degree-k data, the normal slot degree k - 1, both
-# one bosonic variable down; the Laplacian slot takes degree k - 2 data at the
-# same level.
+# kind -> (CK slot the lower element enters, target of the lower basis); the
+# ring and degree of each slot's data come from ck.slot_ambient.
 _BOSONIC_KINDS = {
     "ordinary-a1": ("boundary", "H"),
     "ordinary-a2": ("normal", "H"),
@@ -154,12 +149,6 @@ _BOSONIC_KINDS = {
     "tilde-b6": ("normal", "Ht"),
     "generalized-a3": ("laplacian", "H"),
 }
-_DATA_DROP = {"boundary": 0, "normal": 1, "laplacian": 2}
-
-
-def _source_level(signature: SuperSignature, slot: str) -> SuperSignature:
-    return signature if slot == "laplacian" else signature.restricted()
-
 
 def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GTBasisElement, ...]:
     """Extensions of GT elements one level down (boundary and normal slots)
@@ -177,8 +166,7 @@ def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
     out: list[GTBasisElement] = []
     for kind in kinds:
         slot, lower_target = _BOSONIC_KINDS[kind]
-        source = _source_level(signature, slot)
-        degree = k - _DATA_DROP[slot]
+        source, degree = slot_ambient(signature, k, slot)
         if slot == "laplacian":
             starts: tuple[int, ...] = (2 - signature.M - k,)
         else:
@@ -227,11 +215,16 @@ class GTBasisReport:
     verified: bool
 
 
-def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) -> bool:
+def _step_data_ok(
+    signature: SuperSignature, k: int, element: GTBasisElement, triple=None
+) -> bool:
     """Check the restriction data of one element against the lower-level
     element its label points to, one level only.  A step that claims
     another level than this one (m on the bosonic half, n on the fermionic
-    half) or a kind that does not step down from this level fails."""
+    half) or a kind that does not step down from this level fails.  On the
+    bosonic half the element's ck.restriction_triple (read here unless the
+    caller passes it) must carry the lifted lower element in the kind's slot
+    and zero in the other two."""
     if not element.label.chain:
         return False
     step, rest = element.label.chain[0], element.label.chain[1:]
@@ -248,7 +241,7 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
         source, lower_target = SuperSignature(0, n - 1), "H"
     elif m > 0 and step.kind in _BOSONIC_KINDS:
         slot, lower_target = _BOSONIC_KINDS[step.kind]
-        source = _source_level(signature, slot)
+        source, degree = slot_ambient(signature, k, slot)
     else:
         return False
     lower = gt_basis(source, step.degree, lower_target)
@@ -259,24 +252,21 @@ def _step_data_ok(signature: SuperSignature, k: int, element: GTBasisElement) ->
         multiplier = _FERMIONIC_KINDS[step.kind][1]
         return p == multiplier(signature, k) * extend_signature(lo, signature)
     # a label whose degree cannot reach the slot's degree fails, not raises
-    j, odd = divmod(k - _DATA_DROP[slot] - step.degree, 2)
+    j, odd = divmod(degree - step.degree, 2)
     if j < 0 or odd:
         return False
-    lift = rsquare_lift(lo, j)
-    boundary = restrict_hyperplane(p)
-    normal = restrict_hyperplane(d_bosonic(p, signature.m))
-    if slot == "boundary":
-        return boundary == lift and normal.is_zero()
-    if slot == "normal":
-        return boundary.is_zero() and normal == lift
-    return boundary.is_zero() and normal.is_zero() and laplacian(p) == lift
+    if triple is None:
+        triple = restriction_triple(p)
+    return only_in_slot(triple, slot, rsquare_lift(lo, j))
 
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:
     """Exact verification: count against the kernel dimension, annihilation
     by the defining operator, linear independence (an element that is not
     homogeneous of degree k makes it false), and one-step restriction data
-    for every element."""
+    for every element.  A bosonic element's restriction triple is read once
+    and serves both the step check and, through its Laplacian part, the
+    annihilation check."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
@@ -287,16 +277,15 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         else harmonic_space(signature, k)
     )
     polys = [el.polynomial for el in basis]
-
-    def annihilated(p):
-        image = laplacian(p)
-        if not exceptional:
-            return image.is_zero()
-        return laplacian(rsquare_mul(image)).is_zero()
-
-    membership_ok = all(annihilated(p) for p in polys)
-
-    data_ok = all(_step_data_ok(signature, k, el) for el in basis)
+    membership_ok = data_ok = True
+    for el in basis:
+        p = el.polynomial
+        triple = restriction_triple(p) if signature.m else None
+        image = laplacian(p) if triple is None else triple[2]
+        if exceptional:
+            image = laplacian(rsquare_mul(image))
+        membership_ok &= image.is_zero()
+        data_ok &= _step_data_ok(signature, k, el, triple)
 
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),
@@ -312,7 +301,7 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         {
             el.label.chain[0].degree
             for el in basis
-            if el.label.chain[0].kind in ("tilde-b5", "tilde-b6")
+            if el.label.chain and el.label.chain[0].kind in ("tilde-b5", "tilde-b6")
         }
     )
     return GTBasisReport(

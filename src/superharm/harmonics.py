@@ -91,7 +91,8 @@ H0_k = r2 ker(L_k R_(k-2)).  This holds for every m, also at m = 0 where r2
 is not injective, and needs no intersection: the kernel is taken on the
 dim P_(k-2) columns of L_k R_(k-2), not on a stack of 2 dim P_k columns.
 defect_kernel is cached beside the spaces, and branching's
-prescribed-Laplacian slot takes the same kernel.
+prescribed-Laplacian slot takes the same kernel; the socle itself is not
+cached, as each verification reads it once per degree.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
 integer rows of a Subspace through the integer column images of
@@ -220,7 +221,6 @@ def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
     return kernel(matmul(lap, rsquare_matrix(signature, degree)), (signature, degree))
 
 
-@lru_cache(maxsize=None)
 def socle_space(signature: SuperSignature, k: int) -> Subspace:
     """H0_k: harmonics that are also multiples of r2, the r2-image of the
     defect kernel two degrees down."""
@@ -232,7 +232,6 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
     )
 
 
-@lru_cache(maxsize=None)
 def harmonic_basis(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
     return subspace_polynomials(harmonic_space(signature, k))
 

@@ -144,6 +144,26 @@ def test_data_validation():
         ck_data(SuperPolynomial.zero(sig))
 
 
+def test_slot_protocol_reads_the_data_back():
+    # each slot's data lives in the ring and degree of the slot table, the
+    # read-back of an extension is its data, and the predicate holds in the
+    # data's slot only
+    import random
+
+    rng = random.Random(23)
+    sig, k = SuperSignature(2, 1), 4
+    for slot, (down, drop) in ck.SLOTS.items():
+        ring, d = ck.slot_ambient(sig, k, slot)
+        assert d == k - drop and down == (slot != "laplacian")
+        assert ring == (sig if slot == "laplacian" else sig.restricted())
+        w = _random_homogeneous(ring, d, rng)
+        assert not w.is_zero()
+        triple = ck.restriction_triple(ck_extend(CKData.from_parts(sig, k, **{slot: w})))
+        assert ck.only_in_slot(triple, slot, w)
+        others = [other for other in ck.SLOTS if other != slot]
+        assert not any(ck.only_in_slot(triple, other, w) for other in others)
+
+
 def test_inhomogeneous_rejected():
     sig = SuperSignature(1, 1)
     p = SuperPolynomial.one(sig) + SuperPolynomial.x(sig, 1)

@@ -100,13 +100,14 @@ def test_intersect_axes():
     y_axis = Subspace.from_rows(2, [{1: Fraction(1)}])
     assert x_axis.intersect(y_axis).dim == 0
     diag = Subspace.from_rows(2, [{0: Fraction(1), 1: Fraction(1)}])
-    assert (x_axis + y_axis).intersect(diag) == diag
+    plane = Subspace.from_rows(2, x_axis.rows + y_axis.rows)
+    assert plane.intersect(diag) == diag
 
 
 def test_sum_and_contains():
     u = Subspace.from_rows(3, [{0: Fraction(1), 1: Fraction(1)}])
     v = Subspace.from_rows(3, [{1: Fraction(1), 2: Fraction(1)}])
-    w = u + v
+    w = Subspace.from_rows(3, u.rows + v.rows)
     assert w.dim == 2
     assert w.contains({0: Fraction(1), 1: Fraction(2), 2: Fraction(1)})
     assert not w.contains({0: Fraction(1), 1: Fraction(1), 2: Fraction(1)})
@@ -151,7 +152,8 @@ def test_modular_lattice_identity_randomized():
         V = Subspace.from_rows(
             cols, _random_matrix(rng, rng.randint(0, 4), cols).row_dicts()
         )
-        assert U.dim + V.dim == (U + V).dim + U.intersect(V).dim
+        total = Subspace.from_rows(cols, U.rows + V.rows)
+        assert U.dim + V.dim == total.dim + U.intersect(V).dim
 
 
 def test_kernel_vectors_are_annihilated():
@@ -397,7 +399,8 @@ def _assert_canonical_integer_rows(S):
 def test_subspace_rows_are_canonical_primitive_integers(pair):
     U, V = pair
     A = IntMatrix.from_rows(U.ambient_dim, U.rows)
-    for S in (U, V, U + V, U.intersect(V), kernel(A), kernel(A.transpose())):
+    total = Subspace.from_rows(U.ambient_dim, U.rows + V.rows, U.ambient)
+    for S in (U, V, total, U.intersect(V), kernel(A), kernel(A.transpose())):
         _assert_canonical_integer_rows(S)
 
 
@@ -461,7 +464,8 @@ def test_rank_of_fraction_polynomial_rows_matches_dense_reference(case):
 def test_contains_subspace_matches_dense_reference(pair):
     U, V = pair
     u_rows = basis_matrix(U)
-    for W in (U, V, U + V, U.intersect(V)):
+    total = Subspace.from_rows(U.ambient_dim, U.rows + V.rows, U.ambient)
+    for W in (U, V, total, U.intersect(V)):
         stacked = u_rows + basis_matrix(W)
         expected = len(_dense_rref(stacked, U.ambient_dim)) == U.dim
         assert U.contains_subspace(W) == expected

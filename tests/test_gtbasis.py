@@ -212,6 +212,33 @@ def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, ki
     assert not _data_check_with(monkeypatch, SuperSignature(m, n), k, target, kind, relabel)
 
 
+def test_nonzero_laplacian_fails_a_boundary_step(monkeypatch):
+    # x2^2 t1 t2 vanishes on x2 = 0 with its normal derivative, so the
+    # element keeps its degree and its hyperplane data; its Laplacian part
+    # is no longer zero, which the boundary slot requires
+    sig = SuperSignature(2, 3)
+    x2, t1, t2 = (SuperPolynomial.x(sig, 2), SuperPolynomial.t(sig, 1), SuperPolynomial.t(sig, 2))
+    extra = x2 * x2 * t1 * t2
+
+    def add_extra(el):
+        return GTBasisElement(el.label, el.polynomial + extra)
+
+    assert not _data_check_with(monkeypatch, sig, 4, "H", "ordinary-a1", add_extra)
+
+
+def test_empty_chain_fails_restriction_data(monkeypatch):
+    # an element with no chain step: a failed check, not an IndexError
+    sig = SuperSignature(2, 2)
+    basis = list(gt_basis(sig, 2))
+    basis[0] = GTBasisElement(GTLabel(()), basis[0].polynomial)
+    monkeypatch.setitem(gtbasis._CACHE, (2, 2, 2, "H"), tuple(basis))
+    rep = verify_gt_basis(sig, 2)
+    checks = dict(rep.checks)
+    assert not rep.verified
+    assert not checks["restriction data matches one level down"]
+    assert checks["element count equals space dimension"]
+
+
 @pytest.mark.parametrize(
     "m,n,k,kind,level",
     [(0, 3, 2, "fermionic-0", 10), (2, 3, 4, "ordinary-a1", 9)],

@@ -6,11 +6,13 @@ regular signatures, and a hand-checked table of kernel dimensions at (2|6).
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superharm import exactla, harmonics
+from superharm.ck import CKData, ck_extend
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
     Subspace,
@@ -116,6 +118,48 @@ def test_harmonic_basis_is_annihilated():
                 assert laplacian(h).is_zero()
 
 
+def _extension_along_x1(sig, k, mono):
+    """The harmonic CK extension along x1 of unit data on one monomial with
+    a1 <= 1: x1 is moved to the last place, where ck_extend works, and back.
+    A monomial with a1 = 0 is boundary data, x1 * s is normal data s."""
+    powers, fermions = mono
+    lower = sig.restricted()
+    unit = SuperPolynomial(lower, {SuperMonomial(powers[1:], fermions): 1})
+    Q = ck_extend(CKData.from_parts(sig, k, **{("boundary", "normal")[powers[0]]: unit}))
+    back = {SuperMonomial((a[-1],) + a[:-1], f): c for (a, f), c in Q}
+    return SuperPolynomial(sig, back)
+
+
+def _primitive(vec):
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    ints = {i: int(v * den) for i, v in vec.items()}
+    g = math.gcd(*ints.values())
+    return {i: v // g for i, v in ints.items()}
+
+
+@pytest.mark.parametrize(
+    "sig, degrees",
+    [
+        (SuperSignature(1, 1), range(6)),
+        (SuperSignature(2, 1), range(7)),
+        (S23, range(2, 6)),
+        (SuperSignature(3, 2), (4, 5)),
+    ],
+    ids=str,
+)
+def test_harmonic_rows_are_primitive_ck_extensions_along_x1(sig, degrees):
+    # a closed-form reference for kernel: the columns with a1 >= 2 come
+    # last, so each canonical row of H_k is the primitive extension of unit
+    # data on its pivot monomial, one with a1 <= 1
+    for k in degrees:
+        expected = [
+            _primitive(polynomial_vector(_extension_along_x1(sig, k, mono), k))
+            for mono in monomial_basis(sig, k)
+            if mono.powers[0] <= 1
+        ]
+        assert list(harmonic_space(sig, k).rows) == expected, k
+
+
 def test_socle_trivial_below_degree_two():
     assert socle_space(S23, 0).dim == 0
     assert socle_space(S23, 1).dim == 0
@@ -162,14 +206,7 @@ def test_socle_grid_meets_nonzero_socles():
         assert all(socle_space(sig, k).dim for k in (4, 5, 6))
 
 
-@pytest.fixture
-def fresh_socles():
-    socle_space.cache_clear()
-    yield
-    socle_space.cache_clear()
-
-
-def test_socle_cut_from_the_wrong_kernel_fails_the_socle_check(monkeypatch, fresh_socles):
+def test_socle_cut_from_the_wrong_kernel_fails_the_socle_check(monkeypatch):
     # r2 times the degree-(k-2) harmonics in place of r2 times the defect
     # kernel: a space of the right degree that is not the socle.  At the
     # bottom of the window, k = 4, the mirror degree is k - 2 and the two
@@ -412,7 +449,6 @@ _HARMONIC_CACHES = (
     harmonics._rsquare_columns,
     harmonic_space,
     generalized_harmonic_space,
-    socle_space,
     defect_kernel,
 )
 
@@ -703,15 +739,16 @@ def test_filtration_strict_at_exceptional_degrees():
 def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
     # Lift the mirror's neighbour H_(l+2) by one power of r2 fewer: the
     # degree still comes out at k, the space is not the socle.  The socle
-    # itself is an r2-lift too, so it is built before the lift is broken.
+    # itself is an r2-lift too, so it is built before the lift is broken and
+    # verify_theorem_A is handed that one.
     original = harmonics.rsquare_lift_rows
-    for k in (4, 5):
-        socle_space(S23, k)
+    socles = {k: socle_space(S23, k) for k in (4, 5)}
 
     def one_power_short(space, j, k):
         signature, degree = space.ambient
         return original(harmonic_space(signature, degree + 2), j - 1, k)
 
+    monkeypatch.setattr(harmonics, "socle_space", lambda signature, k: socles[k])
     monkeypatch.setattr(harmonics, "rsquare_lift_rows", one_power_short)
     for k in (4, 5):
         rep = verify_theorem_A(S23, k)
