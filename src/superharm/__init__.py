@@ -26,7 +26,6 @@ from .harmonics import (
     fischer_decomposition,
     fischer_index_sets,
     generalized_harmonic_space,
-    harmonic_basis,
     harmonic_space,
     socle_space,
     verify_theorem_A,
@@ -75,7 +74,6 @@ __all__ = [
     "format_polynomial",
     "generalized_harmonic_space",
     "gt_basis",
-    "harmonic_basis",
     "harmonic_space",
     "invariance_check",
     "laplacian",

@@ -1,9 +1,11 @@
 """Exact linear algebra over fixed monomial bases, in integers.
 
 An IntMatrix is stored sparsely, one dict per row mapping column index to a
-nonzero int.  operator_matrix builds the Laplacian on one degree with int
-entries (module harmonics reads r2 off it), and matmul multiplies int rows,
-so kernels, products and ranks make no Fraction.  Elimination runs fraction-free over integers.  A row's
+nonzero int.  Module harmonics assembles the Laplacian on one degree with
+int entries and reads r2 off it; operator_matrix, the int matrix of any map
+applied to each whole basis monomial, is the tests' reference for both.
+matmul multiplies int rows, so kernels, products and ranks make no
+Fraction.  Elimination runs fraction-free over integers.  A row's
 content (the gcd of its entries) is reduced once per pivot row, not after
 every elimination step: when a row becomes a pivot of the forward
 elimination, after its back-substitution, and on the remainder of a
@@ -433,7 +435,8 @@ def operator_matrix(
     shift: int,
 ) -> IntMatrix:
     """Integer matrix of a map raising degree by `shift`, on the degree-k
-    basis.
+    basis: the reference that the assembled Laplacian and r2 matrices of
+    module harmonics are tested against.
 
     Columns follow the basis of P_k, rows the basis of P_(k + shift), both
     of `signature`.  Each basis monomial enters the map with the int

@@ -25,7 +25,18 @@ H_k, Ht_k and the defect kernel below are exact kernels of exact matrices;
 for m >= 1 the Fischer decomposition counts its start dimensions instead
 (see the end of the certificate).  The matrix L_k of the Laplacian is the
 one matrix built from polynomials, once per (signature, degree), and
-cached.  The matrix R_d of multiplication by r2 is read off L_(d+2): under
+cached.  It is assembled from the images of the two factors of each
+monomial: lap has no mixed bosonic-fermionic term and x^a is even, so
+
+    lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F),
+
+and operators.laplacian is applied only to the one-term factors x^a and
+t_F, each at most once per build.  A term x^a' of lap(x^a) goes to the row
+of x^a' t_F and a term t_F' of lap(t_F) to the row of x^a t_F'; the two
+row sets are disjoint, as F' != F.  exactla.operator_matrix, which images
+every monomial whole, stays the tests' reference for L_k.
+
+The matrix R_d of multiplication by r2 is read off L_(d+2): under
 the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the number of whole
 pairs in F, r2 is the adjoint of lap, so R_d[t, s] w(t) = L_(d+2)[s, t] w(s).
 Every ratio w(t)/w(s) on the support, (a_i+2)(a_i+1) for t = x_i^2 s or -4
@@ -115,8 +126,6 @@ from .exactla import (
     Subspace,
     kernel,
     matmul,
-    operator_matrix,
-    subspace_polynomials,
 )
 from .operators import laplacian, rsquare_mul
 from .superpoly import (
@@ -138,8 +147,29 @@ def exceptional_indices(M: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
-    """Matrix of the Laplacian from P_k to P_(k-2)."""
-    return operator_matrix(laplacian, signature, k, -2)
+    """Matrix of the Laplacian from P_k to P_(k-2), assembled from the
+    images of the factors x^a and t_F of each basis monomial (module
+    docstring).  The factor images are kept for this build only."""
+    source = monomial_basis(signature, k)
+    tidx = basis_index(signature, k - 2)
+    data: list[dict[int, int]] = [{} for _ in tidx]
+    images: dict[tuple[tuple[int, ...], int], tuple] = {}
+
+    def image(factor: tuple[tuple[int, ...], int]) -> tuple:
+        terms = images.get(factor)
+        if terms is None:
+            one = SuperPolynomial(signature, {SuperMonomial(*factor): 1}, _clean=True)
+            terms = images[factor] = tuple(laplacian(one))
+        return terms
+
+    # plain (powers, mask) tuples hash and compare like SuperMonomial
+    no_powers = (0,) * signature.m
+    for j, (powers, f) in enumerate(source):
+        for (a, _), c in image((powers, 0)):
+            data[tidx[(a, f)]][j] = c
+        for (_, g), c in image((no_powers, f)):
+            data[tidx[(powers, g)]][j] = c
+    return IntMatrix(len(source), data)
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +260,6 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
     return Subspace.from_rows(
         cols, rsquare_lift_rows(defect_kernel(signature, k - 2), 1, k), (signature, k)
     )
-
-
-def harmonic_basis(signature: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
-    return subspace_polynomials(harmonic_space(signature, k))
 
 
 def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:

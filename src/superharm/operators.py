@@ -23,12 +23,14 @@ commutator a b - b a.
 
 Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
-functions.  The matrix of the Laplacian on one degree is built from the map
-by exactla.operator_matrix, which applies it to each basis monomial with the
-int coefficient 1; the rules below then compute in ints, so the matrix has
-int entries.  The matrix of rsquare_mul is read off the Laplacian's, as its
-adjoint under the Fischer weights (module harmonics); operator_matrix of
-rsquare_mul stays the tests' reference for it.
+functions.  The matrix of the Laplacian on one degree (module harmonics) is
+assembled from the images of the one-term factors x^a and t_F under
+laplacian, applied with the int coefficient 1: the rule below has no term
+that mixes the two kinds of variable, so lap(x^a t_F) = lap(x^a) t_F +
+x^a lap(t_F), and the rules compute in ints, so the matrix has int entries.
+The matrix of rsquare_mul is read off the Laplacian's, as its adjoint under
+the Fischer weights.  exactla.operator_matrix, which applies a map to each
+whole basis monomial, stays the tests' reference for both.
 
 laplacian, rsquare_mul and the lift xi are applied by their monomial rules,
 term by term into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th

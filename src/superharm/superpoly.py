@@ -413,7 +413,8 @@ def monomial_basis(signature: SuperSignature, k: int) -> tuple[SuperMonomial, ..
         for powers in _exponent_vectors(bos, signature.m):
             for mask in masks:
                 out.append(SuperMonomial(powers, mask))
-    out.sort(key=SuperMonomial.sort_key)
+    # one degree: the tuple order (powers, fermions) is the canonical order
+    out.sort()
     return tuple(out)
 
 

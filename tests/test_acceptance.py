@@ -24,7 +24,7 @@ from superharm import (
     extend_signature,
     fischer_decomposition,
     gt_basis,
-    harmonic_basis,
+    harmonic_space,
     monomial_basis,
     sl2_relations_check,
     space_dimension,
@@ -33,7 +33,7 @@ from superharm import (
     verify_theorem_A,
 )
 from superharm.branching import defect_kernel
-from superharm.exactla import span_subspace
+from superharm.exactla import span_subspace, subspace_polynomials
 from superharm.operators import rsquare
 
 GRID = (
@@ -47,6 +47,10 @@ GRID = (
 )
 REGULAR = tuple(s for s in GRID if not (s.M <= 0 and s.M % 2 == 0))
 S23 = SuperSignature(2, 3)
+
+
+def harmonic_basis(sig: SuperSignature, k: int) -> tuple[SuperPolynomial, ...]:
+    return subspace_polynomials(harmonic_space(sig, k))
 
 
 def _verdict(num: int, text: str, failures: list[str]) -> None:

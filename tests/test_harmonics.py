@@ -29,7 +29,6 @@ from superharm.harmonics import (
     fischer_decomposition,
     fischer_index_sets,
     generalized_harmonic_space,
-    harmonic_basis,
     harmonic_space,
     laplacian_matrix,
     rsquare_lift,
@@ -109,6 +108,10 @@ def test_fermionic_harmonic_dims_binomial():
             lower = math.comb(2 * n, k - 2) if k >= 2 else 0
             expected = math.comb(2 * n, k) - lower
             assert harmonic_space(sig, k).dim == expected
+
+
+def harmonic_basis(sig, k):
+    return subspace_polynomials(harmonic_space(sig, k))
 
 
 def test_harmonic_basis_is_annihilated():
@@ -464,21 +467,81 @@ def fresh_caches():
 
 def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
     # the Laplacian is the only matrix built from polynomials, once per
-    # degree; r2 is read off it
-    built = []
-    original = harmonics.operator_matrix
+    # degree, from the images of one-term factors that are purely bosonic or
+    # purely fermionic, each imaged once per build; r2 is read off it
+    log = []
+    cached = laplacian_matrix
 
-    def counting(fn, signature, k, shift):
-        built.append((fn.__name__, signature, k))
-        return original(fn, signature, k, shift)
+    def tracking(signature, k):
+        misses = cached.cache_info().misses
+        log.append(("enter",))
+        matrix = cached(signature, k)
+        log.append(("exit", (signature, k), cached.cache_info().misses > misses))
+        return matrix
 
-    monkeypatch.setattr(harmonics, "operator_matrix", counting)
+    def recording_laplacian(p):
+        log.append(("factor", p))
+        return laplacian(p)
+
+    def unreachable(*args):
+        raise AssertionError("operator_matrix reached from harmonics")
+
+    monkeypatch.setattr(harmonics, "laplacian_matrix", tracking)
+    monkeypatch.setattr(harmonics, "laplacian", recording_laplacian)
+    monkeypatch.setattr(exactla, "operator_matrix", unreachable)
+    assert not hasattr(harmonics, "operator_matrix")
     for k in (4, 5, 6, 7):
         assert fischer_decomposition(S23, k).verified
     for k in (4, 5, 6):
         assert verify_theorem_A(S23, k).verified
-    assert built and len(built) == len(set(built))
-    assert {name for name, _, _ in built} == {"laplacian"}
+
+    builds = []
+    factors = None
+    for entry in log:
+        if entry[0] == "enter":
+            factors = []
+        elif entry[0] == "exit":
+            _, key, built = entry
+            if built:
+                builds.append(key)
+            assert factors if built else not factors, key
+            assert len(factors) == len(set(factors)), key
+            factors = None
+        else:
+            ((mono, c),) = entry[1].terms.items()
+            assert c == 1 and not (any(mono.powers) and mono.fermions), mono
+            factors.append(mono)  # None outside a build: no stray image
+    assert (S23, 7) in builds and len(builds) == len(set(builds))
+
+
+# the verify grid at every suite's degrees, (4|8) and (0|4), (3|0) to k = 8;
+# every range starts at k = 0 and 1, where P_(k-2) = 0
+ASSEMBLY_CASES = [
+    (SuperSignature(m, n), range(max(_SUITE_KMAX.values()) + 1)) for m, n in VERIFY_GRID
+] + [(SuperSignature(4, 4), range(9)), (SuperSignature(0, 2), range(9)), (SuperSignature(3, 0), range(9))]
+
+
+@pytest.mark.parametrize("sig, degrees", ASSEMBLY_CASES, ids=lambda v: str(v))
+def test_assembled_laplacian_matches_the_operator_matrix(sig, degrees):
+    for k in degrees:
+        reference = operator_matrix(laplacian, sig, k, -2)
+        assert laplacian_matrix(sig, k) == reference, k
+        if k < 2:
+            assert reference.rows == 0 and reference.cols == len(monomial_basis(sig, k))
+
+
+@pytest.mark.parametrize("sig", [SuperSignature(2, 2), SuperSignature(0, 2)], ids=str)
+def test_assembled_laplacian_sees_the_pair_terms(monkeypatch, fresh_caches, sig):
+    # a Laplacian without its pair terms must change the assembled matrix
+    def without_pairs(p):
+        ((_, f),) = p.terms
+        return SuperPolynomial(
+            p.signature, {mono: c for mono, c in laplacian(p) if mono.fermions == f}
+        )
+
+    monkeypatch.setattr(harmonics, "laplacian", without_pairs)
+    for k in (2, 3, 4):
+        assert laplacian_matrix(sig, k) != operator_matrix(laplacian, sig, k, -2), k
 
 
 def _recorded_kernels(monkeypatch):

@@ -103,6 +103,19 @@ def test_basis_size_against_counting(m, n, k):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "sig, degrees",
+    [(SuperSignature(4, 4), range(8)), (SuperSignature(0, 2), range(6)), (SuperSignature(3, 0), range(8))],
+    ids=str,
+)
+def test_basis_sorted_without_a_key_is_in_sort_key_order(sig, degrees):
+    # within one degree the plain tuple order (powers, fermions) is the
+    # canonical order (degree, powers, fermions)
+    for k in degrees:
+        basis = monomial_basis(sig, k)
+        assert list(basis) == sorted(basis, key=SuperMonomial.sort_key), k
+
+
 def test_space_dimension_counts_without_listing():
     for m in range(4):
         for n in range(4):
