@@ -15,13 +15,13 @@ from .branching import (
     BranchSummand,
     branch_generalized,
     branch_harmonic,
-    branching_index_sets,
 )
 from .ck import CKData, ck_data, ck_extend, ck_extend_recursive
 from .gtbasis import GTBasisElement, GTLabel, gt_basis, theta_factor, verify_gt_basis
 from .harmonics import (
     DecompositionReport,
     FischerSummand,
+    branching_index_sets,
     exceptional_indices,
     fischer_decomposition,
     fischer_index_sets,

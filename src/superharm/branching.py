@@ -5,9 +5,11 @@ Restricting from signature (m|2n) to (m-1|2n) drops the superdimension M by
 one, so exactly one of the two levels can be exceptional.  Writing H' and
 Ht' for (generalized) harmonics one bosonic variable down:
 
-* branch_harmonic decomposes H_k.  The degrees 0..k split into
+* branch_harmonic decomposes H_k.  Its index sets are Fischer's rule one
+  level down, at superdimension M - 1 over the degrees 0..k
+  (harmonics.branching_index_sets):
   exceptional: {0..k} cap exceptional_indices(M - 1)   -> one copy of Ht'_l
-  suppressed:  mirrors 3 - M - l of the exceptional    -> no component
+  suppressed:  mirrors 2 - (M - 1) - l of those        -> no component
   ordinary:    the rest                                -> one copy of H'_l
   With no exceptional degree this is the classical multiplicity-free
   pattern over all of 0..k.
@@ -31,6 +33,14 @@ The spanning sets of the boundary and normal slots are the Fischer
 components one level down, in degrees k and k - 1.  They are complete
 exactly when those lower decompositions verify, so the completeness check
 takes the verdicts of harmonics.fischer_decomposition and ranks nothing.
+The summand dimensions are Fischer's counted start dimensions one level
+down (harmonics.start_dim), and no kernel is taken on a P'_l.  For
+m - 1 >= 1 the count at l rests on the lead certificate (b) at l - 2 <= k - 2;
+the lower decompositions of degrees k and k - 1 run (b) at every degree up
+to k - 2, and the completeness check requires them to verify, so a report
+that verifies has proved its summand dimensions.  At m - 1 = 0 start_dim
+takes the kernels.  The kernels of harmonic_space and
+generalized_harmonic_space are taken only on the upper signature.
 CK extension is linear, so a slot check that holds on a basis of P'_k holds
 on every generator made from it, and the boundary and normal slots are
 checked on the monomial bases of P'_k and P'_(k-1).  The Laplacian slot
@@ -55,6 +65,8 @@ from .ck import CKData, ck_extend, only_in_slot, restriction_triple, slot_ambien
 # bound under this module's name.
 from .exactla import Subspace, kernel, vector_polynomial  # noqa: F401
 from .harmonics import (
+    IndexSets,
+    branching_index_sets,
     defect_kernel,
     exceptional_indices,
     fischer_decomposition,
@@ -62,29 +74,10 @@ from .harmonics import (
     generalized_harmonic_space,
     harmonic_space,
     rsquare_lift_rows,
+    start_dim,
 )
 from .operators import laplacian, rsquare_mul
 from .superpoly import SuperPolynomial, SuperSignature, monomial_basis, space_dimension
-
-
-@dataclass(frozen=True)
-class BranchingIndexSets:
-    """Lower-ring degrees 0..k sorted into component roles."""
-
-    k: int
-    exceptional: tuple[int, ...]
-    suppressed: tuple[int, ...]
-    ordinary: tuple[int, ...]
-
-
-def branching_index_sets(signature: SuperSignature, k: int) -> BranchingIndexSets:
-    exc = exceptional_indices(signature.M - 1)
-    degrees = range(k + 1)
-    exceptional = tuple(l for l in degrees if l in exc)
-    suppressed_set = {3 - signature.M - l for l in exceptional}
-    suppressed = tuple(l for l in degrees if l in suppressed_set)
-    ordinary = tuple(l for l in degrees if l not in exc and l not in suppressed_set)
-    return BranchingIndexSets(k, exceptional, suppressed, ordinary)
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ class BranchingReport:
     k: int
     mode: str  # "classical" | "harmonic" | "generalized"
     lhs_kind: str  # the space being decomposed: "H" or "Ht"
-    index_sets: BranchingIndexSets | None
+    index_sets: IndexSets | None
     summands: tuple[BranchSummand, ...]
     lhs_dim: int
     verified: bool
@@ -168,8 +161,7 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
         if l in sets.suppressed:
             continue
         kind = "Ht" if l in sets.exceptional else "H"
-        space = generalized_harmonic_space if kind == "Ht" else harmonic_space
-        summands.append(BranchSummand(kind, l, 1, space(lower, l).dim))
+        summands.append(BranchSummand(kind, l, 1, start_dim(lower, kind, l)))
 
     lhs_dim = harmonic_space(signature, k).dim
     total = sum(s.multiplicity * s.dim for s in summands)
@@ -216,13 +208,12 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
             "Ht equals H there and branch_harmonic applies"
         )
     lower = signature.restricted()
-    mirror = 2 - M - k
-    doubled = range(0, mirror + 1)
-    single = range(mirror + 1, k + 1)
+    mirror = 2 - M - k  # degrees up to it carry a second copy
 
     summands = [
-        BranchSummand("H", l, 2, harmonic_space(lower, l).dim) for l in doubled
-    ] + [BranchSummand("H", l, 1, harmonic_space(lower, l).dim) for l in single]
+        BranchSummand("H", l, 2 if l <= mirror else 1, start_dim(lower, "H", l))
+        for l in range(k + 1)
+    ]
 
     lhs_dim = generalized_harmonic_space(signature, k).dim
     total = sum(s.multiplicity * s.dim for s in summands)

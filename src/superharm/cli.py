@@ -7,7 +7,8 @@
     superharm verify --suite fischer --format json
 
 Exit codes: 0 success, 1 a verification failed, 2 usage error (bad
-arguments, degree out of range, precondition violations).
+arguments, degree out of range, precondition violations, an --output that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ _GRID = (
     (3, 0),
 )
 
-_SUITES = ("sl2", "fischer", "theoremA", "ck", "branching", "gt")
 _SUITE_KMAX = {"sl2": 4, "fischer": 6, "theoremA": 6, "ck": 4, "branching": 5, "gt": 5}
 
 
@@ -92,13 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("H", "Ht"), default="H")
 
     p = sub.add_parser("verify", help="run an exact verification suite")
-    p.add_argument("--suite", choices=_SUITES, required=True)
+    p.add_argument("--suite", choices=_SUITE_RUNNERS, required=True)
     p.add_argument("--m", type=int, help="restrict to one signature (with --n)")
     p.add_argument("--n", type=int, help="restrict to one signature (with --m)")
     p.add_argument("--kmax", type=int, help="override the suite degree bound")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="write the result to this file instead of stdout")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    add_common(p, signature=False)
     return parser
 
 
@@ -125,23 +123,44 @@ def _checked_work(sig: SuperSignature, degrees) -> None:
             )
 
 
-def _signature(args) -> SuperSignature:
+def _signature(m: int, n: int) -> SuperSignature:
     try:
-        return SuperSignature(args.m, args.n)
+        return SuperSignature(m, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
+def _checked_input(args) -> tuple[SuperSignature, list[int]]:
+    """Signature and degrees of fischer, branch or gt-basis: exactly one of
+    --k and --kmax (only fischer has --kmax), within the guard and the work
+    budget."""
+    sig = _signature(args.m, args.n)
+    kmax = getattr(args, "kmax", None)
+    if (args.k is None) == (kmax is None):
+        need = "exactly one of --k or --kmax" if "kmax" in args else "--k"
+        raise UsageError(f"{args.command} needs {need}")
+    if args.k is not None:
+        degrees = [_checked_degree(args.k, args.guard)]
+    else:
+        degrees = list(range(_checked_degree(kmax, args.guard, "kmax") + 1))
+    _checked_work(sig, degrees)
+    return sig, degrees
+
+
+def _write(args, fields: dict, text: str) -> None:
+    """Write a command's result to --output or stdout: in JSON the
+    schema_version, the command and its fields, otherwise the text."""
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
 
 
 # -- fischer -----------------------------------------------------------------
@@ -185,25 +204,13 @@ def _fischer_text(sig, reports) -> str:
 
 
 def _run_fischer(args) -> int:
-    sig = _signature(args)
-    if (args.k is None) == (args.kmax is None):
-        raise UsageError("fischer needs exactly one of --k or --kmax")
-    if args.k is not None:
-        degrees = [_checked_degree(args.k, args.guard)]
-    else:
-        degrees = range(_checked_degree(args.kmax, args.guard, "kmax") + 1)
-    _checked_work(sig, degrees)
+    sig, degrees = _checked_input(args)
     reports = [fischer_decomposition(sig, k) for k in degrees]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fischer",
-            "signature": {"m": sig.m, "n": sig.n},
-            "reports": [_fischer_report_dict(r) for r in reports],
-        }
-        _emit(_json_dump(payload), args)
-    else:
-        _emit(_fischer_text(sig, reports), args)
+    fields = {
+        "signature": {"m": sig.m, "n": sig.n},
+        "reports": [_fischer_report_dict(r) for r in reports],
+    }
+    _write(args, fields, _fischer_text(sig, reports))
     return 0 if all(r.verified for r in reports) else 1
 
 
@@ -258,25 +265,13 @@ def _branch_text(sig, rep) -> str:
 
 
 def _run_branch(args) -> int:
-    sig = _signature(args)
-    if args.k is None:
-        raise UsageError("branch needs --k")
-    k = _checked_degree(args.k, args.guard)
-    _checked_work(sig, [k])
+    sig, (k,) = _checked_input(args)
     try:
         rep = branch_generalized(sig, k) if args.generalized else branch_harmonic(sig, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "branch",
-            "signature": {"m": sig.m, "n": sig.n},
-            "report": _branch_report_dict(rep),
-        }
-        _emit(_json_dump(payload), args)
-    else:
-        _emit(_branch_text(sig, rep), args)
+    fields = {"signature": {"m": sig.m, "n": sig.n}, "report": _branch_report_dict(rep)}
+    _write(args, fields, _branch_text(sig, rep))
     return 0 if rep.verified else 1
 
 
@@ -284,31 +279,19 @@ def _run_branch(args) -> int:
 
 
 def _run_gt_basis(args) -> int:
-    sig = _signature(args)
-    if args.k is None:
-        raise UsageError("gt-basis needs --k")
-    k = _checked_degree(args.k, args.guard)
-    _checked_work(sig, [k])
-    basis = gt_basis(sig, k, args.target)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gt-basis",
-            "signature": {"m": sig.m, "n": sig.n},
-            "k": k,
-            "target": args.target,
-            "size": len(basis),
-            "elements": [
-                {"label": el.label.text(), "polynomial": format_polynomial(el.polynomial)}
-                for el in basis
-            ],
-        }
-        _emit(_json_dump(payload), args)
-    else:
-        lines = [
-            f"{el.label.text()}\t{format_polynomial(el.polynomial)}" for el in basis
-        ]
-        _emit("".join(line + "\n" for line in lines), args)
+    sig, (k,) = _checked_input(args)
+    elements = [
+        {"label": el.label.text(), "polynomial": format_polynomial(el.polynomial)}
+        for el in gt_basis(sig, k, args.target)
+    ]
+    fields = {
+        "signature": {"m": sig.m, "n": sig.n},
+        "k": k,
+        "target": args.target,
+        "size": len(elements),
+        "elements": elements,
+    }
+    _write(args, fields, "".join(f"{e['label']}\t{e['polynomial']}\n" for e in elements))
     return 0
 
 
@@ -322,16 +305,11 @@ def _suite_sl2(sigs, kmax):
                 yield f"sl2 {sig} k={k}: {chk.name}", chk.ok
 
 
-def _suite_fischer(sigs, kmax):
+def _suite_per_degree(sigs, kmax, name, report):
+    """One check per signature and degree: report(sig, k) verifies."""
     for sig in sigs:
         for k in range(kmax + 1):
-            yield f"fischer {sig} k={k}", fischer_decomposition(sig, k).verified
-
-
-def _suite_theorem_a(sigs, kmax):
-    for sig in sigs:
-        for k in range(kmax + 1):
-            yield f"theoremA {sig} k={k}", verify_theorem_A(sig, k).verified
+            yield f"{name} {sig} k={k}", report(sig, k).verified
 
 
 def _suite_ck(sigs, kmax):
@@ -369,10 +347,16 @@ def _suite_gt(sigs, kmax):
                 yield f"gt {sig} k={k} target={target}", rep.verified
 
 
+# The per-degree suites look their report up by name when they run, so a
+# wrapper later bound over that name (a tracer) is the one called.
 _SUITE_RUNNERS = {
     "sl2": _suite_sl2,
-    "fischer": _suite_fischer,
-    "theoremA": _suite_theorem_a,
+    "fischer": lambda sigs, kmax: _suite_per_degree(
+        sigs, kmax, "fischer", fischer_decomposition
+    ),
+    "theoremA": lambda sigs, kmax: _suite_per_degree(
+        sigs, kmax, "theoremA", verify_theorem_A
+    ),
     "ck": _suite_ck,
     "branching": _suite_branching,
     "gt": _suite_gt,
@@ -383,10 +367,7 @@ def _run_verify(args) -> int:
     if (args.m is None) != (args.n is None):
         raise UsageError("--m and --n must be given together")
     if args.m is not None:
-        try:
-            sigs = [SuperSignature(args.m, args.n)]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        sigs = [_signature(args.m, args.n)]
     else:
         sigs = [SuperSignature(m, n) for m, n in _GRID]
     kmax = args.kmax if args.kmax is not None else _SUITE_KMAX[args.suite]
@@ -400,24 +381,17 @@ def _run_verify(args) -> int:
             f"{', '.join(map(str, sigs))} up to kmax={kmax}"
         )
     failed = [name for name, ok in results if not ok]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "suite": args.suite,
-            "checks": [{"name": name, "ok": ok} for name, ok in results],
-            "total": len(results),
-            "failed": len(failed),
-            "verified": not failed,
-        }
-        _emit(_json_dump(payload), args)
-    else:
-        lines = [f"[{'ok' if ok else 'FAIL'}] {name}" for name, ok in results]
-        if failed:
-            lines.append(f"suite {args.suite}: {len(results)} checks, {len(failed)} failed")
-        else:
-            lines.append(f"suite {args.suite}: {len(results)} checks, all passed")
-        _emit("".join(line + "\n" for line in lines), args)
+    fields = {
+        "suite": args.suite,
+        "checks": [{"name": name, "ok": ok} for name, ok in results],
+        "total": len(results),
+        "failed": len(failed),
+        "verified": not failed,
+    }
+    lines = [f"[{'ok' if ok else 'FAIL'}] {name}" for name, ok in results]
+    tally = f"{len(failed)} failed" if failed else "all passed"
+    lines.append(f"suite {args.suite}: {len(results)} checks, {tally}")
+    _write(args, fields, "".join(line + "\n" for line in lines))
     return 1 if failed else 0
 
 

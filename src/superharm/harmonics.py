@@ -272,12 +272,13 @@ def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:
 
 
 @dataclass(frozen=True)
-class FischerIndexSets:
-    """Start degrees for the degree-k decomposition.
+class IndexSets:
+    """Degrees sorted into component roles at one superdimension M.
 
-    degrees: every start k, k-2, ..; exceptional: starts whose component is
-    the generalized space; suppressed: mirror degrees 2 - M - l of the
-    exceptional starts, which carry no component; ordinary: the rest.
+    degrees: the Fischer starts k, k-2, .. or branching's lower degrees
+    0..k; exceptional: those whose component is the generalized space;
+    suppressed: their mirrors 2 - M - l, which carry no component;
+    ordinary: the rest.
     """
 
     k: int
@@ -287,14 +288,25 @@ class FischerIndexSets:
     ordinary: tuple[int, ...]
 
 
-def fischer_index_sets(signature: SuperSignature, k: int) -> FischerIndexSets:
-    exc = exceptional_indices(signature.M)
-    degrees = tuple(range(k, -1, -2))
+def _index_sets(M: int, k: int, degrees: range) -> IndexSets:
+    """The exceptional-window rule at superdimension M, applied to degrees."""
+    exc = exceptional_indices(M)
     exceptional = tuple(l for l in degrees if l in exc)
-    suppressed_set = {2 - signature.M - l for l in exceptional}
-    suppressed = tuple(l for l in degrees if l in suppressed_set)
-    ordinary = tuple(l for l in degrees if l not in exc and l not in suppressed_set)
-    return FischerIndexSets(k, degrees, exceptional, suppressed, ordinary)
+    mirrors = {2 - M - l for l in exceptional}
+    suppressed = tuple(l for l in degrees if l in mirrors)
+    ordinary = tuple(l for l in degrees if l not in exc and l not in mirrors)
+    return IndexSets(k, tuple(degrees), exceptional, suppressed, ordinary)
+
+
+def fischer_index_sets(signature: SuperSignature, k: int) -> IndexSets:
+    """Start degrees k, k-2, .. >= 0 of the degree-k Fischer decomposition."""
+    return _index_sets(signature.M, k, range(k, -1, -2))
+
+
+def branching_index_sets(signature: SuperSignature, k: int) -> IndexSets:
+    """Degrees 0..k of the components of H_k one bosonic variable down: the
+    same rule at superdimension M - 1."""
+    return _index_sets(signature.M - 1, k, range(k + 1))
 
 
 @dataclass(frozen=True)
@@ -334,7 +346,7 @@ def _component_rows(
     return rsquare_lift_rows(_SPACES[kind](signature, degree), rpower // 2, k)
 
 
-def _formula_plan(sets: FischerIndexSets) -> list[tuple[str, int, int]]:
+def _formula_plan(sets: IndexSets) -> list[tuple[str, int, int]]:
     """Components of the index-set formula, in start-degree order."""
     plan = [("Ht", l, sets.k - l) for l in sets.exceptional] + [
         ("H", l, sets.k - l) for l in sets.ordinary
@@ -446,9 +458,10 @@ def _certificate_failure(
     return None
 
 
-def _start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
+def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
     """dim (H or Ht)_degree: counted for m >= 1, where (b) at degree - 2
-    proves the count (module docstring); the kernel's at m = 0."""
+    proves the count (module docstring); the kernel's at m = 0.  Fischer's
+    starts and branching's lower summands both take their dimensions here."""
     if signature.m == 0:
         return _SPACES[kind](signature, degree).dim
     dim = len(monomial_basis(signature, degree)) - len(monomial_basis(signature, degree - 2))
@@ -469,7 +482,7 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
     summands = tuple(
-        FischerSummand(kind, degree, rpower, _start_dim(signature, kind, degree))
+        FischerSummand(kind, degree, rpower, start_dim(signature, kind, degree))
         for kind, degree, rpower in plan
     )
     space_dim = len(monomial_basis(signature, k))

@@ -12,7 +12,7 @@ from superharm.branching import (
 from superharm.ck import CKData
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import Subspace, span_subspace, vector_polynomial
-from superharm.harmonics import harmonic_space
+from superharm.harmonics import exceptional_indices, generalized_harmonic_space, harmonic_space
 from superharm.superpoly import SuperPolynomial, SuperSignature, space_dimension
 
 S33 = SuperSignature(3, 3)
@@ -179,6 +179,55 @@ def _fischer_generators(lower, d):
 
 
 BRANCHING_GRID = [SuperSignature(m, n) for m, n in VERIFY_GRID if m]
+
+
+def test_branching_takes_no_lower_harmonic_kernel(monkeypatch):
+    # the summand dimensions are counted (harmonics.start_dim): branching
+    # takes harmonic and generalized kernels on the upper signature only
+    seen = []
+    for name in ("harmonic_space", "generalized_harmonic_space"):
+
+        def recording(sig, k, original=getattr(branching, name)):
+            seen.append(sig)
+            return original(sig, k)
+
+        monkeypatch.setattr(branching, name, recording)
+    for sig, branch in ((S33, branch_harmonic), (S23, branch_generalized)):
+        seen.clear()
+        assert branch(sig, 5).verified
+        assert seen and set(seen) == {sig}
+
+
+# the verify suite's branching cases (m >= 1, k <= 5, and every degree of each
+# generalized window) and (4|6) at k = 6
+COUNTED_SUMMAND_CASES = (
+    [
+        (branch_harmonic, sig, k)
+        for sig in BRANCHING_GRID
+        for k in range(_SUITE_KMAX["branching"] + 1)
+    ]
+    + [
+        (branch_generalized, sig, k)
+        for sig in BRANCHING_GRID
+        for k in sorted(exceptional_indices(sig.M))
+    ]
+    + [(branch_harmonic, SuperSignature(4, 3), 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "branch, sig, k",
+    COUNTED_SUMMAND_CASES,
+    ids=[f"{b.__name__}-{sig}-{k}" for b, sig, k in COUNTED_SUMMAND_CASES],
+)
+def test_counted_summand_dims_match_the_lower_kernels(branch, sig, k):
+    # reference: each summand's counted dimension is that of the kernel on P'_l
+    lower = sig.restricted()
+    rep = branch(sig, k)
+    assert rep.verified, rep.checks
+    for s in rep.summands:
+        space = generalized_harmonic_space if s.kind == "Ht" else harmonic_space
+        assert s.dim == space(lower, s.degree).dim, s.describe()
 
 
 @pytest.mark.parametrize("sig", BRANCHING_GRID, ids=str)

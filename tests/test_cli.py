@@ -110,6 +110,23 @@ def test_output_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["fischer", "--m", "1", "--n", "1", "--k", "2"],
+        ["verify", "--suite", "sl2", "--m", "1", "--n", "1", "--kmax", "1", "--format", "json"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"superharm: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["fischer", "--m", "2", "--n", "1", "--k", "-3"],
         ["fischer", "--m", "2", "--n", "1", "--k", "40"],
         ["fischer", "--m", "2", "--n", "1"],
@@ -210,6 +227,20 @@ _GOLDEN = [
     # the fermionic pair recursion: fermionic-0/1/2/3 (5/4/4/1 elements)
     (["gt-basis", "--m", "0", "--n", "3", "--k", "2", "--format", "json"], 0,
      "140df3e111eeb27bb069b6f50d11a9c5ae29b2eb1083c5363dec4f30858e9a43"),
+    # fischer JSON over a --kmax range, through the (2|6) window {4, 5, 6}
+    (["fischer", "--m", "2", "--n", "3", "--kmax", "6", "--format", "json"], 0,
+     "803a9a171556e9f2420e2a28012c144fdf5af77a1458f12858a692a57159e6da"),
+    # branch JSON over an exceptional lower level (2|6): counted Ht' dimensions
+    (["branch", "--m", "3", "--n", "3", "--k", "5", "--format", "json"], 0,
+     "d0af5845761e291bbe2220f5158c86f3597f8be7a3ab2ba3089ebdc1c651e355"),
+    # gt-basis text, one tab-separated element per line
+    (["gt-basis", "--m", "2", "--n", "3", "--k", "4", "--target", "Ht"], 0,
+     "eee2d73a4b5671fa4906132636d8978ba739d9dd807cbe887ecfae54114c618d"),
+    # verify text: the "N failed" tally and the "all passed" tally
+    (["verify", "--suite", "theoremA"], 1,
+     "b35483c32319352ffb679d4e637fbb2745af1ad6798e6d08e23d4326094a6cba"),
+    (["verify", "--suite", "sl2"], 0,
+     "1ed41fcad9e39e5bb01ff3dacbea22d92f728065096b6caa1cdec74d0f8d2af8"),
 ]
 
 

@@ -592,7 +592,7 @@ def test_counted_start_dims_match_the_kernels(monkeypatch, sig, degrees):
     # the reference report takes every start dimension from the kernel on
     # P_l: dims, verdicts and witnesses must all agree with it
     counted = [fischer_decomposition(sig, k) for k in degrees]
-    monkeypatch.setattr(harmonics, "_start_dim", _kernel_start_dim)
+    monkeypatch.setattr(harmonics, "start_dim", _kernel_start_dim)
     for k, rep in zip(degrees, counted):
         assert rep == fischer_decomposition(sig, k), k
         assert rep.verified, (k, rep.failure_witness)
