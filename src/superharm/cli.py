@@ -14,8 +14,11 @@ cannot be written).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+from dataclasses import asdict
 
 from .branching import branch_generalized, branch_harmonic
 from .ck import ck_data, ck_extend, ck_extend_recursive
@@ -147,6 +150,41 @@ def _checked_input(args) -> tuple[SuperSignature, list[int]]:
     return sig, degrees
 
 
+def _checked_output(path: str) -> None:
+    """Refuse, before any work, an --output that is a directory, whose
+    directory is missing, or that cannot be written.  Nothing is opened, so
+    an existing file is not truncated before the result is ready."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(directory):
+        reason = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(reason)}")
+
+
+def _check_dicts(checks) -> list[dict]:
+    return [{"name": name, "ok": ok} for name, ok in checks]
+
+
+def _report_fields(rep) -> dict:
+    """A report's dataclass fields, less the signature that the envelope
+    carries: each check as {name, ok}, index sets by role only."""
+    fields = asdict(rep)
+    del fields["signature"]
+    if "checks" in fields:
+        fields["checks"] = _check_dicts(rep.checks)
+    sets = fields.get("index_sets")
+    if sets is not None:
+        fields["index_sets"] = {
+            role: sets[role] for role in ("exceptional", "suppressed", "ordinary")
+        }
+    return fields
+
+
 def _write(args, fields: dict, text: str) -> None:
     """Write a command's result to --output or stdout: in JSON the
     schema_version, the command and its fields, otherwise the text."""
@@ -164,22 +202,6 @@ def _write(args, fields: dict, text: str) -> None:
 
 
 # -- fischer -----------------------------------------------------------------
-
-
-def _fischer_report_dict(rep) -> dict:
-    return {
-        "k": rep.k,
-        "summands": [
-            {"kind": s.kind, "degree": s.degree, "rpower": s.rpower, "dim": s.dim}
-            for s in rep.summands
-        ],
-        "suppressed": list(rep.suppressed),
-        "total_dim": rep.total_dim,
-        "space_dim": rep.space_dim,
-        "verified": rep.verified,
-        "failure_witness": rep.failure_witness,
-        "notes": list(rep.notes),
-    }
 
 
 def _fischer_text(sig, reports) -> str:
@@ -206,44 +228,12 @@ def _fischer_text(sig, reports) -> str:
 def _run_fischer(args) -> int:
     sig, degrees = _checked_input(args)
     reports = [fischer_decomposition(sig, k) for k in degrees]
-    fields = {
-        "signature": {"m": sig.m, "n": sig.n},
-        "reports": [_fischer_report_dict(r) for r in reports],
-    }
+    fields = {"signature": asdict(sig), "reports": [_report_fields(r) for r in reports]}
     _write(args, fields, _fischer_text(sig, reports))
     return 0 if all(r.verified for r in reports) else 1
 
 
 # -- branch ------------------------------------------------------------------
-
-
-def _branch_report_dict(rep) -> dict:
-    index_sets = None
-    if rep.index_sets is not None:
-        index_sets = {
-            "exceptional": list(rep.index_sets.exceptional),
-            "suppressed": list(rep.index_sets.suppressed),
-            "ordinary": list(rep.index_sets.ordinary),
-        }
-    return {
-        "k": rep.k,
-        "mode": rep.mode,
-        "lhs_kind": rep.lhs_kind,
-        "lhs_dim": rep.lhs_dim,
-        "index_sets": index_sets,
-        "summands": [
-            {
-                "kind": s.kind,
-                "degree": s.degree,
-                "multiplicity": s.multiplicity,
-                "dim": s.dim,
-            }
-            for s in rep.summands
-        ],
-        "checks": [{"name": name, "ok": ok} for name, ok in rep.checks],
-        "verified": rep.verified,
-        "notes": list(rep.notes),
-    }
 
 
 def _branch_text(sig, rep) -> str:
@@ -270,7 +260,7 @@ def _run_branch(args) -> int:
         rep = branch_generalized(sig, k) if args.generalized else branch_harmonic(sig, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    fields = {"signature": {"m": sig.m, "n": sig.n}, "report": _branch_report_dict(rep)}
+    fields = {"signature": asdict(sig), "report": _report_fields(rep)}
     _write(args, fields, _branch_text(sig, rep))
     return 0 if rep.verified else 1
 
@@ -285,7 +275,7 @@ def _run_gt_basis(args) -> int:
         for el in gt_basis(sig, k, args.target)
     ]
     fields = {
-        "signature": {"m": sig.m, "n": sig.n},
+        "signature": asdict(sig),
         "k": k,
         "target": args.target,
         "size": len(elements),
@@ -383,7 +373,7 @@ def _run_verify(args) -> int:
     failed = [name for name, ok in results if not ok]
     fields = {
         "suite": args.suite,
-        "checks": [{"name": name, "ok": ok} for name, ok in results],
+        "checks": _check_dicts(results),
         "total": len(results),
         "failed": len(failed),
         "verified": not failed,
@@ -407,6 +397,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _checked_output(args.output)
         return _RUNNERS[args.command](args)
     except UsageError as exc:
         print(f"superharm: {exc}", file=sys.stderr)

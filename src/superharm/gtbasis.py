@@ -33,10 +33,10 @@ Theta = t1 t2 + .. + t_{2n-3} t_{2n-2} + (k - n - 1) t_{2n-1} t_{2n}
 (fermionic-base).  A second table maps each of these kinds to its degree drop
 and multiplier, and the floor is one function; the recursion and the
 per-step check both read them.  Nonzero fermionic harmonics live only in
-degrees 0..n.  A generalized fermionic target is given the plain basis: the
-exceptional window of M = -2n starts at degree n + 2, beyond every nonzero
-harmonic, and the count check of verify_gt_basis compares that basis with the
-exact kernel.
+degrees 0..n.  A generalized fermionic target is the plain one, in the basis
+and in its verification (_generalized): the window of M = -2n starts at
+n + 2, and above degree n lap is injective and its image meets ker(lap r2)
+only in 0, so Ht_k = H_k = 0 there.
 """
 
 from __future__ import annotations
@@ -180,6 +180,11 @@ def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
     return tuple(out)
 
 
+def _generalized(signature: SuperSignature, k: int) -> bool:
+    """Whether Ht_k is a target of its own: m >= 1 and k exceptional."""
+    return signature.m >= 1 and k in exceptional_indices(signature.M)
+
+
 def gt_basis(
     signature: SuperSignature, k: int, target: str = "H"
 ) -> tuple[GTBasisElement, ...]:
@@ -189,7 +194,7 @@ def gt_basis(
         raise ValueError(f"target must be 'H' or 'Ht', got {target!r}")
     if k < 0:
         return ()
-    if target == "Ht" and (signature.m == 0 or k not in exceptional_indices(signature.M)):
+    if target == "Ht" and not _generalized(signature, k):
         return gt_basis(signature, k, "H")
     key = (signature.m, signature.n, k, target)
     cached = _CACHE.get(key)
@@ -270,19 +275,15 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
-    exceptional = target == "Ht" and k in exceptional_indices(signature.M)
-    space = (
-        generalized_harmonic_space(signature, k)
-        if exceptional
-        else harmonic_space(signature, k)
-    )
+    generalized = target == "Ht" and _generalized(signature, k)
+    space = (generalized_harmonic_space if generalized else harmonic_space)(signature, k)
     polys = [el.polynomial for el in basis]
     membership_ok = data_ok = True
     for el in basis:
         p = el.polynomial
         triple = restriction_triple(p) if signature.m else None
         image = laplacian(p) if triple is None else triple[2]
-        if exceptional:
+        if generalized:
             image = laplacian(rsquare_mul(image))
         membership_ok &= image.is_zero()
         data_ok &= _step_data_ok(signature, k, el, triple)

@@ -105,14 +105,15 @@ defect_kernel is cached beside the spaces, and branching's
 prescribed-Laplacian slot takes the same kernel; the socle itself is not
 cached, as each verification reads it once per degree.
 
-Subspaces are lifted in coordinates: rsquare_lift_rows maps the canonical
-integer rows of a Subspace through the integer column images of
-rsquare_matrix, one degree step at a time.  The socle, Theorem A's mirror
-lift, the m = 0 plan agreement and branching's lifted mirror work on those
-integer rows with no polynomial in between.  A polynomial is lifted by
-rsquare_lift(p, j): j applications of multiplication by r2 by its monomial
-rule, never a product with the polynomial (r2)^j; gtbasis uses it.  At
-j = 0 both lifts are the identity.
+Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps the
+canonical integer rows of a Subspace through the integer column images of
+rsquare_matrix, one degree step at a time, from the space's degree up to k.
+The socle, the m = 0 plan agreement and lifted_mirror (the mirror harmonics
+H_(2-M-k), lifted to Theorem A's socle at degree k and to branching's
+admissible Laplacian parts at k - 2) work on those rows with no polynomial
+in between.  A polynomial is lifted by rsquare_lift(p, j): j applications of
+multiplication by r2 by its monomial rule, never a product with the
+polynomial (r2)^j; gtbasis uses it.
 """
 
 from __future__ import annotations
@@ -194,15 +195,14 @@ def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
     return IntMatrix(cols, _rsquare_columns(signature, degree)).transpose()
 
 
-def rsquare_lift_rows(space: Subspace, j: int, k: int) -> list[dict[int, int]]:
-    """The rows of a Subspace multiplied by (r2)^j, as integer rows in the
-    degree-k basis; the space's degree plus 2j must be k.  At j = 0 they are
-    the space's own rows, not copies."""
+def rsquare_lift_rows(space: Subspace, k: int) -> list[dict[int, int]]:
+    """The rows of a Subspace multiplied by the power of r2 that takes its
+    degree to k, as integer rows in the degree-k basis.  At the space's own
+    degree they are its own rows, not copies; a k below that degree or of
+    the other parity raises ValueError."""
     signature, degree = space.ambient
-    if j < 0:
-        raise ValueError("negative power of r2")
-    if degree + 2 * j != k:
-        raise ValueError(f"r^{2 * j} lifts degree {degree} to {degree + 2 * j}, not {k}")
+    if k < degree or (k - degree) % 2:
+        raise ValueError(f"no power of r2 lifts degree {degree} to {k}")
     steps = [_rsquare_columns(signature, d) for d in range(degree, k, 2)]
     lifted = []
     for row in space.rows:
@@ -258,7 +258,19 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
     if k < 2:
         return Subspace.zero(cols, (signature, k))
     return Subspace.from_rows(
-        cols, rsquare_lift_rows(defect_kernel(signature, k - 2), 1, k), (signature, k)
+        cols, rsquare_lift_rows(defect_kernel(signature, k - 2), k), (signature, k)
+    )
+
+
+def lifted_mirror(signature: SuperSignature, k: int, degree: int) -> Subspace:
+    """The mirror harmonics H_(2-M-k) of an exceptional degree k, lifted by
+    r2 to `degree`: the socle of H_k at degree k, and the admissible
+    prescribed-Laplacian parts of Ht_k at degree k - 2."""
+    mirror = harmonic_space(signature, 2 - signature.M - k)
+    return Subspace.from_rows(
+        len(monomial_basis(signature, degree)),
+        rsquare_lift_rows(mirror, degree),
+        (signature, degree),
     )
 
 
@@ -340,10 +352,10 @@ _SPACES = {"H": harmonic_space, "Ht": generalized_harmonic_space}
 
 
 def _component_rows(
-    signature: SuperSignature, kind: str, degree: int, rpower: int, k: int
+    signature: SuperSignature, kind: str, degree: int, k: int
 ) -> list[dict[int, int]]:
-    """Integer rows of the component r^rpower * (H or Ht)_degree of P_k."""
-    return rsquare_lift_rows(_SPACES[kind](signature, degree), rpower // 2, k)
+    """Integer rows of the component r^(k-degree) * (H or Ht)_degree of P_k."""
+    return rsquare_lift_rows(_SPACES[kind](signature, degree), k)
 
 
 def _formula_plan(sets: IndexSets) -> list[tuple[str, int, int]]:
@@ -519,7 +531,7 @@ def _plans_agree(signature, fermionic_plan, formula_plan, k) -> bool:
         return {
             (degree, rpower)  # Ht equals H at m = 0
             for kind, degree, rpower in plan
-            if any(_component_rows(signature, kind, degree, rpower, k))
+            if any(_component_rows(signature, kind, degree, k))
         }
 
     return nonzero_components(fermionic_plan) == nonzero_components(formula_plan)
@@ -559,13 +571,10 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         checks.append(("generalized equals harmonic", Ht == H))
         checks.append(("socle is zero", H0.dim == 0))
     else:
-        mirror = harmonic_space(signature, 2 - M - k)
-        dim_mirror = mirror.dim
-        j = (2 * k + M - 2) // 2
-        lifted = Subspace.from_rows(
-            H.ambient_dim, rsquare_lift_rows(mirror, j, k), (signature, k)
+        dim_mirror = harmonic_space(signature, 2 - M - k).dim
+        checks.append(
+            ("socle is r-power of mirror harmonics", H0 == lifted_mirror(signature, k, k))
         )
-        checks.append(("socle is r-power of mirror harmonics", H0 == lifted))
         checks.append(
             (
                 "strict chain socle < H < Ht",

@@ -173,8 +173,8 @@ def _fischer_generators(lower, d):
     plan, _ = harmonics._decomposition_plan(lower, d)
     return [
         vector_polynomial(lower, d, row)
-        for kind, degree, rpower in plan
-        for row in harmonics._component_rows(lower, kind, degree, rpower, d)
+        for kind, degree, _ in plan
+        for row in harmonics._component_rows(lower, kind, degree, d)
     ]
 
 
@@ -314,3 +314,16 @@ def test_inadmissible_laplacian_part_fails_its_slot_check(monkeypatch):
     monkeypatch.setattr(branching, "defect_kernel", everything)
     checks = dict(branch_generalized(S23, 4).checks)
     assert not checks["Laplacian-slot generators verify"]
+
+
+def test_wrong_summand_dimension_fails_the_first_check(monkeypatch):
+    # one summand counted one too large: both branchings report the sum as
+    # their first check, and only that check fails
+    original = branching.start_dim
+    monkeypatch.setattr(
+        branching, "start_dim", lambda sig, kind, l: original(sig, kind, l) + (l == 0)
+    )
+    for rep in (branch_harmonic(S33, 3), branch_generalized(S23, 4)):
+        assert rep.checks[0] == ("summand dimensions sum to the branched dimension", False)
+        assert all(ok for _, ok in rep.checks[1:])
+        assert not rep.verified

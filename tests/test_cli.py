@@ -124,6 +124,41 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, where):
     assert "Traceback" not in err
 
 
+def _forbidden(*args):
+    raise AssertionError("the computation was started")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fischer", "--m", "1", "--n", "1", "--k", "2"],
+        ["verify", "--suite", "fischer", "--m", "1", "--n", "1", "--kmax", "1"],
+    ],
+)
+@pytest.mark.parametrize(
+    "where,reason",
+    [("missing directory", "No such file or directory"), ("a directory", "Is a directory")],
+)
+def test_unwritable_output_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, where, reason
+):
+    monkeypatch.setattr(cli, "fischer_decomposition", _forbidden)
+    target = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"superharm: cannot write {target}: {reason}\n"
+
+
+def test_output_that_fails_after_the_work_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the directory may vanish while the result is computed
+    monkeypatch.setattr(cli, "_checked_output", lambda path: None)
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "fischer", "--m", "1", "--n", "1", "--k", "2", "--output", str(target))
+    assert code == 2
+    assert err == f"superharm: cannot write {target}: No such file or directory\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -241,6 +276,15 @@ _GOLDEN = [
      "b35483c32319352ffb679d4e637fbb2745af1ad6798e6d08e23d4326094a6cba"),
     (["verify", "--suite", "sl2"], 0,
      "1ed41fcad9e39e5bb01ff3dacbea22d92f728065096b6caa1cdec74d0f8d2af8"),
+    # generalized branch JSON: null index sets, a note, lhs_kind Ht
+    (["branch", "--m", "2", "--n", "3", "--k", "4", "--generalized", "--format", "json"], 0,
+     "1dad10884d2f7b22c09656efb5379f84db790cb8299b6d29e573c3b81a388734"),
+    # classical branch JSON: no exceptional degree one level down
+    (["branch", "--m", "2", "--n", "2", "--k", "3", "--format", "json"], 0,
+     "75d0b77d50fd09e9341c0dd4c7836c17d46cdc704a5a2f0ea36ecc58e49b7016"),
+    # fischer JSON at m = 0: notes and suppressed degrees
+    (["fischer", "--m", "0", "--n", "3", "--k", "3", "--format", "json"], 0,
+     "b8a355703fefa0cf369987b4475202b99d184283c2e8c333f754ff0d42242afb"),
 ]
 
 

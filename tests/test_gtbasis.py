@@ -13,7 +13,12 @@ from superharm.gtbasis import (
     theta_factor,
     verify_gt_basis,
 )
-from superharm.harmonics import exceptional_indices, generalized_harmonic_space, rsquare_lift
+from superharm.harmonics import (
+    exceptional_indices,
+    generalized_harmonic_space,
+    harmonic_space,
+    rsquare_lift,
+)
 from superharm.operators import laplacian
 from superharm.superpoly import (
     SuperPolynomial,
@@ -95,6 +100,18 @@ def test_fermionic_generalized_harmonics_vanish_in_the_window():
         for k in exceptional_indices(sig.M):
             assert generalized_harmonic_space(sig, k).dim == 0, (n, k)
             assert gt_basis(sig, k, "Ht") == gt_basis(sig, k, "H") == ()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fermionic_generalized_target_is_verified_as_the_plain_one(n):
+    # at m = 0 Ht_k = H_k = 0 over the whole window, so the Ht report is
+    # the H report
+    sig = SuperSignature(0, n)
+    for k in sorted(exceptional_indices(sig.M)):
+        assert harmonic_space(sig, k).dim == generalized_harmonic_space(sig, k).dim == 0
+        ht, h = verify_gt_basis(sig, k, "Ht"), verify_gt_basis(sig, k, "H")
+        assert (ht.size, ht.expected_dim, ht.checks) == (h.size, h.expected_dim, h.checks)
+        assert ht.verified
 
 
 def test_theta_factor():

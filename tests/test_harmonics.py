@@ -31,6 +31,7 @@ from superharm.harmonics import (
     generalized_harmonic_space,
     harmonic_space,
     laplacian_matrix,
+    lifted_mirror,
     rsquare_lift,
     rsquare_lift_rows,
     rsquare_matrix,
@@ -291,7 +292,7 @@ def test_coordinate_lift_matches_polynomial_lift(case):
     entry, so its lift is the polynomial lift times that entry."""
     space, j = case
     _, d = space.ambient
-    lifted = rsquare_lift_rows(space, j, d + 2 * j)
+    lifted = rsquare_lift_rows(space, d + 2 * j)
     assert len(lifted) == space.dim
     for row, lifted_row, poly in zip(space.rows, lifted, subspace_polynomials(space)):
         scale = row[min(row)]
@@ -301,13 +302,29 @@ def test_coordinate_lift_matches_polynomial_lift(case):
 
 def test_coordinate_lift_guards_its_degree():
     space = harmonic_space(S23, 2)
-    assert rsquare_lift_rows(space, 0, 2) == list(space.rows)
+    assert rsquare_lift_rows(space, 2) == list(space.rows)
     with pytest.raises(ValueError):
-        rsquare_lift_rows(space, 1, 6)
+        rsquare_lift_rows(space, 5)
     with pytest.raises(ValueError):
-        rsquare_lift_rows(space, 2, 4)
+        rsquare_lift_rows(space, 3)
     with pytest.raises(ValueError):
-        rsquare_lift_rows(space, -1, 0)
+        rsquare_lift_rows(space, 0)
+
+
+@pytest.mark.parametrize(
+    "sig,k",
+    [
+        (SuperSignature(m, n), k)
+        for m, n in ((2, 1), (2, 2), (2, 3), (4, 4))
+        for k in sorted(exceptional_indices(m - 2 * n))
+        if k <= 6
+    ],
+)
+def test_lifted_mirror_is_the_socle_and_the_defect_kernel(sig, k):
+    # one lift of H_(2-M-k) serves Theorem A at degree k and the
+    # prescribed-Laplacian slot of generalized branching at degree k - 2
+    assert lifted_mirror(sig, k, k) == socle_space(sig, k)
+    assert lifted_mirror(sig, k, k - 2) == defect_kernel(sig, k - 2)
 
 
 def test_rsquare_lift_rejects_negative_power():
@@ -637,8 +654,8 @@ def _joint_rank(sig, plan, k):
     verdict on directness, built here and not in the library."""
     return rank(
         row
-        for kind, degree, rpower in plan
-        for row in harmonics._component_rows(sig, kind, degree, rpower, k)
+        for kind, degree, _ in plan
+        for row in harmonics._component_rows(sig, kind, degree, k)
     )
 
 
@@ -807,9 +824,9 @@ def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
     original = harmonics.rsquare_lift_rows
     socles = {k: socle_space(S23, k) for k in (4, 5)}
 
-    def one_power_short(space, j, k):
+    def one_power_short(space, k):
         signature, degree = space.ambient
-        return original(harmonic_space(signature, degree + 2), j - 1, k)
+        return original(harmonic_space(signature, degree + 2), k)
 
     monkeypatch.setattr(harmonics, "socle_space", lambda signature, k: socles[k])
     monkeypatch.setattr(harmonics, "rsquare_lift_rows", one_power_short)
