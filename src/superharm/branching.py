@@ -44,29 +44,34 @@ takes the kernels.  The kernels of harmonic_space and
 generalized_harmonic_space are taken only on the upper signature.
 CK extension is linear, so a slot check that holds on a basis of P'_k holds
 on every generator made from it, and the boundary and normal slots are
-checked on the monomial bases of P'_k and P'_(k-1).  The Laplacian slot
-takes the rows of the defect kernel ker(L_k R_(k-2)), which lives in
-harmonics: it is cached there beside the spaces it serves, and the socle of
-Theorem A is its r2-image, so one kernel serves both.  One check,
-_slot_generators_ok, serves all three slots: each extension must read its
-data back in its own slot and zero in the other two.  The slots, their
-degrees, the read-back and that predicate live in ck, and the GT step check
-of gtbasis states the same predicate.  The read-back is a left inverse of
-the extension, so the extension is injective and its image has the
-dimension of its data, which the count checks compare with lhs_dim.  Both
-branchings end in one report builder, _report, which puts the
-summand-dimension sum first.
+checked on the unit rows of the monomial bases of P'_k and P'_(k-1).  The
+Laplacian slot takes the rows of the defect kernel ker(L_k R_(k-2)), which
+lives in harmonics: it is cached there beside the spaces it serves, and the
+socle of Theorem A is its r2-image, so one kernel serves both.  One check,
+_slot_generators_ok, serves all three slots, in index space:
+ck.slot_extension turns each integer row into the row E of k! times its
+extension on the degree-k basis, one row at a time.  E is read back by
+slices and by one product with the cached matrix L_k: its x_m^0 and x_m^1
+slices must be k! times the data in the boundary and normal slot and zero
+otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
+otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  The slots
+and their degrees live in ck; the GT step check of gtbasis reads the same
+triple off polynomials.  The read-back is a left inverse of the extension,
+so the extension is injective and its image has the dimension of its data,
+which the count checks compare with lhs_dim.  Both branchings end in one
+report builder, _report, which puts the summand-dimension sum first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
-from .ck import CKData, ck_extend, only_in_slot, restriction_triple, slot_ambient
+from .ck import SLOTS, slot_ambient, slot_extension
 # kernel is not called here (the defect kernel is built in harmonics); the
 # benchmark's tracer test (perfbench/tests) checks that its wrapper is also
 # bound under this module's name.
-from .exactla import kernel, vector_polynomial  # noqa: F401
+from .exactla import apply_columns, columns, kernel  # noqa: F401
 from .harmonics import (
     IndexSets,
     branching_index_sets,
@@ -76,11 +81,12 @@ from .harmonics import (
     fischer_index_sets,
     generalized_harmonic_space,
     harmonic_space,
+    laplacian_matrix,
     lifted_mirror,
+    rsquare_matrix,
     start_dim,
 )
-from .operators import laplacian, rsquare_mul
-from .superpoly import SuperPolynomial, SuperSignature, monomial_basis, space_dimension
+from .superpoly import SuperSignature, space_dimension
 
 
 @dataclass(frozen=True)
@@ -112,17 +118,26 @@ class BranchingReport:
     notes: tuple[str, ...] = ()
 
 
-def _slot_generators_ok(signature, k, slot, stack) -> bool:
+def _slot_generators_ok(signature, k, slot, rows) -> bool:
     """Extensions of degree-k data with only `slot` ("boundary", "normal" or
-    "laplacian") set to each element of the stack: each must read its data
-    back in that slot alone (ck.only_in_slot).  A Laplacian part w must also
-    satisfy lap(r2 w) = 0, so that the extension is a generalized harmonic:
-    lap r2 lap Q = lap(r2 w) once lap Q = w holds."""
-    for p in stack:
-        if slot == "laplacian" and not laplacian(rsquare_mul(p)).is_zero():
+    "laplacian") set to each integer row, on the basis of the slot's data
+    (ck.slot_extension): each must read its data back in that slot alone,
+    by its x_m^0 and x_m^1 slices and by L_k times it.  A Laplacian part w
+    must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that the
+    extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
+    lap Q = w holds."""
+    top = factorial(k)
+    extend = slot_extension(signature, k, slot)
+    lap = columns(laplacian_matrix(signature, k))
+    if slot == "laplacian":
+        r2 = columns(rsquare_matrix(signature, k - 2))
+    for row in rows:
+        ext, *slices = extend(row)
+        data = {i: top * c for i, c in row.items()}
+        read = (*slices, apply_columns(lap, ext))
+        if any(got != (data if name == slot else {}) for name, got in zip(SLOTS, read)):
             return False
-        Q = ck_extend(CKData.from_parts(signature, k, **{slot: p}))
-        if not only_in_slot(restriction_triple(Q), slot, p):
+        if slot == "laplacian" and apply_columns(lap, apply_columns(r2, row)):
             return False
     return True
 
@@ -134,8 +149,7 @@ def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
     lower = signature.restricted()
 
     def slot_ok(slot):
-        ring, d = slot_ambient(signature, k, slot)
-        basis = [SuperPolynomial(ring, {mono: 1}) for mono in monomial_basis(ring, d)]
+        basis = ({i: 1} for i in range(space_dimension(*slot_ambient(signature, k, slot))))
         return _slot_generators_ok(signature, k, slot, basis)
 
     return [
@@ -230,7 +244,6 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
 
     ring, d = slot_ambient(signature, k, "laplacian")  # the full ring, degree k - 2
     ker = defect_kernel(ring, d)
-    laplacian_parts = [vector_polynomial(ring, d, w) for w in ker.rows]
 
     checks = [
         (
@@ -245,7 +258,7 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
         *_lower_generator_checks(signature, k),
         (
             "Laplacian-slot generators verify",
-            _slot_generators_ok(signature, k, "laplacian", laplacian_parts),
+            _slot_generators_ok(signature, k, "laplacian", ker.rows),
         ),
     ]
     notes = (

@@ -22,6 +22,16 @@ slot_ambient reads it for one slot; restriction_triple reads the three
 slots of any polynomial, and only_in_slot states that a triple carries
 given data in one slot and zero in the other two.
 
+slot_extension is the same extension in index space, for branching's slot
+checks: it takes one integer row of a slot's data at a time (on the basis
+of slot_ambient) and returns the row of k! times its extension on the
+degree-k basis, built by the xi series with each lap' applied through the
+cached lower harmonics.laplacian_matrix, so lap's rule stays stated in
+operators alone.  An entry at x^a t_F of the series term with x_m^j goes
+to the column of x^(a, j) t_F; _xm_split is that correspondence, and it
+also reads the x_m^0 and x_m^1 slices of the extension back.  Rows are extended one at a
+time, and no extension matrix is held.
+
 ck_extend_recursive rebuilds Q by the two-step coefficient recursion
 instead; it exists so the closed form can be checked against an independent
 construction.  Both extensions write their terms directly: a term c x^a t_F
@@ -31,21 +41,29 @@ Every series term of ck_extend has x_m-degree at most k, so it adds all of
 them with operators.xi_into into one dict of integer numerators over the
 common denominator k!, and divides once per term.  Both extensions store a
 coefficient as an int when it is integral and as a Fraction otherwise.
+ck_extend and slot_extension read the series' scales (-1)^s k!/(ell+2s)!
+from one place, operators.xi_scales.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable, Mapping
 
-from .operators import laplacian, xi_into
+from .exactla import apply_columns, columns
+from .harmonics import laplacian_matrix
+from .operators import laplacian, xi_into, xi_scales
 from .superpoly import (
     ScalarLike,
     SuperMonomial,
     SuperPolynomial,
     SuperSignature,
     _rational,
+    basis_index,
     d_bosonic,
+    monomial_basis,
     restrict_hyperplane,
     xm_coefficients,
 )
@@ -75,6 +93,75 @@ def only_in_slot(triple, slot: str, p: SuperPolynomial) -> bool:
         if (got != p) if name == slot else not got.is_zero():
             return False
     return True
+
+
+def _xm_split(signature: SuperSignature, k: int) -> tuple[array, array]:
+    """For each monomial x^(a, j) t_F of the degree-k basis, its exponent j
+    of x_m and the position of x^a t_F in the lower basis of degree k - j,
+    as two flat arrays over the basis."""
+    lower = [basis_index(signature.restricted(), k - j) for j in range(k + 1)]
+    basis = monomial_basis(signature, k)
+    # plain (powers, mask) tuples hash and compare like SuperMonomial
+    return (
+        array("i", (a[-1] for a, _ in basis)),
+        array("i", (lower[a[-1]][a[:-1], f] for a, f in basis)),
+    )
+
+
+def slot_extension(
+    signature: SuperSignature, k: int, slot: str
+) -> Callable[[Mapping[int, int]], tuple[dict[int, int], dict[int, int], dict[int, int]]]:
+    """CK extension in index space, as a function of one row at a time.
+
+    A row is integer data of `slot` on the basis of slot_ambient; the
+    triple with it in `slot` and zero in the other two is extended by the
+    xi series of ck_extend, as integer numerators over k!.  The boundary
+    and normal rows seed xi(0) and xi(1); a Laplacian row seeds xi(j + 2)
+    with each x_m-slice w_j = j! (coefficient of x_m^j).  The function
+    returns the extension on the degree-k basis of `signature` and its
+    x_m^0 and x_m^1 slices read back from it, on the lower bases of degrees
+    k and k - 1: k! times the boundary and normal data of the extension."""
+    lower = signature.restricted()
+    top = factorial(k)
+    exps, pos = _xm_split(signature, k)
+    place = [array("i", [0]) * len(monomial_basis(lower, k - j)) for j in range(k + 1)]
+    for t, (j, i) in enumerate(zip(exps, pos)):
+        place[j][i] = t
+    cols = {}  # lower degree -> columns of lap' on it, built on first use
+    if slot == "laplacian":
+        seed_exps, seed_pos = _xm_split(signature, k - 2)
+
+    def seeds(row):
+        if slot != "laplacian":
+            return [(SLOTS[slot][1], row)]
+        slices: list[dict[int, int]] = [{} for _ in range(k - 1)]
+        for t, c in row.items():
+            j = seed_exps[t]
+            slices[j][seed_pos[t]] = c * factorial(j)
+        return [(j + 2, w) for j, w in enumerate(slices) if w]
+
+    def extend(row):
+        acc: dict[int, int] = {}
+        for ell, q in seeds(row):
+            for j, scale in xi_scales(ell, top):
+                if not q:
+                    break
+                at = place[j]
+                for i, c in q.items():
+                    t = at[i]
+                    acc[t] = acc.get(t, 0) + c * scale
+                d = k - j
+                if d not in cols:
+                    cols[d] = columns(laplacian_matrix(lower, d))
+                q = apply_columns(cols[d], q)
+        ext = {t: v for t, v in acc.items() if v}
+        slices: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        for t, v in ext.items():
+            if exps[t] < 2:
+                slices[exps[t]][pos[t]] = v
+        return ext, *slices
+
+    return extend
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,12 @@ nonzero int.  Module harmonics assembles the Laplacian on one degree with
 int entries and reads r2 off it; operator_matrix, the int matrix of any map
 applied to each whole basis monomial, is the tests' reference for both.
 matmul multiplies int rows, so kernels, products and ranks make no
-Fraction.  Elimination runs fraction-free over integers.  A row's
-content (the gcd of its entries) is reduced once per pivot row, not after
+Fraction.  For products with one sparse vector at a time, columns gives a
+matrix's columns in compressed form, three flat int arrays, and
+apply_columns reads them.
+
+Elimination runs fraction-free over integers.  A row's content (the gcd
+of its entries) is reduced once per pivot row, not after
 every elimination step: when a row becomes a pivot of the forward
 elimination, after its back-substitution, and on the remainder of a
 containment test, so every row that leaves the module is primitive with a
@@ -53,6 +57,7 @@ converted back and forth between rows and polynomials.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -453,6 +458,39 @@ def operator_matrix(
                 raise TypeError(f"operator_matrix needs int coefficients, got {c!r}")
             data[tidx[tm]][j] = c
     return IntMatrix(len(source), data)
+
+
+def columns(A: IntMatrix) -> tuple[array, array, array]:
+    """The columns of A in compressed form (starts, rows, entries): column
+    j holds entries[x] in row rows[x] for x in starts[j]..starts[j+1]-1, in
+    flat arrays of C ints, a tenth of the memory of A.transpose().  An
+    entry out of the C int range raises OverflowError.  Read by
+    apply_columns."""
+    starts = array("i", [0]) * (A.cols + 1)
+    for row in A.row_dicts():
+        for j in row:
+            starts[j + 1] += 1
+    for j in range(A.cols):
+        starts[j + 1] += starts[j]
+    nnz = starts[-1]
+    rows, entries, fill = array("i", [0]) * nnz, array("i", [0]) * nnz, starts[:-1]
+    for i, row in enumerate(A.row_dicts()):
+        for j, v in row.items():
+            x = fill[j]
+            rows[x], entries[x], fill[j] = i, v, x + 1
+    return starts, rows, entries
+
+
+def apply_columns(cols: tuple[array, array, array], vec: Mapping[int, int]) -> dict[int, int]:
+    """A vec, in integers, for the compressed columns of A (columns(A)) and
+    a sparse int vector; zeros are dropped."""
+    starts, rows, entries = cols
+    acc: dict[int, int] = {}
+    for source, a in vec.items():
+        for x in range(starts[source], starts[source + 1]):
+            target = rows[x]
+            acc[target] = acc.get(target, 0) + a * entries[x]
+    return {t: v for t, v in acc.items() if v}
 
 
 def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:

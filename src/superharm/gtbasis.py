@@ -21,8 +21,9 @@ suppressed.  One table maps each kind to its CK slot and the target of the
 lower basis; the descent and the per-step check both read it, and both take
 the start degrees from fischer_index_sets of the level below.  The slot's
 ring and degree, the read-back of an element and the per-step predicate
-(its data in the kind's slot, zero in the other two) come from ck, which
-branching's slot checks share.
+(its data in the kind's slot, zero in the other two) come from ck;
+branching's slot checks state the same predicate on integer rows
+(ck.slot_extension).
 
 The purely fermionic floor is built by a recursion removing the last pair
 t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged

@@ -60,6 +60,10 @@ a common denominator top, a multiple of (ell + deg p)!: the term becomes
 top (-1)^s/(ell+2s)! times c, an exact int scale, so int coefficients stay
 ints, and the caller divides by top once per term.  xi uses
 top = (ell + deg p)!; ck_extend sums all its series over k! (module ck).
+The scales top (-1)^s/(ell+2s)! and their exponents ell+2s are stated once,
+in xi_scales: xi_into reads them, and so does ck.slot_extension, the same
+series on integer rows, which applies lap through the cached Laplacian
+matrices of module harmonics instead of the rule above.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .superpoly import (
     ScalarLike,
@@ -155,19 +159,30 @@ def euler(p: SuperPolynomial) -> SuperPolynomial:
     return SuperPolynomial(sig, data, _clean=True)
 
 
+def xi_scales(ell: int, top: int) -> Iterator[tuple[int, int]]:
+    """(ell + 2s, top (-1)^s / (ell+2s)!) for s = 0, 1, ..: the exponent of
+    x_m and the integer scale of the s-th term of the xi series over the
+    common denominator top.  The one statement of the series' scales, read
+    by xi_into and by ck's row extension; each scale is exact while
+    (ell+2s)! divides top, and the caller stops before it does not."""
+    j, scale = ell, top // factorial(ell)
+    while True:
+        yield j, scale
+        scale //= -(j + 1) * (j + 2)
+        j += 2
+
+
 def xi_into(
     out: dict[SuperMonomial, ScalarLike], ell: int, p_lower: SuperPolynomial, top: int
 ) -> None:
     """Add top * xi(ell, p_lower) into out, term by term (module
     docstring).  top must be a multiple of (ell + deg p_lower)!, so every
-    scale top (-1)^s / (ell+2s)! is an exact int and int coefficients stay
-    ints; terminates because each step lowers the degree by two."""
+    scale of xi_scales is an exact int and int coefficients stay ints;
+    terminates because each step lowers the degree by two."""
     q = p_lower
-    if q.is_zero():
-        return
-    j = ell
-    scale = top // factorial(ell)
-    while True:
+    for j, scale in xi_scales(ell, top):
+        if q.is_zero():
+            return
         tail = (j,)
         for (powers, f), c in q:
             key = SuperMonomial(powers + tail, f)
@@ -175,10 +190,6 @@ def xi_into(
             old = out.get(key)
             out[key] = v if old is None else old + v
         q = laplacian(q)
-        if q.is_zero():
-            return
-        scale //= -(j + 1) * (j + 2)
-        j += 2
 
 
 def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:

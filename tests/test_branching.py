@@ -1,19 +1,20 @@
 """Branching of (generalized) harmonics one bosonic variable down."""
 
+from math import factorial
+
 import pytest
 
-from superharm import branching, harmonics
+from superharm import branching, ck, harmonics
 from superharm.branching import (
     branch_generalized,
     branch_harmonic,
     branching_index_sets,
     defect_kernel,
 )
-from superharm.ck import CKData
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
-from superharm.exactla import Subspace, span_subspace, vector_polynomial
+from superharm.exactla import IntMatrix, Subspace, apply_columns, columns
 from superharm.harmonics import exceptional_indices, generalized_harmonic_space, harmonic_space
-from superharm.superpoly import SuperPolynomial, SuperSignature, space_dimension
+from superharm.superpoly import SuperSignature, space_dimension
 
 S33 = SuperSignature(3, 3)
 S23 = SuperSignature(2, 3)
@@ -168,11 +169,11 @@ def test_broken_lower_plan_fails_completeness(monkeypatch):
 
 
 def _fischer_generators(lower, d):
-    """The lower Fischer components of P'_d as polynomials, stacked from
+    """The lower Fischer components of P'_d as integer rows, stacked from
     their lifted rows: the generators the slot checks stand for."""
     plan, _ = harmonics._decomposition_plan(lower, d)
     return [
-        vector_polynomial(lower, d, row)
+        row
         for kind, degree, _ in plan
         for row in harmonics._component_rows(lower, kind, degree, d)
     ]
@@ -241,7 +242,7 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
     original = branching._slot_generators_ok
 
     def recording(signature, k, slot, stack):
-        stacks[slot] = stack
+        stacks[slot] = stack = list(stack)
         return original(signature, k, slot, stack)
 
     for k in range(_SUITE_KMAX["branching"] + 1):
@@ -250,7 +251,8 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
             assert branch_harmonic(sig, k).verified
         for slot, d in (("boundary", k), ("normal", k - 1)):
             basis = stacks[slot]
-            assert len(basis) == span_subspace(lower, d, basis).dim == space_dimension(lower, d)
+            dim = space_dimension(lower, d)
+            assert len(basis) == Subspace.from_rows(dim, basis).dim == dim
             if not basis:
                 continue  # d < 0, or above the top degree of a fermionic P'
             fischer = _fischer_generators(lower, d)
@@ -264,15 +266,15 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
 
 
 def _drop_slot_term(monkeypatch, slot):
-    """Patch branching's CK extension to ignore the data of one slot."""
-    original = branching.ck_extend
+    """Patch branching's CK extension to drop the seed of one slot: its
+    rows extend as zero data."""
+    original = branching.slot_extension
 
-    def dropping(data):
-        parts = {"boundary": data.boundary, "normal": data.normal, "laplacian": data.laplacian}
-        parts[slot] = SuperPolynomial.zero(parts[slot].signature)
-        return original(CKData(data.degree, **parts))
+    def dropping(signature, k, name):
+        extend = original(signature, k, name)
+        return (lambda row: extend({})) if name == slot else extend
 
-    monkeypatch.setattr(branching, "ck_extend", dropping)
+    monkeypatch.setattr(branching, "slot_extension", dropping)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +296,41 @@ def test_slot_check_fails_when_extension_drops_its_term(monkeypatch, slot, name)
         failed = [check for check, ok in rep.checks if not ok]
         assert failed == [name]
         assert not rep.verified
+
+
+def test_wrong_lower_laplacian_entry_fails_the_boundary_check(monkeypatch):
+    # one entry of a lower Laplacian matrix off by one: the series of each
+    # boundary row still reads its slices back, but L_k times some
+    # extension is no longer 0, so the product check is not vacuous
+    original = ck.laplacian_matrix
+    lower = S33.restricted()
+
+    def off_by_one(signature, d):
+        A = original(signature, d)
+        if signature != lower or not A.rows:
+            return A
+        rows = [dict(row) for row in A.row_dicts()]
+        j = min(rows[0])
+        rows[0][j] += 1
+        return IntMatrix(A.cols, rows)
+
+    monkeypatch.setattr(ck, "laplacian_matrix", off_by_one)
+    for k in (3, 4):
+        basis = [{i: 1} for i in range(space_dimension(lower, k))]
+        assert not branching._slot_generators_ok(S33, k, "boundary", basis), k
+        # the row whose image changed still reads its slices back
+        j = min(original(lower, k).row_dicts()[0])
+        ext, boundary, normal = ck.slot_extension(S33, k, "boundary")({j: 1})
+        assert boundary == {j: factorial(k)} and not normal
+        assert apply_columns(columns(harmonics.laplacian_matrix(S33, k)), ext)
+
+
+def test_slot_checks_beyond_exponent_255():
+    # the x_m exponents of the degree-k basis go up to k; the index-space
+    # extension must place and read back every one of them
+    rep = branch_harmonic(SuperSignature(2, 0), 300)
+    assert rep.verified, rep.checks
+    assert rep.lhs_dim == 2
 
 
 def test_summands_ascend_and_suppressed_absent():

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superharm import ck
+from superharm import ck, harmonics, operators
 from superharm.branching import branch_harmonic
-from superharm.ck import CKData, ck_data, ck_extend, ck_extend_recursive
-from superharm.cli import _GRID as VERIFY_GRID
-from superharm.exactla import vector_polynomial
+from superharm.ck import (
+    SLOTS,
+    CKData,
+    ck_data,
+    ck_extend,
+    ck_extend_recursive,
+    restriction_triple,
+    slot_ambient,
+)
+from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
+from superharm.exactla import polynomial_vector, vector_polynomial
+from superharm.harmonics import defect_kernel
 from superharm.operators import laplacian, xi
 from superharm.superpoly import (
     SuperMonomial,
@@ -325,20 +334,17 @@ def test_recursive_extension_matches_the_product_sum(data):
     assert got == ck_extend(data)
 
 
-def _xi_into_variant(alternate, grow):
-    """The monomial rule of xi_into, optionally without the sign
+def _xi_scales_variant(alternate, grow):
+    """The scale rule of the xi series, optionally without the sign
     alternation (alternate=False) or with ell! in place of (ell+2s)!
     (grow=False)."""
 
-    def variant(out, ell, p, top):
-        q, j, scale = p, ell, Fraction(top, factorial(ell))
-        while not q.is_zero():
-            for (powers, f), c in q:
-                key = SuperMonomial(powers + (j,), f)
-                out[key] = out.get(key, 0) + c * scale
-            q = laplacian(q)
+    def variant(ell, top):
+        j, scale = ell, top // factorial(ell)
+        while True:
+            yield j, scale
             if grow:
-                scale /= (j + 1) * (j + 2)
+                scale //= (j + 1) * (j + 2)
             if alternate:
                 scale = -scale
             j += 2
@@ -352,7 +358,11 @@ def _xi_into_variant(alternate, grow):
     ids=["faithful", "no-sign", "ell-factorial"],
 )
 def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, grow, faithful):
-    monkeypatch.setattr(ck, "xi_into", _xi_into_variant(alternate, grow))
+    # the scale rule is shared: the polynomial series (xi_into) and the
+    # index-space series of branching's slot checks both read it
+    variant = _xi_scales_variant(alternate, grow)
+    for module in (operators, ck):
+        monkeypatch.setattr(module, "xi_scales", variant)
     for sig in (SuperSignature(2, 1), SuperSignature(2, 2)):
         round_trips = [
             ck_extend(ck_data(p, k)) == p
@@ -363,6 +373,52 @@ def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, gr
     rep = branch_harmonic(SuperSignature(3, 2), 4)
     assert dict(rep.checks)["boundary-slot generators verify"] is faithful
     assert rep.verified is faithful
+
+
+# -- the index-space extension against the polynomial one ------------------------
+
+
+def _slot_rows(sig, k):
+    """slot -> integer rows of its data: the unit rows of its basis, and the
+    lower Fischer generators (boundary, normal) or the defect kernel
+    (Laplacian)."""
+    rows = {}
+    for slot in SLOTS:
+        ring, d = slot_ambient(sig, k, slot)
+        rows[slot] = [{i: 1} for i in range(space_dimension(ring, d))]
+        if slot == "laplacian":
+            rows[slot] += list(defect_kernel(ring, d).rows)
+        elif d >= 0:
+            plan, _ = harmonics._decomposition_plan(ring, d)
+            for kind, degree, _ in plan:
+                rows[slot] += harmonics._component_rows(ring, kind, degree, d)
+    return rows
+
+
+# the verify grid (m >= 1, k <= 5) and (4|6) at k = 6
+EXTENSION_CASES = [
+    (SuperSignature(m, n), k)
+    for m, n in VERIFY_GRID
+    if m
+    for k in range(_SUITE_KMAX["branching"] + 1)
+] + [(SuperSignature(4, 3), 6)]
+
+
+@pytest.mark.parametrize("sig,k", EXTENSION_CASES, ids=[f"{s}-{k}" for s, k in EXTENSION_CASES])
+def test_slot_extension_matches_the_polynomial_extension(sig, k):
+    # each extended row is k! times the coordinates of ck_extend of the same
+    # data, and its slices are k! times the boundary and normal data
+    top = factorial(k)
+    for slot, rows in _slot_rows(sig, k).items():
+        ring, d = slot_ambient(sig, k, slot)
+        extend = ck.slot_extension(sig, k, slot)
+        for row in rows:
+            ext, boundary, normal = extend(row)
+            Q = ck_extend(CKData.from_parts(sig, k, **{slot: vector_polynomial(ring, d, row)}))
+            assert ext == {i: top * c for i, c in polynomial_vector(Q, k).items()}, (slot, row)
+            data = restriction_triple(Q)
+            assert boundary == {i: top * c for i, c in polynomial_vector(data[0], k).items()}
+            assert normal == {i: top * c for i, c in polynomial_vector(data[1], k - 1).items()}
 
 
 # -- the common denominator against the Fraction series --------------------------

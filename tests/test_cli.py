@@ -285,6 +285,12 @@ _GOLDEN = [
     # fischer JSON at m = 0: notes and suppressed degrees
     (["fischer", "--m", "0", "--n", "3", "--k", "3", "--format", "json"], 0,
      "b8a355703fefa0cf369987b4475202b99d184283c2e8c333f754ff0d42242afb"),
+    # the slot checks on (4|8): boundary and normal at k = 7, and the
+    # Laplacian slot at the exceptional degree 6
+    (["branch", "--m", "4", "--n", "4", "--k", "7", "--format", "json"], 0,
+     "067d4a4763fbf569df5fa60aa275f8666cdb3b47ba1e4bfe24141b3e3fc4c197"),
+    (["branch", "--m", "4", "--n", "4", "--k", "6", "--generalized"], 0,
+     "641f874c80d0145340d136aec2c58145e377c5dc150965dcdcabca2407237357"),
 ]
 
 
