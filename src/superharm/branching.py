@@ -54,8 +54,9 @@ extension on the degree-k basis, one row at a time.  E is read back by
 slices and by one product with the cached matrix L_k: its x_m^0 and x_m^1
 slices must be k! times the data in the boundary and normal slot and zero
 otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
-otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  The slots
-and their degrees live in ck; the GT step check of gtbasis reads the same
+otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  Each
+report builds the columns of L_k once and hands them to every slot check.
+The slots and their degrees live in ck; the GT step check of gtbasis reads the same
 triple off polynomials.  The read-back is a left inverse of the extension,
 so the extension is injective and its image has the dimension of its data,
 which the count checks compare with lhs_dim.  Both branchings end in one
@@ -118,17 +119,17 @@ class BranchingReport:
     notes: tuple[str, ...] = ()
 
 
-def _slot_generators_ok(signature, k, slot, rows) -> bool:
+def _slot_generators_ok(signature, k, slot, rows, lap) -> bool:
     """Extensions of degree-k data with only `slot` ("boundary", "normal" or
     "laplacian") set to each integer row, on the basis of the slot's data
     (ck.slot_extension): each must read its data back in that slot alone,
-    by its x_m^0 and x_m^1 slices and by L_k times it.  A Laplacian part w
-    must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that the
-    extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
+    by its x_m^0 and x_m^1 slices and by L_k times it, where lap holds the
+    columns of L_k (exactla.columns), built once per report.  A Laplacian
+    part w must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that
+    the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
     lap Q = w holds."""
     top = factorial(k)
     extend = slot_extension(signature, k, slot)
-    lap = columns(laplacian_matrix(signature, k))
     if slot == "laplacian":
         r2 = columns(rsquare_matrix(signature, k - 2))
     for row in rows:
@@ -142,15 +143,16 @@ def _slot_generators_ok(signature, k, slot, rows) -> bool:
     return True
 
 
-def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
+def _lower_generator_checks(signature, k, lap) -> list[tuple[str, bool]]:
     """The lower Fischer decompositions of degrees k and k - 1 verify, so
     their components span P'_k and P'_(k-1); and the boundary- and
-    normal-slot checks hold on the monomial bases of those spaces."""
+    normal-slot checks hold on the monomial bases of those spaces, read
+    back through the columns lap of L_k."""
     lower = signature.restricted()
 
     def slot_ok(slot):
         basis = ({i: 1} for i in range(space_dimension(*slot_ambient(signature, k, slot))))
-        return _slot_generators_ok(signature, k, slot, basis)
+        return _slot_generators_ok(signature, k, slot, basis, lap)
 
     return [
         (
@@ -215,7 +217,7 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
             lhs_dim == space_dimension(lower, k) + space_dimension(lower, k - 1),
         ),
         ("index sets assemble from the two lower decompositions", assembled),
-        *_lower_generator_checks(signature, k),
+        *_lower_generator_checks(signature, k, columns(laplacian_matrix(signature, k))),
     ]
     return _report(signature, k, mode, sets, summands, lhs_dim, checks)
 
@@ -244,6 +246,7 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
 
     ring, d = slot_ambient(signature, k, "laplacian")  # the full ring, degree k - 2
     ker = defect_kernel(ring, d)
+    lap = columns(laplacian_matrix(signature, k))
 
     checks = [
         (
@@ -255,10 +258,10 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
             lhs_dim
             == space_dimension(lower, k) + space_dimension(lower, k - 1) + ker.dim,
         ),
-        *_lower_generator_checks(signature, k),
+        *_lower_generator_checks(signature, k, lap),
         (
             "Laplacian-slot generators verify",
-            _slot_generators_ok(signature, k, "laplacian", ker.rows),
+            _slot_generators_ok(signature, k, "laplacian", ker.rows, lap),
         ),
     ]
     notes = (

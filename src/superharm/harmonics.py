@@ -21,32 +21,44 @@ above is not available; the purely fermionic decomposition indexed by
 N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
 with the index-set formula.
 
-H_k, Ht_k and the defect kernel below are exact kernels of exact matrices;
-for m >= 1 the Fischer decomposition counts its start dimensions instead
-(see the end of the certificate).  The matrix L_k of the Laplacian is the
-one matrix built from polynomials, once per (signature, degree), and
-cached.  It is assembled from the images of the two factors of each
-monomial: lap has no mixed bosonic-fermionic term and x^a is even, so
+H_k and the defect kernel below are exact kernels of exact matrices, and
+Ht_k is the kernel of L_k reduced modulo the defect kernel (below); for
+m >= 1 the Fischer decomposition counts its start dimensions instead (see
+the end of the certificate).
+
+The ring is the tensor product P(m|0) (x) Lambda(2n) of its two factor
+rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), and lap and
+r2 are sums of even operators that act on one factor each.  The matrices
+are built on the factor rings, and those of a mixed ring are assembled from
+them.  On a factor ring the matrix L_k of the Laplacian is the one matrix
+built from polynomials: operators.laplacian images each basis monomial
+once, once per (signature, degree), and the matrix is cached.  On a mixed
+ring, lap has no mixed bosonic-fermionic term and x^a is even, so
 
     lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F),
 
-and operators.laplacian is applied only to the one-term factors x^a and
-t_F, each at most once per build.  A term x^a' of lap(x^a) goes to the row
-of x^a' t_F and a term t_F' of lap(t_F) to the row of x^a t_F'; the two
-row sets are disjoint, as F' != F.  exactla.operator_matrix, which images
-every monomial whole, stays the tests' reference for L_k.
+and column x^a t_F of L_k takes column x^a of the bosonic L_|a| with t_F
+kept and column t_F of the fermionic L_|F| with x^a kept.  A term x^a' goes
+to the row of x^a' t_F and a term t_F' to the row of x^a t_F'; the two row
+sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way,
+and the columns of R_d on a mixed ring are assembled from the factor
+rings' columns.  So a mixed ring makes no polynomial, and a wrong factor
+entry reaches every mixed matrix built from it, while the certificate
+below runs on the factor matrices themselves.  exactla.operator_matrix,
+which images every monomial whole, stays the tests' reference for L_k and
+R_d.
 
-The matrix R_d of multiplication by r2 is read off L_(d+2): under
-the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the number of whole
-pairs in F, r2 is the adjoint of lap, so R_d[t, s] w(t) = L_(d+2)[s, t] w(s).
-Every ratio w(t)/w(s) on the support, (a_i+2)(a_i+1) for t = x_i^2 s or -4
-for a pair added, is nonzero, so the supports agree, and the entry is +1
-where the two fermion masks agree and -1 where a pair was added.
-_rsquare_columns reads row s of L_(d+2) as column s of R_d, and
-rsquare_matrix is its transpose.  All entries are ints, and so are those of
-the products lap r2 lap (for Ht) and lap r2 (the defect kernel): from the
-monomial maps to the canonical integer rows of a Subspace no Fraction is
-made.
+On a factor ring the matrix R_d of multiplication by r2 is read off
+L_(d+2): under the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the
+number of whole pairs in F, r2 is the adjoint of lap, so
+R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
+(a_i+2)(a_i+1) for t = x_i^2 s or -4 for a pair added, is nonzero, so the
+supports agree, and the entry is +1 where the two fermion masks agree and
+-1 where a pair was added.  _rsquare_columns reads row s of L_(d+2) as
+column s of R_d, and rsquare_matrix is its transpose.  All entries are
+ints, and so are those of the product lap r2 (the defect kernel) and of
+L_k reduced modulo its kernel (Ht): from the monomial maps to the canonical
+integer rows of a Subspace no Fraction is made.
 
 The direct sum is proved from the sl(2) structure, with no rank.
 [lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
@@ -73,24 +85,43 @@ At m = 0, r2 is nilpotent and (b) is false, but every component is a plain
 r^(2j) H_l, and (a) gives lap^j r^(2j) u = c_1 .. c_j u for u in H_l, with
 c_i = 2i (2l + 2i + M - 2).  A nonzero product proves that lift injective;
 a vanishing c_i is the witness.
+
+For m >= 1, (a) and (b) are checked on the factor rings, not on P_d.  On
+P_(d_b) (x) Lambda^(d_f), [lap, r2] = [lap_b, r2_b] (x) 1 + 1 (x) [lap_f, r2_f]:
+the cross terms vanish, as even operators on different factors commute.
+The two parts are (4 d_b + 2m) + (4 d_f - 4n) = 4d + 2M, so (a) on P_d
+follows from (a) on the bosonic ring at d_b and on Lambda(2n) at d_f, and
+every d <= k - 2 is a sum d_b + d_f with d_b <= k - 2 and
+d_f <= min(k - 2, 2n).  Column x^a t_F of R_d is column x^a of the bosonic
+R_|a| with t_F kept, plus fermionic terms x^a t_F' that keep the x1
+exponent of x^a.  So (b) on P_d follows from (b) on the bosonic ring at
+|a| <= d.  So the certificate builds no matrix of a mixed ring; the only
+ones a Fischer decomposition builds are those of the defect kernels at its
+exceptional starts.
+
 fischer_decomposition checks, in this order: (c) every component lies in
 P_k and the values c_l are distinct over the plan's starts, and at m = 0
 each component is an H_l with c_1 .. c_j != 0; (d) the start dimensions
-sum to dim P_k; for m >= 1 (b); and (a) at d = k - 2, k - 4, .. >= 0.
-Together they prove the sum direct and equal to P_k.  A failed report's
-witness names the first check that failed: the component out of degree or
-the repeated eigenvalue and its two starts, the component whose lift is not
-injective, the dimension sum, the degree and column of the lead, or the
-degree and row of the identity.
+sum to dim P_k; then, for m >= 1, (b) on the bosonic ring at every
+d_b = 0..k - 2, (a) there at the same degrees and (a) on Lambda(2n) at
+every d_f = 0..min(k - 2, 2n); at m = 0, (a) on P_d at
+d = k - 2, k - 4, .. >= 0.  Together they prove the sum direct and equal to
+P_k.  A failed report's witness names the first check that failed: the
+component out of degree or the repeated eigenvalue and its two starts, the
+component whose lift is not injective, the dimension sum, the degree and
+column of the lead, or the degree and row of the identity, prefixed by
+"bosonic" or "fermionic" when it is a factor ring's.
 
-For m >= 1 the start dimensions that (d) sums take no kernel on P_l.  R_(l-2)
-is read off L_l, so its transpose and L_l have the same support.  (b) at
-l - 2 then makes the minor of L_l on the columns {x1^2 s : s in P_(l-2)}
-triangular in the x1 exponent, with a nonzero diagonal, so L_l is onto
-P_(l-2) and dim H_l = dim P_l - dim P_(l-2).  Ht_l = L_l^-1(ker L_l R_(l-2)),
-so, L_l being onto, dim Ht_l = dim H_l + dim D_(l-2), D the defect kernel
-below.  The certificate runs (b) at every d = k - 2, k - 4, .. >= 0, which
-is l - 2 for every start l >= 2 (below, P_(l-2) = 0): a report that verifies
+For m >= 1 the start dimensions that (d) sums take no kernel on P_l, and
+dim P_l is counted in closed form (superpoly.space_dimension).  R_(l-2) and
+L_l are assembled from factor matrices whose supports agree, so the
+transpose of R_(l-2) and L_l have the same support.  (b) at l - 2 then makes
+the minor of L_l on the columns {x1^2 s : s in P_(l-2)} triangular in the
+x1 exponent, with a nonzero diagonal, so L_l is onto P_(l-2) and
+dim H_l = dim P_l - dim P_(l-2).  Ht_l = L_l^-1(ker L_l R_(l-2)), so, L_l
+being onto, dim Ht_l = dim H_l + dim D_(l-2), D the defect kernel below.
+The certificate proves (b) on every P_d with d <= k - 2, which covers
+l - 2 for every start l >= 2 (below, P_(l-2) = 0): a report that verifies
 has proved the dimensions it summed, with no further check.  A wrong defect
 kernel fails (d); a missing lead fails (b), or (d) first where it also
 shrinks a defect kernel.  At m = 0 (b) is false, and the starts keep their
@@ -104,6 +135,18 @@ dim P_(k-2) columns of L_k R_(k-2), not on a stack of 2 dim P_k columns.
 defect_kernel is cached beside the spaces, and branching's
 prescribed-Laplacian slot takes the same kernel; the socle itself is not
 cached, as each verification reads it once per degree.
+
+Ht_k is a preimage in the same way: lap r2 lap p = 0 iff L_k p lies in
+D = ker(L_k R_(k-2)), so Ht_k = L_k^-1(D), for every m, and D is the defect
+kernel that the socle and the start dimensions already take.  Let d_i be
+the canonical rows of D, with pivots p_i; each is zero at every other
+pivot.  Then q lies in D iff q - sum_i (q[p_i] / d_i[p_i]) d_i = 0, and row j
+of that map composed with L_k is L_j - sum_i (d_i[j] / d_i[p_i]) L_(p_i),
+which vanishes at the pivots.  So Ht_k is the kernel of L_k with its rows so
+reduced, scaled to integers, and the pivot rows dropped: dim P_(k-2) - dim D
+rows that keep the sparsity of L_k, where the product L_k R_(k-2) L_k has
+dim P_(k-2) denser ones.  kernel returns canonical rows, so the Subspace is
+the one the product would give.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps the
 canonical integer rows of a Subspace through the integer column images of
@@ -120,6 +163,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Mapping
 
 from .exactla import (
@@ -135,6 +179,7 @@ from .superpoly import (
     SuperSignature,
     basis_index,
     monomial_basis,
+    space_dimension,
 )
 
 
@@ -146,39 +191,70 @@ def exceptional_indices(M: int) -> frozenset[int]:
     return frozenset(range(2 - M // 2, 2 - M + 1))
 
 
+def _factor_rings(signature: SuperSignature) -> tuple[SuperSignature, SuperSignature]:
+    """The bosonic ring (m|0) and the Grassmann algebra (0|2n) whose tensor
+    product is the ring of `signature`."""
+    return SuperSignature(signature.m, 0), SuperSignature(0, signature.n)
+
+
+def _tensor_images(signature: SuperSignature, k: int, shift: int, factor_columns):
+    """Per monomial x^a t_F of P_k of a mixed signature, in basis order, the
+    image A(x^a t_F) = A_b(x^a) t_F + x^a A_f(t_F) as {target index: entry}
+    in the basis of P_(k+shift).  factor_columns(ring, d) gives the columns
+    {target index: entry} of A_b or A_f on degree d of a factor ring."""
+    bosonic_ring, fermionic_ring = _factor_rings(signature)
+    tables = []
+    # a factor monomial is keyed by its own part of (powers, mask)
+    for part, ring, top in ((0, bosonic_ring, k), (1, fermionic_ring, min(k, 2 * signature.n))):
+        table = {}
+        for d in range(top + 1):
+            target = monomial_basis(ring, d + shift)
+            for mono, column in zip(monomial_basis(ring, d), factor_columns(ring, d)):
+                table[mono[part]] = [(target[t][part], v) for t, v in column.items()]
+        tables.append(table)
+    bosonic, fermionic = tables
+    tidx = basis_index(signature, k + shift)
+    # plain (powers, mask) tuples hash and compare like SuperMonomial
+    for powers, f in monomial_basis(signature, k):
+        image = {tidx[(a, f)]: v for a, v in bosonic[powers]}
+        for g, v in fermionic[f]:
+            image[tidx[(powers, g)]] = v
+        yield image
+
+
 @lru_cache(maxsize=None)
 def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
-    """Matrix of the Laplacian from P_k to P_(k-2), assembled from the
-    images of the factors x^a and t_F of each basis monomial (module
-    docstring).  The factor images are kept for this build only."""
+    """Matrix of the Laplacian from P_k to P_(k-2).  On a factor ring (m = 0
+    or n = 0) each basis monomial is imaged once by operators.laplacian; on
+    a mixed ring it is assembled from the factor rings' matrices (module
+    docstring)."""
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k - 2)
     data: list[dict[int, int]] = [{} for _ in tidx]
-    images: dict[tuple[tuple[int, ...], int], tuple] = {}
-
-    def image(factor: tuple[tuple[int, ...], int]) -> tuple:
-        terms = images.get(factor)
-        if terms is None:
-            one = SuperPolynomial(signature, {SuperMonomial(*factor): 1}, _clean=True)
-            terms = images[factor] = tuple(laplacian(one))
-        return terms
-
-    # plain (powers, mask) tuples hash and compare like SuperMonomial
-    no_powers = (0,) * signature.m
-    for j, (powers, f) in enumerate(source):
-        for (a, _), c in image((powers, 0)):
-            data[tidx[(a, f)]][j] = c
-        for (_, g), c in image((no_powers, f)):
-            data[tidx[(powers, g)]][j] = c
+    if signature.m and signature.n:
+        images = _tensor_images(
+            signature, k, -2, lambda ring, d: laplacian_matrix(ring, d).transpose().row_dicts()
+        )
+        for j, image in enumerate(images):
+            for t, v in image.items():
+                data[t][j] = v
+    else:
+        for j, mono in enumerate(source):
+            for target, c in laplacian(SuperPolynomial(signature, {mono: 1}, _clean=True)):
+                data[tidx[target]][j] = c
     return IntMatrix(len(source), data)
 
 
 @lru_cache(maxsize=None)
 def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[Mapping[int, int], ...]:
-    """Column s of the matrix of r2 on P_degree as {target index: +-1}: the
-    image of the s-th monomial, read off row s of the Laplacian matrix two
-    degrees up (module docstring).  A target with the same fermion mask is
-    x_i^2 times the monomial (+1); one with a pair added carries -1."""
+    """Column s of the matrix of r2 on P_degree as {target index: +-1}.  On a
+    factor ring it is the image of the s-th monomial, read off row s of the
+    Laplacian matrix two degrees up (module docstring): a target with the
+    same fermion mask is x_i^2 times the monomial (+1); one with a pair
+    added carries -1.  On a mixed ring it is assembled from the factor
+    rings' columns."""
+    if signature.m and signature.n:
+        return tuple(_tensor_images(signature, degree, 2, _rsquare_columns))
     rows = laplacian_matrix(signature, degree + 2).row_dicts()
     target = monomial_basis(signature, degree + 2)
     return tuple(
@@ -226,17 +302,39 @@ def harmonic_space(signature: SuperSignature, k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
-    """Ht_k: degree-k kernel of lap r2 lap.
-
-    The matrix is the sparse product L_k R_(k-2) L_k, where L_k is the
-    matrix of lap on P_k and R_(k-2) that of multiplication by r2 on
-    P_(k-2).
+    """Ht_k: degree-k kernel of lap r2 lap, taken as the preimage under L_k
+    of the defect kernel D two degrees down (module docstring): the kernel
+    of L_k with its rows reduced modulo the canonical rows of D.  Row j
+    becomes L_j - sum_i (d_i[j] / d_i[p_i]) L_(p_i), scaled to integers,
+    over the rows d_i of D with pivots p_i; the pivot rows reduce to 0 and
+    are dropped.  With D = 0 the matrix is L_k itself, and H_k is returned.
     """
-    if k < 0:
-        return Subspace.zero(0, (signature, k))
+    defect = defect_kernel(signature, k - 2)
+    if not defect.rows:
+        return harmonic_space(signature, k)
     lap = laplacian_matrix(signature, k)
-    r2 = rsquare_matrix(signature, k - 2)
-    return kernel(matmul(matmul(lap, r2), lap), (signature, k))
+    rows = lap.row_dicts()
+    pivots = {min(d): d for d in defect.rows}
+    held: dict[int, list[tuple[int, int, int]]] = {}  # j -> [(p_i, d_i[j], d_i[p_i])]
+    for p, d in pivots.items():
+        for j, c in d.items():
+            if j != p:
+                held.setdefault(j, []).append((p, c, d[p]))
+    reduced = []
+    for j, row in enumerate(rows):
+        terms = held.get(j)
+        if terms is None:
+            if j not in pivots:
+                reduced.append(row)
+        else:
+            scale = lcm(*(dp for _, _, dp in terms))
+            acc = {col: scale * v for col, v in row.items()}
+            for p, c, dp in terms:
+                f = c * (scale // dp)
+                for col, v in rows[p].items():
+                    acc[col] = acc.get(col, 0) - f * v
+            reduced.append({col: v for col, v in acc.items() if v})
+    return kernel(IntMatrix(lap.cols, reduced), (signature, k))
 
 
 @lru_cache(maxsize=None)
@@ -441,8 +539,10 @@ def _certificate_failure(
 ) -> str | None:
     """The directness certificate (module docstring): a witness naming the
     first check that fails, or None.  The checks on the plan come first,
-    with the closed-form lift injectivity at m = 0; then, for m >= 1, the
-    r2 leads; then the commutator identity at degrees k - 2, k - 4, .. >= 0."""
+    with the closed-form lift injectivity at m = 0, then the dimension sum.
+    For m >= 1 the r2 leads and the commutator identity follow on the
+    factor rings, at every degree up to k - 2 in rising order; at m = 0 the
+    identity on P_d at d = k - 2, k - 4, .. >= 0."""
     M = signature.M
     starts: dict[int, int] = {}
     for s in summands:
@@ -460,13 +560,20 @@ def _certificate_failure(
                     return f"r2 lift injectivity: c_{i} = 0 on {s.describe()}"
     if total != space_dim:
         return f"sum of dims {total} vs dim P_{k} = {space_dim}"
-    degrees = range(k - 2, -1, -2)
-    checks = (_lead_failure, _commutator_failure) if signature.m else (_commutator_failure,)
-    for check in checks:
+    if signature.m == 0:
+        checks = [("", _commutator_failure, signature, range(k - 2, -1, -2))]
+    else:
+        bosonic, fermionic = _factor_rings(signature)
+        checks = [
+            ("bosonic ", _lead_failure, bosonic, range(k - 1)),
+            ("bosonic ", _commutator_failure, bosonic, range(k - 1)),
+            ("fermionic ", _commutator_failure, fermionic, range(min(k - 2, 2 * signature.n) + 1)),
+        ]
+    for name, check, ring, degrees in checks:
         for d in degrees:
-            witness = check(signature, d)
+            witness = check(ring, d)
             if witness:
-                return witness
+                return name + witness
     return None
 
 
@@ -476,7 +583,7 @@ def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
     starts and branching's lower summands both take their dimensions here."""
     if signature.m == 0:
         return _SPACES[kind](signature, degree).dim
-    dim = len(monomial_basis(signature, degree)) - len(monomial_basis(signature, degree - 2))
+    dim = space_dimension(signature, degree) - space_dimension(signature, degree - 2)
     if kind == "Ht":
         dim += defect_kernel(signature, degree - 2).dim
     return dim
@@ -497,7 +604,7 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
         FischerSummand(kind, degree, rpower, start_dim(signature, kind, degree))
         for kind, degree, rpower in plan
     )
-    space_dim = len(monomial_basis(signature, k))
+    space_dim = space_dimension(signature, k)
     total = sum(s.dim for s in summands)
     witness = _certificate_failure(signature, k, summands, total, space_dim)
     notes: tuple[str, ...] = ()

@@ -24,13 +24,16 @@ commutator a b - b a.
 Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
 functions.  The matrix of the Laplacian on one degree (module harmonics) is
-assembled from the images of the one-term factors x^a and t_F under
-laplacian, applied with the int coefficient 1: the rule below has no term
-that mixes the two kinds of variable, so lap(x^a t_F) = lap(x^a) t_F +
-x^a lap(t_F), and the rules compute in ints, so the matrix has int entries.
-The matrix of rsquare_mul is read off the Laplacian's, as its adjoint under
-the Fischer weights.  exactla.operator_matrix, which applies a map to each
-whole basis monomial, stays the tests' reference for both.
+built from the images under laplacian of the monomials of the two factor
+rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), applied with
+the int coefficient 1; the rules compute in ints, so the matrix has int
+entries.  The rule below has no term that mixes the two kinds of variable,
+so lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F), and the matrix of a mixed
+ring is assembled from those of its factor rings.  The matrix of
+rsquare_mul is read off the Laplacian's on a factor ring, as its adjoint
+under the Fischer weights, and assembled in the same way on a mixed ring.
+exactla.operator_matrix, which applies a map to each whole basis monomial,
+stays the tests' reference for both.
 
 laplacian, rsquare_mul and the lift xi are applied by their monomial rules,
 term by term into one dict.  On x^a t_F, with P_j = {2j-1, 2j} the j-th

@@ -241,14 +241,15 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
     stacks = {}
     original = branching._slot_generators_ok
 
-    def recording(signature, k, slot, stack):
+    def recording(signature, k, slot, stack, lap):
         stacks[slot] = stack = list(stack)
-        return original(signature, k, slot, stack)
+        return original(signature, k, slot, stack, lap)
 
     for k in range(_SUITE_KMAX["branching"] + 1):
         with monkeypatch.context() as patch:
             patch.setattr(branching, "_slot_generators_ok", recording)
             assert branch_harmonic(sig, k).verified
+        lap = columns(harmonics.laplacian_matrix(sig, k))
         for slot, d in (("boundary", k), ("normal", k - 1)):
             basis = stacks[slot]
             dim = space_dimension(lower, d)
@@ -257,12 +258,12 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
                 continue  # d < 0, or above the top degree of a fermionic P'
             fischer = _fischer_generators(lower, d)
             assert len(fischer) == space_dimension(lower, d)
-            assert branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
-            assert branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
+            assert branching._slot_generators_ok(sig, k, slot, basis, lap), (k, slot)
+            assert branching._slot_generators_ok(sig, k, slot, fischer, lap), (k, slot)
             with monkeypatch.context() as patch:
                 _drop_slot_term(patch, slot)
-                assert not branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
-                assert not branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, basis, lap), (k, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, fischer, lap), (k, slot)
 
 
 def _drop_slot_term(monkeypatch, slot):
@@ -317,12 +318,29 @@ def test_wrong_lower_laplacian_entry_fails_the_boundary_check(monkeypatch):
     monkeypatch.setattr(ck, "laplacian_matrix", off_by_one)
     for k in (3, 4):
         basis = [{i: 1} for i in range(space_dimension(lower, k))]
-        assert not branching._slot_generators_ok(S33, k, "boundary", basis), k
+        lap = columns(harmonics.laplacian_matrix(S33, k))
+        assert not branching._slot_generators_ok(S33, k, "boundary", basis, lap), k
         # the row whose image changed still reads its slices back
         j = min(original(lower, k).row_dicts()[0])
         ext, boundary, normal = ck.slot_extension(S33, k, "boundary")({j: 1})
         assert boundary == {j: factorial(k)} and not normal
         assert apply_columns(columns(harmonics.laplacian_matrix(S33, k)), ext)
+
+
+def test_laplacian_columns_are_built_once_per_report(monkeypatch):
+    # every slot check of one report reads the same columns of L_k: one
+    # build per report, for the two slots of branch_harmonic and the three
+    # of branch_generalized, whose Laplacian slot also reads R_(k-2)
+    built = []
+
+    def counting(A):
+        built.append(A.cols)
+        return columns(A)
+
+    monkeypatch.setattr(branching, "columns", counting)
+    assert branch_harmonic(S33, 4).verified
+    assert branch_generalized(S23, 5).verified
+    assert built == [space_dimension(S33, 4), space_dimension(S23, 5), space_dimension(S23, 3)]
 
 
 def test_slot_checks_beyond_exponent_255():

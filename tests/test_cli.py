@@ -291,6 +291,13 @@ _GOLDEN = [
      "067d4a4763fbf569df5fa60aa275f8666cdb3b47ba1e4bfe24141b3e3fc4c197"),
     (["branch", "--m", "4", "--n", "4", "--k", "6", "--generalized"], 0,
      "641f874c80d0145340d136aec2c58145e377c5dc150965dcdcabca2407237357"),
+    # the Fischer certificate on (4|8) past its exceptional window, with the
+    # defect kernels at the Ht starts 4 and 6
+    (["fischer", "--m", "4", "--n", "4", "--k", "10"], 0,
+     "f31b92a0f1b8171bfad16b0718951d40f06fdca251ed058d7050b17379aa79c8"),
+    # Ht, the socle and the defect kernels on the (4|8) window 4..6
+    (["verify", "--suite", "theoremA", "--m", "4", "--n", "4", "--format", "json"], 0,
+     "9aa6a286b598bfc98593a5c66189452ae01e9313a42c78172d55b7b364f4ca68"),
 ]
 
 

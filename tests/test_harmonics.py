@@ -15,8 +15,10 @@ from superharm import exactla, harmonics
 from superharm.ck import CKData, ck_extend
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
+    IntMatrix,
     Subspace,
     kernel,
+    matmul,
     operator_matrix,
     polynomial_vector,
     rank,
@@ -473,21 +475,26 @@ _HARMONIC_CACHES = (
 )
 
 
+def _clear_harmonic_caches():
+    for fn in _HARMONIC_CACHES:
+        fn.cache_clear()
+
+
 @pytest.fixture
 def fresh_caches():
-    for fn in _HARMONIC_CACHES:
-        fn.cache_clear()
+    _clear_harmonic_caches()
     yield
-    for fn in _HARMONIC_CACHES:
-        fn.cache_clear()
+    _clear_harmonic_caches()
 
 
 def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
-    # the Laplacian is the only matrix built from polynomials, once per
-    # degree, from the images of one-term factors that are purely bosonic or
-    # purely fermionic, each imaged once per build; r2 is read off it
+    # the Laplacian is built from polynomials only on the factor rings (2|0)
+    # and (0|6), once per degree, each basis monomial imaged once per build;
+    # the mixed ring's matrices are assembled from theirs and image no
+    # polynomial, and r2 is read off the Laplacian
     log = []
     cached = laplacian_matrix
+    factor_rings = (SuperSignature(2, 0), SuperSignature(0, 3))
 
     def tracking(signature, k):
         misses = cached.cache_info().misses
@@ -497,7 +504,7 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
         return matrix
 
     def recording_laplacian(p):
-        log.append(("factor", p))
+        log.append(("image", p))
         return laplacian(p)
 
     def unreachable(*args):
@@ -513,22 +520,28 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
         assert verify_theorem_A(S23, k).verified
 
     builds = []
-    factors = None
+    open_builds = []  # the images of each build entered and not yet left
     for entry in log:
         if entry[0] == "enter":
-            factors = []
+            open_builds.append([])
         elif entry[0] == "exit":
-            _, key, built = entry
+            _, (signature, k), built = entry
+            images = open_builds.pop()
             if built:
-                builds.append(key)
-            assert factors if built else not factors, key
-            assert len(factors) == len(set(factors)), key
-            factors = None
+                builds.append((signature, k))
+            if built and signature in factor_rings:
+                assert images == list(monomial_basis(signature, k)), (signature, k)
+            else:
+                assert not images, (signature, k)
         else:
             ((mono, c),) = entry[1].terms.items()
-            assert c == 1 and not (any(mono.powers) and mono.fermions), mono
-            factors.append(mono)  # None outside a build: no stray image
-    assert (S23, 7) in builds and len(builds) == len(set(builds))
+            assert c == 1 and entry[1].signature in factor_rings, mono
+            open_builds[-1].append(mono)  # IndexError outside a build: no stray image
+    assert len(builds) == len(set(builds))
+    # the identity at bosonic degree 5 reads the bosonic L_7; the mixed L_7,
+    # which only a certificate on P_5 would need, is never built
+    assert (factor_rings[0], 7) in builds and (S23, 7) not in builds
+    assert {sig for sig, _ in builds} == {S23, *factor_rings}
 
 
 # the verify grid at every suite's degrees, (4|8) and (0|4), (3|0) to k = 8;
@@ -730,11 +743,11 @@ def _with_rsquare_columns(monkeypatch, edit):
     monkeypatch.setattr(harmonics, "_rsquare_columns", lambda s, d: edit(s, d, original(s, d)))
 
 
-def _drop_lead(monkeypatch, degree, column):
-    """Drop the x1^2 lead of one column of R_degree."""
+def _drop_lead(monkeypatch, ring, degree, column):
+    """Drop the x1^2 lead of one column of R_degree on a factor ring."""
 
     def edit(sig, d, columns):
-        if d != degree:
+        if (sig, d) != (ring, degree):
             return columns
         powers, fermions = monomial_basis(sig, d)[column]
         lead = basis_index(sig, d + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
@@ -744,47 +757,187 @@ def _drop_lead(monkeypatch, degree, column):
     _with_rsquare_columns(monkeypatch, edit)
 
 
+def _flip_pair_signs(monkeypatch, ring):
+    """+1 where a pair is added, in place of -1, in r2 on a fermionic ring."""
+
+    def edit(sig, d, columns):
+        if sig != ring:
+            return columns
+        return tuple({t: abs(v) for t, v in column.items()} for column in columns)
+
+    _with_rsquare_columns(monkeypatch, edit)
+
+
+def _add_to_laplacian_entry(monkeypatch, ring, degree):
+    """Add 1 to the first entry of row 0 of L_degree on a factor ring: an
+    entry already nonzero, so r2, read off the Laplacian, keeps its support
+    and every lead."""
+    original = harmonics.laplacian_matrix
+
+    def edited(sig, d):
+        A = original(sig, d)
+        if (sig, d) != (ring, degree):
+            return A
+        rows = [dict(row) for row in A.row_dicts()]
+        rows[0][min(rows[0])] += 1
+        return IntMatrix(A.cols, rows)
+
+    monkeypatch.setattr(harmonics, "laplacian_matrix", edited)
+
+
+def _bosonic(sig):
+    return SuperSignature(sig.m, 0)
+
+
+def _fermionic(sig):
+    return SuperSignature(0, sig.n)
+
+
+def _full_ring_matrices_changed(sig, k):
+    """Whether L_d or R_(d-2) of the mixed ring differs from the reference
+    at some d <= k: a corrupted factor entry has reached them."""
+    return any(
+        laplacian_matrix(sig, d) != operator_matrix(laplacian, sig, d, -2)
+        or rsquare_matrix(sig, d - 2) != operator_matrix(rsquare_mul, sig, d - 2, 2)
+        for d in range(2, k + 1)
+    )
+
+
 def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_caches):
-    # t1 t2 t3 in degree 3, below H_5: every start is an H, so the counted
-    # dimensions telescope to dim P_5 whatever the leads say
-    _drop_lead(monkeypatch, 3, 0)
+    # x3^3 in bosonic degree 3, below H_5: every start is an H, so the counted
+    # dimensions telescope to dim P_5 whatever the leads say.  The mixed R_3
+    # is assembled from the bosonic one and loses the lead too.
+    _drop_lead(monkeypatch, _bosonic(REGULAR_MIXED), 3, 0)
     rep = fischer_decomposition(REGULAR_MIXED, 5)
     assert not rep.verified
-    assert rep.failure_witness == "r2 lead certificate fails at degree 3, column 0"
+    assert rep.failure_witness == "bosonic r2 lead certificate fails at degree 3, column 0"
+    assert rsquare_matrix(REGULAR_MIXED, 3) != operator_matrix(rsquare_mul, REGULAR_MIXED, 3, 2)
 
 
 @pytest.mark.parametrize(
-    "column, witness",
+    "column, defect_dim, witness",
     [
         # x1 x2^3: the defect kernel on P_4 keeps its dimension
-        (98, "r2 lead certificate fails at degree 4, column 98"),
-        # t1 t2 t3 t4: the defect kernel shrinks, so the dimension sum fails first
-        (0, "sum of dims 255 vs dim P_6 = 256"),
+        (1, 1, "bosonic r2 lead certificate fails at degree 4, column 1"),
+        # x2^4: the defect kernel shrinks, so the dimension sum fails first
+        (0, 0, "sum of dims 255 vs dim P_6 = 256"),
     ],
     ids=["lead-witness", "sum-witness"],
 )
 def test_dropped_rsquare_lead_below_an_exceptional_start_fails(
-    monkeypatch, fresh_caches, column, witness
+    monkeypatch, fresh_caches, column, defect_dim, witness
 ):
     # degree 4 lies below the Ht_6 start of (2|6) k = 6, whose counted
-    # dimension takes the defect kernel on P_4 built with this R_4
-    _drop_lead(monkeypatch, 4, column)
+    # dimension takes the defect kernel on P_4, built with the mixed R_4 that
+    # is assembled from this bosonic R_4
+    assert defect_kernel(S23, 4).dim == 1
+    _clear_harmonic_caches()
+    _drop_lead(monkeypatch, _bosonic(S23), 4, column)
+    assert rsquare_matrix(S23, 4) != operator_matrix(rsquare_mul, S23, 4, 2)
     rep = fischer_decomposition(S23, 6)
+    assert not rep.verified
+    assert rep.failure_witness == witness
+    assert defect_kernel(S23, 4).dim == defect_dim
+
+
+def test_flipped_rsquare_sign_fails_the_commutator_identity(monkeypatch, fresh_caches):
+    # +1 where a pair is added, in place of -1, in the fermionic factor: every
+    # lead is still a 1 at x1^2 times its monomial, so only [lap, r2] = 4E + 2M
+    # can tell.  The mixed R_3 takes the flipped signs.
+    _flip_pair_signs(monkeypatch, _fermionic(REGULAR_MIXED))
+    rep = fischer_decomposition(REGULAR_MIXED, 5)
+    assert not rep.verified
+    # at fermionic degree 0: 4*0 - 4*2 = -8
+    assert rep.failure_witness.startswith("fermionic [lap, r2] = -8 fails at degree 0, row ")
+    assert rsquare_matrix(REGULAR_MIXED, 3) != operator_matrix(rsquare_mul, REGULAR_MIXED, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "factor, witness",
+    [
+        # 4*2 + 2*4 = 16 on (4|0)
+        (_bosonic, "bosonic [lap, r2] = 16 fails at degree 2, row 0"),
+        # 4*2 - 4*2 = 0 on (0|4)
+        (_fermionic, "fermionic [lap, r2] = 0 fails at degree 2, row 0"),
+    ],
+    ids=["bosonic", "fermionic"],
+)
+def test_wrong_factor_laplacian_entry_fails_the_commutator_identity(
+    monkeypatch, fresh_caches, factor, witness
+):
+    # one entry of a factor ring's L_4 off by one on (4|4): the leads hold, the
+    # mixed L_4 takes the wrong entry, and the identity fails at the lowest
+    # degree that reads L_4
+    sig = SuperSignature(4, 2)
+    _add_to_laplacian_entry(monkeypatch, factor(sig), 4)
+    assert laplacian_matrix(sig, 4) != operator_matrix(laplacian, sig, 4, -2)
+    rep = fischer_decomposition(sig, 6)
     assert not rep.verified
     assert rep.failure_witness == witness
 
 
-def test_flipped_rsquare_sign_fails_the_commutator_identity(monkeypatch, fresh_caches):
-    # +1 where a pair is added, in place of -1: every lead is still a 1 at
-    # x1^2 times its monomial, so only [lap, r2] = 4E + 2M can tell
-    def flip_pair_signs(sig, d, columns):
-        return tuple({t: abs(v) for t, v in column.items()} for column in columns)
+def _full_size_certificate(sig, k):
+    """The lead check (b) and the identity (a) on P_d itself, at
+    d = k - 2, k - 4, .. >= 0 ((a) alone at m = 0): the reference for the
+    certificate on the factor rings."""
+    checks = (harmonics._lead_failure, harmonics._commutator_failure)
+    for check in checks if sig.m else checks[1:]:
+        for d in range(k - 2, -1, -2):
+            witness = check(sig, d)
+            if witness:
+                return witness
+    return None
 
-    _with_rsquare_columns(monkeypatch, flip_pair_signs)
-    rep = fischer_decomposition(REGULAR_MIXED, 5)
-    assert not rep.verified
-    # at degree 3: 4*3 + 2*(3 - 4) = 10
-    assert rep.failure_witness.startswith("[lap, r2] = 10 fails at degree 3, row ")
+
+# the m >= 1 signatures of the verify grid at the fischer suite's degrees, and
+# (4|8) through its exceptional window up to k = 10
+FACTOR_CERTIFICATE_CASES = [
+    (SuperSignature(m, n), range(_SUITE_KMAX["fischer"] + 1)) for m, n in VERIFY_GRID if m
+] + [(SuperSignature(4, 4), range(11))]
+
+
+@pytest.mark.parametrize("sig, degrees", FACTOR_CERTIFICATE_CASES, ids=lambda v: str(v))
+def test_factor_certificate_verdict_matches_the_full_size_certificate(sig, degrees):
+    for k in degrees:
+        rep = fischer_decomposition(sig, k)
+        assert rep.verified == (_full_size_certificate(sig, k) is None), k
+        assert rep.verified, (k, rep.failure_witness)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda patch, sig: _drop_lead(patch, _bosonic(sig), 2, 0),
+        lambda patch, sig: _flip_pair_signs(patch, _fermionic(sig)),
+        lambda patch, sig: _add_to_laplacian_entry(patch, _bosonic(sig), 4),
+        lambda patch, sig: _add_to_laplacian_entry(patch, _fermionic(sig), 4),
+    ],
+    ids=["bosonic-lead", "fermionic-sign", "bosonic-laplacian", "fermionic-laplacian"],
+)
+@pytest.mark.parametrize("sig", [S23, REGULAR_MIXED, SuperSignature(4, 2)], ids=str)
+def test_corrupted_factor_entry_fails_both_certificates(monkeypatch, fresh_caches, corrupt, sig):
+    # a wrong factor entry reaches the mixed ring's matrices, and the
+    # certificate on P_d itself rejects them as the factor certificate does
+    corrupt(monkeypatch, sig)
+    assert _full_ring_matrices_changed(sig, 6)
+    assert not fischer_decomposition(sig, 6).verified
+    assert _full_size_certificate(sig, 6) is not None
+
+
+# the verify grid at the theoremA suite's degrees, (2|6) to k = 8 and (4|8) to
+# k = 7, through both exceptional windows 4..6
+PREIMAGE_CASES = [
+    (SuperSignature(m, n), range(_SUITE_KMAX["theoremA"] + 1)) for m, n in VERIFY_GRID
+] + [(S23, range(9)), (SuperSignature(4, 4), range(8))]
+
+
+@pytest.mark.parametrize("sig, degrees", PREIMAGE_CASES, ids=lambda v: str(v))
+def test_preimage_ht_matches_the_triple_product_kernel(sig, degrees):
+    # Ht_k = ker(L_k R_(k-2) L_k), the reference built here from the product
+    for k in degrees:
+        lap = laplacian_matrix(sig, k)
+        triple = matmul(matmul(lap, rsquare_matrix(sig, k - 2)), lap)
+        assert generalized_harmonic_space(sig, k) == kernel(triple, (sig, k)), k
 
 
 def test_negative_degree_rejected():
