@@ -298,6 +298,16 @@ _GOLDEN = [
     # Ht, the socle and the defect kernels on the (4|8) window 4..6
     (["verify", "--suite", "theoremA", "--m", "4", "--n", "4", "--format", "json"], 0,
      "9aa6a286b598bfc98593a5c66189452ae01e9313a42c78172d55b7b364f4ca68"),
+    # the GT descent on (3|4) at k = 6, the size the benchmark's
+    # restriction-arith workload builds
+    (["gt-basis", "--m", "3", "--n", "2", "--k", "6", "--format", "json"], 0,
+     "f1df15b9b29f028cccbd33ebf5bc5c4bf9aea30bb84d609eb9f6b20140f26e11"),
+    # the a3 elements of (4|8), extended through the Laplacian slot
+    (["gt-basis", "--m", "4", "--n", "4", "--k", "6", "--target", "Ht", "--format", "json"], 0,
+     "552c0646ef6fcd5877bff41b6f1419ec65537b668bceb18e51e33800fa9d6812"),
+    # the GT step check through the (2|6) window {4, 5, 6}
+    (["verify", "--suite", "gt", "--m", "2", "--n", "3", "--kmax", "6", "--format", "json"], 0,
+     "b5cbf3f4d76ed2ed5b1e3a45dfd1b4638b20c7debb969fb26ce3ea468d56505a"),
 ]
 
 
