@@ -54,10 +54,12 @@ extension on the degree-k basis, one row at a time.  E is read back by
 slices and by one product with the cached matrix L_k: its x_m^0 and x_m^1
 slices must be k! times the data in the boundary and normal slot and zero
 otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
-otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  Each
-report builds the columns of L_k once and hands them to every slot check.
-The slots and their degrees live in ck; the GT step check of gtbasis reads the same
-triple off polynomials.  The read-back is a left inverse of the extension,
+otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  The
+columns of L_k are built once and held by the cached matrix
+(exactla.columns), so every slot check of every report, and the GT basis,
+read one build.  The slots and their degrees live in ck; the GT step check
+of gtbasis reads the same triple on integer rows, off the coordinates of
+each element.  The read-back is a left inverse of the extension,
 so the extension is injective and its image has the dimension of its data,
 which the count checks compare with lhs_dim.  Both branchings end in one
 report builder, _report, which puts the summand-dimension sum first.
@@ -119,17 +121,18 @@ class BranchingReport:
     notes: tuple[str, ...] = ()
 
 
-def _slot_generators_ok(signature, k, slot, rows, lap) -> bool:
+def _slot_generators_ok(signature, k, slot, rows) -> bool:
     """Extensions of degree-k data with only `slot` ("boundary", "normal" or
     "laplacian") set to each integer row, on the basis of the slot's data
     (ck.slot_extension): each must read its data back in that slot alone,
-    by its x_m^0 and x_m^1 slices and by L_k times it, where lap holds the
-    columns of L_k (exactla.columns), built once per report.  A Laplacian
+    by its x_m^0 and x_m^1 slices and by L_k times it, through the columns
+    of the cached L_k (exactla.columns, built once per matrix).  A Laplacian
     part w must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that
     the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
     lap Q = w holds."""
     top = factorial(k)
     extend = slot_extension(signature, k, slot)
+    lap = columns(laplacian_matrix(signature, k))
     if slot == "laplacian":
         r2 = columns(rsquare_matrix(signature, k - 2))
     for row in rows:
@@ -143,16 +146,15 @@ def _slot_generators_ok(signature, k, slot, rows, lap) -> bool:
     return True
 
 
-def _lower_generator_checks(signature, k, lap) -> list[tuple[str, bool]]:
+def _lower_generator_checks(signature, k) -> list[tuple[str, bool]]:
     """The lower Fischer decompositions of degrees k and k - 1 verify, so
     their components span P'_k and P'_(k-1); and the boundary- and
-    normal-slot checks hold on the monomial bases of those spaces, read
-    back through the columns lap of L_k."""
+    normal-slot checks hold on the monomial bases of those spaces."""
     lower = signature.restricted()
 
     def slot_ok(slot):
         basis = ({i: 1} for i in range(space_dimension(*slot_ambient(signature, k, slot))))
-        return _slot_generators_ok(signature, k, slot, basis, lap)
+        return _slot_generators_ok(signature, k, slot, basis)
 
     return [
         (
@@ -217,7 +219,7 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
             lhs_dim == space_dimension(lower, k) + space_dimension(lower, k - 1),
         ),
         ("index sets assemble from the two lower decompositions", assembled),
-        *_lower_generator_checks(signature, k, columns(laplacian_matrix(signature, k))),
+        *_lower_generator_checks(signature, k),
     ]
     return _report(signature, k, mode, sets, summands, lhs_dim, checks)
 
@@ -246,7 +248,6 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
 
     ring, d = slot_ambient(signature, k, "laplacian")  # the full ring, degree k - 2
     ker = defect_kernel(ring, d)
-    lap = columns(laplacian_matrix(signature, k))
 
     checks = [
         (
@@ -258,10 +259,10 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
             lhs_dim
             == space_dimension(lower, k) + space_dimension(lower, k - 1) + ker.dim,
         ),
-        *_lower_generator_checks(signature, k, lap),
+        *_lower_generator_checks(signature, k),
         (
             "Laplacian-slot generators verify",
-            _slot_generators_ok(signature, k, "laplacian", ker.rows, lap),
+            _slot_generators_ok(signature, k, "laplacian", ker.rows),
         ),
     ]
     notes = (

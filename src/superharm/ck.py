@@ -15,34 +15,42 @@ dimension count dim P_k = dim P'_k + dim P'_{k-1} + dim P_{k-2} with P' one
 bosonic variable down; in particular harmonics correspond to triples with
 zero laplacian part.
 
-ck owns the slot protocol, so the callers that read it (branching's slot
-checks, the GT descent and its per-step check) know no restriction of
-their own.  SLOTS gives each slot's ring and degree below k, and
-slot_ambient reads it for one slot; restriction_triple reads the three
-slots of any polynomial, and only_in_slot states that a triple carries
-given data in one slot and zero in the other two.
+ck owns the slot protocol.  SLOTS gives each slot's ring and degree below
+k, and slot_ambient reads it for one slot; restriction_triple reads the
+three slots of any polynomial (the read-back of ck_data).
 
-slot_extension is the same extension in index space, for branching's slot
-checks: it takes one integer row of a slot's data at a time (on the basis
-of slot_ambient) and returns the row of k! times its extension on the
-degree-k basis, built by the xi series with each lap' applied through the
-cached lower harmonics.laplacian_matrix, so lap's rule stays stated in
-operators alone.  An entry at x^a t_F of the series term with x_m^j goes
-to the column of x^(a, j) t_F; _xm_split is that correspondence, and it
-also reads the x_m^0 and x_m^1 slices of the extension back.  Rows are extended one at a
-time, and no extension matrix is held.
+The extension runs on integer rows, in one core, _series: the xi series of
+every seeded slot, summed as integer numerators over the common denominator
+k!, with each lap' applied through the columns of the cached lower
+harmonics.laplacian_matrix (exactla.columns, held by the matrix), so lap's
+rule stays stated in operators alone.  A row of the boundary or normal slot
+seeds xi(0) or xi(1); a Laplacian row seeds xi(j + 2) with each x_m-slice
+w_j = j! (coefficient of x_m^j).  The scales (-1)^s k!/(ell+2s)! of the
+series come from one place, operators.xi_scales.  The core returns, for
+each j = 0..k, k! times the coefficient of x_m^j as a row on the lower
+basis of degree k - j, so an entry at x^a t_F of slice j belongs to the
+monomial x^(a, j) t_F.  Three callers read it:
 
-ck_extend_recursive rebuilds Q by the two-step coefficient recursion
-instead; it exists so the closed form can be checked against an independent
-construction.  Both extensions write their terms directly: a term c x^a t_F
-of the coefficient of x_m^j/j! becomes c/j! x^(a, j) t_F, with no power of
-x_m and no polynomial product (xi applies the same rule, in operators).
-Every series term of ck_extend has x_m-degree at most k, so it adds all of
-them with operators.xi_into into one dict of integer numerators over the
-common denominator k!, and divides once per term.  Both extensions store a
-coefficient as an int when it is integral and as a Fraction otherwise.
-ck_extend and slot_extension read the series' scales (-1)^s k!/(ell+2s)!
-from one place, operators.xi_scales.
+* ck_extend takes the rows of a CKData's parts (int or Fraction entries)
+  and writes the slices back as a polynomial, dividing once per term;
+* polynomial_extension(signature, k, slot) extends integer data of one
+  slot, given with a denominator, into a polynomial: the GT descent
+  (module gtbasis) builds its elements with it;
+* slot_extension(signature, k, slot), for branching's slot checks, extends
+  one integer row at a time in index space and places the slices on the
+  degree-k basis, so that L_k can be applied to the extension.
+
+Both factories look the lower Laplacian matrices up once, not once per
+row, and hold nothing beyond the function they return; the polynomials of
+one polynomial_extension share their monomials, each made once.
+_xm_split is the correspondence between the degree-k basis and the
+x_m-slices on the lower bases; slot_extension places slices with it, and
+gtbasis reads the slices of an element's coordinates with it.
+
+ck_extend_recursive rebuilds Q by the two-step coefficient recursion on
+polynomials instead; it exists so the closed form can be checked against an
+independent construction.  Both extensions store a coefficient as an int
+when it is integral and as a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -50,11 +58,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exactla import apply_columns, columns
 from .harmonics import laplacian_matrix
-from .operators import laplacian, xi_into, xi_scales
+from .operators import laplacian, xi_scales
 from .superpoly import (
     ScalarLike,
     SuperMonomial,
@@ -87,14 +95,6 @@ def restriction_triple(p: SuperPolynomial) -> tuple[SuperPolynomial, ...]:
     return restrict_hyperplane(p), restrict_hyperplane(d_bosonic(p, p.signature.m)), laplacian(p)
 
 
-def only_in_slot(triple, slot: str, p: SuperPolynomial) -> bool:
-    """The triple is p in `slot` and zero in the other two slots."""
-    for name, got in zip(SLOTS, triple):
-        if (got != p) if name == slot else not got.is_zero():
-            return False
-    return True
-
-
 def _xm_split(signature: SuperSignature, k: int) -> tuple[array, array]:
     """For each monomial x^(a, j) t_F of the degree-k basis, its exponent j
     of x_m and the position of x^a t_F in the lower basis of degree k - j,
@@ -108,58 +108,134 @@ def _xm_split(signature: SuperSignature, k: int) -> tuple[array, array]:
     )
 
 
+Seeds = list[tuple[int, Mapping[int, ScalarLike]]]
+
+
+def _lower_laplacians(lower: SuperSignature, k: int) -> list:
+    """The columns of the cached Laplacian matrices of the ring `lower` on
+    the degrees d = 0..k, at index d; None below degree 2, where the series
+    applies no Laplacian."""
+    return [columns(laplacian_matrix(lower, d)) if d > 1 else None for d in range(k + 1)]
+
+
+def _series(laps: list, seeds: Seeds, top: int) -> list[dict[int, ScalarLike]]:
+    """The sum of the series top * xi(ell, q) over the seeds (ell, q), q a
+    row on the basis of degree k - ell one bosonic variable down, with
+    laps = _lower_laplacians(lower, k): for each j = 0..k, top times the
+    coefficient of x_m^j, as a row on the lower basis of degree k - j,
+    where terms of several seeds may cancel to 0.  top must be a multiple
+    of k!."""
+    k = len(laps) - 1
+    slices: list[dict[int, ScalarLike]] = [{} for _ in range(k + 1)]
+    for ell, q in seeds:
+        for j, scale in xi_scales(ell, top):
+            at = slices[j]
+            for i, c in q.items():
+                at[i] = at.get(i, 0) + c * scale
+            if j + 2 > k:
+                break
+            q = apply_columns(laps[k - j], q)
+            if not q:
+                break
+    return slices
+
+
+def _laplacian_seeds(
+    lower: SuperSignature, k: int, terms: Iterable[tuple[tuple, ScalarLike]]
+) -> Seeds:
+    """The seeds (j + 2, w_j) of a prescribed Laplacian given by its terms
+    ((powers, mask), c) on degree k - 2 of the ring one bosonic variable
+    above `lower`: w_j is j! times its x_m^j slice, as a row on the lower
+    basis of degree k - 2 - j."""
+    index: dict[int, Mapping] = {}
+    slices: dict[int, dict[int, ScalarLike]] = {}
+    for (powers, f), c in terms:
+        j = powers[-1]
+        if j not in slices:
+            index[j], slices[j] = basis_index(lower, k - 2 - j), {}
+        slices[j][index[j][powers[:-1], f]] = c * factorial(j)
+    return [(j + 2, slices[j]) for j in sorted(slices)]
+
+
+def _slot_seeds(signature: SuperSignature, k: int, slot: str, row: Mapping[int, int]) -> Seeds:
+    """The seeds of a row of `slot`'s data, on the basis of slot_ambient."""
+    if slot != "laplacian":
+        return [(SLOTS[slot][1], row)] if row else []
+    basis = monomial_basis(signature, k - 2)
+    return _laplacian_seeds(signature.restricted(), k, ((basis[t], c) for t, c in row.items()))
+
+
+def _polynomial(
+    signature: SuperSignature,
+    lower: SuperSignature,
+    slices: list[dict[int, ScalarLike]],
+    den: int,
+    made: list[dict[int, SuperMonomial]],
+) -> SuperPolynomial:
+    """The polynomial of `signature` whose coefficient of x_m^j is
+    slices[j] / den, each slice a row on the basis of degree k - j of the
+    ring `lower` one bosonic variable down, k = len(slices) - 1.  made[j]
+    keeps the monomial x^(a, j) t_F of each lower index once it is made, so
+    the polynomials of one factory share their monomials and look no basis
+    up again."""
+    k = len(slices) - 1
+    terms: dict[SuperMonomial, ScalarLike] = {}
+    for j, at in enumerate(slices):
+        known, basis = made[j], None
+        for i, v in at.items():
+            if v:
+                mono = known.get(i)
+                if mono is None:
+                    if basis is None:
+                        basis = monomial_basis(lower, k - j)
+                    powers, f = basis[i]
+                    mono = known[i] = SuperMonomial(powers + (j,), f)
+                terms[mono] = _rational(v, den)
+    return SuperPolynomial(signature, terms, _clean=True)
+
+
+def polynomial_extension(
+    signature: SuperSignature, k: int, slot: str
+) -> Callable[..., SuperPolynomial]:
+    """CK extension of integer rows, as a function extend(row, den=1) of
+    one row at a time: the polynomial whose triple is row / den in `slot`
+    and zero in the other two, row on the basis of slot_ambient."""
+    lower = signature.restricted()
+    top = factorial(k)
+    laps = _lower_laplacians(lower, k)
+    made: list[dict[int, SuperMonomial]] = [{} for _ in range(k + 1)]
+
+    def extend(row, den=1):
+        series = _series(laps, _slot_seeds(signature, k, slot, row), top)
+        return _polynomial(signature, lower, series, top * den, made)
+
+    return extend
+
+
 def slot_extension(
     signature: SuperSignature, k: int, slot: str
 ) -> Callable[[Mapping[int, int]], tuple[dict[int, int], dict[int, int], dict[int, int]]]:
     """CK extension in index space, as a function of one row at a time.
 
     A row is integer data of `slot` on the basis of slot_ambient; the
-    triple with it in `slot` and zero in the other two is extended by the
-    xi series of ck_extend, as integer numerators over k!.  The boundary
-    and normal rows seed xi(0) and xi(1); a Laplacian row seeds xi(j + 2)
-    with each x_m-slice w_j = j! (coefficient of x_m^j).  The function
-    returns the extension on the degree-k basis of `signature` and its
-    x_m^0 and x_m^1 slices read back from it, on the lower bases of degrees
-    k and k - 1: k! times the boundary and normal data of the extension."""
+    triple with it in `slot` and zero in the other two is extended by
+    _series.  The function returns k! times the extension, on the degree-k
+    basis of `signature`, and k! times its boundary and normal data, its
+    x_m^0 and x_m^1 slices, on the lower bases of degrees k and k - 1."""
     lower = signature.restricted()
     top = factorial(k)
+    laps = _lower_laplacians(lower, k)
     exps, pos = _xm_split(signature, k)
     place = [array("i", [0]) * len(monomial_basis(lower, k - j)) for j in range(k + 1)]
     for t, (j, i) in enumerate(zip(exps, pos)):
         place[j][i] = t
-    cols = {}  # lower degree -> columns of lap' on it, built on first use
-    if slot == "laplacian":
-        seed_exps, seed_pos = _xm_split(signature, k - 2)
-
-    def seeds(row):
-        if slot != "laplacian":
-            return [(SLOTS[slot][1], row)]
-        slices: list[dict[int, int]] = [{} for _ in range(k - 1)]
-        for t, c in row.items():
-            j = seed_exps[t]
-            slices[j][seed_pos[t]] = c * factorial(j)
-        return [(j + 2, w) for j, w in enumerate(slices) if w]
 
     def extend(row):
-        acc: dict[int, int] = {}
-        for ell, q in seeds(row):
-            for j, scale in xi_scales(ell, top):
-                if not q:
-                    break
-                at = place[j]
-                for i, c in q.items():
-                    t = at[i]
-                    acc[t] = acc.get(t, 0) + c * scale
-                d = k - j
-                if d not in cols:
-                    cols[d] = columns(laplacian_matrix(lower, d))
-                q = apply_columns(cols[d], q)
-        ext = {t: v for t, v in acc.items() if v}
-        slices: tuple[dict[int, int], dict[int, int]] = ({}, {})
-        for t, v in ext.items():
-            if exps[t] < 2:
-                slices[exps[t]][pos[t]] = v
-        return ext, *slices
+        slices = _series(laps, _slot_seeds(signature, k, slot, row), top)
+        ext = {place[j][i]: v for j, at in enumerate(slices) for i, v in at.items() if v}
+        boundary = {i: v for i, v in slices[0].items() if v}
+        normal = {i: v for i, v in slices[1].items() if v} if k else {}
+        return ext, boundary, normal
 
     return extend
 
@@ -227,19 +303,19 @@ def ck_data(p: SuperPolynomial, k: int | None = None) -> CKData:
 def ck_extend(data: CKData) -> SuperPolynomial:
     """Closed-form extension: xi(0) and xi(1) carry the boundary data, the
     shifted series xi(j+2) turn each x_m-slice of the prescribed Laplacian
-    into a particular solution.  Every series term has x_m-degree at most
-    k, so all of them are summed as numerators over k! and divided once."""
+    into a particular solution.  The parts are read as rows and extended by
+    _series over the common denominator k!, then divided once per term."""
     k = data.degree
+    lower = data.lower_signature
     top = factorial(k)
-    acc: dict[SuperMonomial, ScalarLike] = {}
-    xi_into(acc, 0, data.boundary, top)
-    xi_into(acc, 1, data.normal, top)
-    if k >= 2:
-        for j, w in enumerate(xm_coefficients(data.laplacian, k - 2)):
-            xi_into(acc, j + 2, w, top)
-    return SuperPolynomial(
-        data.signature, {mono: _rational(v, top) for mono, v in acc.items() if v}, _clean=True
-    )
+    seeds: Seeds = []
+    for ell, part in ((0, data.boundary), (1, data.normal)):
+        if part:
+            index = basis_index(lower, k - ell)
+            seeds.append((ell, {index[mono]: c for mono, c in part.terms.items()}))
+    seeds += _laplacian_seeds(lower, k, data.laplacian)
+    series = _series(_lower_laplacians(lower, k), seeds, top)
+    return _polynomial(data.signature, lower, series, top, [{} for _ in series])
 
 
 def ck_extend_recursive(data: CKData) -> SuperPolynomial:

@@ -7,7 +7,9 @@ applied to each whole basis monomial, is the tests' reference for both.
 matmul multiplies int rows, so kernels, products and ranks make no
 Fraction.  For products with one sparse vector at a time, columns gives a
 matrix's columns in compressed form, three flat int arrays, and
-apply_columns reads them.
+apply_columns reads them.  The matrix holds its columns once they are
+built, so the cached matrices of module harmonics are compressed once for
+all their readers (branching's slot checks, the CK extension, the GT basis).
 
 Elimination runs fraction-free over integers.  A row's content (the gcd
 of its entries) is reduced once per pivot row, not after
@@ -75,12 +77,13 @@ class IntMatrix:
     checked entry.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_columns")
 
     def __init__(self, cols: int, data: Sequence[Mapping[int, int]]):
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_data", tuple(data))
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("IntMatrix is immutable")
@@ -463,9 +466,18 @@ def operator_matrix(
 def columns(A: IntMatrix) -> tuple[array, array, array]:
     """The columns of A in compressed form (starts, rows, entries): column
     j holds entries[x] in row rows[x] for x in starts[j]..starts[j+1]-1, in
-    flat arrays of C ints, a tenth of the memory of A.transpose().  An
-    entry out of the C int range raises OverflowError.  Read by
-    apply_columns."""
+    flat arrays of C ints, a tenth of the memory of A.transpose().  They are
+    built on the first call and held by A, so every reader of a cached
+    matrix shares one build, and a matrix made in place of another has
+    columns of its own.  An entry out of the C int range raises
+    OverflowError.  Read by apply_columns."""
+    if A._columns is None:
+        object.__setattr__(A, "_columns", _compress(A))
+    return A._columns
+
+
+def _compress(A: IntMatrix) -> tuple[array, array, array]:
+    """The arrays of columns(A), built from the rows of A."""
     starts = array("i", [0]) * (A.cols + 1)
     for row in A.row_dicts():
         for j in row:

@@ -20,10 +20,21 @@ generalized lower space as target; the mirrors of exceptional starts are
 suppressed.  One table maps each kind to its CK slot and the target of the
 lower basis; the descent and the per-step check both read it, and both take
 the start degrees from fischer_index_sets of the level below.  The slot's
-ring and degree, the read-back of an element and the per-step predicate
-(its data in the kind's slot, zero in the other two) come from ck;
-branching's slot checks state the same predicate on integer rows
-(ck.slot_extension).
+ring and degree come from ck.
+
+The bosonic descent and its verification run on integer rows.  The descent reads each lower element's
+coordinates as integer numerators over one denominator, lifts them by the
+cached r2 columns to the slot's degree (harmonics.rsquare_lift_row) and
+extends them with ck.polynomial_extension, whose lap' is the cached lower
+Laplacian matrix.  The verification reads each element's coordinates once
+and ranks them; for m >= 1 it applies no polynomial operator.  The boundary
+and normal data of an element are the x_m^0 and x_m^1 slices of its
+coordinates (ck._xm_split), its Laplacian part is L_k times them, and the
+same product decides annihilation (L_k v = 0 for H, L_k R_(k-2) L_k v = 0
+for Ht).  The per-step predicate (the lifted lower coordinates in the
+kind's slot, zero in the other two) compares integer rows over two
+denominators by cross-multiplying, as branching's slot checks state it on
+the extensions of integer rows (ck.slot_extension).
 
 The purely fermionic floor is built by a recursion removing the last pair
 t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged
@@ -43,18 +54,20 @@ only in 0, so Ht_k = H_k = 0 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .ck import CKData, ck_extend, only_in_slot, restriction_triple, slot_ambient
-from .exactla import polynomial_vector, rank
+from .ck import SLOTS, _xm_split, polynomial_extension, slot_ambient
+from .exactla import apply_columns, columns, rank
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
     generalized_harmonic_space,
     harmonic_space,
-    rsquare_lift,
+    laplacian_matrix,
+    rsquare_lift_row,
 )
-from .operators import laplacian, rsquare_mul
-from .superpoly import SuperPolynomial, SuperSignature, extend_signature
+from .operators import laplacian
+from .superpoly import SuperPolynomial, SuperSignature, basis_index, extend_signature
 
 
 @dataclass(frozen=True)
@@ -173,12 +186,51 @@ def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
         else:
             sets = fischer_index_sets(source, degree)
             starts = sets.exceptional if lower_target == "Ht" else sets.ordinary
+        extend = polynomial_extension(signature, k, slot)
         for l in starts:
             for i, el in enumerate(gt_basis(source, l, lower_target)):
-                data = rsquare_lift(el.polynomial, (degree - l) // 2)
-                Q = ck_extend(CKData.from_parts(signature, k, **{slot: data}))
+                den, parts = _coordinates(el.polynomial, l)
+                Q = extend(rsquare_lift_row(source, l, parts[l], degree), den)
                 out.append(_prepend(ChainStep(signature.m, kind, l, i), el, Q))
     return tuple(out)
+
+
+def _coordinates(p: SuperPolynomial, k: int) -> tuple[int, dict[int, dict[int, int]]]:
+    """(den, parts): p as integer numerators over den, the least common
+    denominator of its coefficients, split by degree: parts maps k and each
+    other degree d of p to its numerators on the degree-d basis.  p is
+    homogeneous of degree k exactly when k is the only key."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    index = basis_index(p.signature, k)
+    row: dict[int, int] = {}
+    parts = {k: row}
+    for mono, c in p.terms.items():
+        v = c.numerator * (den // c.denominator)
+        i = index.get(mono)
+        if i is None:
+            d = mono.degree
+            parts.setdefault(d, {})[basis_index(p.signature, d)[mono]] = v
+        else:
+            row[i] = v
+    return den, parts
+
+
+def _apply_laplacian(signature: SuperSignature, d: int, row):
+    """L_d row, through the columns of the cached matrix."""
+    return apply_columns(columns(laplacian_matrix(signature, d)), row)
+
+
+def _triple(signature: SuperSignature, k: int, den: int, row, split) -> tuple:
+    """(den, boundary, normal, laplacian) of the degree-k element with
+    coordinates row / den, in integer numerators over den: its x_m^0 and
+    x_m^1 slices, read with split = ck._xm_split(signature, k), and L_k
+    row."""
+    exps, pos = split
+    slices: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for t, c in row.items():
+        if exps[t] < 2:
+            slices[exps[t]][pos[t]] = c
+    return den, *slices, _apply_laplacian(signature, k, row)
 
 
 def _generalized(signature: SuperSignature, k: int) -> bool:
@@ -228,9 +280,13 @@ def _step_data_ok(
     element its label points to, one level only.  A step that claims
     another level than this one (m on the bosonic half, n on the fermionic
     half) or a kind that does not step down from this level fails.  On the
-    bosonic half the element's ck.restriction_triple (read here unless the
-    caller passes it) must carry the lifted lower element in the kind's slot
-    and zero in the other two."""
+    bosonic half the element's triple (den, boundary, normal, laplacian) of
+    _triple, read here unless the caller passes it, must carry the lower
+    element's coordinates, lifted by r2 to the slot's degree, in the kind's
+    slot and zero in the other two; the two sides are compared by
+    cross-multiplied denominators.  An element that is not homogeneous of
+    degree k fails: its parts of other degrees have restriction data of
+    other degrees."""
     if not element.label.chain:
         return False
     step, rest = element.label.chain[0], element.label.chain[1:]
@@ -262,40 +318,73 @@ def _step_data_ok(
     if j < 0 or odd:
         return False
     if triple is None:
-        triple = restriction_triple(p)
-    return only_in_slot(triple, slot, rsquare_lift(lo, j))
+        den, parts = _coordinates(p, k)
+        if len(parts) > 1:
+            return False
+        triple = _triple(signature, k, den, parts[k], _xm_split(signature, k))
+    den, *got = triple
+    lo_den, lo_parts = _coordinates(lo, step.degree)
+    # each part of the lower element, lifted by r^(2j): only the one of the
+    # label's degree may be nonzero, and it must be the slot's data
+    lifted = {d: rsquare_lift_row(source, d, row, d + 2 * j) for d, row in lo_parts.items()}
+    want = lifted.pop(step.degree)
+    if any(lifted.values()):
+        return False
+    for name, have in zip(SLOTS, got):
+        expected = want if name == slot else {}
+        if have.keys() != expected.keys():
+            return False
+        if any(c * lo_den != expected[i] * den for i, c in have.items()):
+            return False
+    return True
 
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:
     """Exact verification: count against the kernel dimension, annihilation
     by the defining operator, linear independence (an element that is not
     homogeneous of degree k makes it false), and one-step restriction data
-    for every element.  A bosonic element's restriction triple is read once
-    and serves both the step check and, through its Laplacian part, the
-    annihilation check."""
+    for every element.
+
+    Each element's coordinates are read once, as integer numerators over
+    one denominator (_coordinates), and ranked.  For m >= 1 no polynomial
+    operator runs: the boundary and normal data are the x_m^0 and x_m^1
+    slices of the coordinates, the Laplacian part is L_k times them, and
+    it serves both the step check and the annihilation, as L_k v = 0 for
+    H and L_k R_(k-2) L_k v = 0 for Ht.  The parts of other degrees of an
+    element that is not homogeneous are annihilated or not by the matrices
+    of their own degrees.  At m = 0 the Laplacian is applied to the
+    polynomial and the step check compares polynomials."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
     generalized = target == "Ht" and _generalized(signature, k)
     space = (generalized_harmonic_space if generalized else harmonic_space)(signature, k)
-    polys = [el.polynomial for el in basis]
-    membership_ok = data_ok = True
-    for el in basis:
-        p = el.polynomial
-        triple = restriction_triple(p) if signature.m else None
-        image = laplacian(p) if triple is None else triple[2]
-        if generalized:
-            image = laplacian(rsquare_mul(image))
-        membership_ok &= image.is_zero()
-        data_ok &= _step_data_ok(signature, k, el, triple)
+    coords = [_coordinates(el.polynomial, k) for el in basis]
+    homogeneous = all(len(parts) == 1 for _, parts in coords)
+    if signature.m:
+        split = _xm_split(signature, k)
+        membership_ok = data_ok = True
+        for el, (den, parts) in zip(basis, coords):
+            triple = _triple(signature, k, den, parts[k], split)
+            images = {d: _apply_laplacian(signature, d, row) for d, row in parts.items() if d != k}
+            images[k] = triple[3]
+            if generalized:
+                images = {
+                    d: _apply_laplacian(signature, d, rsquare_lift_row(signature, d - 2, w, d))
+                    for d, w in images.items()
+                }
+            membership_ok &= not any(images.values())
+            data_ok &= len(parts) == 1 and _step_data_ok(signature, k, el, triple)
+    else:
+        membership_ok = all(laplacian(el.polynomial).is_zero() for el in basis)
+        data_ok = all(_step_data_ok(signature, k, el) for el in basis)
 
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),
         ("every element is annihilated", membership_ok),
         (
             "elements are linearly independent",
-            all(p.is_homogeneous(k) for p in polys)
-            and rank(polynomial_vector(p, k) for p in polys) == len(basis),
+            homogeneous and rank(parts[k] for _, parts in coords) == len(basis),
         ),
         ("restriction data matches one level down", data_ok),
     )

@@ -154,9 +154,9 @@ rsquare_matrix, one degree step at a time, from the space's degree up to k.
 The socle, the m = 0 plan agreement and lifted_mirror (the mirror harmonics
 H_(2-M-k), lifted to Theorem A's socle at degree k and to branching's
 admissible Laplacian parts at k - 2) work on those rows with no polynomial
-in between.  A polynomial is lifted by rsquare_lift(p, j): j applications of
-multiplication by r2 by its monomial rule, never a product with the
-polynomial (r2)^j; gtbasis uses it.
+in between.  rsquare_lift_row lifts one row the same way; the GT descent
+and its step check (module gtbasis) lift the coordinates of a lower basis
+element with it.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ from .exactla import (
     kernel,
     matmul,
 )
-from .operators import laplacian, rsquare_mul
+from .operators import laplacian
 from .superpoly import (
     SuperMonomial,
     SuperPolynomial,
@@ -279,17 +279,25 @@ def rsquare_lift_rows(space: Subspace, k: int) -> list[dict[int, int]]:
     signature, degree = space.ambient
     if k < degree or (k - degree) % 2:
         raise ValueError(f"no power of r2 lifts degree {degree} to {k}")
-    steps = [_rsquare_columns(signature, d) for d in range(degree, k, 2)]
-    lifted = []
-    for row in space.rows:
-        for columns in steps:
-            acc: dict[int, int] = {}
-            for source, a in row.items():
-                for target, c in columns[source].items():
-                    acc[target] = acc.get(target, 0) + a * c
-            row = {t: v for t, v in acc.items() if v}
-        lifted.append(row)
-    return lifted
+    return [rsquare_lift_row(signature, degree, row, k) for row in space.rows]
+
+
+def rsquare_lift_row(
+    signature: SuperSignature, degree: int, row: Mapping[int, int], k: int
+) -> Mapping[int, int]:
+    """A row on the basis of P_degree multiplied by r^(k - degree), through
+    the columns of r2 one degree step at a time; the row itself at
+    k = degree.  The caller keeps k - degree even and nonnegative."""
+    for d in range(degree, k, 2):
+        if not row:
+            break
+        columns = _rsquare_columns(signature, d)
+        acc: dict[int, int] = {}
+        for source, a in row.items():
+            for target, c in columns[source].items():
+                acc[target] = acc.get(target, 0) + a * c
+        row = {t: v for t, v in acc.items() if v}
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -370,15 +378,6 @@ def lifted_mirror(signature: SuperSignature, k: int, degree: int) -> Subspace:
         rsquare_lift_rows(mirror, degree),
         (signature, degree),
     )
-
-
-def rsquare_lift(p: SuperPolynomial, j: int) -> SuperPolynomial:
-    """(r2)^j p, as j applications of rsquare_mul; p itself at j = 0."""
-    if j < 0:
-        raise ValueError("negative power of r2")
-    for _ in range(j):
-        p = rsquare_mul(p)
-    return p
 
 
 @dataclass(frozen=True)

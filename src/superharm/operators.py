@@ -58,15 +58,14 @@ In xi, appending the exponent ell+2s of the new bosonic variable x_m is the
 product with x_m^(ell+2s), and the sign (-1)^s rides on the running scale,
 so each term is written once and no power of x_m is built.
 
-xi_into adds the xi series into a caller's dict as integer numerators over
-a common denominator top, a multiple of (ell + deg p)!: the term becomes
-top (-1)^s/(ell+2s)! times c, an exact int scale, so int coefficients stay
-ints, and the caller divides by top once per term.  xi uses
-top = (ell + deg p)!; ck_extend sums all its series over k! (module ck).
-The scales top (-1)^s/(ell+2s)! and their exponents ell+2s are stated once,
-in xi_scales: xi_into reads them, and so does ck.slot_extension, the same
-series on integer rows, which applies lap through the cached Laplacian
-matrices of module harmonics instead of the rule above.
+xi sums its series as integer numerators over the common denominator
+top = (ell + deg p)!: the term becomes top (-1)^s/(ell+2s)! times c, an
+exact int scale, so int coefficients stay ints, and it divides by top once
+per term.  The scales top (-1)^s/(ell+2s)! and their exponents ell+2s are
+stated once, in xi_scales: xi reads them, and so does module ck, whose CK
+extension runs the same series on integer rows over k! and applies lap
+through the cached Laplacian matrices of module harmonics instead of the
+rule above.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ def xi_scales(ell: int, top: int) -> Iterator[tuple[int, int]]:
     """(ell + 2s, top (-1)^s / (ell+2s)!) for s = 0, 1, ..: the exponent of
     x_m and the integer scale of the s-th term of the xi series over the
     common denominator top.  The one statement of the series' scales, read
-    by xi_into and by ck's row extension; each scale is exact while
+    by xi and by ck's row extension; each scale is exact while
     (ell+2s)! divides top, and the caller stops before it does not."""
     j, scale = ell, top // factorial(ell)
     while True:
@@ -175,30 +174,12 @@ def xi_scales(ell: int, top: int) -> Iterator[tuple[int, int]]:
         j += 2
 
 
-def xi_into(
-    out: dict[SuperMonomial, ScalarLike], ell: int, p_lower: SuperPolynomial, top: int
-) -> None:
-    """Add top * xi(ell, p_lower) into out, term by term (module
-    docstring).  top must be a multiple of (ell + deg p_lower)!, so every
-    scale of xi_scales is an exact int and int coefficients stay ints;
-    terminates because each step lowers the degree by two."""
-    q = p_lower
-    for j, scale in xi_scales(ell, top):
-        if q.is_zero():
-            return
-        tail = (j,)
-        for (powers, f), c in q:
-            key = SuperMonomial(powers + tail, f)
-            v = c * scale
-            old = out.get(key)
-            out[key] = v if old is None else old + v
-        q = laplacian(q)
-
-
 def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:
     """Series x_m^ell/ell! p - x_m^(ell+2)/(ell+2)! lap(p) + .. lifting a
-    polynomial one bosonic variable up: xi_into over the common
-    denominator (ell + deg p)!, then one division per term."""
+    polynomial one bosonic variable up, term by term (module docstring):
+    the terms are summed as integer numerators over the common denominator
+    (ell + deg p)!, so every scale of xi_scales is an exact int, and divided
+    once per term.  Terminates because each step lowers the degree by two."""
     if ell < 0:
         raise ValueError("xi needs a nonnegative series offset")
     sig = p_lower.signature.extended()
@@ -207,7 +188,17 @@ def xi(ell: int, p_lower: SuperPolynomial) -> SuperPolynomial:
         return SuperPolynomial.zero(sig)
     top = factorial(ell + deg)
     data: dict[SuperMonomial, ScalarLike] = {}
-    xi_into(data, ell, p_lower, top)
+    q = p_lower
+    for j, scale in xi_scales(ell, top):
+        if q.is_zero():
+            break
+        tail = (j,)
+        for (powers, f), c in q:
+            key = SuperMonomial(powers + tail, f)
+            v = c * scale
+            old = data.get(key)
+            data[key] = v if old is None else old + v
+        q = laplacian(q)
     return SuperPolynomial(sig, {k: _rational(v, top) for k, v in data.items()}, _clean=True)
 
 

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from superharm import branching, ck, harmonics
+from superharm import branching, ck, exactla, harmonics
 from superharm.branching import (
     branch_generalized,
     branch_harmonic,
@@ -13,6 +13,7 @@ from superharm.branching import (
 )
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import IntMatrix, Subspace, apply_columns, columns
+from superharm.gtbasis import verify_gt_basis
 from superharm.harmonics import exceptional_indices, generalized_harmonic_space, harmonic_space
 from superharm.superpoly import SuperSignature, space_dimension
 
@@ -241,15 +242,14 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
     stacks = {}
     original = branching._slot_generators_ok
 
-    def recording(signature, k, slot, stack, lap):
+    def recording(signature, k, slot, stack):
         stacks[slot] = stack = list(stack)
-        return original(signature, k, slot, stack, lap)
+        return original(signature, k, slot, stack)
 
     for k in range(_SUITE_KMAX["branching"] + 1):
         with monkeypatch.context() as patch:
             patch.setattr(branching, "_slot_generators_ok", recording)
             assert branch_harmonic(sig, k).verified
-        lap = columns(harmonics.laplacian_matrix(sig, k))
         for slot, d in (("boundary", k), ("normal", k - 1)):
             basis = stacks[slot]
             dim = space_dimension(lower, d)
@@ -258,12 +258,12 @@ def test_slot_checks_on_the_monomial_basis_match_the_fischer_generators(monkeypa
                 continue  # d < 0, or above the top degree of a fermionic P'
             fischer = _fischer_generators(lower, d)
             assert len(fischer) == space_dimension(lower, d)
-            assert branching._slot_generators_ok(sig, k, slot, basis, lap), (k, slot)
-            assert branching._slot_generators_ok(sig, k, slot, fischer, lap), (k, slot)
+            assert branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
+            assert branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
             with monkeypatch.context() as patch:
                 _drop_slot_term(patch, slot)
-                assert not branching._slot_generators_ok(sig, k, slot, basis, lap), (k, slot)
-                assert not branching._slot_generators_ok(sig, k, slot, fischer, lap), (k, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, basis), (k, slot)
+                assert not branching._slot_generators_ok(sig, k, slot, fischer), (k, slot)
 
 
 def _drop_slot_term(monkeypatch, slot):
@@ -318,8 +318,7 @@ def test_wrong_lower_laplacian_entry_fails_the_boundary_check(monkeypatch):
     monkeypatch.setattr(ck, "laplacian_matrix", off_by_one)
     for k in (3, 4):
         basis = [{i: 1} for i in range(space_dimension(lower, k))]
-        lap = columns(harmonics.laplacian_matrix(S33, k))
-        assert not branching._slot_generators_ok(S33, k, "boundary", basis, lap), k
+        assert not branching._slot_generators_ok(S33, k, "boundary", basis), k
         # the row whose image changed still reads its slices back
         j = min(original(lower, k).row_dicts()[0])
         ext, boundary, normal = ck.slot_extension(S33, k, "boundary")({j: 1})
@@ -327,20 +326,29 @@ def test_wrong_lower_laplacian_entry_fails_the_boundary_check(monkeypatch):
         assert apply_columns(columns(harmonics.laplacian_matrix(S33, k)), ext)
 
 
-def test_laplacian_columns_are_built_once_per_report(monkeypatch):
-    # every slot check of one report reads the same columns of L_k: one
-    # build per report, for the two slots of branch_harmonic and the three
-    # of branch_generalized, whose Laplacian slot also reads R_(k-2)
+def test_laplacian_columns_are_built_once_per_matrix(monkeypatch):
+    # the columns of a matrix are held by it: every slot check of every
+    # report, and the GT basis and its verification, read one build per
+    # cached matrix, while a matrix made in place of another builds its own
     built = []
+    original = exactla._compress
 
     def counting(A):
-        built.append(A.cols)
-        return columns(A)
+        built.append(A)
+        return original(A)
 
-    monkeypatch.setattr(branching, "columns", counting)
-    assert branch_harmonic(S33, 4).verified
-    assert branch_generalized(S23, 5).verified
-    assert built == [space_dimension(S33, 4), space_dimension(S23, 5), space_dimension(S23, 3)]
+    monkeypatch.setattr(exactla, "_compress", counting)
+    L4 = harmonics.laplacian_matrix(S33, 4)
+    held = columns(L4)
+    for _ in range(2):
+        assert branch_harmonic(S33, 4).verified
+        assert branch_generalized(S23, 5).verified
+        assert verify_gt_basis(S33, 4).verified
+    assert len({id(A) for A in built}) == len(built)
+    assert columns(L4) is held
+    patched = IntMatrix(L4.cols, L4.row_dicts())
+    assert columns(patched) == held and columns(patched) is not held
+    assert built[-1] is patched
 
 
 def test_slot_checks_beyond_exponent_255():

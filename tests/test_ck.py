@@ -153,6 +153,11 @@ def test_data_validation():
         ck_data(SuperPolynomial.zero(sig))
 
 
+def only_in_slot(triple, slot, p):
+    """The triple is p in `slot` and zero in the other two slots."""
+    return all((got == p) if name == slot else got.is_zero() for name, got in zip(SLOTS, triple))
+
+
 def test_slot_protocol_reads_the_data_back():
     # each slot's data lives in the ring and degree of the slot table, the
     # read-back of an extension is its data, and the predicate holds in the
@@ -168,9 +173,9 @@ def test_slot_protocol_reads_the_data_back():
         w = _random_homogeneous(ring, d, rng)
         assert not w.is_zero()
         triple = ck.restriction_triple(ck_extend(CKData.from_parts(sig, k, **{slot: w})))
-        assert ck.only_in_slot(triple, slot, w)
+        assert only_in_slot(triple, slot, w)
         others = [other for other in ck.SLOTS if other != slot]
-        assert not any(ck.only_in_slot(triple, other, w) for other in others)
+        assert not any(only_in_slot(triple, other, w) for other in others)
 
 
 def test_inhomogeneous_rejected():
@@ -456,3 +461,48 @@ def test_common_denominator_matches_the_fraction_series(data):
     assert dict(got.terms) == dict(reference.terms)
     assert _int_when_integral(got)
     assert dict(ck_extend_recursive(data).terms) == dict(reference.terms)
+
+
+# -- the row path of ck_extend against the polynomial recursion ------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_extension_matches_the_recursion_on_rational_data(seed):
+    # GT data is rational: every part of the triple carries Fraction
+    # coefficients, and the closed form on rows must equal the recursion on
+    # polynomials term for term, with ints exactly where a value is integral
+    import random
+
+    rng = random.Random(4100 + seed)
+    for lower in LOWER_SIGS:
+        sig = lower.extended()
+        for k in range(7 if sig.m + sig.n <= 4 else 5):
+            data = CKData(
+                k,
+                _random_homogeneous(lower, k, rng),
+                _random_homogeneous(lower, k - 1, rng),
+                _random_homogeneous(sig, k - 2, rng),
+            )
+            got = ck_extend(data)
+            assert dict(got.terms) == dict(ck_extend_recursive(data).terms), (sig, k)
+            assert _int_when_integral(got)
+            assert ck_data(got, k) == data
+
+
+def test_polynomial_extension_is_the_extension_of_its_row():
+    # the GT descent's entry: integer data over a denominator in one slot
+    import random
+
+    rng = random.Random(77)
+    sig = SuperSignature(3, 2)
+    for k in range(6):
+        for slot in SLOTS:
+            ring, d = slot_ambient(sig, k, slot)
+            if d < 0:
+                continue
+            extend = ck.polynomial_extension(sig, k, slot)
+            for den in (1, 6):
+                row = {i: rng.randint(-4, 4) for i in range(space_dimension(ring, d)) if rng.random() < 0.5}
+                w = vector_polynomial(ring, d, {i: Fraction(c, den) for i, c in row.items()})
+                expected = ck_extend_recursive(CKData.from_parts(sig, k, **{slot: w}))
+                assert extend(row, den) == expected, (k, slot, den)

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from superharm import gtbasis
-from superharm.ck import CKData, ck_extend
+from superharm import ck, gtbasis, harmonics, operators
+from superharm.ck import CKData, ck_extend, ck_extend_recursive
+from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
+from superharm.exactla import IntMatrix
 from superharm.gtbasis import (
     GTBasisElement,
     GTLabel,
@@ -17,15 +19,27 @@ from superharm.harmonics import (
     exceptional_indices,
     generalized_harmonic_space,
     harmonic_space,
-    rsquare_lift,
 )
-from superharm.operators import laplacian
+from superharm.operators import laplacian, rsquare_mul
 from superharm.superpoly import (
+    SuperMonomial,
     SuperPolynomial,
     SuperSignature,
+    basis_index,
     extend_signature,
     format_polynomial,
+    monomial_basis,
 )
+
+
+def rsquare_lift(p, j):
+    """(r2)^j p, as j applications of rsquare_mul; p itself at j = 0.  The
+    polynomial reference for the coordinate lifts of module harmonics."""
+    if j < 0:
+        raise ValueError("negative power of r2")
+    for _ in range(j):
+        p = rsquare_mul(p)
+    return p
 
 
 def test_smallest_mixed_basis():
@@ -350,3 +364,174 @@ def test_a3_lift_off_by_one_fails_restriction_data(monkeypatch, k, shift):
 def test_verification_rejects_negative_degree(k, target):
     with pytest.raises(ValueError, match="negative degree"):
         verify_gt_basis(SuperSignature(2, 3), k, target)
+
+
+# -- the row path against the polynomial construction ---------------------------
+
+# the verify grid (m >= 1), (3|4) at k = 6 and (2|6) at k <= 6, both targets
+_ROW_CASES = sorted(
+    {
+        (m, n, k)
+        for m, n in VERIFY_GRID
+        if m
+        for k in range(_SUITE_KMAX["gt"] + 1)
+    }
+    | {(3, 2, 6)}
+    | {(2, 3, k) for k in range(7)}
+)
+
+
+@pytest.mark.parametrize("m,n,k", _ROW_CASES, ids=[f"({m}|{2 * n})-{k}" for m, n, k in _ROW_CASES])
+def test_row_descent_matches_the_polynomial_construction(m, n, k):
+    # every bosonic element is the recursive CK extension of its lower
+    # element, lifted by r2 as a polynomial, in the slot of its kind
+    sig = SuperSignature(m, n)
+    for target in ("H", "Ht"):
+        for el in gt_basis(sig, k, target):
+            step = el.label.chain[0]
+            slot, lower_target = gtbasis._BOSONIC_KINDS[step.kind]
+            source, degree = ck.slot_ambient(sig, k, slot)
+            lower = gt_basis(source, step.degree, lower_target)[step.pos].polynomial
+            data = rsquare_lift(lower, (degree - step.degree) // 2)
+            expected = ck_extend_recursive(CKData.from_parts(sig, k, **{slot: data}))
+            assert dict(el.polynomial.terms) == dict(expected.terms), (target, el.label.text())
+
+
+def _corrupt_bosonic_rsquare(monkeypatch, ring, degree):
+    """+1 on the x1^2 lead of column 0 of R_degree on the bosonic factor
+    ring: every mixed r2 matrix assembled from it changes with it."""
+    original = harmonics._rsquare_columns.__wrapped__
+    powers, fermions = monomial_basis(ring, degree)[0]
+    lead = basis_index(ring, degree + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
+
+    def edited(sig, d):
+        cols = original(sig, d)
+        if (sig, d) != (ring, degree):
+            return cols
+        return ({**cols[0], lead: cols[0][lead] + 1},) + cols[1:]
+
+    monkeypatch.setattr(harmonics, "_rsquare_columns", edited)
+
+
+@pytest.mark.parametrize("m,n,k,target", [(3, 2, 5, "H"), (2, 3, 5, "Ht"), (3, 0, 4, "H")])
+def test_wrong_rsquare_factor_entry_fails_restriction_data(monkeypatch, m, n, k, target):
+    # the basis is built with the true r2; one entry of a bosonic factor
+    # column off by one reaches the lift of the lower coordinates in the
+    # step check, which no longer matches the elements' slot data
+    sig = SuperSignature(m, n)
+    lower = sig.restricted()
+    assert verify_gt_basis(sig, k, target).verified
+    before = harmonics._rsquare_columns(lower, 1)
+    _corrupt_bosonic_rsquare(monkeypatch, SuperSignature(lower.m, 0), 1)
+    assert harmonics._rsquare_columns(lower, 1) != before
+    checks = dict(verify_gt_basis(sig, k, target).checks)
+    assert not checks["restriction data matches one level down"]
+    assert checks["every element is annihilated"] and checks["elements are linearly independent"]
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 1, 3), (3, 2, 4), (2, 3, 4)])
+def test_wrong_laplacian_entry_fails_annihilation(monkeypatch, m, n, k):
+    # one entry of L_k off by one, in a column where the first element is
+    # nonzero: its image is no longer 0.  The patched matrix is a new
+    # IntMatrix, and the check reads that matrix's own columns.
+    sig = SuperSignature(m, n)
+    basis = gt_basis(sig, k)
+    assert verify_gt_basis(sig, k).verified
+    original = gtbasis.laplacian_matrix
+    L = original(sig, k)
+    j = basis_index(sig, k)[next(iter(basis[0].polynomial.terms))]
+    rows = [dict(row) for row in L.row_dicts()]
+    rows[0][j] = rows[0].get(j, 0) + 1
+    wrong = IntMatrix(L.cols, rows)
+    monkeypatch.setattr(
+        gtbasis, "laplacian_matrix", lambda s, d: wrong if (s, d) == (sig, k) else original(s, d)
+    )
+    checks = dict(verify_gt_basis(sig, k).checks)
+    assert not checks["every element is annihilated"]
+    assert checks["element count equals space dimension"]
+
+
+@pytest.mark.parametrize(
+    "extra,annihilated",
+    [(lambda sig: SuperPolynomial.one(sig), True), (lambda sig: SuperPolynomial.x(sig, 1) ** 2, False)],
+    ids=["plus-1", "plus-x1^2"],
+)
+def test_non_homogeneous_bosonic_element_fails_without_raising(monkeypatch, extra, annihilated):
+    # a part of another degree: the element is neither independent in
+    # degree k nor carries one level's restriction data; it is annihilated
+    # exactly when that part is (1 is harmonic, x1^2 is not)
+    sig, k = SuperSignature(2, 2), 3
+    basis = list(gt_basis(sig, k))
+    basis[0] = GTBasisElement(basis[0].label, basis[0].polynomial + extra(sig))
+    monkeypatch.setitem(gtbasis._CACHE, (sig.m, sig.n, k, "H"), tuple(basis))
+    rep = verify_gt_basis(sig, k)
+    assert not rep.verified
+    assert dict(rep.checks) == {
+        "element count equals space dimension": True,
+        "every element is annihilated": annihilated,
+        "elements are linearly independent": False,
+        "restriction data matches one level down": False,
+    }
+
+
+@pytest.mark.parametrize("m,n,k,target", [(2, 3, 5, "Ht"), (3, 2, 5, "H"), (2, 1, 2, "Ht"), (3, 0, 4, "H")])
+def test_bosonic_verification_runs_no_polynomial_operator(monkeypatch, m, n, k, target):
+    # with the basis and the matrices built, the verification reads every
+    # element through integer rows: no restriction triple, no Laplacian or
+    # r2 applied to a polynomial
+    sig = SuperSignature(m, n)
+    assert verify_gt_basis(sig, k, target).verified
+
+    def refuse(*args):
+        raise AssertionError("polynomial operator called")
+
+    for module, name in (
+        (ck, "restriction_triple"),
+        (ck, "laplacian"),
+        (operators, "laplacian"),
+        (operators, "rsquare_mul"),
+        (harmonics, "laplacian"),
+        (gtbasis, "laplacian"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_gt_basis(sig, k, target).verified
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 2, 4), (2, 3, 5)])
+def test_element_outside_ht_fails_annihilation(monkeypatch, m, n, k):
+    # x1^k in place of an a3 element: lap r2 lap x1^k is not 0, so the
+    # generalized target's annihilation check fails, and only the check
+    # through L_k R_(k-2) L_k can see it (its Laplacian part is not 0 either
+    # for the element it replaces)
+    sig = SuperSignature(m, n)
+
+    def power(el):
+        return GTBasisElement(el.label, SuperPolynomial.x(sig, 1) ** k)
+
+    _data_check_with(monkeypatch, sig, k, "Ht", "generalized-a3", power)
+    checks = dict(verify_gt_basis(sig, k, "Ht").checks)
+    assert not checks["every element is annihilated"]
+
+
+@pytest.mark.parametrize("m,n,k", [(3, 2, 5), (2, 2, 4)])
+def test_non_homogeneous_lower_element_fails_the_step_above(monkeypatch, m, n, k):
+    # the lower element an element points to gains a constant: its lift by
+    # r^(2j) has a part of another degree, which no slot of the element
+    # carries, so the step check fails where it passed
+    sig = SuperSignature(m, n)
+
+    def lifted_degrees(el):
+        step = el.label.chain[0]
+        return ck.slot_ambient(sig, k, gtbasis._BOSONIC_KINDS[step.kind][0])[1] - step.degree
+
+    el = next(el for el in gt_basis(sig, k) if lifted_degrees(el) > 0)
+    step = el.label.chain[0]
+    slot, target = gtbasis._BOSONIC_KINDS[step.kind]
+    source, _ = ck.slot_ambient(sig, k, slot)
+    assert gtbasis._step_data_ok(sig, k, el)
+    lower = list(gt_basis(source, step.degree, target))
+    lo = lower[step.pos]
+    lower[step.pos] = GTBasisElement(lo.label, lo.polynomial + SuperPolynomial.one(source))
+    key = (source.m, source.n, step.degree, target)
+    monkeypatch.setitem(gtbasis._CACHE, key, tuple(lower))
+    assert not gtbasis._step_data_ok(sig, k, el)

@@ -34,7 +34,6 @@ from superharm.harmonics import (
     harmonic_space,
     laplacian_matrix,
     lifted_mirror,
-    rsquare_lift,
     rsquare_lift_rows,
     rsquare_matrix,
     socle_space,
@@ -49,6 +48,16 @@ from superharm.superpoly import (
     monomial_basis,
     space_dimension,
 )
+
+def rsquare_lift(p, j):
+    """(r2)^j p, as j applications of rsquare_mul; p itself at j = 0.  The
+    polynomial reference for the coordinate lifts of module harmonics."""
+    if j < 0:
+        raise ValueError("negative power of r2")
+    for _ in range(j):
+        p = rsquare_mul(p)
+    return p
+
 
 REGULAR = [SuperSignature(1, 1), SuperSignature(3, 2), SuperSignature(3, 0)]
 S23 = SuperSignature(2, 3)
