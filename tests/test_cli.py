@@ -308,6 +308,13 @@ _GOLDEN = [
     # the GT step check through the (2|6) window {4, 5, 6}
     (["verify", "--suite", "gt", "--m", "2", "--n", "3", "--kmax", "6", "--format", "json"], 0,
      "b5cbf3f4d76ed2ed5b1e3a45dfd1b4638b20c7debb969fb26ce3ea468d56505a"),
+    # the lead certificate on the bosonic factor (4|0) at every degree up
+    # to 9, over the (4|8) window and past it
+    (["fischer", "--m", "4", "--n", "4", "--kmax", "11", "--format", "json"], 0,
+     "5471ec6599389a5ce83c1728786ad21f4504f30dc7ef24ee398a568acc0861b5"),
+    # a bosonic-only ring: R_d read straight off L_(d+2)
+    (["fischer", "--m", "3", "--n", "0", "--kmax", "8", "--format", "json"], 0,
+     "78f98b9ea3a458f9a74b555650eb63c2f48040cf3966fc1c1e62d24a3360b7e7"),
 ]
 
 
