@@ -54,10 +54,10 @@ extension on the degree-k basis, one row at a time.  E is read back by
 slices and by one product with the cached matrix L_k: its x_m^0 and x_m^1
 slices must be k! times the data in the boundary and normal slot and zero
 otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
-otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  The
-columns of L_k are built once and held by the cached matrix
-(exactla.columns), so every slot check of every report, and the GT basis,
-read one build.  The slots and their degrees live in ck; the GT step check
+otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  Each
+product reads the columns that the cached matrix holds
+(exactla.apply_columns), built once per matrix, so every slot check of
+every report, and the GT basis, read one build.  The slots and their degrees live in ck; the GT step check
 of gtbasis reads the same triple on integer rows, off the coordinates of
 each element.  The read-back is a left inverse of the extension,
 so the extension is injective and its image has the dimension of its data,
@@ -74,7 +74,7 @@ from .ck import SLOTS, slot_ambient, slot_extension
 # kernel is not called here (the defect kernel is built in harmonics); the
 # benchmark's tracer test (perfbench/tests) checks that its wrapper is also
 # bound under this module's name.
-from .exactla import apply_columns, columns, kernel  # noqa: F401
+from .exactla import apply_columns, kernel  # noqa: F401
 from .harmonics import (
     IndexSets,
     branching_index_sets,
@@ -125,16 +125,16 @@ def _slot_generators_ok(signature, k, slot, rows) -> bool:
     """Extensions of degree-k data with only `slot` ("boundary", "normal" or
     "laplacian") set to each integer row, on the basis of the slot's data
     (ck.slot_extension): each must read its data back in that slot alone,
-    by its x_m^0 and x_m^1 slices and by L_k times it, through the columns
-    of the cached L_k (exactla.columns, built once per matrix).  A Laplacian
+    by its x_m^0 and x_m^1 slices and by L_k times it, read through the
+    columns the cached L_k holds (exactla.apply_columns).  A Laplacian
     part w must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that
     the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
     lap Q = w holds."""
     top = factorial(k)
     extend = slot_extension(signature, k, slot)
-    lap = columns(laplacian_matrix(signature, k))
+    lap = laplacian_matrix(signature, k)
     if slot == "laplacian":
-        r2 = columns(rsquare_matrix(signature, k - 2))
+        r2 = rsquare_matrix(signature, k - 2)
     for row in rows:
         ext, *slices = extend(row)
         data = {i: top * c for i, c in row.items()}

@@ -21,8 +21,8 @@ three slots of any polynomial (the read-back of ck_data).
 
 The extension runs on integer rows, in one core, _series: the xi series of
 every seeded slot, summed as integer numerators over the common denominator
-k!, with each lap' applied through the columns of the cached lower
-harmonics.laplacian_matrix (exactla.columns, held by the matrix), so lap's
+k!, with each lap' applied to the cached lower harmonics.laplacian_matrix
+through the columns it holds (exactla.apply_columns), so lap's
 rule stays stated in operators alone.  A row of the boundary or normal slot
 seeds xi(0) or xi(1); a Laplacian row seeds xi(j + 2) with each x_m-slice
 w_j = j! (coefficient of x_m^j).  The scales (-1)^s k!/(ell+2s)! of the
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, Mapping
 
-from .exactla import apply_columns, columns
+from .exactla import apply_columns
 from .harmonics import laplacian_matrix
 from .operators import laplacian, xi_scales
 from .superpoly import (
@@ -112,10 +112,10 @@ Seeds = list[tuple[int, Mapping[int, ScalarLike]]]
 
 
 def _lower_laplacians(lower: SuperSignature, k: int) -> list:
-    """The columns of the cached Laplacian matrices of the ring `lower` on
-    the degrees d = 0..k, at index d; None below degree 2, where the series
-    applies no Laplacian."""
-    return [columns(laplacian_matrix(lower, d)) if d > 1 else None for d in range(k + 1)]
+    """The cached Laplacian matrices of the ring `lower` on the degrees
+    d = 0..k, at index d; None below degree 2, where the series applies no
+    Laplacian."""
+    return [laplacian_matrix(lower, d) if d > 1 else None for d in range(k + 1)]
 
 
 def _series(laps: list, seeds: Seeds, top: int) -> list[dict[int, ScalarLike]]:

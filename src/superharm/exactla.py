@@ -5,11 +5,12 @@ nonzero int.  Module harmonics assembles the Laplacian on one degree with
 int entries and reads r2 off it; operator_matrix, the int matrix of any map
 applied to each whole basis monomial, is the tests' reference for both.
 matmul multiplies int rows, so kernels, products and ranks make no
-Fraction.  For products with one sparse vector at a time, columns gives a
-matrix's columns in compressed form, three flat int arrays, and
-apply_columns reads them.  The matrix holds its columns once they are
-built, so the cached matrices of module harmonics are compressed once for
-all their readers (branching's slot checks, the CK extension, the GT basis).
+Fraction.  For products with one sparse vector at a time, apply_columns(A,
+vec) reads the columns of A in compressed form (columns: three flat int
+arrays), which A holds once built, so the cached matrices of module
+harmonics are compressed once for all their readers.  Outside this module
+only harmonics reads the arrays, to assemble mixed-ring matrices and to
+check the leads of r2.
 
 Elimination runs fraction-free over integers.  A row's content (the gcd
 of its entries) is reduced once per pivot row, not after
@@ -470,7 +471,7 @@ def columns(A: IntMatrix) -> tuple[array, array, array]:
     built on the first call and held by A, so every reader of a cached
     matrix shares one build, and a matrix made in place of another has
     columns of its own.  An entry out of the C int range raises
-    OverflowError.  Read by apply_columns."""
+    OverflowError.  Read by apply_columns and by module harmonics."""
     if A._columns is None:
         object.__setattr__(A, "_columns", _compress(A))
     return A._columns
@@ -493,10 +494,10 @@ def _compress(A: IntMatrix) -> tuple[array, array, array]:
     return starts, rows, entries
 
 
-def apply_columns(cols: tuple[array, array, array], vec: Mapping[int, int]) -> dict[int, int]:
-    """A vec, in integers, for the compressed columns of A (columns(A)) and
-    a sparse int vector; zeros are dropped."""
-    starts, rows, entries = cols
+def apply_columns(A: IntMatrix, vec: Mapping[int, int]) -> dict[int, int]:
+    """A vec in integers, for a sparse int vector vec, read through the
+    columns that A holds (columns); zeros are dropped."""
+    starts, rows, entries = columns(A)
     acc: dict[int, int] = {}
     for source, a in vec.items():
         for x in range(starts[source], starts[source + 1]):

@@ -22,16 +22,18 @@ lower basis; the descent and the per-step check both read it, and both take
 the start degrees from fischer_index_sets of the level below.  The slot's
 ring and degree come from ck.
 
-The bosonic descent and its verification run on integer rows.  The descent reads each lower element's
-coordinates as integer numerators over one denominator, lifts them by the
-cached r2 columns to the slot's degree (harmonics.rsquare_lift_row) and
-extends them with ck.polynomial_extension, whose lap' is the cached lower
+The bosonic descent and its verification run on integer rows.  The
+descent reads each lower element's coordinates as integer numerators over
+one denominator, lifts them through the held columns of the cached r2
+matrices to the slot's degree (harmonics.rsquare_lift_row) and extends
+them with ck.polynomial_extension, whose lap' is the cached lower
 Laplacian matrix.  The verification reads each element's coordinates once
-and ranks them; for m >= 1 it applies no polynomial operator.  The boundary
-and normal data of an element are the x_m^0 and x_m^1 slices of its
-coordinates (ck._xm_split), its Laplacian part is L_k times them, and the
-same product decides annihilation (L_k v = 0 for H, L_k R_(k-2) L_k v = 0
-for Ht).  The per-step predicate (the lifted lower coordinates in the
+and ranks them, and applies no polynomial operator: at every m, L_k times
+them, through the columns the cached L_k holds, decides annihilation
+(L_k v = 0 for H, L_k R_(k-2) L_k v = 0 for Ht).  For m >= 1 the same
+product is the element's Laplacian part, and its boundary and normal data
+are the x_m^0 and x_m^1 slices of its coordinates (ck._xm_split).  The
+per-step predicate (the lifted lower coordinates in the
 kind's slot, zero in the other two) compares integer rows over two
 denominators by cross-multiplying, as branching's slot checks state it on
 the extensions of integer rows (ck.slot_extension).
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .ck import SLOTS, _xm_split, polynomial_extension, slot_ambient
-from .exactla import apply_columns, columns, rank
+from .exactla import apply_columns, rank
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
@@ -66,7 +68,6 @@ from .harmonics import (
     laplacian_matrix,
     rsquare_lift_row,
 )
-from .operators import laplacian
 from .superpoly import SuperPolynomial, SuperSignature, basis_index, extend_signature
 
 
@@ -215,22 +216,17 @@ def _coordinates(p: SuperPolynomial, k: int) -> tuple[int, dict[int, dict[int, i
     return den, parts
 
 
-def _apply_laplacian(signature: SuperSignature, d: int, row):
-    """L_d row, through the columns of the cached matrix."""
-    return apply_columns(columns(laplacian_matrix(signature, d)), row)
-
-
-def _triple(signature: SuperSignature, k: int, den: int, row, split) -> tuple:
+def _triple(den: int, row, image, split) -> tuple:
     """(den, boundary, normal, laplacian) of the degree-k element with
     coordinates row / den, in integer numerators over den: its x_m^0 and
-    x_m^1 slices, read with split = ck._xm_split(signature, k), and L_k
-    row."""
+    x_m^1 slices, read with split = ck._xm_split(signature, k), and its
+    image L_k row."""
     exps, pos = split
     slices: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for t, c in row.items():
         if exps[t] < 2:
             slices[exps[t]][pos[t]] = c
-    return den, *slices, _apply_laplacian(signature, k, row)
+    return den, *slices, image
 
 
 def _generalized(signature: SuperSignature, k: int) -> bool:
@@ -321,7 +317,8 @@ def _step_data_ok(
         den, parts = _coordinates(p, k)
         if len(parts) > 1:
             return False
-        triple = _triple(signature, k, den, parts[k], _xm_split(signature, k))
+        image = apply_columns(laplacian_matrix(signature, k), parts[k])
+        triple = _triple(den, parts[k], image, _xm_split(signature, k))
     den, *got = triple
     lo_den, lo_parts = _coordinates(lo, step.degree)
     # each part of the lower element, lifted by r^(2j): only the one of the
@@ -346,14 +343,12 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     for every element.
 
     Each element's coordinates are read once, as integer numerators over
-    one denominator (_coordinates), and ranked.  For m >= 1 no polynomial
-    operator runs: the boundary and normal data are the x_m^0 and x_m^1
-    slices of the coordinates, the Laplacian part is L_k times them, and
-    it serves both the step check and the annihilation, as L_k v = 0 for
-    H and L_k R_(k-2) L_k v = 0 for Ht.  The parts of other degrees of an
-    element that is not homogeneous are annihilated or not by the matrices
-    of their own degrees.  At m = 0 the Laplacian is applied to the
-    polynomial and the step check compares polynomials."""
+    one denominator (_coordinates), and ranked.  At every m, L_d applied to
+    each part of degree d decides annihilation (L_k v = 0 for H,
+    L_k R_(k-2) L_k v = 0 for Ht), so an element that is not homogeneous
+    is judged by the matrices of the degrees of its parts; no polynomial
+    operator runs.  For m >= 1 the step check reads the triple of the x_m^0
+    and x_m^1 slices and L_k v; at m = 0 it compares polynomials."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
@@ -361,23 +356,23 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     space = (generalized_harmonic_space if generalized else harmonic_space)(signature, k)
     coords = [_coordinates(el.polynomial, k) for el in basis]
     homogeneous = all(len(parts) == 1 for _, parts in coords)
-    if signature.m:
-        split = _xm_split(signature, k)
-        membership_ok = data_ok = True
-        for el, (den, parts) in zip(basis, coords):
-            triple = _triple(signature, k, den, parts[k], split)
-            images = {d: _apply_laplacian(signature, d, row) for d, row in parts.items() if d != k}
-            images[k] = triple[3]
-            if generalized:
-                images = {
-                    d: _apply_laplacian(signature, d, rsquare_lift_row(signature, d - 2, w, d))
-                    for d, w in images.items()
-                }
-            membership_ok &= not any(images.values())
+    split = _xm_split(signature, k) if signature.m else None
+    membership_ok = data_ok = True
+    for el, (den, parts) in zip(basis, coords):
+        images = {
+            d: apply_columns(laplacian_matrix(signature, d), row) for d, row in parts.items()
+        }
+        if signature.m:
+            triple = _triple(den, parts[k], images[k], split)
             data_ok &= len(parts) == 1 and _step_data_ok(signature, k, el, triple)
-    else:
-        membership_ok = all(laplacian(el.polynomial).is_zero() for el in basis)
-        data_ok = all(_step_data_ok(signature, k, el) for el in basis)
+        else:
+            data_ok &= _step_data_ok(signature, k, el)
+        if generalized:
+            lifted = {d: rsquare_lift_row(signature, d - 2, w, d) for d, w in images.items()}
+            images = {
+                d: apply_columns(laplacian_matrix(signature, d), w) for d, w in lifted.items()
+            }
+        membership_ok &= not any(images.values())
 
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),

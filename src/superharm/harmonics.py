@@ -41,10 +41,13 @@ and column x^a t_F of L_k takes column x^a of the bosonic L_|a| with t_F
 kept and column t_F of the fermionic L_|F| with x^a kept.  A term x^a' goes
 to the row of x^a' t_F and a term t_F' to the row of x^a t_F'; the two row
 sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way,
-and the columns of R_d on a mixed ring are assembled from the factor
-rings' columns.  So a mixed ring makes no polynomial, and a wrong factor
-entry reaches every mixed matrix built from it, while the certificate
-below runs on the factor matrices themselves.  exactla.operator_matrix,
+and R_d on a mixed ring is assembled like L_k.  One assembler, _assemble,
+builds both from the columns the factor matrices hold (exactla.columns),
+and transposes nothing.  So a mixed ring makes no polynomial, and a wrong
+factor entry reaches every mixed matrix built from it, while the
+certificate below runs on the factor matrices themselves.  Each operator
+has one cached IntMatrix per (signature, degree), and every reader of a
+column reads the columns that matrix holds.  exactla.operator_matrix,
 which images every monomial whole, stays the tests' reference for L_k and
 R_d.
 
@@ -54,11 +57,11 @@ number of whole pairs in F, r2 is the adjoint of lap, so
 R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
 (a_i+2)(a_i+1) for t = x_i^2 s or -4 for a pair added, is nonzero, so the
 supports agree, and the entry is +1 where the two fermion masks agree and
--1 where a pair was added.  _rsquare_columns reads row s of L_(d+2) as
-column s of R_d, and rsquare_matrix is its transpose.  All entries are
-ints, and so are those of the product lap r2 (the defect kernel) and of
-L_k reduced modulo its kernel (Ht): from the monomial maps to the canonical
-integer rows of a Subspace no Fraction is made.
+-1 where a pair was added.  rsquare_matrix turns each nonzero entry of row
+s of L_(d+2), at column t, into that +-1 at row t, column s of R_d.  All
+entries are ints, and so are those of the product lap r2 (the defect
+kernel) and of L_k reduced modulo its kernel (Ht): from the monomial maps
+to the canonical integer rows of a Subspace no Fraction is made.
 
 The direct sum is proved from the sl(2) structure, with no rank.
 [lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
@@ -149,8 +152,9 @@ dim P_(k-2) denser ones.  kernel returns canonical rows, so the Subspace is
 the one the product would give.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps the
-canonical integer rows of a Subspace through the integer column images of
-rsquare_matrix, one degree step at a time, from the space's degree up to k.
+canonical integer rows of a Subspace through the held columns of
+rsquare_matrix (exactla.apply_columns), one degree step at a time, from
+the space's degree up to k.
 The socle, the m = 0 plan agreement and lifted_mirror (the mirror harmonics
 H_(2-M-k), lifted to Theorem A's socle at degree k and to branching's
 admissible Laplacian parts at k - 2) work on those rows with no polynomial
@@ -169,6 +173,8 @@ from typing import Mapping
 from .exactla import (
     IntMatrix,
     Subspace,
+    apply_columns,
+    columns,
     kernel,
     matmul,
 )
@@ -197,11 +203,12 @@ def _factor_rings(signature: SuperSignature) -> tuple[SuperSignature, SuperSigna
     return SuperSignature(signature.m, 0), SuperSignature(0, signature.n)
 
 
-def _tensor_images(signature: SuperSignature, k: int, shift: int, factor_columns):
-    """Per monomial x^a t_F of P_k of a mixed signature, in basis order, the
-    image A(x^a t_F) = A_b(x^a) t_F + x^a A_f(t_F) as {target index: entry}
-    in the basis of P_(k+shift).  factor_columns(ring, d) gives the columns
-    {target index: entry} of A_b or A_f on degree d of a factor ring."""
+def _assemble(signature: SuperSignature, k: int, shift: int, factor_matrix) -> IntMatrix:
+    """The matrix from P_k to P_(k+shift) of a mixed signature of
+    A = A_b (x) 1 + 1 (x) A_f: column x^a t_F is A_b(x^a) t_F + x^a A_f(t_F)
+    (module docstring).  factor_matrix(ring, d) is the matrix of A_b or A_f
+    on degree d of a factor ring; its held columns are read, and none is
+    transposed."""
     bosonic_ring, fermionic_ring = _factor_rings(signature)
     tables = []
     # a factor monomial is keyed by its own part of (powers, mask)
@@ -209,17 +216,23 @@ def _tensor_images(signature: SuperSignature, k: int, shift: int, factor_columns
         table = {}
         for d in range(top + 1):
             target = monomial_basis(ring, d + shift)
-            for mono, column in zip(monomial_basis(ring, d), factor_columns(ring, d)):
-                table[mono[part]] = [(target[t][part], v) for t, v in column.items()]
+            starts, rows, entries = columns(factor_matrix(ring, d))
+            for s, mono in enumerate(monomial_basis(ring, d)):
+                table[mono[part]] = [
+                    (target[rows[x]][part], entries[x]) for x in range(starts[s], starts[s + 1])
+                ]
         tables.append(table)
     bosonic, fermionic = tables
+    source = monomial_basis(signature, k)
     tidx = basis_index(signature, k + shift)
+    data: list[dict[int, int]] = [{} for _ in tidx]
     # plain (powers, mask) tuples hash and compare like SuperMonomial
-    for powers, f in monomial_basis(signature, k):
-        image = {tidx[(a, f)]: v for a, v in bosonic[powers]}
+    for j, (powers, f) in enumerate(source):
+        for a, v in bosonic[powers]:
+            data[tidx[(a, f)]][j] = v
         for g, v in fermionic[f]:
-            image[tidx[(powers, g)]] = v
-        yield image
+            data[tidx[(powers, g)]][j] = v
+    return IntMatrix(len(source), data)
 
 
 @lru_cache(maxsize=None)
@@ -228,47 +241,32 @@ def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
     or n = 0) each basis monomial is imaged once by operators.laplacian; on
     a mixed ring it is assembled from the factor rings' matrices (module
     docstring)."""
+    if signature.m and signature.n:
+        return _assemble(signature, k, -2, laplacian_matrix)
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k - 2)
     data: list[dict[int, int]] = [{} for _ in tidx]
-    if signature.m and signature.n:
-        images = _tensor_images(
-            signature, k, -2, lambda ring, d: laplacian_matrix(ring, d).transpose().row_dicts()
-        )
-        for j, image in enumerate(images):
-            for t, v in image.items():
-                data[t][j] = v
-    else:
-        for j, mono in enumerate(source):
-            for target, c in laplacian(SuperPolynomial(signature, {mono: 1}, _clean=True)):
-                data[tidx[target]][j] = c
+    for j, mono in enumerate(source):
+        for target, c in laplacian(SuperPolynomial(signature, {mono: 1}, _clean=True)):
+            data[tidx[target]][j] = c
     return IntMatrix(len(source), data)
 
 
 @lru_cache(maxsize=None)
-def _rsquare_columns(signature: SuperSignature, degree: int) -> tuple[Mapping[int, int], ...]:
-    """Column s of the matrix of r2 on P_degree as {target index: +-1}.  On a
-    factor ring it is the image of the s-th monomial, read off row s of the
-    Laplacian matrix two degrees up (module docstring): a target with the
-    same fermion mask is x_i^2 times the monomial (+1); one with a pair
-    added carries -1.  On a mixed ring it is assembled from the factor
-    rings' columns."""
-    if signature.m and signature.n:
-        return tuple(_tensor_images(signature, degree, 2, _rsquare_columns))
-    rows = laplacian_matrix(signature, degree + 2).row_dicts()
-    target = monomial_basis(signature, degree + 2)
-    return tuple(
-        {t: 1 if target[t].fermions == mono.fermions else -1 for t in row}
-        for mono, row in zip(monomial_basis(signature, degree), rows)
-    )
-
-
-@lru_cache(maxsize=None)
 def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
-    """Matrix of multiplication by r2 from P_degree to P_(degree+2): the
-    transpose of its columns."""
-    cols = len(monomial_basis(signature, degree + 2))
-    return IntMatrix(cols, _rsquare_columns(signature, degree)).transpose()
+    """Matrix of multiplication by r2 from P_degree to P_(degree+2): read
+    off L_(degree+2) on a factor ring, assembled on a mixed ring (module
+    docstring)."""
+    if signature.m and signature.n:
+        return _assemble(signature, degree, 2, rsquare_matrix)
+    source = monomial_basis(signature, degree)
+    target = monomial_basis(signature, degree + 2)
+    data: list[dict[int, int]] = [{} for _ in target]
+    lap_rows = laplacian_matrix(signature, degree + 2).row_dicts()
+    for s, (mono, row) in enumerate(zip(source, lap_rows)):
+        for t in row:
+            data[t][s] = 1 if target[t].fermions == mono.fermions else -1
+    return IntMatrix(len(source), data)
 
 
 def rsquare_lift_rows(space: Subspace, k: int) -> list[dict[int, int]]:
@@ -286,17 +284,12 @@ def rsquare_lift_row(
     signature: SuperSignature, degree: int, row: Mapping[int, int], k: int
 ) -> Mapping[int, int]:
     """A row on the basis of P_degree multiplied by r^(k - degree), through
-    the columns of r2 one degree step at a time; the row itself at
+    the held columns of R_d one degree step at a time; the row itself at
     k = degree.  The caller keeps k - degree even and nonnegative."""
     for d in range(degree, k, 2):
         if not row:
             break
-        columns = _rsquare_columns(signature, d)
-        acc: dict[int, int] = {}
-        for source, a in row.items():
-            for target, c in columns[source].items():
-                acc[target] = acc.get(target, 0) + a * c
-        row = {t: v for t, v in acc.items() if v}
+        row = apply_columns(rsquare_matrix(signature, d), row)
     return row
 
 
@@ -493,10 +486,11 @@ def _lead_failure(signature: SuperSignature, d: int) -> str | None:
     injective on P_d.  The witness names the first column that fails."""
     target = monomial_basis(signature, d + 2)
     tidx = basis_index(signature, d + 2)
-    columns = _rsquare_columns(signature, d)
-    for s, (mono, column) in enumerate(zip(monomial_basis(signature, d), columns)):
+    starts, rows, entries = columns(rsquare_matrix(signature, d))
+    for s, mono in enumerate(monomial_basis(signature, d)):
         top = mono.powers[0] + 2
         lead = tidx[SuperMonomial((top,) + mono.powers[1:], mono.fermions)]
+        column = {rows[x]: entries[x] for x in range(starts[s], starts[s + 1])}
         if column.get(lead) != 1 or any(
             target[t].powers[0] >= top for t in column if t != lead
         ):

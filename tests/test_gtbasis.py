@@ -399,18 +399,21 @@ def test_row_descent_matches_the_polynomial_construction(m, n, k):
 
 def _corrupt_bosonic_rsquare(monkeypatch, ring, degree):
     """+1 on the x1^2 lead of column 0 of R_degree on the bosonic factor
-    ring: every mixed r2 matrix assembled from it changes with it."""
-    original = harmonics._rsquare_columns.__wrapped__
+    ring, in a new IntMatrix with columns of its own: every mixed r2 matrix
+    assembled from it changes with it."""
+    original = harmonics.rsquare_matrix.__wrapped__
     powers, fermions = monomial_basis(ring, degree)[0]
     lead = basis_index(ring, degree + 2)[SuperMonomial((powers[0] + 2,) + powers[1:], fermions)]
 
     def edited(sig, d):
-        cols = original(sig, d)
+        R = original(sig, d)
         if (sig, d) != (ring, degree):
-            return cols
-        return ({**cols[0], lead: cols[0][lead] + 1},) + cols[1:]
+            return R
+        rows = [dict(row) for row in R.row_dicts()]
+        rows[lead][0] += 1
+        return IntMatrix(R.cols, rows)
 
-    monkeypatch.setattr(harmonics, "_rsquare_columns", edited)
+    monkeypatch.setattr(harmonics, "rsquare_matrix", edited)
 
 
 @pytest.mark.parametrize("m,n,k,target", [(3, 2, 5, "H"), (2, 3, 5, "Ht"), (3, 0, 4, "H")])
@@ -421,9 +424,9 @@ def test_wrong_rsquare_factor_entry_fails_restriction_data(monkeypatch, m, n, k,
     sig = SuperSignature(m, n)
     lower = sig.restricted()
     assert verify_gt_basis(sig, k, target).verified
-    before = harmonics._rsquare_columns(lower, 1)
+    before = harmonics.rsquare_matrix(lower, 1)
     _corrupt_bosonic_rsquare(monkeypatch, SuperSignature(lower.m, 0), 1)
-    assert harmonics._rsquare_columns(lower, 1) != before
+    assert harmonics.rsquare_matrix(lower, 1) != before
     checks = dict(verify_gt_basis(sig, k, target).checks)
     assert not checks["restriction data matches one level down"]
     assert checks["every element is annihilated"] and checks["elements are linearly independent"]
@@ -474,13 +477,18 @@ def test_non_homogeneous_bosonic_element_fails_without_raising(monkeypatch, extr
     }
 
 
-@pytest.mark.parametrize("m,n,k,target", [(2, 3, 5, "Ht"), (3, 2, 5, "H"), (2, 1, 2, "Ht"), (3, 0, 4, "H")])
+@pytest.mark.parametrize(
+    "m,n,k,target",
+    [(2, 3, 5, "Ht"), (3, 2, 5, "H"), (2, 1, 2, "Ht"), (3, 0, 4, "H"), (0, 3, 2, "H"), (0, 2, 1, "Ht")],
+)
 def test_bosonic_verification_runs_no_polynomial_operator(monkeypatch, m, n, k, target):
     # with the basis and the matrices built, the verification reads every
     # element through integer rows: no restriction triple, no Laplacian or
-    # r2 applied to a polynomial
+    # r2 applied to a polynomial.  At m = 0 too the annihilation is L_k
+    # applied to the coordinates; gtbasis imports no polynomial operator.
     sig = SuperSignature(m, n)
     assert verify_gt_basis(sig, k, target).verified
+    assert not hasattr(gtbasis, "laplacian")
 
     def refuse(*args):
         raise AssertionError("polynomial operator called")
@@ -491,7 +499,6 @@ def test_bosonic_verification_runs_no_polynomial_operator(monkeypatch, m, n, k, 
         (operators, "laplacian"),
         (operators, "rsquare_mul"),
         (harmonics, "laplacian"),
-        (gtbasis, "laplacian"),
     ):
         monkeypatch.setattr(module, name, refuse)
     assert verify_gt_basis(sig, k, target).verified

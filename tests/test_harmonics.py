@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superharm import exactla, harmonics
+from superharm import ck, exactla, harmonics
 from superharm.ck import CKData, ck_extend
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
     IntMatrix,
     Subspace,
+    columns,
     kernel,
     matmul,
     operator_matrix,
@@ -194,7 +195,7 @@ def _zassenhaus_socle(sig, k):
     if k < 2:
         return Subspace.zero(H.ambient_dim, (sig, k))
     image = Subspace.from_rows(
-        H.ambient_dim, harmonics._rsquare_columns(sig, k - 2), (sig, k)
+        H.ambient_dim, rsquare_matrix(sig, k - 2).transpose().row_dicts(), (sig, k)
     )
     return H.intersect(image)
 
@@ -477,7 +478,6 @@ def test_no_fischer_path_takes_a_rank(monkeypatch):
 _HARMONIC_CACHES = (
     laplacian_matrix,
     rsquare_matrix,
-    harmonics._rsquare_columns,
     harmonic_space,
     generalized_harmonic_space,
     defect_kernel,
@@ -551,6 +551,50 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
     # which only a certificate on P_5 would need, is never built
     assert (factor_rings[0], 7) in builds and (S23, 7) not in builds
     assert {sig for sig, _ in builds} == {S23, *factor_rings}
+
+
+def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
+    # the lower Laplacians of the ck suite's grid: a mixed one is assembled
+    # from the columns its factor matrices hold, with no transpose, and each
+    # factor matrix is compressed once, however many assemblies read it
+    def refuse(self):
+        raise AssertionError("IntMatrix.transpose called")
+
+    built = []
+    original = exactla._compress
+
+    def counting(A):
+        built.append(A)
+        return original(A)
+
+    cached = laplacian_matrix
+    matrices = {}
+
+    def recording(signature, k):
+        matrices[signature, k] = cached(signature, k)
+        return matrices[signature, k]
+
+    monkeypatch.setattr(IntMatrix, "transpose", refuse)
+    monkeypatch.setattr(exactla, "_compress", counting)
+    monkeypatch.setattr(harmonics, "laplacian_matrix", recording)
+    monkeypatch.setattr(ck, "laplacian_matrix", recording)
+    kmax = _SUITE_KMAX["ck"]
+    lowers = {SuperSignature(m, n).restricted() for m, n in VERIFY_GRID if m}
+    for lower in lowers:
+        for k in range(kmax + 1):
+            ck._lower_laplacians(lower, k)
+    assert cached.cache_info().misses == len(matrices) == 37
+    # a mixed L_k reads its bosonic factor on degrees 0..k and its
+    # fermionic factor on 0..min(k, 2n)
+    read = {
+        (ring, d)
+        for lower in lowers
+        if lower.m and lower.n
+        for ring, top in zip(harmonics._factor_rings(lower), (kmax, min(kmax, 2 * lower.n)))
+        for d in range(top + 1)
+    }
+    assert len(built) == len({id(A) for A in built}) == len(read)
+    assert {id(A) for A in built} == {id(matrices[key]) for key in read}
 
 
 # the verify grid at every suite's degrees, (4|8) and (0|4), (3|0) to k = 8;
@@ -662,7 +706,7 @@ def test_rsquare_read_off_the_laplacian_matches_the_operator_matrix(sig):
     for d in range(6):
         reference = operator_matrix(rsquare_mul, sig, d, 2)
         assert rsquare_matrix(sig, d) == reference, d
-        assert harmonics._rsquare_columns(sig, d) == reference.transpose().row_dicts(), d
+        assert columns(rsquare_matrix(sig, d)) == columns(reference), d
 
 
 def _plan_mutations(plan):
@@ -747,9 +791,20 @@ def test_fermionic_plan_fails_the_injectivity_check(monkeypatch, plan, witness, 
 REGULAR_MIXED = SuperSignature(3, 2)  # M = -1: no Ht, so the spaces take no r2
 
 
-def _with_rsquare_columns(monkeypatch, edit):
-    original = harmonics._rsquare_columns.__wrapped__
-    monkeypatch.setattr(harmonics, "_rsquare_columns", lambda s, d: edit(s, d, original(s, d)))
+def _with_rsquare_matrix(monkeypatch, edit):
+    """Patch harmonics.rsquare_matrix with the matrix whose columns, as
+    dicts {row: entry}, are edit(signature, degree, columns): a new
+    IntMatrix, with columns of its own.  Uncached, so the mixed matrices are
+    assembled afresh from the edited factor matrices."""
+    original = harmonics.rsquare_matrix.__wrapped__
+
+    def edited(sig, d):
+        R = original(sig, d)
+        cols = R.transpose().row_dicts()
+        new = edit(sig, d, cols)
+        return R if new is cols else IntMatrix(R.rows, new).transpose()
+
+    monkeypatch.setattr(harmonics, "rsquare_matrix", edited)
 
 
 def _drop_lead(monkeypatch, ring, degree, column):
@@ -763,7 +818,7 @@ def _drop_lead(monkeypatch, ring, degree, column):
         dropped = {t: v for t, v in columns[column].items() if t != lead}
         return columns[:column] + (dropped,) + columns[column + 1 :]
 
-    _with_rsquare_columns(monkeypatch, edit)
+    _with_rsquare_matrix(monkeypatch, edit)
 
 
 def _flip_pair_signs(monkeypatch, ring):
@@ -774,7 +829,7 @@ def _flip_pair_signs(monkeypatch, ring):
             return columns
         return tuple({t: abs(v) for t, v in column.items()} for column in columns)
 
-    _with_rsquare_columns(monkeypatch, edit)
+    _with_rsquare_matrix(monkeypatch, edit)
 
 
 def _add_to_laplacian_entry(monkeypatch, ring, degree):
