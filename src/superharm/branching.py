@@ -57,11 +57,12 @@ otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
 otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  Each
 product reads the columns that the cached matrix holds
 (exactla.apply_columns), built once per matrix, so every slot check of
-every report, and the GT basis, read one build.  The slots and their degrees live in ck; the GT step check
-of gtbasis reads the same triple on integer rows, off the coordinates of
-each element.  The read-back is a left inverse of the extension,
-so the extension is injective and its image has the dimension of its data,
-which the count checks compare with lhs_dim.  Both branchings end in one
+every report, and the GT basis, read one build.  The slots and their
+degrees live in ck; the GT step check of gtbasis reads the same triple on
+integer rows, off the coordinates of each element.  The read-back is a
+left inverse of the extension, so the extension is injective and its image
+has the dimension of its data, which the count checks compare with
+lhs_dim.  Both branchings end in one
 report builder, _report, which puts the summand-dimension sum first.
 """
 
