@@ -35,8 +35,10 @@ components one level down, in degrees k and k - 1.  They are complete
 exactly when those lower decompositions verify, so the completeness check
 takes the verdicts of harmonics.fischer_decomposition and ranks nothing.
 The summand dimensions are Fischer's counted start dimensions one level
-down (harmonics.start_dim), and no kernel is taken on a P'_l.  For
-m - 1 >= 1 the count at l rests on the lead certificate (b) at l - 2 <= k - 2;
+down (harmonics.start_dim), and no kernel is taken on a P'_l, nor, for
+m - 1 >= 1, a defect kernel under a lower Ht' start, whose dimension is
+counted too.  For m - 1 >= 1 the count at l rests on the lead certificate
+(b) at l - 2 <= k - 2 (and, for Ht', on the closed forms of P'_(l-2));
 the lower decompositions of degrees k and k - 1 run (b) at every degree up
 to k - 2, and the completeness check requires them to verify, so a report
 that verifies has proved its summand dimensions.  At m - 1 = 0 start_dim
@@ -47,7 +49,8 @@ on every generator made from it, and the boundary and normal slots are
 checked on the unit rows of the monomial bases of P'_k and P'_(k-1).  The
 Laplacian slot takes the rows of the defect kernel ker(L_k R_(k-2)), which
 lives in harmonics: it is cached there beside the spaces it serves, and the
-socle of Theorem A is its r2-image, so one kernel serves both.  One check,
+socle of Theorem A is its r2-image (for m >= 1 Theorem A reaches it as the
+lifted mirror, with no kernel on P_(k-2)).  One check,
 _slot_generators_ok, serves all three slots, in index space:
 ck.slot_extension turns each integer row into the row E of k! times its
 extension on the degree-k basis, one row at a time.  E is read back by

@@ -23,8 +23,9 @@ with the index-set formula.
 
 H_k and the defect kernel below are exact kernels of exact matrices, and
 Ht_k is the kernel of L_k reduced modulo the defect kernel (below); for
-m >= 1 the Fischer decomposition counts its start dimensions instead (see
-the end of the certificate).
+m >= 1 the Fischer decomposition and Theorem A count these dimensions
+instead (see the end of the certificate), and the one kernel they take is
+Theorem A's mirror harmonics, on a degree at most -M/2.
 
 The ring is the tensor product P(m|0) (x) Lambda(2n) of its two factor
 rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), and lap and
@@ -98,9 +99,8 @@ every d <= k - 2 is a sum d_b + d_f with d_b <= k - 2 and
 d_f <= min(k - 2, 2n).  Column x^a t_F of R_d is column x^a of the bosonic
 R_|a| with t_F kept, plus fermionic terms x^a t_F' that keep the x1
 exponent of x^a.  So (b) on P_d follows from (b) on the bosonic ring at
-|a| <= d.  So the certificate builds no matrix of a mixed ring; the only
-ones a Fischer decomposition builds are those of the defect kernels at its
-exceptional starts.
+|a| <= d.  So the certificate builds no matrix of a mixed ring, and for
+m >= 1 a Fischer decomposition builds none at all.
 
 fischer_decomposition checks, in this order: (c) every component lies in
 P_k and the values c_l are distinct over the plan's starts, and at m = 0
@@ -122,13 +122,28 @@ transpose of R_(l-2) and L_l have the same support.  (b) at l - 2 then makes
 the minor of L_l on the columns {x1^2 s : s in P_(l-2)} triangular in the
 x1 exponent, with a nonzero diagonal, so L_l is onto P_(l-2) and
 dim H_l = dim P_l - dim P_(l-2).  Ht_l = L_l^-1(ker L_l R_(l-2)), so, L_l
-being onto, dim Ht_l = dim H_l + dim D_(l-2), D the defect kernel below.
-The certificate proves (b) on every P_d with d <= k - 2, which covers
-l - 2 for every start l >= 2 (below, P_(l-2) = 0): a report that verifies
-has proved the dimensions it summed, with no further check.  A wrong defect
-kernel fails (d); a missing lead fails (b), or (d) first where it also
-shrinks a defect kernel.  At m = 0 (b) is false, and the starts keep their
-kernels.
+being onto, Ht_l adds the defect kernel: dim Ht_l = dim H_l + dim D_(l-2),
+D the defect kernel below, and dim D is counted too.  The decomposition of
+P_(l-2) splits it into blocks r^(2j) (H or Ht)_s with s + 2j = l - 2.  By
+(a), L_l R_(l-2) acts on r^(2j) H_s as the scalar 2(j+1)(2s + 2j + M), and
+on r^(2j) Ht_s as that scalar plus a nilpotent part, since r2 lap g lies in
+the socle, inside H_s, for g in Ht_s.  r2 is injective by (b), so a block
+has a kernel only where its scalar vanishes, and the kernel is then
+r^(2j) H_s.  2s + 2j + M = s + l - 2 + M vanishes only at the mirror
+s = 2 - M - l.  That s is a start of P_(l-2), and an ordinary one (an
+exceptional s has 2s + M >= 4), exactly when l is an exceptional start:
+0 <= s <= l - 2 with s = l mod 2 is the window at even M.  So
+dim D_(l-2) = dim H_s = dim P_s - dim P_(s-2) at an exceptional l, and 0 at
+every other l, odd M included (_counted_defect_dim).  The count rests on
+(b) at every degree up to l - 2 and on the decomposition of P_(l-2), by
+induction on degree; the (c) and (d) of P_(l-2) are closed forms in M and
+l - 2 that read no matrix, and verify_theorem_A requires its report.  The
+certificate proves (b) on every P_d with d <= k - 2, which covers l - 2 for
+every start l >= 2 (below, P_(l-2) = 0): a report that verifies has proved
+the dimensions it summed, with no further check.  A wrong count fails (d),
+and a missing lead fails (b), even where it shrinks a defect kernel, which
+the report does not read.  At m = 0 (b) is false, and the starts keep
+their kernels.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -137,7 +152,11 @@ is not injective, and needs no intersection: the kernel is taken on the
 dim P_(k-2) columns of L_k R_(k-2), not on a stack of 2 dim P_k columns.
 defect_kernel is cached beside the spaces, and branching's
 prescribed-Laplacian slot takes the same kernel; the socle itself is not
-cached, as each verification reads it once per degree.
+cached, as each verification reads it once per degree.  For m >= 1,
+verify_theorem_A takes neither: it lifts the mirror H_(2-M-k) to k, and
+L_k on each lifted row proves the mirror lifted to k - 2 lies in D.  As
+many rows as the counted dim D, independent by (b), make it all of D, so
+the socle is the lifted mirror at k.
 
 Ht_k is a preimage in the same way: lap r2 lap p = 0 iff L_k p lies in
 D = ker(L_k R_(k-2)), so Ht_k = L_k^-1(D), for every m, and D is the defect
@@ -570,15 +589,29 @@ def _certificate_failure(
     return None
 
 
+def _counted_defect_dim(signature: SuperSignature, degree: int) -> int:
+    """dim D_degree = dim ker(L_(degree+2) R_degree) for m >= 1, counted
+    (module docstring): the mirror harmonics' dim P_s - dim P_(s-2), with
+    s = 2 - M - (degree + 2), when degree + 2 is an exceptional start, and 0
+    everywhere else."""
+    l = degree + 2
+    if l not in exceptional_indices(signature.M):
+        return 0
+    s = 2 - signature.M - l
+    return space_dimension(signature, s) - space_dimension(signature, s - 2)
+
+
 def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
-    """dim (H or Ht)_degree: counted for m >= 1, where (b) at degree - 2
-    proves the count (module docstring); the kernel's at m = 0.  Fischer's
-    starts and branching's lower summands both take their dimensions here."""
+    """dim (H or Ht)_degree: counted for m >= 1, dim P_l - dim P_(l-2) plus,
+    for Ht, the counted defect dimension at l - 2; (b) at l - 2 and the
+    verified decomposition of P_(l-2) prove the counts (module docstring).
+    The kernel's at m = 0.  Fischer's starts and branching's lower summands
+    both take their dimensions here."""
     if signature.m == 0:
         return _SPACES[kind](signature, degree).dim
     dim = space_dimension(signature, degree) - space_dimension(signature, degree - 2)
     if kind == "Ht":
-        dim += defect_kernel(signature, degree - 2).dim
+        dim += _counted_defect_dim(signature, degree - 2)
     return dim
 
 
@@ -586,10 +619,11 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     """Decompose P_k into r-power multiples of (generalized) harmonics and
     verify that the sum is direct and fills P_k by the sl(2) certificate.
 
-    For m >= 1 no kernel is taken on the P_l of a start: the start dimensions
-    are dim P_l - dim P_(l-2), plus the defect kernel on P_(l-2) at an
-    exceptional start, and the certificate's lead check (b) at l - 2 is what
-    proves them.  At m = 0 they are the dimensions of the kernels."""
+    For m >= 1 no kernel is taken: the start dimensions are
+    dim P_l - dim P_(l-2), plus the counted defect dimension on P_(l-2) at
+    an exceptional start, and the certificate's lead check (b) at l - 2 is
+    what proves them (module docstring).  At m = 0 they are the dimensions
+    of the kernels."""
     if k < 0:
         raise ValueError("negative degree")
     plan, suppressed = _decomposition_plan(signature, k)
@@ -657,9 +691,67 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     """Regular degrees: Ht_k = H_k and the socle vanishes.  Exceptional
     degrees: the socle is the r-power image of the mirror harmonics, the
     chain socle < H_k < Ht_k is strict, and the three defect dimensions
-    agree."""
+    agree.
+
+    For m >= 1 the one kernel taken is the mirror H_(2-M-k) at an
+    exceptional k, on a degree at most -M/2 (module docstring).  dim H_k,
+    dim D_(k-2) and so dim Ht_k and the socle are counted, and every check
+    also requires the Fischer reports at k and k - 2 to verify: their (b)
+    proves the counts of H and the injectivity of the lift, their (c) and
+    (d) the count of D.  L_k kills each lifted mirror row, so the mirror
+    lifted to k - 2 lies in D; with as many rows as the counted dim D, it is
+    D, and its r2-image is the socle.  At m = 0 the kernels are taken."""
     if k < 0:
         raise ValueError("negative degree")
+    if signature.m == 0:
+        return _kernel_theorem_A(signature, k)
+    M = signature.M
+    exceptional = k in exceptional_indices(M)
+    certified = fischer_decomposition(signature, k).verified and (
+        k < 2 or fischer_decomposition(signature, k - 2).verified
+    )
+    dim_h = start_dim(signature, "H", k)
+    dim_socle = _counted_defect_dim(signature, k - 2)
+    dim_ht = dim_h + dim_socle
+    checks: list[tuple[str, bool]] = []
+    dim_mirror = None
+    if not exceptional:
+        collapsed = certified and dim_socle == 0
+        checks.append(("generalized equals harmonic", collapsed))
+        checks.append(("socle is zero", collapsed))
+    else:
+        mirror = harmonic_space(signature, 2 - M - k)
+        dim_mirror = mirror.dim
+        lifted = rsquare_lift_rows(mirror, k)
+        lap = laplacian_matrix(signature, k)
+        checks.append(
+            (
+                "socle is r-power of mirror harmonics",
+                certified
+                and len(lifted) == dim_socle == dim_mirror
+                and not any(apply_columns(lap, row) for row in lifted),
+            )
+        )
+        checks.append(("strict chain socle < H < Ht", certified and dim_socle < dim_h < dim_ht))
+        checks.append(("defect dimensions agree", certified and dim_socle == dim_mirror))
+    return TheoremAReport(
+        signature=signature,
+        k=k,
+        exceptional=exceptional,
+        dim_h=dim_h,
+        dim_ht=dim_ht,
+        dim_socle=dim_socle,
+        dim_mirror=dim_mirror,
+        quotient_dim=dim_h - dim_socle,
+        checks=tuple(checks),
+        verified=all(ok for _, ok in checks),
+    )
+
+
+def _kernel_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
+    """verify_theorem_A from the kernels H_k, Ht_k and the socle at every
+    m: the path at m = 0, and the reference for the counted path at
+    m >= 1."""
     M = signature.M
     H = harmonic_space(signature, k)
     Ht = generalized_harmonic_space(signature, k)

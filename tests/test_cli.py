@@ -315,6 +315,12 @@ _GOLDEN = [
     # a bosonic-only ring: R_d read straight off L_(d+2)
     (["fischer", "--m", "3", "--n", "0", "--kmax", "8", "--format", "json"], 0,
      "78f98b9ea3a458f9a74b555650eb63c2f48040cf3966fc1c1e62d24a3360b7e7"),
+    # Theorem A on (4|8) through its window 4..6 and four degrees past it,
+    # and on (2|6) through its window and two degrees past it
+    (["verify", "--suite", "theoremA", "--m", "4", "--n", "4", "--kmax", "10", "--format", "json"], 0,
+     "d2a95077b9b72c27f19ed9eeae5a8569734af2f50fce984b0a4947721d45dd13"),
+    (["verify", "--suite", "theoremA", "--m", "2", "--n", "3", "--kmax", "8", "--format", "json"], 0,
+     "88c93b79d6920e1225496d6f29e14e7e556017253cd01f2c424bac43a747506b"),
 ]
 
 

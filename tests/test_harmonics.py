@@ -17,6 +17,7 @@ from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
     IntMatrix,
     Subspace,
+    apply_columns,
     columns,
     kernel,
     matmul,
@@ -223,18 +224,22 @@ def test_socle_grid_meets_nonzero_socles():
 
 
 def test_socle_cut_from_the_wrong_kernel_fails_the_socle_check(monkeypatch):
-    # r2 times the degree-(k-2) harmonics in place of r2 times the defect
-    # kernel: a space of the right degree that is not the socle.  At the
-    # bottom of the window, k = 4, the mirror degree is k - 2 and the two
-    # kernels coincide (both are H_2), so only k = 5, 6 can tell them apart.
-    def harmonic_kernel(sig, degree):
-        return kernel(laplacian_matrix(sig, degree), (sig, degree))
-
-    assert defect_kernel(S23, 2) == harmonic_kernel(S23, 2)
-    monkeypatch.setattr(harmonics, "defect_kernel", harmonic_kernel)
-    for k in (5, 6):
-        checks = dict(verify_theorem_A(S23, k).checks)
-        assert not checks["socle is r-power of mirror harmonics"], k
+    # a mirror that is not harmonic, of the right dimension: at the bottom of
+    # the (2|6) window, k = 4, the mirror degree is 2, and its lift by r2 to
+    # P_4 is not killed by L_4.  The counts all hold, so only the socle check
+    # can tell.
+    H2 = harmonic_space(S23, 2)
+    lap = laplacian_matrix(S23, 2)
+    outside = next(j for j in range(H2.ambient_dim) if apply_columns(lap, {j: 1}))
+    wrong = Subspace.from_rows(H2.ambient_dim, [{outside: 1}, *H2.rows[1:]], H2.ambient)
+    assert wrong.dim == H2.dim and not H2.contains_subspace(wrong)
+    original = harmonics.harmonic_space
+    monkeypatch.setattr(
+        harmonics, "harmonic_space", lambda sig, d: wrong if (sig, d) == (S23, 2) else original(sig, d)
+    )
+    rep = verify_theorem_A(S23, 4)
+    assert not rep.verified
+    assert [name for name, ok in rep.checks if not ok] == ["socle is r-power of mirror harmonics"]
 
 
 def test_defect_kernel_is_shared_with_branching():
@@ -641,13 +646,13 @@ def _recorded_kernels(monkeypatch):
 
 @pytest.mark.parametrize("sig", [S23, SuperSignature(4, 4)], ids=str)
 def test_no_fischer_start_takes_a_kernel_on_its_degree(monkeypatch, fresh_caches, sig):
-    # for m >= 1 the start dimensions are counted; the only kernels are the
-    # defect kernels on P_(l-2) below the exceptional starts (here Ht_5)
+    # for m >= 1 the start dimensions are counted, and so is the defect
+    # dimension below the exceptional start (here Ht_5): no kernel at all
     calls = _recorded_kernels(monkeypatch)
     rep = fischer_decomposition(sig, 7)
     assert rep.verified
     assert [s.describe() for s in rep.summands] == ["r^4*H_3", "r^2*Ht_5", "H_7"]
-    assert calls == [(3, len(monomial_basis(sig, 3)))]
+    assert calls == []
 
 
 def test_fermionic_fischer_starts_keep_their_kernels(monkeypatch, fresh_caches):
@@ -682,20 +687,84 @@ def test_counted_start_dims_match_the_kernels(monkeypatch, sig, degrees):
 
 
 def test_wrong_defect_kernel_fails_the_dimension_sum(monkeypatch):
-    # one row short at degree 3: the Ht_5 start of (2|6) k = 5 is counted one
-    # too small, and nothing but the sum can see it
-    original = harmonics.defect_kernel
-
-    def one_row_short(sig, degree):
-        space = original(sig, degree)
-        if degree != 3:
-            return space
-        return Subspace(space.ambient_dim, space.rows[1:], space.ambient)
-
-    monkeypatch.setattr(harmonics, "defect_kernel", one_row_short)
+    # the defect dimension at degree 3 counted one short: the Ht_5 start of
+    # (2|6) k = 5 is one too small, and nothing but the sum can see it
+    original = harmonics._counted_defect_dim
+    monkeypatch.setattr(
+        harmonics, "_counted_defect_dim", lambda sig, degree: original(sig, degree) - (degree == 3)
+    )
     rep = fischer_decomposition(S23, 5)
     assert not rep.verified
     assert rep.failure_witness == "sum of dims 191 vs dim P_5 = 192"
+
+
+# m = 1..5, n = 0..4 at every start l <= 10 whose P_(l-2) has dim <= 3000
+DEFECT_COUNT_GRID = [
+    (SuperSignature(m, n), l)
+    for m in range(1, 6)
+    for n in range(5)
+    for l in range(11)
+    if space_dimension(SuperSignature(m, n), l - 2) <= 3000
+]
+
+
+def _mirror_count(sig, s):
+    return space_dimension(sig, s) - space_dimension(sig, s - 2)
+
+
+def test_counted_defect_dims_match_the_defect_kernels():
+    # the count of D_(l-2) against its kernel; two wrong counts must fail on
+    # the same grid: one with no exceptional guard (it fires at odd M and
+    # outside the window, where D = 0), and one with the mirror off by 2
+    assert len(DEFECT_COUNT_GRID) == 264
+    dims = [defect_kernel(sig, l - 2).dim for sig, l in DEFECT_COUNT_GRID]
+
+    def mismatches(count):
+        return sum(count(sig, l - 2) != dim for (sig, l), dim in zip(DEFECT_COUNT_GRID, dims))
+
+    def unguarded(sig, degree):
+        return _mirror_count(sig, -sig.M - degree)
+
+    def mirror_off_by_two(sig, degree):
+        if degree + 2 not in exceptional_indices(sig.M):
+            return 0
+        return _mirror_count(sig, -sig.M - degree - 2)
+
+    assert mismatches(harmonics._counted_defect_dim) == 0
+    assert mismatches(unguarded) == 87
+    assert mismatches(mirror_off_by_two) == 16
+
+
+# the m >= 1 signatures of the verify grid at the theoremA suite's degrees,
+# and (4|8) and (2|6) to k = 8, through both windows 4..6 and past them
+COUNTED_THEOREM_A_CASES = [
+    (SuperSignature(m, n), range(_SUITE_KMAX["theoremA"] + 1)) for m, n in VERIFY_GRID if m
+] + [(SuperSignature(4, 4), range(9)), (S23, range(9))]
+
+
+@pytest.mark.parametrize("sig, degrees", COUNTED_THEOREM_A_CASES, ids=lambda v: str(v))
+def test_counted_theorem_A_matches_the_kernel_reference(sig, degrees):
+    # the whole report, dims, check names and verdicts, against the one
+    # built from the kernels H_k, Ht_k and the socle
+    for k in degrees:
+        rep = verify_theorem_A(sig, k)
+        assert rep == harmonics._kernel_theorem_A(sig, k), k
+        assert rep.verified, (k, rep.checks)
+
+
+@pytest.mark.parametrize("sig", [S23, SuperSignature(4, 4)], ids=str)
+def test_theorem_A_takes_one_kernel_on_the_mirror(monkeypatch, fresh_caches, sig):
+    # at an exceptional k the one kernel is the mirror H_(2-M-k) on
+    # P_(2-M-k); off the window Theorem A takes none, and neither do the
+    # Fischer reports at k and k - 2 that it reads, k = 0..8
+    calls = _recorded_kernels(monkeypatch)
+    window = exceptional_indices(sig.M)
+    for k in range(9):
+        _clear_harmonic_caches()
+        calls.clear()
+        assert verify_theorem_A(sig, k).verified, k
+        s = 2 - sig.M - k
+        assert calls == ([(s, len(monomial_basis(sig, s)))] if k in window else []), k
 
 
 FAST_PATH_GRID = [SuperSignature(m, n) for m in range(5) for n in range(4)]
@@ -883,8 +952,9 @@ def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_cach
     [
         # x1 x2^3: the defect kernel on P_4 keeps its dimension
         (1, 1, "bosonic r2 lead certificate fails at degree 4, column 1"),
-        # x2^4: the defect kernel shrinks, so the dimension sum fails first
-        (0, 0, "sum of dims 255 vs dim P_6 = 256"),
+        # x2^4: the defect kernel shrinks, but the report counts its
+        # dimension, so the lead check is what fails
+        (0, 0, "bosonic r2 lead certificate fails at degree 4, column 0"),
     ],
     ids=["lead-witness", "sum-witness"],
 )
@@ -892,8 +962,9 @@ def test_dropped_rsquare_lead_below_an_exceptional_start_fails(
     monkeypatch, fresh_caches, column, defect_dim, witness
 ):
     # degree 4 lies below the Ht_6 start of (2|6) k = 6, whose counted
-    # dimension takes the defect kernel on P_4, built with the mixed R_4 that
-    # is assembled from this bosonic R_4
+    # dimension adds the counted defect dimension on P_4; the defect kernel,
+    # built with the mixed R_4 that is assembled from this bosonic R_4, may
+    # shrink, and the count rests on the lead check that fails
     assert defect_kernel(S23, 4).dim == 1
     _clear_harmonic_caches()
     _drop_lead(monkeypatch, _bosonic(S23), 4, column)
@@ -988,6 +1059,22 @@ def test_corrupted_factor_entry_fails_both_certificates(monkeypatch, fresh_cache
     assert _full_size_certificate(sig, 6) is not None
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda patch, sig: _drop_lead(patch, _bosonic(sig), 2, 0),
+        lambda patch, sig: _flip_pair_signs(patch, _fermionic(sig)),
+    ],
+    ids=["bosonic-lead", "fermionic-sign"],
+)
+def test_corrupted_factor_entry_fails_every_theorem_A_check(monkeypatch, fresh_caches, corrupt):
+    # Theorem A's counts rest on the Fischer certificate: with it broken,
+    # every check fails, on the (2|6) window 4..6 and past it
+    corrupt(monkeypatch, S23)
+    for k in range(4, 8):
+        assert not any(ok for _, ok in verify_theorem_A(S23, k).checks), k
+
+
 # the verify grid at the theoremA suite's degrees, (2|6) to k = 8 and (4|8) to
 # k = 7, through both exceptional windows 4..6
 PREIMAGE_CASES = [
@@ -1035,24 +1122,21 @@ def test_filtration_strict_at_exceptional_degrees():
 
 def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
     # Lift the mirror's neighbour H_(l+2) by one power of r2 fewer: the
-    # degree still comes out at k, the space is not the socle.  The socle
-    # itself is an r2-lift too, so it is built before the lift is broken and
-    # verify_theorem_A is handed that one.
+    # degree still comes out at k, the space is not the socle.  The counts
+    # take no lift, so only the socle check fails.
     original = harmonics.rsquare_lift_rows
-    socles = {k: socle_space(S23, k) for k in (4, 5)}
 
     def one_power_short(space, k):
         signature, degree = space.ambient
         return original(harmonic_space(signature, degree + 2), k)
 
-    monkeypatch.setattr(harmonics, "socle_space", lambda signature, k: socles[k])
     monkeypatch.setattr(harmonics, "rsquare_lift_rows", one_power_short)
     for k in (4, 5):
         rep = verify_theorem_A(S23, k)
-        checks = dict(rep.checks)
         assert not rep.verified
-        assert not checks["socle is r-power of mirror harmonics"]
-        assert checks["strict chain socle < H < Ht"] and checks["defect dimensions agree"]
+        assert [name for name, ok in rep.checks if not ok] == [
+            "socle is r-power of mirror harmonics"
+        ], k
 
 
 def test_filtration_smallest_exceptional_signature():
