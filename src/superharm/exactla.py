@@ -1,16 +1,22 @@
 """Exact linear algebra over fixed monomial bases, in integers.
 
-An IntMatrix is stored sparsely, one dict per row mapping column index to a
-nonzero int.  Module harmonics assembles the Laplacian on one degree with
-int entries and reads r2 off it; operator_matrix, the int matrix of any map
-applied to each whole basis monomial, is the tests' reference for both.
-matmul multiplies int rows, so kernels, products and ranks make no
-Fraction.  For products with one sparse vector at a time, apply_columns(A,
-vec) reads the columns of A in compressed form (columns: three flat int
-arrays), which A holds once built, so the cached matrices of module
-harmonics are compressed once for all their readers.  Outside this module
-only harmonics reads the arrays, to assemble mixed-ring matrices and to
-check the leads of r2.
+An IntMatrix is stored sparsely in one of two forms.  A row-built matrix
+holds one dict per row mapping column index to a nonzero int; a
+column-built one (IntMatrix.from_columns) holds only its columns in
+compressed form (columns: three flat int arrays) and derives its rows
+afresh whenever a reader asks for them, keeping none.  Module harmonics
+builds the Laplacian of a factor ring row by row, reads r2 off it, and
+assembles the matrices of a mixed ring straight into columns;
+operator_matrix, the int matrix of any map applied to each whole basis
+monomial, is the tests' reference for all of them.  For products with one
+sparse vector at a time, apply_columns(A, vec) reads the columns of A,
+which a row-built A compresses once and holds, so the cached matrices of
+module harmonics are compressed once for all their readers.  matmul forms
+each column of a product as the first factor applied to a column of the
+second, and returns the product column-built; kernel reads the rows of a
+column-built matrix straight off its columns.  So kernels, products and
+ranks make no Fraction.  Outside this module only harmonics reads the
+arrays, to assemble mixed-ring matrices and to check the leads of r2.
 
 Elimination runs fraction-free over integers.  A row's content (the gcd
 of its entries) is reduced once per pivot row, not after
@@ -63,7 +69,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .superpoly import SuperPolynomial, SuperSignature, basis_index, monomial_basis
 
@@ -71,11 +77,12 @@ Rational = Union[int, Fraction]
 
 
 class IntMatrix:
-    """Immutable sparse matrix of ints, one dict per row (column -> nonzero
-    int).
+    """Immutable sparse matrix of ints, held by its rows, one dict per row
+    (column -> nonzero int), or by its compressed columns only
+    (from_columns).
 
-    The constructor trusts its rows, as Subspace's does; from_rows is the
-    checked entry.
+    The constructors trust their input, as Subspace's does; from_rows is
+    the checked entry.
     """
 
     __slots__ = ("rows", "cols", "_data", "_columns")
@@ -109,25 +116,49 @@ class IntMatrix:
             data.append(row)
         return cls(cols, data)
 
-    def row_dicts(self) -> tuple[Mapping[int, int], ...]:
-        return self._data
+    @classmethod
+    def from_columns(cls, rows: int, data: Iterable[tuple[list[int], list[int]]]) -> "IntMatrix":
+        """The matrix with `rows` rows whose column j is the j-th pair of
+        lists (row indices, entries) of `data`, the rows ascending and the
+        entries nonzero.  It is written straight into the arrays of columns
+        and holds no row; an entry out of the C int range raises
+        OverflowError."""
+        starts, targets, entries = array("i", [0]), array("i"), array("i")
+        for column_rows, column_entries in data:
+            targets.fromlist(column_rows)
+            entries.fromlist(column_entries)
+            starts.append(len(targets))
+        A = cls.__new__(cls)
+        object.__setattr__(A, "rows", rows)
+        object.__setattr__(A, "cols", len(starts) - 1)
+        object.__setattr__(A, "_data", None)
+        object.__setattr__(A, "_columns", (starts, targets, entries))
+        return A
 
-    def transpose(self) -> "IntMatrix":
-        data: list[dict[int, int]] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._data):
-            for j, v in row.items():
-                data[j][i] = v
-        return IntMatrix(self.rows, data)
+    def row_dicts(self) -> tuple[Mapping[int, int], ...]:
+        """The rows, as dicts.  A column-built matrix derives them from its
+        columns on every call and does not keep them."""
+        if self._data is None:
+            return tuple(_column_rows(self))
+        return self._data
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.cols == other.cols and self._data == other._data
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self.row_dicts() == other.row_dicts()
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={sum(len(r) for r in self._data)})"
+        if self._data is None:
+            nnz = len(self._columns[1])
+        else:
+            nnz = sum(len(r) for r in self._data)
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
 # -- integer row elimination -------------------------------------------------
@@ -363,7 +394,8 @@ def _reduce_int(pivots: Mapping[int, Mapping[int, int]], row: dict[int, int]) ->
 
 def kernel(A: IntMatrix, ambient: tuple[SuperSignature, int] | None = None) -> Subspace:
     """Null space of A, canonical basis, from one elimination of A with its
-    columns reversed (module docstring).
+    columns reversed (module docstring).  The reversed rows of a
+    column-built A are read straight off its columns.
 
     One pass over the nonzeros of the pivot rows collects, per free column,
     the pivot rows that hold it; each null vector is then scaled to integers
@@ -372,7 +404,10 @@ def kernel(A: IntMatrix, ambient: tuple[SuperSignature, int] | None = None) -> S
     last = A.cols - 1
     pivot_cols = set()
     held: dict[int, list[tuple[int, int, int]]] = {}  # f -> [(pivot col, c, d)]
-    reversed_rows = ({last - j: v for j, v in r.items()} for r in A.row_dicts())
+    if A._data is None:
+        reversed_rows = _column_rows(A, reverse=True)
+    else:
+        reversed_rows = ({last - j: v for j, v in r.items()} for r in A._data)
     for r in _rref_fraction_rows(reversed_rows):
         rp = min(r)
         d = r[rp]
@@ -466,32 +501,57 @@ def operator_matrix(
 
 def columns(A: IntMatrix) -> tuple[array, array, array]:
     """The columns of A in compressed form (starts, rows, entries): column
-    j holds entries[x] in row rows[x] for x in starts[j]..starts[j+1]-1, in
-    flat arrays of C ints, a tenth of the memory of A.transpose().  They are
-    built on the first call and held by A, so every reader of a cached
-    matrix shares one build, and a matrix made in place of another has
-    columns of its own.  An entry out of the C int range raises
-    OverflowError.  Read by apply_columns and by module harmonics."""
+    j holds entries[x] in row rows[x] for x in starts[j]..starts[j+1]-1,
+    ascending in row, in flat arrays of C ints, a tenth of the memory of
+    the transposed rows.  A column-built matrix holds them from the start;
+    a row-built one builds them on the first call and holds them, so every
+    reader of a cached matrix shares one build, and a matrix made in place
+    of another has columns of its own.  An entry out of the C int range
+    raises OverflowError.  Read by apply_columns, matmul, and module
+    harmonics."""
     if A._columns is None:
         object.__setattr__(A, "_columns", _compress(A))
     return A._columns
 
 
 def _compress(A: IntMatrix) -> tuple[array, array, array]:
-    """The arrays of columns(A), built from the rows of A."""
+    """The arrays of columns(A), built from the rows of a row-built A."""
     starts = array("i", [0]) * (A.cols + 1)
-    for row in A.row_dicts():
+    for row in A._data:
         for j in row:
             starts[j + 1] += 1
     for j in range(A.cols):
         starts[j + 1] += starts[j]
     nnz = starts[-1]
     rows, entries, fill = array("i", [0]) * nnz, array("i", [0]) * nnz, starts[:-1]
-    for i, row in enumerate(A.row_dicts()):
+    for i, row in enumerate(A._data):
         for j, v in row.items():
             x = fill[j]
             rows[x], entries[x], fill[j] = i, v, x + 1
     return starts, rows, entries
+
+
+def _column_rows(A: IntMatrix, reverse: bool = False) -> Iterator[dict[int, int]]:
+    """The rows of A as new dicts, made one at a time from a row-major
+    copy of its column arrays, so a caller that consumes each row holds
+    one dict at a time; with reverse, column j is keyed cols-1-j, as
+    kernel eliminates."""
+    starts, rows, entries = columns(A)
+    bounds = array("i", [0]) * (A.rows + 1)
+    for i in rows:
+        bounds[i + 1] += 1
+    for i in range(A.rows):
+        bounds[i + 1] += bounds[i]
+    keys, values, fill = array("i", rows), array("i", entries), bounds[:-1]
+    last = A.cols - 1
+    for j in range(A.cols):
+        key = last - j if reverse else j
+        for x in range(starts[j], starts[j + 1]):
+            i = rows[x]
+            y = fill[i]
+            keys[y], values[y], fill[i] = key, entries[x], y + 1
+    for i in range(A.rows):
+        yield {keys[y]: values[y] for y in range(bounds[i], bounds[i + 1])}
 
 
 def apply_columns(A: IntMatrix, vec: Mapping[int, int]) -> dict[int, int]:
@@ -507,15 +567,16 @@ def apply_columns(A: IntMatrix, vec: Mapping[int, int]) -> dict[int, int]:
 
 
 def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """Sparse product A B, in integers."""
+    """Sparse product A B, in integers, column-built: column j is A applied
+    to column j of B (apply_columns), so neither factor's rows are read.
+    An entry out of the C int range raises OverflowError (columns)."""
     if A.cols != B.rows:
         raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
-    rows_b = B.row_dicts()
-    data = []
-    for arow in A.row_dicts():
-        acc: dict[int, int] = {}
-        for j, a in arow.items():
-            for col, b in rows_b[j].items():
-                acc[col] = acc.get(col, 0) + a * b
-        data.append({col: v for col, v in acc.items() if v})
-    return IntMatrix(B.cols, data)
+    starts, rows, entries = columns(B)
+
+    def product_column(j: int) -> tuple[list[int], list[int]]:
+        image = apply_columns(A, {rows[x]: entries[x] for x in range(starts[j], starts[j + 1])})
+        targets = sorted(image)
+        return targets, [image[t] for t in targets]
+
+    return IntMatrix.from_columns(A.rows, map(product_column, range(B.cols)))

@@ -44,11 +44,16 @@ to the row of x^a' t_F and a term t_F' to the row of x^a t_F'; the two row
 sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way,
 and R_d on a mixed ring is assembled like L_k.  One assembler, _assemble,
 builds both from the columns the factor matrices hold (exactla.columns),
-and transposes nothing.  So a mixed ring makes no polynomial, and a wrong
-factor entry reaches every mixed matrix built from it, while the
-certificate below runs on the factor matrices themselves.  Each operator
-has one cached IntMatrix per (signature, degree), and every reader of a
-column reads the columns that matrix holds.  exactla.operator_matrix,
+transposes nothing, and writes the mixed matrix straight into compressed
+columns (IntMatrix.from_columns): a mixed L_k or R_d never holds a row.
+The factor matrices are row-built, since the certificate below reads them
+by rows and names a failing row.  So a mixed ring makes no polynomial, and
+a wrong factor entry reaches every mixed matrix built from it, while the
+certificate runs on the factor matrices themselves.  Each operator has one
+cached IntMatrix per (signature, degree), and every reader of a column
+reads the columns that matrix holds; the readers that eliminate (kernel,
+the product of the defect kernel, the preimage of Ht) derive the rows of
+a mixed matrix for the one call and drop them.  exactla.operator_matrix,
 which images every monomial whole, stays the tests' reference for L_k and
 R_d.
 
@@ -105,7 +110,8 @@ m >= 1 a Fischer decomposition builds none at all.
 fischer_decomposition checks, in this order: (c) every component lies in
 P_k and the values c_l are distinct over the plan's starts, and at m = 0
 each component is an H_l with c_1 .. c_j != 0; (d) the start dimensions
-sum to dim P_k; then, for m >= 1, (b) on the bosonic ring at every
+sum to dim P_k; then, for m >= 1, (c) and (d) on P_(l-2) at each
+exceptional start l (below), (b) on the bosonic ring at every
 d_b = 0..k - 2, (a) there at the same degrees and (a) on Lambda(2n) at
 every d_f = 0..min(k - 2, 2n); at m = 0, (a) on P_d at
 d = k - 2, k - 4, .. >= 0.  Together they prove the sum direct and equal to
@@ -113,7 +119,8 @@ P_k.  A failed report's witness names the first check that failed: the
 component out of degree or the repeated eigenvalue and its two starts, the
 component whose lift is not injective, the dimension sum, the degree and
 column of the lead, or the degree and row of the identity, prefixed by
-"bosonic" or "fermionic" when it is a factor ring's.
+"bosonic" or "fermionic" when it is a factor ring's, and by the degree
+l - 2 and its start l when it is a lower plan's.
 
 For m >= 1 the start dimensions that (d) sums take no kernel on P_l, and
 dim P_l is counted in closed form (superpoly.space_dimension).  R_(l-2) and
@@ -136,14 +143,16 @@ exceptional s has 2s + M >= 4), exactly when l is an exceptional start:
 dim D_(l-2) = dim H_s = dim P_s - dim P_(s-2) at an exceptional l, and 0 at
 every other l, odd M included (_counted_defect_dim).  The count rests on
 (b) at every degree up to l - 2 and on the decomposition of P_(l-2), by
-induction on degree; the (c) and (d) of P_(l-2) are closed forms in M and
-l - 2 that read no matrix, and verify_theorem_A requires its report.  The
-certificate proves (b) on every P_d with d <= k - 2, which covers l - 2 for
-every start l >= 2 (below, P_(l-2) = 0): a report that verifies has proved
-the dimensions it summed, with no further check.  A wrong count fails (d),
-and a missing lead fails (b), even where it shrinks a defect kernel, which
-the report does not read.  At m = 0 (b) is false, and the starts keep
-their kernels.
+induction on degree.  The certificate proves (b) on every P_d with
+d <= k - 2, which covers l - 2 for every start l >= 2 (below,
+P_(l-2) = 0), and runs the (c) and (d) of P_(l-2) at each exceptional start
+l, closed forms in M and l - 2 that read no matrix.  The exceptional starts
+of P_(l-2) are exceptional starts of P_k too, so the induction closes
+within the report: a report that verifies has proved the dimensions it
+summed, with no further check.  A wrong count fails (d), a wrong plan
+below an exceptional start fails that plan's (c) or (d), and a missing lead
+fails (b), even where it shrinks a defect kernel, which the report does
+not read.  At m = 0 (b) is false, and the starts keep their kernels.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -226,32 +235,53 @@ def _assemble(signature: SuperSignature, k: int, shift: int, factor_matrix) -> I
     """The matrix from P_k to P_(k+shift) of a mixed signature of
     A = A_b (x) 1 + 1 (x) A_f: column x^a t_F is A_b(x^a) t_F + x^a A_f(t_F)
     (module docstring).  factor_matrix(ring, d) is the matrix of A_b or A_f
-    on degree d of a factor ring; its held columns are read, and none is
-    transposed."""
+    on degree d of a factor ring; its held columns are read, none is
+    transposed, and the matrix is written straight into columns, with no
+    row held.
+
+    The target basis lists, for each bosonic part x^a in canonical order,
+    x^a times every mask of the remaining degree in ascending order, which
+    is the order of the fermionic ring's basis of that degree.  So x^a t_G
+    sits at first[a] + (position of G in that basis), and a column's rows
+    come sorted from its factor columns: the bosonic terms below x^a of the
+    source, then its fermionic terms, then the bosonic terms above."""
     bosonic_ring, fermionic_ring = _factor_rings(signature)
-    tables = []
-    # a factor monomial is keyed by its own part of (powers, mask)
-    for part, ring, top in ((0, bosonic_ring, k), (1, fermionic_ring, min(k, 2 * signature.n))):
-        table = {}
-        for d in range(top + 1):
-            target = monomial_basis(ring, d + shift)
-            starts, rows, entries = columns(factor_matrix(ring, d))
-            for s, mono in enumerate(monomial_basis(ring, d)):
-                table[mono[part]] = [
-                    (target[rows[x]][part], entries[x]) for x in range(starts[s], starts[s + 1])
-                ]
-        tables.append(table)
-    bosonic, fermionic = tables
-    source = monomial_basis(signature, k)
-    tidx = basis_index(signature, k + shift)
-    data: list[dict[int, int]] = [{} for _ in tidx]
-    # plain (powers, mask) tuples hash and compare like SuperMonomial
-    for j, (powers, f) in enumerate(source):
-        for a, v in bosonic[powers]:
-            data[tidx[(a, f)]][j] = v
-        for g, v in fermionic[f]:
-            data[tidx[(powers, g)]][j] = v
-    return IntMatrix(len(source), data)
+    first: dict[tuple[int, ...], int] = {}
+    for t, (powers, _) in enumerate(monomial_basis(signature, k + shift)):
+        first.setdefault(powers, t)
+    bosonic = {}  # x^a -> (first[] and entries of its image terms below x^a, above x^a)
+    for d in range(max(0, k - 2 * signature.n), k + 1):
+        image = monomial_basis(bosonic_ring, d + shift)
+        starts, rows, entries = columns(factor_matrix(bosonic_ring, d))
+        for s, (powers, _) in enumerate(monomial_basis(bosonic_ring, d)):
+            below, above = ([], []), ([], [])
+            for x in range(starts[s], starts[s + 1]):
+                a = image[rows[x]].powers
+                side = below if a < powers else above
+                side[0].append(first[a])
+                side[1].append(entries[x])
+            bosonic[powers] = below, above
+    fermionic = {}  # t_F -> (position of F, rows and entries of its column)
+    for d in range(min(k, 2 * signature.n) + 1):
+        starts, rows, entries = columns(factor_matrix(fermionic_ring, d))
+        for s, (_, f) in enumerate(monomial_basis(fermionic_ring, d)):
+            span = slice(starts[s], starts[s + 1])
+            fermionic[f] = s, rows[span].tolist(), entries[span].tolist()
+
+    def column(mono: SuperMonomial) -> tuple[list[int], list[int]]:
+        powers, f = mono
+        (low, low_entries), (high, high_entries) = bosonic[powers]
+        position, images, image_entries = fermionic[f]
+        targets = [t + position for t in low]
+        if images:  # first holds x^a only if the target has masks of its degree
+            base = first[powers]
+            targets += [base + g for g in images]
+        targets += [t + position for t in high]
+        return targets, low_entries + image_entries + high_entries
+
+    return IntMatrix.from_columns(
+        space_dimension(signature, k + shift), map(column, monomial_basis(signature, k))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -328,6 +358,7 @@ def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
     becomes L_j - sum_i (d_i[j] / d_i[p_i]) L_(p_i), scaled to integers,
     over the rows d_i of D with pivots p_i; the pivot rows reduce to 0 and
     are dropped.  With D = 0 the matrix is L_k itself, and H_k is returned.
+    The rows of a mixed L_k are derived from its columns for this call.
     """
     defect = defect_kernel(signature, k - 2)
     if not defect.rows:
@@ -542,19 +573,13 @@ def _commutator_failure(signature: SuperSignature, d: int) -> str | None:
     return None
 
 
-def _certificate_failure(
-    signature: SuperSignature,
-    k: int,
-    summands: tuple[FischerSummand, ...],
-    total: int,
-    space_dim: int,
+def _plan_failure(
+    signature: SuperSignature, k: int, summands: tuple[FischerSummand, ...]
 ) -> str | None:
-    """The directness certificate (module docstring): a witness naming the
-    first check that fails, or None.  The checks on the plan come first,
-    with the closed-form lift injectivity at m = 0, then the dimension sum.
-    For m >= 1 the r2 leads and the commutator identity follow on the
-    factor rings, at every degree up to k - 2 in rising order; at m = 0 the
-    identity on P_d at d = k - 2, k - 4, .. >= 0."""
+    """Checks (c) and (d) on the summands of P_k (module docstring), closed
+    forms that read no matrix: each is a component of P_k, the eigenvalues
+    of r2 lap are distinct, at m = 0 each lift is injective, and the
+    dimensions sum to dim P_k.  A witness names the first that fails."""
     M = signature.M
     starts: dict[int, int] = {}
     for s in summands:
@@ -570,11 +595,33 @@ def _certificate_failure(
             for i in range(1, s.rpower // 2 + 1):
                 if 2 * s.degree + 2 * i + M - 2 == 0:  # c_i = 2i (2l + 2i + M - 2)
                     return f"r2 lift injectivity: c_{i} = 0 on {s.describe()}"
+    total = sum(s.dim for s in summands)
+    space_dim = space_dimension(signature, k)
     if total != space_dim:
         return f"sum of dims {total} vs dim P_{k} = {space_dim}"
+    return None
+
+
+def _certificate_failure(
+    signature: SuperSignature, k: int, summands: tuple[FischerSummand, ...]
+) -> str | None:
+    """The directness certificate (module docstring): a witness naming the
+    first check that fails, or None.  The plan checks (c) and (d) on P_k
+    come first.  For m >= 1 the same checks follow on P_(l-2) at each
+    exceptional start l, whose decomposition proves the counted defect
+    dimension, and then the r2 leads and the commutator identity on the
+    factor rings, at every degree up to k - 2 in rising order; at m = 0 the
+    identity on P_d at d = k - 2, k - 4, .. >= 0."""
+    witness = _plan_failure(signature, k, summands)
+    if witness:
+        return witness
     if signature.m == 0:
         checks = [("", _commutator_failure, signature, range(k - 2, -1, -2))]
     else:
+        for l in fischer_index_sets(signature, k).exceptional:
+            witness = _plan_failure(signature, l - 2, _summands(signature, l - 2)[0])
+            if witness:
+                return f"P_{l - 2} below the exceptional start {l}: {witness}"
         bosonic, fermionic = _factor_rings(signature)
         checks = [
             ("bosonic ", _lead_failure, bosonic, range(k - 1)),
@@ -615,27 +662,36 @@ def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
     return dim
 
 
+def _summands(
+    signature: SuperSignature, k: int
+) -> tuple[tuple[FischerSummand, ...], tuple[int, ...]]:
+    """The summands of the degree-k decomposition, with their start
+    dimensions, and the suppressed degrees."""
+    plan, suppressed = _decomposition_plan(signature, k)
+    summands = tuple(
+        FischerSummand(kind, degree, rpower, start_dim(signature, kind, degree))
+        for kind, degree, rpower in plan
+    )
+    return summands, suppressed
+
+
 def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionReport:
     """Decompose P_k into r-power multiples of (generalized) harmonics and
     verify that the sum is direct and fills P_k by the sl(2) certificate.
 
     For m >= 1 no kernel is taken: the start dimensions are
     dim P_l - dim P_(l-2), plus the counted defect dimension on P_(l-2) at
-    an exceptional start, and the certificate's lead check (b) at l - 2 is
+    an exceptional start, and the certificate's lead check (b) at l - 2,
+    with the plan checks (c) and (d) of P_(l-2) at an exceptional start, is
     what proves them (module docstring).  At m = 0 they are the dimensions
     of the kernels."""
     if k < 0:
         raise ValueError("negative degree")
-    plan, suppressed = _decomposition_plan(signature, k)
-    summands = tuple(
-        FischerSummand(kind, degree, rpower, start_dim(signature, kind, degree))
-        for kind, degree, rpower in plan
-    )
-    space_dim = space_dimension(signature, k)
-    total = sum(s.dim for s in summands)
-    witness = _certificate_failure(signature, k, summands, total, space_dim)
+    summands, suppressed = _summands(signature, k)
+    witness = _certificate_failure(signature, k, summands)
     notes: tuple[str, ...] = ()
     if signature.m == 0:
+        plan = [(s.kind, s.degree, s.rpower) for s in summands]
         formula_plan = _formula_plan(fischer_index_sets(signature, k))
         agreement = _plans_agree(signature, plan, formula_plan, k)
         notes = (
@@ -649,8 +705,8 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
         k=k,
         summands=summands,
         suppressed=suppressed,
-        total_dim=total,
-        space_dim=space_dim,
+        total_dim=sum(s.dim for s in summands),
+        space_dim=space_dimension(signature, k),
         verified=witness is None,
         failure_witness=witness,
         notes=notes,

@@ -47,6 +47,14 @@ class SuperSignature:
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise ValueError(f"signature needs m, n >= 0, got ({self.m}, {self.n})")
+        # held beside the fields, not as fields: asdict and eq see (m, n) only
+        object.__setattr__(self, "_hash", hash((self.m, self.n)))
+        object.__setattr__(self, "_restricted", None)
+
+    def __hash__(self) -> int:
+        """The hash of (m, n), computed once at construction: signatures key
+        every basis and matrix cache."""
+        return self._hash
 
     @property
     def M(self) -> int:
@@ -58,10 +66,13 @@ class SuperSignature:
         return 2 * self.n
 
     def restricted(self) -> "SuperSignature":
-        """Signature of the hyperplane x_m = 0."""
-        if self.m == 0:
-            raise ValueError("no bosonic variable left to restrict")
-        return SuperSignature(self.m - 1, self.n)
+        """Signature of the hyperplane x_m = 0, made on the first call and
+        held, so repeat calls return the same instance."""
+        if self._restricted is None:
+            if self.m == 0:
+                raise ValueError("no bosonic variable left to restrict")
+            object.__setattr__(self, "_restricted", SuperSignature(self.m - 1, self.n))
+        return self._restricted
 
     def extended(self) -> "SuperSignature":
         """Signature with one extra bosonic variable appended."""

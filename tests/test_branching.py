@@ -390,3 +390,25 @@ def test_wrong_summand_dimension_fails_the_first_check(monkeypatch):
         assert rep.checks[0] == ("summand dimensions sum to the branched dimension", False)
         assert all(ok for _, ok in rep.checks[1:])
         assert not rep.verified
+
+
+def test_no_cached_mixed_matrix_holds_rows():
+    # Theorem A through the (4|8) window, branching of (4|8) at the
+    # exceptional degree 6 and GT bases of (3|6): every cached L and R of a
+    # mixed ring they read is still held by its columns alone
+    sig = SuperSignature(4, 4)
+    for k in range(4, 9):
+        assert harmonics.verify_theorem_A(sig, k).verified, k
+    assert branch_harmonic(sig, 6).verified and branch_generalized(sig, 6).verified
+    assert verify_gt_basis(S33, 4).verified and verify_gt_basis(S33, 5, "Ht").verified
+    mixed = {sig, sig.restricted(), S33, S33.restricted(), S33.restricted().restricted()}
+    held = 0
+    for matrix in (harmonics.laplacian_matrix, harmonics.rsquare_matrix):
+        for signature in mixed:
+            for d in range(11):
+                hits = matrix.cache_info().hits
+                A = matrix(signature, d)
+                if matrix.cache_info().hits > hits:
+                    held += 1
+                    assert A._data is None, (matrix, signature, d)
+    assert held >= 40

@@ -321,6 +321,10 @@ _GOLDEN = [
      "d2a95077b9b72c27f19ed9eeae5a8569734af2f50fce984b0a4947721d45dd13"),
     (["verify", "--suite", "theoremA", "--m", "2", "--n", "3", "--kmax", "8", "--format", "json"], 0,
      "88c93b79d6920e1225496d6f29e14e7e556017253cd01f2c424bac43a747506b"),
+    # Theorem A on (6|12) up to k = 6, its window 5..8 cut at 6: the mirrors
+    # H_3 and H_2 lifted through the column-built mixed R_d, killed by L_k
+    (["verify", "--suite", "theoremA", "--m", "6", "--n", "6", "--kmax", "6", "--format", "json"], 0,
+     "e9d4c999357932a3a66bd2646aede7d47864c3add97d9cd6c6c0e5268baafc90"),
 ]
 
 

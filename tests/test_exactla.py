@@ -14,6 +14,7 @@ from superharm.exactla import (
     _reduce_int,
     _rref_fraction_rows,
     Subspace,
+    columns,
     kernel,
     matmul,
     operator_matrix,
@@ -54,6 +55,24 @@ def M(rows, cols=None):
     return IntMatrix.from_rows(cols, rows)
 
 
+def transpose(A):
+    """The transpose of A, row-built from the rows of A: the reference for
+    the columns that A holds and for column-built matrices."""
+    data = [{} for _ in range(A.cols)]
+    for i, row in enumerate(A.row_dicts()):
+        for j, v in row.items():
+            data[j][i] = v
+    return IntMatrix(A.rows, data)
+
+
+def column_built(A):
+    """A held by its columns only: the column-built twin of a row-built
+    matrix, read off the rows of its transpose."""
+    return IntMatrix.from_columns(
+        A.rows, ((list(c), list(c.values())) for c in transpose(A).row_dicts())
+    )
+
+
 def test_rref_canonical_small():
     A = M([[2, 4, 6], [1, 2, 4]])
     assert _dense(rref(A.row_dicts()), A.cols) == [
@@ -90,7 +109,7 @@ def test_kernel_of_projection():
 def test_image_is_column_space():
     # the column space of A is the row space of its transpose
     A = M([[1, 2], [2, 4], [0, 0]])
-    S = Subspace.from_rows(A.rows, A.transpose().row_dicts())
+    S = Subspace.from_rows(A.rows, transpose(A).row_dicts())
     assert S.dim == 1
     assert _dense(basis_matrix(S), 3) == [[Fraction(1), Fraction(2), Fraction(0)]]
 
@@ -161,7 +180,7 @@ def test_kernel_vectors_are_annihilated():
     for _ in range(20):
         A = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         K = kernel(A)
-        products = matmul(A, IntMatrix.from_rows(A.cols, K.rows).transpose())
+        products = matmul(A, transpose(IntMatrix.from_rows(A.cols, K.rows)))
         assert not any(products.row_dicts())
 
 
@@ -257,7 +276,7 @@ def test_rref_preserves_row_space(A):
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
 def test_rank_transpose_invariant(A):
-    assert rank(A.row_dicts()) == rank(A.transpose().row_dicts())
+    assert rank(A.row_dicts()) == rank(transpose(A).row_dicts())
 
 
 # -- dense reference path ----------------------------------------------------
@@ -400,7 +419,7 @@ def test_subspace_rows_are_canonical_primitive_integers(pair):
     U, V = pair
     A = IntMatrix.from_rows(U.ambient_dim, U.rows)
     total = Subspace.from_rows(U.ambient_dim, U.rows + V.rows, U.ambient)
-    for S in (U, V, total, U.intersect(V), kernel(A), kernel(A.transpose())):
+    for S in (U, V, total, U.intersect(V), kernel(A), kernel(transpose(A))):
         _assert_canonical_integer_rows(S)
 
 
@@ -518,6 +537,73 @@ def test_matmul_matches_dense_product():
         assert _dense(matmul(A, B).row_dicts(), B.cols) == product
     with pytest.raises(ValueError):
         matmul(IntMatrix(2, [{0: 1}, {1: 1}]), IntMatrix(3, [{0: 1}, {1: 1}, {2: 1}]))
+
+
+# -- column-built matrices -----------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_matrices())
+def test_columns_are_the_rows_of_the_transpose(A):
+    starts, rows, entries = columns(A)
+    assert len(starts) == A.cols + 1
+    got = [
+        {rows[x]: entries[x] for x in range(starts[j], starts[j + 1])} for j in range(A.cols)
+    ]
+    assert got == list(transpose(A).row_dicts())
+    assert all(list(rows[starts[j] : starts[j + 1]]) == sorted(got[j]) for j in range(A.cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_matrices())
+def test_column_built_matrix_derives_its_rows_and_holds_none(A):
+    B = column_built(A)
+    assert (B.rows, B.cols) == (A.rows, A.cols)
+    assert B.row_dicts() == A.row_dicts() and B == A and A == B
+    if B.rows:  # derived afresh on each call, not kept
+        assert B.row_dicts()[0] is not B.row_dicts()[0]
+    assert B._data is None
+    assert columns(B) == columns(A)
+    assert repr(B) == repr(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrices())
+def test_kernel_of_a_column_built_matrix_matches_its_row_built_reference(A):
+    B = column_built(A)
+    assert kernel(B, "tag") == kernel(A, "tag")
+    assert B._data is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matmul_of_column_built_factors_matches_the_row_built_product(data):
+    A = data.draw(_sparse_matrices())
+    B = data.draw(_sparse_matrices(cols=data.draw(st.integers(min_value=1, max_value=6))))
+    # B cut or padded with zero rows to A.cols rows
+    B = IntMatrix(B.cols, list(B.row_dicts())[: A.cols] + [{}] * max(0, A.cols - B.rows))
+    dense_b = _dense(B.row_dicts(), B.cols)
+    product = [
+        [sum(a * dense_b[j][col] for j, a in enumerate(row)) for col in range(B.cols)]
+        for row in _dense(A.row_dicts(), A.cols)
+    ]
+    for left in (A, column_built(A)):
+        for right in (B, column_built(B)):
+            AB = matmul(left, right)
+            assert AB._data is None and (AB.rows, AB.cols) == (A.rows, B.cols)
+            assert _dense(AB.row_dicts(), B.cols) == product
+            assert columns(AB) == columns(IntMatrix(B.cols, AB.row_dicts()))
+
+
+def test_column_built_edge_shapes():
+    # no columns, no rows, and empty columns
+    assert IntMatrix.from_columns(3, []) == IntMatrix(0, [{}, {}, {}])
+    assert IntMatrix.from_columns(0, [([], []), ([], [])]) == IntMatrix(2, [])
+    A = IntMatrix.from_columns(3, [([0, 2], [5, -1]), ([], []), ([1], [7])])
+    assert A.row_dicts() == ({0: 5}, {2: 7}, {0: -1})
+    assert kernel(A) == Subspace.from_rows(3, [{1: 1}])
+    with pytest.raises(OverflowError):
+        IntMatrix.from_columns(1, [([0], [2**40])])
 
 
 # -- integer rows --------------------------------------------------------------

@@ -189,15 +189,21 @@ def test_socle_inside_both_spaces():
     assert H0.dim <= img_rank
 
 
+def _column_dicts(A):
+    """The columns of A as dicts {row: entry}, read off the arrays it holds."""
+    starts, rows, entries = columns(A)
+    return [
+        {rows[x]: entries[x] for x in range(starts[j], starts[j + 1])} for j in range(A.cols)
+    ]
+
+
 def _zassenhaus_socle(sig, k):
     """H_k intersect r2 P_(k-2) by the Zassenhaus intersection: the
     reference for the socle cut from the defect kernel."""
     H = harmonic_space(sig, k)
     if k < 2:
         return Subspace.zero(H.ambient_dim, (sig, k))
-    image = Subspace.from_rows(
-        H.ambient_dim, rsquare_matrix(sig, k - 2).transpose().row_dicts(), (sig, k)
-    )
+    image = Subspace.from_rows(H.ambient_dim, _column_dicts(rsquare_matrix(sig, k - 2)), (sig, k))
     return H.intersect(image)
 
 
@@ -455,6 +461,33 @@ def _with_plan(monkeypatch, edit):
     monkeypatch.setattr(harmonics, "_decomposition_plan", edited)
 
 
+@pytest.mark.parametrize("sig, k", [(S23, 6), (S23, 7), (SuperSignature(4, 4), 8)], ids=str)
+def test_broken_plan_below_an_exceptional_start_fails_the_report(monkeypatch, sig, k):
+    # the counted defect dimension at an exceptional start l rests on the
+    # decomposition of P_(l-2): a plan of P_(l-2) that repeats or loses a
+    # component, with every other degree's plan intact, fails the report at k
+    original = harmonics._decomposition_plan
+    starts = fischer_index_sets(sig, k).exceptional
+    reference = fischer_decomposition(sig, k)
+    assert starts and reference.verified
+    for l in starts:
+        for edit in (lambda plan: plan + plan[:1], lambda plan: plan[1:]):
+            monkeypatch.setattr(
+                harmonics,
+                "_decomposition_plan",
+                lambda s, d, l=l, edit=edit: (
+                    (edit(original(s, d)[0]), original(s, d)[1]) if d == l - 2 else original(s, d)
+                ),
+            )
+            lower = fischer_decomposition(sig, l - 2)
+            rep = fischer_decomposition(sig, k)
+            assert not lower.verified and not rep.verified, l
+            assert rep.failure_witness == (
+                f"P_{l - 2} below the exceptional start {l}: {lower.failure_witness}"
+            ), l
+            assert rep.summands == reference.summands, l
+
+
 def test_duplicated_component_fails_verification(monkeypatch):
     _with_plan(monkeypatch, lambda plan: plan + plan[:1])
     rep = fischer_decomposition(S23, 5)
@@ -560,10 +593,11 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
 
 def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
     # the lower Laplacians of the ck suite's grid: a mixed one is assembled
-    # from the columns its factor matrices hold, with no transpose, and each
-    # factor matrix is compressed once, however many assemblies read it
+    # from the columns its factor matrices hold, with no row read or
+    # derived from columns, and each factor matrix is compressed once,
+    # however many assemblies read it
     def refuse(self):
-        raise AssertionError("IntMatrix.transpose called")
+        raise AssertionError("IntMatrix.row_dicts called")
 
     built = []
     original = exactla._compress
@@ -579,7 +613,7 @@ def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
         matrices[signature, k] = cached(signature, k)
         return matrices[signature, k]
 
-    monkeypatch.setattr(IntMatrix, "transpose", refuse)
+    monkeypatch.setattr(IntMatrix, "row_dicts", refuse)
     monkeypatch.setattr(exactla, "_compress", counting)
     monkeypatch.setattr(harmonics, "laplacian_matrix", recording)
     monkeypatch.setattr(ck, "laplacian_matrix", recording)
@@ -600,6 +634,8 @@ def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
     }
     assert len(built) == len({id(A) for A in built}) == len(read)
     assert {id(A) for A in built} == {id(matrices[key]) for key in read}
+    # the mixed matrices are written as columns and hold no rows
+    assert all(A._data is None for (sig, _), A in matrices.items() if sig.m and sig.n)
 
 
 # the verify grid at every suite's degrees, (4|8) and (0|4), (3|0) to k = 8;
@@ -611,11 +647,25 @@ ASSEMBLY_CASES = [
 
 @pytest.mark.parametrize("sig, degrees", ASSEMBLY_CASES, ids=lambda v: str(v))
 def test_assembled_laplacian_matches_the_operator_matrix(sig, degrees):
+    # also column by column, each column in row order (the reference's
+    # columns are compressed from its rows, so each lists its rows
+    # ascending); a mixed matrix holds its columns only
     for k in degrees:
         reference = operator_matrix(laplacian, sig, k, -2)
         assert laplacian_matrix(sig, k) == reference, k
+        assert columns(laplacian_matrix(sig, k)) == columns(reference), k
+        assert (laplacian_matrix(sig, k)._data is None) == bool(sig.m and sig.n), k
         if k < 2:
             assert reference.rows == 0 and reference.cols == len(monomial_basis(sig, k))
+
+
+@pytest.mark.parametrize("sig, degrees", ASSEMBLY_CASES, ids=lambda v: str(v))
+def test_assembled_rsquare_matches_the_operator_matrix(sig, degrees):
+    for d in degrees:
+        R = rsquare_matrix(sig, d)
+        reference = operator_matrix(rsquare_mul, sig, d, 2)
+        assert R == reference and columns(R) == columns(reference), d
+        assert (R._data is None) == bool(sig.m and sig.n), d
 
 
 @pytest.mark.parametrize("sig", [SuperSignature(2, 2), SuperSignature(0, 2)], ids=str)
@@ -797,13 +847,19 @@ def _joint_rank(sig, plan, k):
 @pytest.mark.parametrize("sig", FAST_PATH_GRID, ids=str)
 def test_certificate_verdict_matches_the_joint_rank(monkeypatch, sig):
     # the joint rank of the stacked lifted components is the reference
-    # verdict, on the real plan and on two broken ones, for m = 0 as well
+    # verdict, on the real plan of P_k and on two broken ones, for m = 0 as
+    # well; the plans of the other degrees, which the report reads below
+    # its exceptional starts, stay the real ones
     original = harmonics._decomposition_plan
     for k in range(7):
         plan, suppressed = original(sig, k)
         for mutated in _plan_mutations(plan):
             monkeypatch.setattr(
-                harmonics, "_decomposition_plan", lambda s, d: (mutated, suppressed)
+                harmonics,
+                "_decomposition_plan",
+                lambda s, d, k=k, mutated=mutated, suppressed=suppressed: (
+                    (mutated, suppressed) if d == k else original(s, d)
+                ),
             )
             rep = fischer_decomposition(sig, k)
             joint = _joint_rank(sig, mutated, k)
@@ -863,15 +919,19 @@ REGULAR_MIXED = SuperSignature(3, 2)  # M = -1: no Ht, so the spaces take no r2
 def _with_rsquare_matrix(monkeypatch, edit):
     """Patch harmonics.rsquare_matrix with the matrix whose columns, as
     dicts {row: entry}, are edit(signature, degree, columns): a new
-    IntMatrix, with columns of its own.  Uncached, so the mixed matrices are
-    assembled afresh from the edited factor matrices."""
+    column-built IntMatrix.  Uncached, so the mixed matrices are assembled
+    afresh from the edited factor matrices."""
     original = harmonics.rsquare_matrix.__wrapped__
 
     def edited(sig, d):
         R = original(sig, d)
-        cols = R.transpose().row_dicts()
+        cols = tuple(_column_dicts(R))
         new = edit(sig, d, cols)
-        return R if new is cols else IntMatrix(R.rows, new).transpose()
+        if new is cols:
+            return R
+        return IntMatrix.from_columns(
+            R.rows, ((sorted(c), [c[t] for t in sorted(c)]) for c in new)
+        )
 
     monkeypatch.setattr(harmonics, "rsquare_matrix", edited)
 
@@ -1089,6 +1149,39 @@ def test_preimage_ht_matches_the_triple_product_kernel(sig, degrees):
         lap = laplacian_matrix(sig, k)
         triple = matmul(matmul(lap, rsquare_matrix(sig, k - 2)), lap)
         assert generalized_harmonic_space(sig, k) == kernel(triple, (sig, k)), k
+
+
+def _row_built(A):
+    """The row-built twin of a matrix: its rows, derived once and held."""
+    return IntMatrix(A.cols, A.row_dicts())
+
+
+@pytest.mark.parametrize("sig, degrees", PREIMAGE_CASES, ids=lambda v: str(v))
+def test_column_built_mixed_matrices_give_the_row_built_spaces(
+    monkeypatch, fresh_caches, sig, degrees
+):
+    # H, Ht and the defect kernel from the assembled, column-built L and R,
+    # and again from row-built twins of the same matrices: kernel, matmul
+    # and the preimage reduction of Ht read both forms alike
+    spaces = (harmonic_space, generalized_harmonic_space, defect_kernel)
+    columnwise = {(fn, k): fn(sig, k) for fn in spaces for k in degrees}
+    twins = {}
+
+    def twin(matrix):
+        def built(signature, d):
+            if (matrix, signature, d) not in twins:
+                twins[matrix, signature, d] = _row_built(matrix(signature, d))
+            return twins[matrix, signature, d]
+
+        return built
+
+    for fn in spaces:
+        fn.cache_clear()
+    monkeypatch.setattr(harmonics, "laplacian_matrix", twin(laplacian_matrix))
+    monkeypatch.setattr(harmonics, "rsquare_matrix", twin(rsquare_matrix))
+    for (fn, k), space in columnwise.items():
+        assert fn(sig, k) == space, (fn, k)
+    assert all(A._data is not None for A in twins.values())
 
 
 def test_negative_degree_rejected():

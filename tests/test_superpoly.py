@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,34 @@ def test_signature_validation():
         SuperSignature(0, -2)
     assert SuperSignature(3, 2).M == -1
     assert SuperSignature(0, 0).M == 0
+
+
+def test_signature_hash_equality_and_order_follow_the_pair():
+    pairs = [(m, n) for m in range(4) for n in range(4)]
+    sigs = [SuperSignature(m, n) for m, n in pairs]
+    for sig, pair in zip(sigs, pairs):
+        assert hash(sig) == hash(pair) == hash(SuperSignature(*pair))
+        assert asdict(sig) == {"m": pair[0], "n": pair[1]}
+        assert [f.name for f in fields(sig)] == ["m", "n"]
+        assert repr(sig) == f"SuperSignature(m={pair[0]}, n={pair[1]})"
+        for other, other_pair in zip(sigs, pairs):
+            assert (sig == other) == (pair == other_pair)
+            assert (sig < other) == (pair < other_pair)
+            assert (sig <= other) == (pair <= other_pair)
+    assert sorted(reversed(sigs)) == sigs
+    assert len({*sigs, *(SuperSignature(m, n) for m, n in pairs)}) == len(pairs)
+
+
+def test_restricted_signature_is_made_once():
+    sig = SuperSignature(3, 2)
+    lower = sig.restricted()
+    assert lower == SuperSignature(2, 2) and sig.restricted() is lower
+    assert lower.restricted() is lower.restricted() is sig.restricted().restricted()
+    # a fresh equal signature makes its own, equal one
+    assert SuperSignature(3, 2).restricted() == lower
+    assert asdict(sig) == {"m": 3, "n": 2}
+    with pytest.raises(ValueError):
+        SuperSignature(0, 2).restricted()
 
 
 def test_degenerate_signatures_are_legal():
