@@ -29,23 +29,21 @@ w_j = j! (coefficient of x_m^j).  The scales (-1)^s k!/(ell+2s)! of the
 series come from one place, operators.xi_scales.  The core returns, for
 each j = 0..k, k! times the coefficient of x_m^j as a row on the lower
 basis of degree k - j, so an entry at x^a t_F of slice j belongs to the
-monomial x^(a, j) t_F.  Three callers read it:
+monomial x^(a, j) t_F.  Two callers read it:
 
 * ck_extend takes the rows of a CKData's parts (int or Fraction entries)
   and writes the slices back as a polynomial, dividing once per term;
-* polynomial_extension(signature, k, slot) extends integer data of one
-  slot, given with a denominator, into a polynomial: the GT descent
-  (module gtbasis) builds its elements with it;
-* slot_extension(signature, k, slot), for branching's slot checks, extends
-  one integer row at a time in index space and places the slices on the
-  degree-k basis, so that L_k can be applied to the extension.
+* slot_extension(signature, k, slot) extends one integer row of one slot
+  at a time in index space and places the slices on the degree-k basis,
+  so that L_k can be applied to the extension: branching's slot checks
+  read it, and the GT descent (module gtbasis) builds its elements, rows
+  on the degree-k basis, with it.
 
-Both factories look the lower Laplacian matrices up once, not once per
-row, and hold nothing beyond the function they return; the polynomials of
-one polynomial_extension share their monomials, each made once.
-_xm_split is the correspondence between the degree-k basis and the
-x_m-slices on the lower bases; slot_extension places slices with it, and
-gtbasis reads the slices of an element's coordinates with it.
+slot_extension looks the lower Laplacian matrices up once, not once per
+row, and holds nothing beyond the function it returns.  _xm_split is the
+correspondence between the degree-k basis and the x_m-slices on the lower
+bases; slot_extension places slices with it, and gtbasis reads the slices
+of an element's row with it.
 
 ck_extend_recursive rebuilds Q by the two-step coefficient recursion on
 polynomials instead; it exists so the closed form can be checked against an
@@ -166,50 +164,20 @@ def _slot_seeds(signature: SuperSignature, k: int, slot: str, row: Mapping[int, 
 
 
 def _polynomial(
-    signature: SuperSignature,
-    lower: SuperSignature,
-    slices: list[dict[int, ScalarLike]],
-    den: int,
-    made: list[dict[int, SuperMonomial]],
+    signature: SuperSignature, lower: SuperSignature, slices: list[dict[int, ScalarLike]], den: int
 ) -> SuperPolynomial:
     """The polynomial of `signature` whose coefficient of x_m^j is
     slices[j] / den, each slice a row on the basis of degree k - j of the
-    ring `lower` one bosonic variable down, k = len(slices) - 1.  made[j]
-    keeps the monomial x^(a, j) t_F of each lower index once it is made, so
-    the polynomials of one factory share their monomials and look no basis
-    up again."""
+    ring `lower` one bosonic variable down, k = len(slices) - 1."""
     k = len(slices) - 1
     terms: dict[SuperMonomial, ScalarLike] = {}
     for j, at in enumerate(slices):
-        known, basis = made[j], None
+        basis = monomial_basis(lower, k - j)
         for i, v in at.items():
             if v:
-                mono = known.get(i)
-                if mono is None:
-                    if basis is None:
-                        basis = monomial_basis(lower, k - j)
-                    powers, f = basis[i]
-                    mono = known[i] = SuperMonomial(powers + (j,), f)
-                terms[mono] = _rational(v, den)
+                powers, f = basis[i]
+                terms[SuperMonomial(powers + (j,), f)] = _rational(v, den)
     return SuperPolynomial(signature, terms, _clean=True)
-
-
-def polynomial_extension(
-    signature: SuperSignature, k: int, slot: str
-) -> Callable[..., SuperPolynomial]:
-    """CK extension of integer rows, as a function extend(row, den=1) of
-    one row at a time: the polynomial whose triple is row / den in `slot`
-    and zero in the other two, row on the basis of slot_ambient."""
-    lower = signature.restricted()
-    top = factorial(k)
-    laps = _lower_laplacians(lower, k)
-    made: list[dict[int, SuperMonomial]] = [{} for _ in range(k + 1)]
-
-    def extend(row, den=1):
-        series = _series(laps, _slot_seeds(signature, k, slot, row), top)
-        return _polynomial(signature, lower, series, top * den, made)
-
-    return extend
 
 
 def slot_extension(
@@ -315,7 +283,7 @@ def ck_extend(data: CKData) -> SuperPolynomial:
             seeds.append((ell, {index[mono]: c for mono, c in part.terms.items()}))
     seeds += _laplacian_seeds(lower, k, data.laplacian)
     series = _series(_lower_laplacians(lower, k), seeds, top)
-    return _polynomial(data.signature, lower, series, top, [{} for _ in series])
+    return _polynomial(data.signature, lower, series, top)
 
 
 def ck_extend_recursive(data: CKData) -> SuperPolynomial:

@@ -22,21 +22,22 @@ lower basis; the descent and the per-step check both read it, and both take
 the start degrees from fischer_index_sets of the level below.  The slot's
 ring and degree come from ck.
 
-The bosonic descent and its verification run on integer rows.  The
-descent reads each lower element's coordinates as integer numerators over
-one denominator, lifts them through the held columns of the cached r2
-matrices to the slot's degree (harmonics.rsquare_lift_row) and extends
-them with ck.polynomial_extension, whose lap' is the cached lower
-Laplacian matrix.  The verification reads each element's coordinates once
-and ranks them, and applies no polynomial operator: at every m, L_k times
-them, through the columns the cached L_k holds, decides annihilation
-(L_k v = 0 for H, L_k R_(k-2) L_k v = 0 for Ht).  For m >= 1 the same
-product is the element's Laplacian part, and its boundary and normal data
-are the x_m^0 and x_m^1 slices of its coordinates (ck._xm_split).  The
-per-step predicate (the lifted lower coordinates in the
+An element is held as integer numerators on the degree-k basis over
+their least common denominator; its polynomial is built from them only
+when asked for.  The bosonic descent lifts each lower element's row
+through the held columns of the cached r2 matrices to the slot's degree
+(harmonics.rsquare_lift_row) and extends it with ck.slot_extension, whose
+lap' is the cached lower Laplacian matrix; the extension is k! times the
+element over the lower denominator, reduced by the gcd.  The verification
+reads each element's row and ranks the rows, and applies no polynomial
+operator: at every m, L_k times the row, through the columns the cached
+L_k holds, decides annihilation (L_k v = 0 for H, L_k R_(k-2) L_k v = 0
+for Ht).  For m >= 1 the same product is the element's Laplacian part, and
+its boundary and normal data are the x_m^0 and x_m^1 slices of its row
+(ck._xm_split).  The per-step predicate (the lifted lower row in the
 kind's slot, zero in the other two) compares integer rows over two
 denominators by cross-multiplying, as branching's slot checks state it on
-the extensions of integer rows (ck.slot_extension).
+the extensions of integer rows.
 
 The purely fermionic floor is built by a recursion removing the last pair
 t_{2n-1}, t_{2n}: a harmonic of n - 1 pairs passes through unchanged
@@ -46,7 +47,9 @@ Theta = t1 t2 + .. + t_{2n-3} t_{2n-2} + (k - n - 1) t_{2n-1} t_{2n}
 (fermionic-3); the floor of at most one pair is {1} and {t1, t2}
 (fermionic-base).  A second table maps each of these kinds to its degree drop
 and multiplier, and the floor is one function; the recursion and the
-per-step check both read them.  Nonzero fermionic harmonics live only in
+per-step check both read them.  In these small rings the recursion
+multiplies polynomials and stores each product as a row
+(GTBasisElement.from_polynomial).  Nonzero fermionic harmonics live only in
 degrees 0..n.  A generalized fermionic target is the plain one, in the basis
 and in its verification (_generalized): the window of M = -2n starts at
 n + 2, and above degree n lap is injective and its image meets ker(lap r2)
@@ -56,10 +59,12 @@ only in 0, so Ht_k = H_k = 0 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, gcd, lcm
+from types import MappingProxyType
+from typing import Mapping
 
-from .ck import SLOTS, _xm_split, polynomial_extension, slot_ambient
-from .exactla import apply_columns, rank
+from .ck import SLOTS, _xm_split, slot_ambient, slot_extension
+from .exactla import apply_columns, polynomial_vector, rank, vector_polynomial
 from .harmonics import (
     exceptional_indices,
     fischer_index_sets,
@@ -68,7 +73,7 @@ from .harmonics import (
     laplacian_matrix,
     rsquare_lift_row,
 )
-from .superpoly import SuperPolynomial, SuperSignature, basis_index, extend_signature
+from .superpoly import SuperPolynomial, SuperSignature, _rational, extend_signature
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,32 @@ class GTLabel:
 
 @dataclass(frozen=True)
 class GTBasisElement:
+    """A basis element of degree `degree` in `signature`: row / den, with
+    row the integer numerators on the degree-k basis and den > 0 their least
+    common denominator, gcd(den, *row) == 1.  The bases are cached and
+    shared, so the row is held read-only."""
+
     label: GTLabel
-    polynomial: SuperPolynomial
+    signature: SuperSignature
+    degree: int
+    den: int
+    row: Mapping[int, int]
+
+    @property
+    def polynomial(self) -> SuperPolynomial:
+        """The element as a polynomial, built on each call."""
+        den = self.den
+        coefficients = {i: _rational(v, den) for i, v in self.row.items()}
+        return vector_polynomial(self.signature, self.degree, coefficients)
+
+    @classmethod
+    def from_polynomial(cls, label: GTLabel, p: SuperPolynomial, k: int) -> "GTBasisElement":
+        """The element of p, which must be homogeneous of degree k
+        (ValueError otherwise)."""
+        vec = polynomial_vector(p, k)
+        den = lcm(*(c.denominator for c in vec.values()))
+        row = {i: c.numerator * (den // c.denominator) for i, c in vec.items()}
+        return cls(label, p.signature, k, den, MappingProxyType(row))
 
 
 _CACHE: dict[tuple[int, int, int, str], tuple[GTBasisElement, ...]] = {}
@@ -111,8 +140,8 @@ def theta_factor(signature: SuperSignature, k: int) -> SuperPolynomial:
     return out + (k - n - 1) * last
 
 
-def _prepend(step: ChainStep, element: GTBasisElement, polynomial) -> GTBasisElement:
-    return GTBasisElement(GTLabel((step,) + element.label.chain), polynomial)
+def _prepend(step: ChainStep, element: GTBasisElement) -> GTLabel:
+    return GTLabel((step,) + element.label.chain)
 
 
 # kind -> (degree drop, multiplier at degree k) of the pair-removal recursion:
@@ -141,7 +170,7 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
         return ()
     if n <= 1:
         return tuple(
-            GTBasisElement(GTLabel((ChainStep(n, "fermionic-base", k, i),)), p)
+            GTBasisElement.from_polynomial(GTLabel((ChainStep(n, "fermionic-base", k, i),)), p, k)
             for i, p in enumerate(_fermionic_floor(sig, k))
         )
     out: list[GTBasisElement] = []
@@ -149,7 +178,8 @@ def _fermionic_basis(n: int, k: int) -> tuple[GTBasisElement, ...]:
         factor = multiplier(sig, k)
         for i, el in enumerate(gt_basis(SuperSignature(0, n - 1), k - drop, "H")):
             Q = factor * extend_signature(el.polynomial, sig)
-            out.append(_prepend(ChainStep(n, kind, k - drop, i), el, Q))
+            label = _prepend(ChainStep(n, kind, k - drop, i), el)
+            out.append(GTBasisElement.from_polynomial(label, Q, k))
     return tuple(out)
 
 
@@ -178,6 +208,7 @@ def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
         kinds = ["ordinary-b3", "ordinary-b4", "tilde-b5", "tilde-b6"]
     if target == "Ht":
         kinds.append("generalized-a3")
+    top = factorial(k)
     out: list[GTBasisElement] = []
     for kind in kinds:
         slot, lower_target = _BOSONIC_KINDS[kind]
@@ -187,46 +218,28 @@ def _bosonic_descent(signature: SuperSignature, k: int, target: str) -> tuple[GT
         else:
             sets = fischer_index_sets(source, degree)
             starts = sets.exceptional if lower_target == "Ht" else sets.ordinary
-        extend = polynomial_extension(signature, k, slot)
+        extend = slot_extension(signature, k, slot)
         for l in starts:
             for i, el in enumerate(gt_basis(source, l, lower_target)):
-                den, parts = _coordinates(el.polynomial, l)
-                Q = extend(rsquare_lift_row(source, l, parts[l], degree), den)
-                out.append(_prepend(ChainStep(signature.m, kind, l, i), el, Q))
+                row = extend(rsquare_lift_row(source, l, el.row, degree))[0]
+                den = top * el.den
+                g = gcd(den, *row.values())
+                row = MappingProxyType({t: v // g for t, v in row.items()})
+                label = _prepend(ChainStep(signature.m, kind, l, i), el)
+                out.append(GTBasisElement(label, signature, k, den // g, row))
     return tuple(out)
 
 
-def _coordinates(p: SuperPolynomial, k: int) -> tuple[int, dict[int, dict[int, int]]]:
-    """(den, parts): p as integer numerators over den, the least common
-    denominator of its coefficients, split by degree: parts maps k and each
-    other degree d of p to its numerators on the degree-d basis.  p is
-    homogeneous of degree k exactly when k is the only key."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    index = basis_index(p.signature, k)
-    row: dict[int, int] = {}
-    parts = {k: row}
-    for mono, c in p.terms.items():
-        v = c.numerator * (den // c.denominator)
-        i = index.get(mono)
-        if i is None:
-            d = mono.degree
-            parts.setdefault(d, {})[basis_index(p.signature, d)[mono]] = v
-        else:
-            row[i] = v
-    return den, parts
-
-
-def _triple(den: int, row, image, split) -> tuple:
-    """(den, boundary, normal, laplacian) of the degree-k element with
-    coordinates row / den, in integer numerators over den: its x_m^0 and
-    x_m^1 slices, read with split = ck._xm_split(signature, k), and its
-    image L_k row."""
+def _triple(row, image, split) -> tuple:
+    """(boundary, normal, laplacian) of a degree-k row, in its own integer
+    numerators: its x_m^0 and x_m^1 slices, read with
+    split = ck._xm_split(signature, k), and its image L_k row."""
     exps, pos = split
     slices: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for t, c in row.items():
         if exps[t] < 2:
             slices[exps[t]][pos[t]] = c
-    return den, *slices, image
+    return *slices, image
 
 
 def _generalized(signature: SuperSignature, k: int) -> bool:
@@ -276,17 +289,14 @@ def _step_data_ok(
     element its label points to, one level only.  A step that claims
     another level than this one (m on the bosonic half, n on the fermionic
     half) or a kind that does not step down from this level fails.  On the
-    bosonic half the element's triple (den, boundary, normal, laplacian) of
+    bosonic half the element's triple (boundary, normal, laplacian) of
     _triple, read here unless the caller passes it, must carry the lower
-    element's coordinates, lifted by r2 to the slot's degree, in the kind's
-    slot and zero in the other two; the two sides are compared by
-    cross-multiplied denominators.  An element that is not homogeneous of
-    degree k fails: its parts of other degrees have restriction data of
-    other degrees."""
+    element's row, lifted by r2 to the slot's degree, in the kind's slot
+    and zero in the other two; the two sides are compared by
+    cross-multiplied denominators."""
     if not element.label.chain:
         return False
     step, rest = element.label.chain[0], element.label.chain[1:]
-    p = element.polynomial
     m, n = signature.m, signature.n
     if step.level != (m or n):
         return False
@@ -294,7 +304,7 @@ def _step_data_ok(
         if rest or step.kind != "fermionic-base":
             return False
         floor = _fermionic_floor(signature, step.degree)
-        return 0 <= step.pos < len(floor) and p == floor[step.pos]
+        return 0 <= step.pos < len(floor) and element.polynomial == floor[step.pos]
     if m == 0 and step.kind in _FERMIONIC_KINDS:
         source, lower_target = SuperSignature(0, n - 1), "H"
     elif m > 0 and step.kind in _BOSONIC_KINDS:
@@ -305,82 +315,58 @@ def _step_data_ok(
     lower = gt_basis(source, step.degree, lower_target)
     if not 0 <= step.pos < len(lower) or lower[step.pos].label.chain != rest:
         return False
-    lo = lower[step.pos].polynomial
+    lo = lower[step.pos]
     if m == 0:
         multiplier = _FERMIONIC_KINDS[step.kind][1]
-        return p == multiplier(signature, k) * extend_signature(lo, signature)
+        expected = multiplier(signature, k) * extend_signature(lo.polynomial, signature)
+        return element.polynomial == expected
     # a label whose degree cannot reach the slot's degree fails, not raises
-    j, odd = divmod(degree - step.degree, 2)
-    if j < 0 or odd:
+    if degree < step.degree or (degree - step.degree) % 2:
         return False
     if triple is None:
-        den, parts = _coordinates(p, k)
-        if len(parts) > 1:
-            return False
-        image = apply_columns(laplacian_matrix(signature, k), parts[k])
-        triple = _triple(den, parts[k], image, _xm_split(signature, k))
-    den, *got = triple
-    lo_den, lo_parts = _coordinates(lo, step.degree)
-    # each part of the lower element, lifted by r^(2j): only the one of the
-    # label's degree may be nonzero, and it must be the slot's data
-    lifted = {d: rsquare_lift_row(source, d, row, d + 2 * j) for d, row in lo_parts.items()}
-    want = lifted.pop(step.degree)
-    if any(lifted.values()):
-        return False
-    for name, have in zip(SLOTS, got):
+        image = apply_columns(laplacian_matrix(signature, k), element.row)
+        triple = _triple(element.row, image, _xm_split(signature, k))
+    want = rsquare_lift_row(source, step.degree, lo.row, degree)
+    for name, have in zip(SLOTS, triple):
         expected = want if name == slot else {}
         if have.keys() != expected.keys():
             return False
-        if any(c * lo_den != expected[i] * den for i, c in have.items()):
+        if any(c * lo.den != expected[i] * element.den for i, c in have.items()):
             return False
     return True
 
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:
     """Exact verification: count against the kernel dimension, annihilation
-    by the defining operator, linear independence (an element that is not
-    homogeneous of degree k makes it false), and one-step restriction data
-    for every element.
+    by the defining operator, linear independence, and one-step restriction
+    data for every element.
 
-    Each element's coordinates are read once, as integer numerators over
-    one denominator (_coordinates), and ranked.  At every m, L_d applied to
-    each part of degree d decides annihilation (L_k v = 0 for H,
-    L_k R_(k-2) L_k v = 0 for Ht), so an element that is not homogeneous
-    is judged by the matrices of the degrees of its parts; no polynomial
-    operator runs.  For m >= 1 the step check reads the triple of the x_m^0
-    and x_m^1 slices and L_k v; at m = 0 it compares polynomials."""
+    Each element is read as it is held, integer numerators over one
+    denominator, and the rows are ranked.  At every m, L_k applied to the
+    row decides annihilation (L_k v = 0 for H, L_k R_(k-2) L_k v = 0 for
+    Ht); no polynomial operator runs.  For m >= 1 the step check reads the
+    triple of the x_m^0 and x_m^1 slices and L_k v; at m = 0 it compares
+    polynomials built from the rows."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
     generalized = target == "Ht" and _generalized(signature, k)
     space = (generalized_harmonic_space if generalized else harmonic_space)(signature, k)
-    coords = [_coordinates(el.polynomial, k) for el in basis]
-    homogeneous = all(len(parts) == 1 for _, parts in coords)
     split = _xm_split(signature, k) if signature.m else None
+    L = laplacian_matrix(signature, k)
     membership_ok = data_ok = True
-    for el, (den, parts) in zip(basis, coords):
-        images = {
-            d: apply_columns(laplacian_matrix(signature, d), row) for d, row in parts.items()
-        }
-        if signature.m:
-            triple = _triple(den, parts[k], images[k], split)
-            data_ok &= len(parts) == 1 and _step_data_ok(signature, k, el, triple)
-        else:
-            data_ok &= _step_data_ok(signature, k, el)
+    for el in basis:
+        image = apply_columns(L, el.row)
+        triple = _triple(el.row, image, split) if signature.m else None
+        data_ok &= _step_data_ok(signature, k, el, triple)
         if generalized:
-            lifted = {d: rsquare_lift_row(signature, d - 2, w, d) for d, w in images.items()}
-            images = {
-                d: apply_columns(laplacian_matrix(signature, d), w) for d, w in lifted.items()
-            }
-        membership_ok &= not any(images.values())
+            image = apply_columns(L, rsquare_lift_row(signature, k - 2, image, k))
+        membership_ok &= not image
 
     checks = (
         ("element count equals space dimension", len(basis) == space.dim),
         ("every element is annihilated", membership_ok),
-        (
-            "elements are linearly independent",
-            homogeneous and rank(parts[k] for _, parts in coords) == len(basis),
-        ),
+        ("elements are linearly independent", rank(el.row for el in basis) == len(basis)),
         ("restriction data matches one level down", data_ok),
     )
     flagged = sorted(

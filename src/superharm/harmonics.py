@@ -187,8 +187,8 @@ The socle, the m = 0 plan agreement and lifted_mirror (the mirror harmonics
 H_(2-M-k), lifted to Theorem A's socle at degree k and to branching's
 admissible Laplacian parts at k - 2) work on those rows with no polynomial
 in between.  rsquare_lift_row lifts one row the same way; the GT descent
-and its step check (module gtbasis) lift the coordinates of a lower basis
-element with it.
+and its step check (module gtbasis) lift the row of a lower basis element
+with it.
 """
 
 from __future__ import annotations

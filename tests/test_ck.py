@@ -487,22 +487,3 @@ def test_row_extension_matches_the_recursion_on_rational_data(seed):
             assert dict(got.terms) == dict(ck_extend_recursive(data).terms), (sig, k)
             assert _int_when_integral(got)
             assert ck_data(got, k) == data
-
-
-def test_polynomial_extension_is_the_extension_of_its_row():
-    # the GT descent's entry: integer data over a denominator in one slot
-    import random
-
-    rng = random.Random(77)
-    sig = SuperSignature(3, 2)
-    for k in range(6):
-        for slot in SLOTS:
-            ring, d = slot_ambient(sig, k, slot)
-            if d < 0:
-                continue
-            extend = ck.polynomial_extension(sig, k, slot)
-            for den in (1, 6):
-                row = {i: rng.randint(-4, 4) for i in range(space_dimension(ring, d)) if rng.random() < 0.5}
-                w = vector_polynomial(ring, d, {i: Fraction(c, den) for i, c in row.items()})
-                expected = ck_extend_recursive(CKData.from_parts(sig, k, **{slot: w}))
-                assert extend(row, den) == expected, (k, slot, den)

@@ -325,6 +325,10 @@ _GOLDEN = [
     # H_3 and H_2 lifted through the column-built mixed R_d, killed by L_k
     (["verify", "--suite", "theoremA", "--m", "6", "--n", "6", "--kmax", "6", "--format", "json"], 0,
      "e9d4c999357932a3a66bd2646aede7d47864c3add97d9cd6c6c0e5268baafc90"),
+    # the largest GT output: the (4|8) descent at k = 8, one text line per
+    # element
+    (["gt-basis", "--m", "4", "--n", "4", "--k", "8"], 0,
+     "9a16b3c951897deacbe4d6cc58600fc1aa1b9f9ad9f956a6ad5016678531c7e0"),
 ]
 
 

@@ -1,13 +1,17 @@
 """Chain-adapted bases and their labels."""
 
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 
 import pytest
 
 from superharm import ck, gtbasis, harmonics, operators
 from superharm.ck import CKData, ck_extend, ck_extend_recursive
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
-from superharm.exactla import IntMatrix
+from superharm.exactla import IntMatrix, polynomial_vector
 from superharm.gtbasis import (
     GTBasisElement,
     GTLabel,
@@ -97,8 +101,10 @@ def _fermionic_oracle(n, k):
 def test_fermionic_recursion_element_for_element():
     for n in (1, 2, 3):
         for k in range(n + 1):
-            built = [el.polynomial for el in gt_basis(SuperSignature(0, n), k)]
-            assert built == _fermionic_oracle(n, k)
+            basis = gt_basis(SuperSignature(0, n), k)
+            assert [el.polynomial for el in basis] == _fermionic_oracle(n, k)
+            # the cached elements are shared: their rows are read-only
+            assert all(type(el.row) is MappingProxyType for el in basis)
 
 
 def test_fermionic_gate():
@@ -238,7 +244,8 @@ def test_relabelled_slot_fails_restriction_data(monkeypatch, m, n, k, target, ki
     # wrong half of the chain
     def relabel(el):
         chain = el.label.chain
-        return GTBasisElement(GTLabel((replace(chain[0], kind=wrong),) + chain[1:]), el.polynomial)
+        label = GTLabel((replace(chain[0], kind=wrong),) + chain[1:])
+        return GTBasisElement.from_polynomial(label, el.polynomial, k)
 
     assert not _data_check_with(monkeypatch, SuperSignature(m, n), k, target, kind, relabel)
 
@@ -252,7 +259,7 @@ def test_nonzero_laplacian_fails_a_boundary_step(monkeypatch):
     extra = x2 * x2 * t1 * t2
 
     def add_extra(el):
-        return GTBasisElement(el.label, el.polynomial + extra)
+        return GTBasisElement.from_polynomial(el.label, el.polynomial + extra, 4)
 
     assert not _data_check_with(monkeypatch, sig, 4, "H", "ordinary-a1", add_extra)
 
@@ -261,7 +268,7 @@ def test_empty_chain_fails_restriction_data(monkeypatch):
     # an element with no chain step: a failed check, not an IndexError
     sig = SuperSignature(2, 2)
     basis = list(gt_basis(sig, 2))
-    basis[0] = GTBasisElement(GTLabel(()), basis[0].polynomial)
+    basis[0] = GTBasisElement.from_polynomial(GTLabel(()), basis[0].polynomial, 2)
     monkeypatch.setitem(gtbasis._CACHE, (2, 2, 2, "H"), tuple(basis))
     rep = verify_gt_basis(sig, 2)
     checks = dict(rep.checks)
@@ -279,23 +286,10 @@ def test_wrong_level_fails_restriction_data(monkeypatch, m, n, k, kind, level):
     # (2|6) (not m = 2); the restriction data alone would still match
     def relabel(el):
         chain = el.label.chain
-        return GTBasisElement(GTLabel((replace(chain[0], level=level),) + chain[1:]), el.polynomial)
+        label = GTLabel((replace(chain[0], level=level),) + chain[1:])
+        return GTBasisElement.from_polynomial(label, el.polynomial, k)
 
     assert not _data_check_with(monkeypatch, SuperSignature(m, n), k, "H", kind, relabel)
-
-
-def test_non_homogeneous_element_fails_independence(monkeypatch):
-    # the constant 1 in a degree-2 basis: a failed check, not a ValueError
-    sig = SuperSignature(0, 3)
-    basis = list(gt_basis(sig, 2))
-    basis[0] = GTBasisElement(basis[0].label, SuperPolynomial.one(sig))
-    monkeypatch.setitem(gtbasis._CACHE, (0, 3, 2, "H"), tuple(basis))
-    rep = verify_gt_basis(sig, 2)
-    checks = dict(rep.checks)
-    assert not rep.verified
-    assert not checks["elements are linearly independent"]
-    assert checks["element count equals space dimension"]
-    assert list(checks) == [name for name, _ in verify_gt_basis(SuperSignature(0, 2), 1).checks]
 
 
 @pytest.mark.parametrize(
@@ -310,9 +304,10 @@ def test_step_check_judges_every_kind_without_raising(m, n, k):
         step, rest = el.label.chain[0], el.label.chain[1:]
         assert gtbasis._step_data_ok(sig, k, el) is True
         for bad in [replace(step, kind=kind) for kind in kinds] + [replace(step, pos=-1)]:
-            relabelled = GTBasisElement(GTLabel((bad,) + rest), el.polynomial)
+            relabelled = GTBasisElement.from_polynomial(GTLabel((bad,) + rest), el.polynomial, k)
             assert isinstance(gtbasis._step_data_ok(sig, k, relabelled), bool)
-        assert gtbasis._step_data_ok(sig, k, GTBasisElement(GTLabel(()), el.polynomial)) is False
+        unlabelled = GTBasisElement.from_polynomial(GTLabel(()), el.polynomial, k)
+        assert gtbasis._step_data_ok(sig, k, unlabelled) is False
 
 
 _FOREIGN = [
@@ -338,7 +333,7 @@ def test_foreign_polynomial_fails_restriction_data(monkeypatch, m, n, k, target,
     other = next(el for el in basis if el.label.chain[0].kind == donor and el is not first)
 
     def foreign(el):
-        return GTBasisElement(el.label, other.polynomial)
+        return GTBasisElement.from_polynomial(el.label, other.polynomial, k)
 
     assert not _data_check_with(monkeypatch, sig, k, target, kind, foreign)
 
@@ -355,7 +350,8 @@ def test_a3_lift_off_by_one_fails_restriction_data(monkeypatch, k, shift):
         j = (k - 2 - step.degree) // 2
         source = gt_basis(sig, step.degree - 2 * shift, "H")[step.pos]
         lap = rsquare_lift(source.polynomial, j + shift)
-        return GTBasisElement(el.label, ck_extend(CKData.from_parts(sig, k, laplacian=lap)))
+        Q = ck_extend(CKData.from_parts(sig, k, laplacian=lap))
+        return GTBasisElement.from_polynomial(el.label, Q, k)
 
     assert not _data_check_with(monkeypatch, sig, k, "Ht", "generalized-a3", off_by_one)
 
@@ -384,10 +380,17 @@ _ROW_CASES = sorted(
 @pytest.mark.parametrize("m,n,k", _ROW_CASES, ids=[f"({m}|{2 * n})-{k}" for m, n, k in _ROW_CASES])
 def test_row_descent_matches_the_polynomial_construction(m, n, k):
     # every bosonic element is the recursive CK extension of its lower
-    # element, lifted by r2 as a polynomial, in the slot of its kind
+    # element, lifted by r2 as a polynomial, in the slot of its kind; its
+    # row is canonical, numerators over their least common denominator, and
+    # read-only, as the cached elements are shared
     sig = SuperSignature(m, n)
     for target in ("H", "Ht"):
         for el in gt_basis(sig, k, target):
+            assert (el.signature, el.degree) == (sig, k)
+            assert el.den > 0 and gcd(el.den, *el.row.values()) == 1, el.label.text()
+            assert type(el.row) is MappingProxyType
+            rational = {i: Fraction(v, el.den) for i, v in el.row.items()}
+            assert polynomial_vector(el.polynomial, k) == rational, el.label.text()
             step = el.label.chain[0]
             slot, lower_target = gtbasis._BOSONIC_KINDS[step.kind]
             source, degree = ck.slot_ambient(sig, k, slot)
@@ -432,6 +435,31 @@ def test_wrong_rsquare_factor_entry_fails_restriction_data(monkeypatch, m, n, k,
     assert checks["every element is annihilated"] and checks["elements are linearly independent"]
 
 
+@pytest.mark.parametrize("m,n,k,target", [(3, 3, 5, "Ht"), (3, 2, 5, "H"), (2, 3, 5, "Ht")])
+def test_bosonic_basis_builds_no_polynomial_above_the_fermionic_floor(monkeypatch, m, n, k, target):
+    # with the m = 0 floors and the matrices warm, building and verifying a
+    # bosonic basis makes SuperPolynomials in no ring with m >= 1: every
+    # element is extended, lifted, read and checked as an integer row.
+    # (3|6) and (3|4) descend over exceptional levels (b3-b6), (2|6) at its
+    # exceptional degree 5 adds the a3 elements.
+    sig = SuperSignature(m, n)
+    assert verify_gt_basis(sig, k, target).verified
+    floors = {key: els for key, els in gtbasis._CACHE.items() if key[0] == 0}
+    warm = len(floors)
+    monkeypatch.setattr(gtbasis, "_CACHE", floors)
+    built = Counter()
+    init = SuperPolynomial.__init__
+
+    def counted(self, signature, *args, **kwargs):
+        built[signature] += 1
+        init(self, signature, *args, **kwargs)
+
+    monkeypatch.setattr(SuperPolynomial, "__init__", counted)
+    assert verify_gt_basis(sig, k, target).verified
+    assert len(floors) > warm
+    assert {s: c for s, c in built.items() if s.m >= 1} == {}
+
+
 @pytest.mark.parametrize("m,n,k", [(2, 1, 3), (3, 2, 4), (2, 3, 4)])
 def test_wrong_laplacian_entry_fails_annihilation(monkeypatch, m, n, k):
     # one entry of L_k off by one, in a column where the first element is
@@ -452,29 +480,6 @@ def test_wrong_laplacian_entry_fails_annihilation(monkeypatch, m, n, k):
     checks = dict(verify_gt_basis(sig, k).checks)
     assert not checks["every element is annihilated"]
     assert checks["element count equals space dimension"]
-
-
-@pytest.mark.parametrize(
-    "extra,annihilated",
-    [(lambda sig: SuperPolynomial.one(sig), True), (lambda sig: SuperPolynomial.x(sig, 1) ** 2, False)],
-    ids=["plus-1", "plus-x1^2"],
-)
-def test_non_homogeneous_bosonic_element_fails_without_raising(monkeypatch, extra, annihilated):
-    # a part of another degree: the element is neither independent in
-    # degree k nor carries one level's restriction data; it is annihilated
-    # exactly when that part is (1 is harmonic, x1^2 is not)
-    sig, k = SuperSignature(2, 2), 3
-    basis = list(gt_basis(sig, k))
-    basis[0] = GTBasisElement(basis[0].label, basis[0].polynomial + extra(sig))
-    monkeypatch.setitem(gtbasis._CACHE, (sig.m, sig.n, k, "H"), tuple(basis))
-    rep = verify_gt_basis(sig, k)
-    assert not rep.verified
-    assert dict(rep.checks) == {
-        "element count equals space dimension": True,
-        "every element is annihilated": annihilated,
-        "elements are linearly independent": False,
-        "restriction data matches one level down": False,
-    }
 
 
 @pytest.mark.parametrize(
@@ -513,32 +518,52 @@ def test_element_outside_ht_fails_annihilation(monkeypatch, m, n, k):
     sig = SuperSignature(m, n)
 
     def power(el):
-        return GTBasisElement(el.label, SuperPolynomial.x(sig, 1) ** k)
+        return GTBasisElement.from_polynomial(el.label, SuperPolynomial.x(sig, 1) ** k, k)
 
     _data_check_with(monkeypatch, sig, k, "Ht", "generalized-a3", power)
     checks = dict(verify_gt_basis(sig, k, "Ht").checks)
     assert not checks["every element is annihilated"]
 
 
-@pytest.mark.parametrize("m,n,k", [(3, 2, 5), (2, 2, 4)])
-def test_non_homogeneous_lower_element_fails_the_step_above(monkeypatch, m, n, k):
-    # the lower element an element points to gains a constant: its lift by
-    # r^(2j) has a part of another degree, which no slot of the element
-    # carries, so the step check fails where it passed
+def _first_element(m, n, k):
+    return gt_basis(SuperSignature(m, n), k)[0]
+
+
+def _lifted_lower_element(m, n, k):
+    """The lower element of the first element of H_k of (m|2n) that is lifted
+    by a positive power of r2 into its slot."""
     sig = SuperSignature(m, n)
-
-    def lifted_degrees(el):
+    for el in gt_basis(sig, k):
         step = el.label.chain[0]
-        return ck.slot_ambient(sig, k, gtbasis._BOSONIC_KINDS[step.kind][0])[1] - step.degree
+        slot, target = gtbasis._BOSONIC_KINDS[step.kind]
+        source, degree = ck.slot_ambient(sig, k, slot)
+        if degree > step.degree:
+            return gt_basis(source, step.degree, target)[step.pos]
 
-    el = next(el for el in gt_basis(sig, k) if lifted_degrees(el) > 0)
-    step = el.label.chain[0]
-    slot, target = gtbasis._BOSONIC_KINDS[step.kind]
-    source, _ = ck.slot_ambient(sig, k, slot)
-    assert gtbasis._step_data_ok(sig, k, el)
-    lower = list(gt_basis(source, step.degree, target))
-    lo = lower[step.pos]
-    lower[step.pos] = GTBasisElement(lo.label, lo.polynomial + SuperPolynomial.one(source))
-    key = (source.m, source.n, step.degree, target)
-    monkeypatch.setitem(gtbasis._CACHE, key, tuple(lower))
-    assert not gtbasis._step_data_ok(sig, k, el)
+
+def _plus_one(el):
+    return el.polynomial + SuperPolynomial.one(el.signature)
+
+
+_NON_HOMOGENEOUS = {
+    # the constant 1 in place of an element of degree 2
+    "one-in-degree-2": lambda: (_first_element(0, 3, 2), lambda el: SuperPolynomial.one(el.signature)),
+    # a bosonic element with a part of another degree, harmonic or not
+    "plus-1": lambda: (_first_element(2, 2, 3), _plus_one),
+    "plus-x1^2": lambda: (
+        _first_element(2, 2, 3),
+        lambda el: el.polynomial + SuperPolynomial.x(el.signature, 1) ** 2,
+    ),
+    # a lower element, lifted by r2 into the step above, with a constant added
+    "lower-plus-1-(3|4)-5": lambda: (_lifted_lower_element(3, 2, 5), _plus_one),
+    "lower-plus-1-(2|4)-4": lambda: (_lifted_lower_element(2, 2, 4), _plus_one),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_HOMOGENEOUS))
+def test_non_homogeneous_polynomial_is_not_an_element(case):
+    # an element is a row on the degree-k basis, so a polynomial with a part
+    # of another degree cannot be stored in one
+    el, change = _NON_HOMOGENEOUS[case]()
+    with pytest.raises(ValueError, match="not homogeneous"):
+        GTBasisElement.from_polynomial(el.label, change(el), el.degree)
