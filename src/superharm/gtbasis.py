@@ -346,7 +346,9 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     row decides annihilation (L_k v = 0 for H, L_k R_(k-2) L_k v = 0 for
     Ht); no polynomial operator runs.  For m >= 1 the step check reads the
     triple of the x_m^0 and x_m^1 slices and L_k v; at m = 0 it compares
-    polynomials built from the rows."""
+    polynomials built from the rows.  An element of another signature or
+    degree fails both the annihilation and the restriction-data check, its
+    row unread by either."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
@@ -356,6 +358,9 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     L = laplacian_matrix(signature, k)
     membership_ok = data_ok = True
     for el in basis:
+        if (el.signature, el.degree) != (signature, k):
+            membership_ok = data_ok = False  # its row is on another basis
+            continue
         image = apply_columns(L, el.row)
         triple = _triple(el.row, image, split) if signature.m else None
         data_ok &= _step_data_ok(signature, k, el, triple)

@@ -41,21 +41,28 @@ ring, lap has no mixed bosonic-fermionic term and x^a is even, so
 and column x^a t_F of L_k takes column x^a of the bosonic L_|a| with t_F
 kept and column t_F of the fermionic L_|F| with x^a kept.  A term x^a' goes
 to the row of x^a' t_F and a term t_F' to the row of x^a t_F'; the two row
-sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way,
-and R_d on a mixed ring is assembled like L_k.  One assembler, _assemble,
-builds both from the columns the factor matrices hold (exactla.columns),
-transposes nothing, and writes the mixed matrix straight into compressed
-columns (IntMatrix.from_columns): a mixed L_k or R_d never holds a row.
-The factor matrices are row-built, since the certificate below reads them
-by rows and names a failing row.  So a mixed ring makes no polynomial, and
-a wrong factor entry reaches every mixed matrix built from it, while the
-certificate runs on the factor matrices themselves.  Each operator has one
-cached IntMatrix per (signature, degree), and every reader of a column
-reads the columns that matrix holds; the readers that eliminate (kernel,
-the product of the defect kernel, the preimage of Ht) derive the rows of
-a mixed matrix for the one call and drop them.  exactla.operator_matrix,
-which images every monomial whole, stays the tests' reference for L_k and
-R_d.
+sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way.
+One column rule, _column_rule, states this for both operators on the
+columns the factor matrices hold (exactla.columns).  The degree-d basis
+lists each bosonic part x^a times the masks of degree d - |a| in ascending
+order, so x^a t_G sits at the first index of x^a plus the position of G
+among those masks; the first indices are counted from the bosonic bases
+(_parts), and no mixed basis is listed.  The rule has two readers.
+_assemble maps it over every column, transposes nothing, and writes the
+mixed L_k or R_d straight into compressed columns (IntMatrix.from_columns):
+a mixed matrix never holds a row.  _apply_rows applies it to the columns in
+the support of a few rows only, unranking each index by bisecting the first
+indices, and builds no mixed matrix; on a factor ring it is apply_columns on
+the cached matrix.  The factor matrices are row-built, since the certificate
+below reads them by rows and names a failing row.  So a mixed ring makes no
+polynomial, and a wrong factor entry reaches every mixed matrix and every
+row read through the rule, while the certificate runs on the factor
+matrices themselves.  Each operator has one cached IntMatrix per
+(signature, degree), and every reader of a column reads the columns that
+matrix holds; the readers that eliminate (kernel, the product of the
+defect kernel, the preimage of Ht) derive the rows of a mixed matrix for
+the one call and drop them.  exactla.operator_matrix, which images every
+monomial whole, stays the tests' reference for L_k and R_d.
 
 On a factor ring the matrix R_d of multiplication by r2 is read off
 L_(d+2): under the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the
@@ -165,7 +172,9 @@ cached, as each verification reads it once per degree.  For m >= 1,
 verify_theorem_A takes neither: it lifts the mirror H_(2-M-k) to k, and
 L_k on each lifted row proves the mirror lifted to k - 2 lies in D.  As
 many rows as the counted dim D, independent by (b), make it all of D, so
-the socle is the lifted mirror at k.
+the socle is the lifted mirror at k.  The lift and L_k both run through
+_apply_rows, so the one mixed matrix Theorem A assembles is the mirror's
+own L, for its kernel.
 
 Ht_k is a preimage in the same way: lap r2 lap p = 0 iff L_k p lies in
 D = ker(L_k R_(k-2)), so Ht_k = L_k^-1(D), for every m, and D is the defect
@@ -179,24 +188,25 @@ rows that keep the sparsity of L_k, where the product L_k R_(k-2) L_k has
 dim P_(k-2) denser ones.  kernel returns canonical rows, so the Subspace is
 the one the product would give.
 
-Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps the
-canonical integer rows of a Subspace through the held columns of
-rsquare_matrix (exactla.apply_columns), one degree step at a time, from
-the space's degree up to k.
-The socle, the m = 0 plan agreement and lifted_mirror (the mirror harmonics
-H_(2-M-k), lifted to Theorem A's socle at degree k and to branching's
-admissible Laplacian parts at k - 2) work on those rows with no polynomial
-in between.  rsquare_lift_row lifts one row the same way; the GT descent
-and its step check (module gtbasis) lift the row of a lower basis element
-with it.
+Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps all
+the canonical integer rows of a Subspace through _apply_rows with r2, one
+degree step at a time, from the space's degree up to k, so a mixed ring
+builds no R_d for them.  The socle, the m = 0 plan agreement and
+lifted_mirror (the mirror harmonics H_(2-M-k), lifted to Theorem A's socle
+at degree k and to branching's admissible Laplacian parts at k - 2) work on
+those rows with no polynomial in between.  rsquare_lift_row lifts one row
+through the held columns of the cached R_d (exactla.apply_columns); the GT
+descent and its step check (module gtbasis) lift the rows of their many
+lower basis elements with it, each R_d assembled once for all of them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
-from typing import Mapping
+from math import comb, lcm
+from typing import Callable, Iterable, Mapping
 
 from .exactla import (
     IntMatrix,
@@ -231,57 +241,129 @@ def _factor_rings(signature: SuperSignature) -> tuple[SuperSignature, SuperSigna
     return SuperSignature(signature.m, 0), SuperSignature(0, signature.n)
 
 
-def _assemble(signature: SuperSignature, k: int, shift: int, factor_matrix) -> IntMatrix:
-    """The matrix from P_k to P_(k+shift) of a mixed signature of
-    A = A_b (x) 1 + 1 (x) A_f: column x^a t_F is A_b(x^a) t_F + x^a A_f(t_F)
-    (module docstring).  factor_matrix(ring, d) is the matrix of A_b or A_f
-    on degree d of a factor ring; its held columns are read, none is
-    transposed, and the matrix is written straight into columns, with no
-    row held.
-
-    The target basis lists, for each bosonic part x^a in canonical order,
-    x^a times every mask of the remaining degree in ascending order, which
-    is the order of the fermionic ring's basis of that degree.  So x^a t_G
-    sits at first[a] + (position of G in that basis), and a column's rows
-    come sorted from its factor columns: the bosonic terms below x^a of the
-    source, then its fermionic terms, then the bosonic terms above."""
-    bosonic_ring, fermionic_ring = _factor_rings(signature)
-    first: dict[tuple[int, ...], int] = {}
-    for t, (powers, _) in enumerate(monomial_basis(signature, k + shift)):
-        first.setdefault(powers, t)
-    bosonic = {}  # x^a -> (first[] and entries of its image terms below x^a, above x^a)
-    for d in range(max(0, k - 2 * signature.n), k + 1):
-        image = monomial_basis(bosonic_ring, d + shift)
-        starts, rows, entries = columns(factor_matrix(bosonic_ring, d))
-        for s, (powers, _) in enumerate(monomial_basis(bosonic_ring, d)):
-            below, above = ([], []), ([], [])
-            for x in range(starts[s], starts[s + 1]):
-                a = image[rows[x]].powers
-                side = below if a < powers else above
-                side[0].append(first[a])
-                side[1].append(entries[x])
-            bosonic[powers] = below, above
-    fermionic = {}  # t_F -> (position of F, rows and entries of its column)
-    for d in range(min(k, 2 * signature.n) + 1):
-        starts, rows, entries = columns(factor_matrix(fermionic_ring, d))
-        for s, (_, f) in enumerate(monomial_basis(fermionic_ring, d)):
-            span = slice(starts[s], starts[s + 1])
-            fermionic[f] = s, rows[span].tolist(), entries[span].tolist()
-
-    def column(mono: SuperMonomial) -> tuple[list[int], list[int]]:
-        powers, f = mono
-        (low, low_entries), (high, high_entries) = bosonic[powers]
-        position, images, image_entries = fermionic[f]
-        targets = [t + position for t in low]
-        if images:  # first holds x^a only if the target has masks of its degree
-            base = first[powers]
-            targets += [base + g for g in images]
-        targets += [t + position for t in high]
-        return targets, low_entries + image_entries + high_entries
-
-    return IntMatrix.from_columns(
-        space_dimension(signature, k + shift), map(column, monomial_basis(signature, k))
+def _parts(signature: SuperSignature, d: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """The bosonic parts x^a of the degree-d basis of a mixed ring, in
+    canonical order, as (first, a, |a|, position of x^a in the bosonic basis
+    of degree |a|).  The basis lists x^a times each of the C(2n, d - |a|)
+    masks of the remaining degree in ascending order, the order of the
+    fermionic ring's basis of that degree, so x^a t_G sits at first plus the
+    position of G there.  first is counted; the mixed basis is not listed."""
+    bosonic_ring = SuperSignature(signature.m, 0)
+    twon = signature.fermionic_count
+    parts = sorted(
+        (powers, e, s)
+        for e in range(max(0, d - twon), d + 1)
+        for s, (powers, _) in enumerate(monomial_basis(bosonic_ring, e))
     )
+    placed, first = [], 0
+    for powers, e, s in parts:
+        placed.append((first, powers, e, s))
+        first += comb(twon, d - e)
+    return placed
+
+
+def _column_rule(signature: SuperSignature, k: int, shift: int, factor_matrix):
+    """The columns of A = A_b (x) 1 + 1 (x) A_f from P_k to P_(k+shift) of a
+    mixed signature (module docstring):
+
+        A(x^a t_F) = A_b(x^a) t_F + x^a A_f(t_F).
+
+    factor_matrix(ring, d) is the matrix of A_b or A_f on degree d of a
+    factor ring; the columns it holds are read, each factor matrix once per
+    rule.  The rule maps a part (a, |a|, s) of P_k, as _parts lists it, to
+    the function from the position of F to column x^a t_F, as
+    (rows, entries).  A term x^a' t_G lands at the first index of x^a' in
+    P_(k+shift) plus the position of G, so the rows come sorted from the
+    factor columns: the bosonic terms below x^a, then the fermionic terms,
+    then those above."""
+    bosonic_ring, fermionic_ring = _factor_rings(signature)
+    first = {powers: f for f, powers, _, _ in _parts(signature, k + shift)}
+    bosonic: dict[int, tuple] = {}  # |a| -> columns of A_b, and its image basis
+    fermionic: dict[int, list] = {}  # |F| -> columns of A_f, as lists
+
+    def part(powers: tuple[int, ...], e: int, s: int):
+        if e not in bosonic:
+            image = monomial_basis(bosonic_ring, e + shift)
+            bosonic[e] = columns(factor_matrix(bosonic_ring, e)), image
+        (starts, rows, entries), image = bosonic[e]
+        low, low_entries, high, high_entries = [], [], [], []
+        for x in range(starts[s], starts[s + 1]):
+            a = image[rows[x]].powers
+            if a < powers:
+                low.append(first[a])
+                low_entries.append(entries[x])
+            else:
+                high.append(first[a])
+                high_entries.append(entries[x])
+        if k - e not in fermionic:
+            starts, rows, entries = columns(factor_matrix(fermionic_ring, k - e))
+            spans = [slice(starts[g], starts[g + 1]) for g in range(len(starts) - 1)]
+            fermionic[k - e] = [(rows[x].tolist(), entries[x].tolist()) for x in spans]
+        images = fermionic[k - e]
+        base = first.get(powers)  # held if x^a A_f(t_F) has a term
+
+        def column(position: int) -> tuple[list[int], list[int]]:
+            image, image_entries = images[position]
+            targets = [t + position for t in low]
+            if image:
+                targets += [base + g for g in image]
+            targets += [t + position for t in high]
+            return targets, low_entries + image_entries + high_entries
+
+        return column
+
+    return part
+
+
+def _assemble(signature: SuperSignature, k: int, shift: int, factor_matrix) -> IntMatrix:
+    """The matrix from P_k to P_(k+shift) of a mixed signature: the column
+    rule mapped over every column, written straight into compressed
+    columns, with no row held."""
+    rule = _column_rule(signature, k, shift, factor_matrix)
+    twon = signature.fermionic_count
+
+    def every_column():
+        for _, powers, e, s in _parts(signature, k):
+            column = rule(powers, e, s)
+            for position in range(comb(twon, k - e)):
+                yield column(position)
+
+    return IntMatrix.from_columns(space_dimension(signature, k + shift), every_column())
+
+
+def _apply_rows(
+    signature: SuperSignature,
+    d: int,
+    shift: int,
+    factor_matrix,
+    rows: Iterable[Mapping[int, int]],
+) -> list[dict[int, int]]:
+    """A applied to each integer row on the basis of P_d, for the operator
+    A from P_d to P_(d+shift) whose factor matrices factor_matrix gives, as
+    for _assemble.  On a mixed ring the column rule runs on the columns in
+    the rows' support only, each index unranked by bisecting the parts'
+    first indices, and no matrix of the ring is built; on a factor ring it
+    is apply_columns on the cached matrix."""
+    if not (signature.m and signature.n):
+        A = factor_matrix(signature, d)
+        return [apply_columns(A, row) for row in rows]
+    parts = _parts(signature, d)
+    firsts = [placed[0] for placed in parts]
+    rule = _column_rule(signature, d, shift, factor_matrix)
+    read: dict[int, Callable] = {}  # part -> its columns
+    out = []
+    for row in rows:
+        acc: dict[int, int] = {}
+        for i, v in row.items():
+            j = bisect_right(firsts, i) - 1
+            if j not in read:
+                _, powers, e, s = parts[j]
+                read[j] = rule(powers, e, s)
+            targets, entries = read[j](i - firsts[j])
+            for t, c in zip(targets, entries):
+                acc[t] = acc.get(t, 0) + v * c
+        out.append({t: c for t, c in acc.items() if c})
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -320,13 +402,18 @@ def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
 
 def rsquare_lift_rows(space: Subspace, k: int) -> list[dict[int, int]]:
     """The rows of a Subspace multiplied by the power of r2 that takes its
-    degree to k, as integer rows in the degree-k basis.  At the space's own
-    degree they are its own rows, not copies; a k below that degree or of
-    the other parity raises ValueError."""
+    degree to k, as integer rows in the degree-k basis, lifted together one
+    degree step at a time by _apply_rows: on a mixed ring through the
+    factor columns, with no mixed R_d built.  At the space's own degree
+    they are its own rows, not copies; a k below that degree or of the
+    other parity raises ValueError."""
     signature, degree = space.ambient
     if k < degree or (k - degree) % 2:
         raise ValueError(f"no power of r2 lifts degree {degree} to {k}")
-    return [rsquare_lift_row(signature, degree, row, k) for row in space.rows]
+    rows = list(space.rows)
+    for d in range(degree, k, 2):
+        rows = _apply_rows(signature, d, 2, rsquare_matrix, rows)
+    return rows
 
 
 def rsquare_lift_row(
@@ -403,7 +490,7 @@ def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
 def socle_space(signature: SuperSignature, k: int) -> Subspace:
     """H0_k: harmonics that are also multiples of r2, the r2-image of the
     defect kernel two degrees down."""
-    cols = len(monomial_basis(signature, k))
+    cols = space_dimension(signature, k)
     if k < 2:
         return Subspace.zero(cols, (signature, k))
     return Subspace.from_rows(
@@ -417,7 +504,7 @@ def lifted_mirror(signature: SuperSignature, k: int, degree: int) -> Subspace:
     prescribed-Laplacian parts of Ht_k at degree k - 2."""
     mirror = harmonic_space(signature, 2 - signature.M - k)
     return Subspace.from_rows(
-        len(monomial_basis(signature, degree)),
+        space_dimension(signature, degree),
         rsquare_lift_rows(mirror, degree),
         (signature, degree),
     )
@@ -756,7 +843,9 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     proves the counts of H and the injectivity of the lift, their (c) and
     (d) the count of D.  L_k kills each lifted mirror row, so the mirror
     lifted to k - 2 lies in D; with as many rows as the counted dim D, it is
-    D, and its r2-image is the socle.  At m = 0 the kernels are taken."""
+    D, and its r2-image is the socle.  The lift (rsquare_lift_rows) and L_k
+    read the factor columns through _apply_rows, so no mixed R_d or L_k is
+    assembled above the mirror degree.  At m = 0 the kernels are taken."""
     if k < 0:
         raise ValueError("negative degree")
     if signature.m == 0:
@@ -779,13 +868,12 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         mirror = harmonic_space(signature, 2 - M - k)
         dim_mirror = mirror.dim
         lifted = rsquare_lift_rows(mirror, k)
-        lap = laplacian_matrix(signature, k)
         checks.append(
             (
                 "socle is r-power of mirror harmonics",
                 certified
                 and len(lifted) == dim_socle == dim_mirror
-                and not any(apply_columns(lap, row) for row in lifted),
+                and not any(_apply_rows(signature, k, -2, laplacian_matrix, lifted)),
             )
         )
         checks.append(("strict chain socle < H < Ht", certified and dim_socle < dim_h < dim_ht))

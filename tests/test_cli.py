@@ -322,9 +322,18 @@ _GOLDEN = [
     (["verify", "--suite", "theoremA", "--m", "2", "--n", "3", "--kmax", "8", "--format", "json"], 0,
      "88c93b79d6920e1225496d6f29e14e7e556017253cd01f2c424bac43a747506b"),
     # Theorem A on (6|12) up to k = 6, its window 5..8 cut at 6: the mirrors
-    # H_3 and H_2 lifted through the column-built mixed R_d, killed by L_k
+    # H_3 and H_2 lifted through the factor columns, killed by L_k read the
+    # same way
     (["verify", "--suite", "theoremA", "--m", "6", "--n", "6", "--kmax", "6", "--format", "json"], 0,
      "e9d4c999357932a3a66bd2646aede7d47864c3add97d9cd6c6c0e5268baafc90"),
+    # Theorem A on (2|8) through its window 5..8: mirrors H_3 .. H_0 lifted
+    # by 1 to 4 steps of r2
+    (["verify", "--suite", "theoremA", "--m", "2", "--n", "4", "--kmax", "8", "--format", "json"], 0,
+     "85930f71a5021c7a6b0179e0c72790486c0579f091292ade72608ea5ecd22634"),
+    # generalized branch JSON on (2|8) at the exceptional degree 6: the
+    # mirror H_2, lifted to degree 4, is the admissible Laplacian parts
+    (["branch", "--m", "2", "--n", "4", "--k", "6", "--generalized", "--format", "json"], 0,
+     "8bab2eb4d63bf37cabfb3924e1c71c9a48b001b884946f1d4c0907db3587add1"),
     # the largest GT output: the (4|8) descent at k = 8, one text line per
     # element
     (["gt-basis", "--m", "4", "--n", "4", "--k", "8"], 0,

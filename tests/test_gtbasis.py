@@ -278,6 +278,34 @@ def test_empty_chain_fails_restriction_data(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "donor",
+    [
+        lambda: gt_basis(SuperSignature(2, 2), 3)[0],  # (2|4), one degree up
+        lambda: gt_basis(SuperSignature(2, 1), 2)[0],  # (2|2), same degree
+    ],
+    ids=["degree-3-of-(2|4)", "degree-2-of-(2|2)"],
+)
+def test_element_of_another_basis_fails_without_raising(monkeypatch, donor):
+    # an element whose row lies on another basis, in the cached degree-2
+    # basis of (2|4): failed checks, not an IndexError from its row
+    sig = SuperSignature(2, 2)
+    basis = list(gt_basis(sig, 2))
+    basis[0] = donor()
+    monkeypatch.setitem(gtbasis._CACHE, (2, 2, 2, "H"), tuple(basis))
+    rep = verify_gt_basis(sig, 2)
+    checks = dict(rep.checks)
+    assert not rep.verified
+    assert not checks["every element is annihilated"]
+    assert not checks["restriction data matches one level down"]
+    assert [name for name, _ in rep.checks] == [
+        "element count equals space dimension",
+        "every element is annihilated",
+        "elements are linearly independent",
+        "restriction data matches one level down",
+    ]
+
+
+@pytest.mark.parametrize(
     "m,n,k,kind,level",
     [(0, 3, 2, "fermionic-0", 10), (2, 3, 4, "ordinary-a1", 9)],
 )

@@ -668,6 +668,38 @@ def test_assembled_rsquare_matches_the_operator_matrix(sig, degrees):
         assert (R._data is None) == bool(sig.m and sig.n), d
 
 
+# the verify grid, (0|4) and (3|0) among it, then (4|8) and (2|8), each up to
+# k = 8
+ROW_READER_SIGS = [SuperSignature(m, n) for m, n in VERIFY_GRID] + [
+    SuperSignature(4, 4),
+    SuperSignature(2, 4),
+]
+
+
+@pytest.mark.parametrize("sig", ROW_READER_SIGS, ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_reader_matches_the_assembled_matrix(sig, data):
+    # lap or r2 on a few random sparse integer rows, empty rows included:
+    # the column rule read on the rows' support, the whole assembled matrix,
+    # and the operator on the rows' polynomials agree
+    k = data.draw(st.integers(min_value=0, max_value=8), label="k")
+    name = data.draw(st.sampled_from(["lap", "r2"]), label="operator")
+    factor_matrix, shift, operator = {
+        "lap": (laplacian_matrix, -2, laplacian),
+        "r2": (rsquare_matrix, 2, rsquare_mul),
+    }[name]
+    dim = space_dimension(sig, k)
+    entry = st.integers(min_value=-5, max_value=5).filter(bool)
+    row = st.dictionaries(st.integers(0, dim - 1), entry, max_size=6) if dim else st.just({})
+    rows = data.draw(st.lists(row, max_size=4), label="rows")
+    got = harmonics._apply_rows(sig, k, shift, factor_matrix, rows)
+    assert got == [apply_columns(factor_matrix(sig, k), r) for r in rows]
+    assert got == [
+        polynomial_vector(operator(exactla.vector_polynomial(sig, k, r)), k + shift) for r in rows
+    ]
+
+
 @pytest.mark.parametrize("sig", [SuperSignature(2, 2), SuperSignature(0, 2)], ids=str)
 def test_assembled_laplacian_sees_the_pair_terms(monkeypatch, fresh_caches, sig):
     # a Laplacian without its pair terms must change the assembled matrix
@@ -815,6 +847,30 @@ def test_theorem_A_takes_one_kernel_on_the_mirror(monkeypatch, fresh_caches, sig
         assert verify_theorem_A(sig, k).verified, k
         s = 2 - sig.M - k
         assert calls == ([(s, len(monomial_basis(sig, s)))] if k in window else []), k
+
+
+@pytest.mark.parametrize(
+    "sig, degrees", [(SuperSignature(4, 4), range(4, 7)), (SuperSignature(6, 6), [5])], ids=str
+)
+def test_theorem_A_assembles_no_mixed_matrix_above_the_mirror(
+    monkeypatch, fresh_caches, sig, degrees
+):
+    # the mirror's rows are lifted to k and killed by L_k through the factor
+    # columns, so the one mixed matrix assembled is the mirror's own L on
+    # P_(2-M-k), for its kernel; no mixed R_d on the way up, no mixed L_k
+    assembled = []
+    original = harmonics._assemble
+
+    def recording(signature, k, shift, factor_matrix):
+        assembled.append((signature, k, shift))
+        return original(signature, k, shift, factor_matrix)
+
+    monkeypatch.setattr(harmonics, "_assemble", recording)
+    for k in degrees:
+        _clear_harmonic_caches()
+        assembled.clear()
+        assert verify_theorem_A(sig, k).verified, k
+        assert assembled == [(sig, 2 - sig.M - k, -2)], k
 
 
 FAST_PATH_GRID = [SuperSignature(m, n) for m in range(5) for n in range(4)]
