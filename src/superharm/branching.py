@@ -22,8 +22,8 @@ Ht' for (generalized) harmonics one bosonic variable down:
 Both are proved exactly through the extension from hyperplane data: a
 harmonic is the extension of a boundary pair (p, q) with zero prescribed
 Laplacian, and a generalized harmonic allows any prescribed Laplacian W with
-lap(r2 W) = 0 (that kernel being harmonics.lifted_mirror at degree k - 2,
-the lift that gives Theorem A's socle at degree k).  Decomposing each data
+lap(r2 W) = 0 (that kernel being the mirror harmonics lifted to degree
+k - 2, whose r2-image is Theorem A's socle at degree k).  Decomposing each data
 slot and extending the resulting spanning sets gives generators whose
 restriction data is triangular: the boundary slot reads family one back,
 the normal slot family two, the Laplace image family three.
@@ -42,15 +42,20 @@ counted too.  For m - 1 >= 1 the count at l rests on the lead certificate
 the lower decompositions of degrees k and k - 1 run (b) at every degree up
 to k - 2, and the completeness check requires them to verify, so a report
 that verifies has proved its summand dimensions.  At m - 1 = 0 start_dim
-takes the kernels.  The kernels of harmonic_space and
-generalized_harmonic_space are taken only on the upper signature.
+takes the kernels.  The space decomposed, H_k or Ht_k, is sized by
+start_dim on the upper signature too, which counts there (m >= 1), and the
+checks that compare it with the slot data also require the upper Fischer
+report at k to verify, the proof of that count; without it they would be
+binomial identities.  So for m >= 1 branching takes no H, Ht or defect
+kernel on P_k or P_(k-2); its one kernel is the mirror H_(2-M-k) of the
+Laplacian slot.
 CK extension is linear, so a slot check that holds on a basis of P'_k holds
 on every generator made from it, and the boundary and normal slots are
 checked on the unit rows of the monomial bases of P'_k and P'_(k-1).  The
-Laplacian slot takes the rows of the defect kernel ker(L_k R_(k-2)), which
-lives in harmonics: it is cached there beside the spaces it serves, and the
-socle of Theorem A is its r2-image (for m >= 1 Theorem A reaches it as the
-lifted mirror, with no kernel on P_(k-2)).  One check,
+Laplacian slot takes the mirror H_(2-M-k) lifted to k - 2, with the proof
+that Theorem A's socle rests on too (harmonics.mirror_defect_rows): the
+Fischer report at k verifies, L_k kills each row after one more r2 step,
+and there are as many rows as the counted dim ker(L_k R_(k-2)).  One check,
 _slot_generators_ok, serves all three slots, in index space:
 ck.slot_extension turns each integer row into the row E of k! times its
 extension on the degree-k basis, one row at a time.  E is read back by
@@ -75,21 +80,18 @@ from dataclasses import dataclass
 from math import factorial
 
 from .ck import SLOTS, slot_ambient, slot_extension
-# kernel is not called here (the defect kernel is built in harmonics); the
+# kernel is not called here (the mirror kernel is taken in harmonics); the
 # benchmark's tracer test (perfbench/tests) checks that its wrapper is also
 # bound under this module's name.
 from .exactla import apply_columns, kernel  # noqa: F401
 from .harmonics import (
     IndexSets,
     branching_index_sets,
-    defect_kernel,
     exceptional_indices,
     fischer_decomposition,
     fischer_index_sets,
-    generalized_harmonic_space,
-    harmonic_space,
     laplacian_matrix,
-    lifted_mirror,
+    mirror_defect_rows,
     rsquare_matrix,
     start_dim,
 )
@@ -208,7 +210,7 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
         kind = "Ht" if l in sets.exceptional else "H"
         summands.append(BranchSummand(kind, l, 1, start_dim(lower, kind, l)))
 
-    lhs_dim = harmonic_space(signature, k).dim
+    lhs_dim = start_dim(signature, "H", k)
 
     # at k = 0 the degree -1 sets are empty
     lower_sets = (fischer_index_sets(lower, k), fischer_index_sets(lower, k - 1))
@@ -220,7 +222,8 @@ def branch_harmonic(signature: SuperSignature, k: int) -> BranchingReport:
     checks = [
         (
             "boundary data accounts for every harmonic",
-            lhs_dim == space_dimension(lower, k) + space_dimension(lower, k - 1),
+            fischer_decomposition(signature, k).verified
+            and lhs_dim == space_dimension(lower, k) + space_dimension(lower, k - 1),
         ),
         ("index sets assemble from the two lower decompositions", assembled),
         *_lower_generator_checks(signature, k),
@@ -248,25 +251,22 @@ def branch_generalized(signature: SuperSignature, k: int) -> BranchingReport:
         for l in range(k + 1)
     ]
 
-    lhs_dim = generalized_harmonic_space(signature, k).dim
-
-    ring, d = slot_ambient(signature, k, "laplacian")  # the full ring, degree k - 2
-    ker = defect_kernel(ring, d)
+    lhs_dim = start_dim(signature, "Ht", k)
+    report = fischer_decomposition(signature, k)
+    _, rows, proved = mirror_defect_rows(report)
 
     checks = [
-        (
-            "admissible Laplacian parts are the lifted mirror harmonics",
-            ker == lifted_mirror(signature, k, d),
-        ),
+        ("admissible Laplacian parts are the lifted mirror harmonics", proved),
         (
             "extension data dimension count",
-            lhs_dim
-            == space_dimension(lower, k) + space_dimension(lower, k - 1) + ker.dim,
+            report.verified
+            and lhs_dim
+            == space_dimension(lower, k) + space_dimension(lower, k - 1) + len(rows),
         ),
         *_lower_generator_checks(signature, k),
         (
             "Laplacian-slot generators verify",
-            _slot_generators_ok(signature, k, "laplacian", ker.rows),
+            _slot_generators_ok(signature, k, "laplacian", rows),
         ),
     ]
     notes = (

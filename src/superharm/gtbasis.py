@@ -67,11 +67,11 @@ from .ck import SLOTS, _xm_split, slot_ambient, slot_extension
 from .exactla import apply_columns, polynomial_vector, rank, vector_polynomial
 from .harmonics import (
     exceptional_indices,
+    fischer_decomposition,
     fischer_index_sets,
-    generalized_harmonic_space,
-    harmonic_space,
     laplacian_matrix,
     rsquare_lift_row,
+    start_dim,
 )
 from .superpoly import SuperPolynomial, SuperSignature, _rational, extend_signature
 
@@ -337,9 +337,13 @@ def _step_data_ok(
 
 
 def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTBasisReport:
-    """Exact verification: count against the kernel dimension, annihilation
-    by the defining operator, linear independence, and one-step restriction
-    data for every element.
+    """Exact verification: count against the dimension of the space,
+    annihilation by the defining operator, linear independence, and
+    one-step restriction data for every element.
+
+    The dimension is harmonics.start_dim's: the kernel's at m = 0, and for
+    m >= 1 a count, so the count check also requires the Fischer report at
+    k, which proves it, to verify; no kernel of H_k or Ht_k is taken.
 
     Each element is read as it is held, integer numerators over one
     denominator, and the rows are ranked.  At every m, L_k applied to the
@@ -347,19 +351,20 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     Ht); no polynomial operator runs.  For m >= 1 the step check reads the
     triple of the x_m^0 and x_m^1 slices and L_k v; at m = 0 it compares
     polynomials built from the rows.  An element of another signature or
-    degree fails both the annihilation and the restriction-data check, its
-    row unread by either."""
+    degree fails the annihilation, independence and restriction-data
+    checks, its row unread by any of them."""
     if k < 0:
         raise ValueError("negative degree")
     basis = gt_basis(signature, k, target)
     generalized = target == "Ht" and _generalized(signature, k)
-    space = (generalized_harmonic_space if generalized else harmonic_space)(signature, k)
+    expected_dim = start_dim(signature, "Ht" if generalized else "H", k)
+    counted = signature.m == 0 or fischer_decomposition(signature, k).verified
     split = _xm_split(signature, k) if signature.m else None
     L = laplacian_matrix(signature, k)
-    membership_ok = data_ok = True
+    membership_ok = data_ok = independent = True
     for el in basis:
         if (el.signature, el.degree) != (signature, k):
-            membership_ok = data_ok = False  # its row is on another basis
+            membership_ok = data_ok = independent = False  # its row is on another basis
             continue
         image = apply_columns(L, el.row)
         triple = _triple(el.row, image, split) if signature.m else None
@@ -369,9 +374,12 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         membership_ok &= not image
 
     checks = (
-        ("element count equals space dimension", len(basis) == space.dim),
+        ("element count equals space dimension", counted and len(basis) == expected_dim),
         ("every element is annihilated", membership_ok),
-        ("elements are linearly independent", rank(el.row for el in basis) == len(basis)),
+        (
+            "elements are linearly independent",
+            independent and rank(el.row for el in basis) == len(basis),
+        ),
         ("restriction data matches one level down", data_ok),
     )
     flagged = sorted(
@@ -386,7 +394,7 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
         k=k,
         target=target,
         size=len(basis),
-        expected_dim=space.dim,
+        expected_dim=expected_dim,
         checks=checks,
         flagged=tuple(flagged),
         verified=all(ok for _, ok in checks),

@@ -21,11 +21,14 @@ above is not available; the purely fermionic decomposition indexed by
 N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
 with the index-set formula.
 
-H_k and the defect kernel below are exact kernels of exact matrices, and
-Ht_k is the kernel of L_k reduced modulo the defect kernel (below); for
-m >= 1 the Fischer decomposition and Theorem A count these dimensions
-instead (see the end of the certificate), and the one kernel they take is
-Theorem A's mirror harmonics, on a degree at most -M/2.
+H_k, Ht_k = ker(L_k R_(k-2) L_k) and the defect kernel below are exact
+kernels of exact matrices.  start_dim is the one place that decides how
+dim H_k and dim Ht_k are obtained: it takes the kernel at m = 0 and counts
+for m >= 1 (see the end of the certificate), where a verified Fischer report
+at k proves the count.  The Fischer decomposition, Theorem A, branching and
+the GT verification read it, and for m >= 1 the one kernel they take is the
+mirror harmonics of an exceptional degree, on a degree at most -M/2.  The
+kernels stay the tests' reference at m >= 1.
 
 The ring is the tensor product P(m|0) (x) Lambda(2n) of its two factor
 rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), and lap and
@@ -59,9 +62,9 @@ polynomial, and a wrong factor entry reaches every mixed matrix and every
 row read through the rule, while the certificate runs on the factor
 matrices themselves.  Each operator has one cached IntMatrix per
 (signature, degree), and every reader of a column reads the columns that
-matrix holds; the readers that eliminate (kernel, the product of the
-defect kernel, the preimage of Ht) derive the rows of a mixed matrix for
-the one call and drop them.  exactla.operator_matrix, which images every
+matrix holds; the readers that eliminate (kernel, and the products of
+the defect kernel and of Ht) derive the rows of a mixed matrix for the one
+call and drop them.  exactla.operator_matrix, which images every
 monomial whole, stays the tests' reference for L_k and R_d.
 
 On a factor ring the matrix R_d of multiplication by r2 is read off
@@ -72,9 +75,9 @@ R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
 supports agree, and the entry is +1 where the two fermion masks agree and
 -1 where a pair was added.  rsquare_matrix turns each nonzero entry of row
 s of L_(d+2), at column t, into that +-1 at row t, column s of R_d.  All
-entries are ints, and so are those of the product lap r2 (the defect
-kernel) and of L_k reduced modulo its kernel (Ht): from the monomial maps
-to the canonical integer rows of a Subspace no Fraction is made.
+entries are ints, and so are those of the products lap r2 (the defect
+kernel) and lap r2 lap (Ht): from the monomial maps to the canonical
+integer rows of a Subspace no Fraction is made.
 
 The direct sum is proved from the sl(2) structure, with no rank.
 [lap, r2] = 4E + 2M (module operators) is, on P_d, the matrix identity
@@ -135,9 +138,10 @@ L_l are assembled from factor matrices whose supports agree, so the
 transpose of R_(l-2) and L_l have the same support.  (b) at l - 2 then makes
 the minor of L_l on the columns {x1^2 s : s in P_(l-2)} triangular in the
 x1 exponent, with a nonzero diagonal, so L_l is onto P_(l-2) and
-dim H_l = dim P_l - dim P_(l-2).  Ht_l = L_l^-1(ker L_l R_(l-2)), so, L_l
-being onto, Ht_l adds the defect kernel: dim Ht_l = dim H_l + dim D_(l-2),
-D the defect kernel below, and dim D is counted too.  The decomposition of
+dim H_l = dim P_l - dim P_(l-2).  lap r2 lap p = 0 iff L_l p lies in
+ker L_l R_(l-2), so Ht_l = L_l^-1(ker L_l R_(l-2)), and, L_l being onto,
+Ht_l adds the defect kernel: dim Ht_l = dim H_l + dim D_(l-2), D the defect
+kernel below, and dim D is counted too.  The decomposition of
 P_(l-2) splits it into blocks r^(2j) (H or Ht)_s with s + 2j = l - 2.  By
 (a), L_l R_(l-2) acts on r^(2j) H_s as the scalar 2(j+1)(2s + 2j + M), and
 on r^(2j) Ht_s as that scalar plus a nilpotent part, since r2 lap g lies in
@@ -166,35 +170,23 @@ r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
 H0_k = r2 ker(L_k R_(k-2)).  This holds for every m, also at m = 0 where r2
 is not injective, and needs no intersection: the kernel is taken on the
 dim P_(k-2) columns of L_k R_(k-2), not on a stack of 2 dim P_k columns.
-defect_kernel is cached beside the spaces, and branching's
-prescribed-Laplacian slot takes the same kernel; the socle itself is not
-cached, as each verification reads it once per degree.  For m >= 1,
-verify_theorem_A takes neither: it lifts the mirror H_(2-M-k) to k, and
-L_k on each lifted row proves the mirror lifted to k - 2 lies in D.  As
-many rows as the counted dim D, independent by (b), make it all of D, so
-the socle is the lifted mirror at k.  The lift and L_k both run through
-_apply_rows, so the one mixed matrix Theorem A assembles is the mirror's
-own L, for its kernel.
-
-Ht_k is a preimage in the same way: lap r2 lap p = 0 iff L_k p lies in
-D = ker(L_k R_(k-2)), so Ht_k = L_k^-1(D), for every m, and D is the defect
-kernel that the socle and the start dimensions already take.  Let d_i be
-the canonical rows of D, with pivots p_i; each is zero at every other
-pivot.  Then q lies in D iff q - sum_i (q[p_i] / d_i[p_i]) d_i = 0, and row j
-of that map composed with L_k is L_j - sum_i (d_i[j] / d_i[p_i]) L_(p_i),
-which vanishes at the pivots.  So Ht_k is the kernel of L_k with its rows so
-reduced, scaled to integers, and the pivot rows dropped: dim P_(k-2) - dim D
-rows that keep the sparsity of L_k, where the product L_k R_(k-2) L_k has
-dim P_(k-2) denser ones.  kernel returns canonical rows, so the Subspace is
-the one the product would give.
+defect_kernel is cached beside the spaces; the socle itself is not
+cached, as each verification reads it once per degree.  For m >= 1 neither
+is taken: mirror_defect_rows lifts the mirror H_(2-M-k) to k - 2, and L_k
+on each row after one more r2 step proves the rows lie in D.  As many rows
+as the counted dim D, independent by (b), make them all of D, once the
+Fischer report at k has proved the count.  Theorem A's socle is their
+r2-image, and branching's prescribed-Laplacian slot takes the rows
+themselves.  The lift and L_k both run through _apply_rows, so the one
+mixed matrix the proof assembles is the mirror's own L, for its kernel.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps all
 the canonical integer rows of a Subspace through _apply_rows with r2, one
 degree step at a time, from the space's degree up to k, so a mixed ring
-builds no R_d for them.  The socle, the m = 0 plan agreement and
-lifted_mirror (the mirror harmonics H_(2-M-k), lifted to Theorem A's socle
-at degree k and to branching's admissible Laplacian parts at k - 2) work on
-those rows with no polynomial in between.  rsquare_lift_row lifts one row
+builds no R_d for them.  The socle, the m = 0 plan agreement, lifted_mirror
+and mirror_defect_rows (the mirror harmonics H_(2-M-k), lifted to the socle
+at degree k and to the admissible Laplacian parts at k - 2) work on those
+rows with no polynomial in between.  rsquare_lift_row lifts one row
 through the held columns of the cached R_d (exactla.apply_columns); the GT
 descent and its step check (module gtbasis) lift the rows of their many
 lower basis elements with it, each R_d assembled once for all of them.
@@ -205,7 +197,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import Callable, Iterable, Mapping
 
 from .exactla import (
@@ -439,40 +431,12 @@ def harmonic_space(signature: SuperSignature, k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def generalized_harmonic_space(signature: SuperSignature, k: int) -> Subspace:
-    """Ht_k: degree-k kernel of lap r2 lap, taken as the preimage under L_k
-    of the defect kernel D two degrees down (module docstring): the kernel
-    of L_k with its rows reduced modulo the canonical rows of D.  Row j
-    becomes L_j - sum_i (d_i[j] / d_i[p_i]) L_(p_i), scaled to integers,
-    over the rows d_i of D with pivots p_i; the pivot rows reduce to 0 and
-    are dropped.  With D = 0 the matrix is L_k itself, and H_k is returned.
-    The rows of a mixed L_k are derived from its columns for this call.
-    """
-    defect = defect_kernel(signature, k - 2)
-    if not defect.rows:
+    """Ht_k: degree-k kernel of lap r2 lap, the sparse product
+    L_k R_(k-2) L_k; H_k below degree 2, where L_k is zero."""
+    if k < 2:
         return harmonic_space(signature, k)
     lap = laplacian_matrix(signature, k)
-    rows = lap.row_dicts()
-    pivots = {min(d): d for d in defect.rows}
-    held: dict[int, list[tuple[int, int, int]]] = {}  # j -> [(p_i, d_i[j], d_i[p_i])]
-    for p, d in pivots.items():
-        for j, c in d.items():
-            if j != p:
-                held.setdefault(j, []).append((p, c, d[p]))
-    reduced = []
-    for j, row in enumerate(rows):
-        terms = held.get(j)
-        if terms is None:
-            if j not in pivots:
-                reduced.append(row)
-        else:
-            scale = lcm(*(dp for _, _, dp in terms))
-            acc = {col: scale * v for col, v in row.items()}
-            for p, c, dp in terms:
-                f = c * (scale // dp)
-                for col, v in rows[p].items():
-                    acc[col] = acc.get(col, 0) - f * v
-            reduced.append({col: v for col, v in acc.items() if v})
-    return kernel(IntMatrix(lap.cols, reduced), (signature, k))
+    return kernel(matmul(matmul(lap, rsquare_matrix(signature, k - 2)), lap), (signature, k))
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +444,8 @@ def defect_kernel(signature: SuperSignature, degree: int) -> Subspace:
     """Solutions W of lap(r2 W) = 0 in degree `degree`: the admissible
     prescribed-Laplacian parts for generalized harmonics two degrees up, and
     the preimage under r2 of the socle there.  The matrix is the sparse
-    product L_(degree+2) R_degree."""
+    product L_(degree+2) R_degree.  The socle of the kernel path takes it;
+    for m >= 1 mirror_defect_rows gives its rows with no kernel."""
     if degree < 0:
         return Subspace.zero(0, (signature, degree))
     lap = laplacian_matrix(signature, degree + 2)
@@ -500,8 +465,9 @@ def socle_space(signature: SuperSignature, k: int) -> Subspace:
 
 def lifted_mirror(signature: SuperSignature, k: int, degree: int) -> Subspace:
     """The mirror harmonics H_(2-M-k) of an exceptional degree k, lifted by
-    r2 to `degree`: the socle of H_k at degree k, and the admissible
-    prescribed-Laplacian parts of Ht_k at degree k - 2."""
+    r2 to `degree`, as a Subspace: the socle of H_k at degree k, and the
+    admissible prescribed-Laplacian parts of Ht_k at degree k - 2.  The
+    kernel path of Theorem A compares its socle with it."""
     mirror = harmonic_space(signature, 2 - signature.M - k)
     return Subspace.from_rows(
         space_dimension(signature, degree),
@@ -739,8 +705,9 @@ def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
     """dim (H or Ht)_degree: counted for m >= 1, dim P_l - dim P_(l-2) plus,
     for Ht, the counted defect dimension at l - 2; (b) at l - 2 and the
     verified decomposition of P_(l-2) prove the counts (module docstring).
-    The kernel's at m = 0.  Fischer's starts and branching's lower summands
-    both take their dimensions here."""
+    The kernel's at m = 0.  Fischer's starts, Theorem A, branching (its
+    summands and the space it decomposes) and the GT verification all take
+    their dimensions here."""
     if signature.m == 0:
         return _SPACES[kind](signature, degree).dim
     dim = space_dimension(signature, degree) - space_dimension(signature, degree - 2)
@@ -830,6 +797,29 @@ class TheoremAReport:
     verified: bool
 
 
+def mirror_defect_rows(
+    report: DecompositionReport,
+) -> tuple[Subspace, list[dict[int, int]], bool]:
+    """For a Fischer report at an exceptional degree k of an m >= 1
+    signature: the mirror harmonics H_(2-M-k), their rows lifted by r2 to
+    k - 2, and whether those rows are proved to be the defect kernel
+    D_(k-2) (module docstring).  The proof: the report verifies, L_k kills
+    each row after one more r2 step, and there are as many rows as the
+    counted dim D_(k-2); the lift is injective by (b).  Theorem A's socle is
+    the r2-image of the rows, and branching's Laplacian slot takes them.
+    The lift and L_k read the factor columns through _apply_rows."""
+    signature, k = report.signature, report.k
+    mirror = harmonic_space(signature, 2 - signature.M - k)
+    rows = rsquare_lift_rows(mirror, k - 2)
+    lifted = _apply_rows(signature, k - 2, 2, rsquare_matrix, rows)
+    proved = (
+        report.verified
+        and len(rows) == _counted_defect_dim(signature, k - 2)
+        and not any(_apply_rows(signature, k, -2, laplacian_matrix, lifted))
+    )
+    return mirror, rows, proved
+
+
 def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     """Regular degrees: Ht_k = H_k and the socle vanishes.  Exceptional
     degrees: the socle is the r-power image of the mirror harmonics, the
@@ -841,10 +831,8 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     dim D_(k-2) and so dim Ht_k and the socle are counted, and every check
     also requires the Fischer reports at k and k - 2 to verify: their (b)
     proves the counts of H and the injectivity of the lift, their (c) and
-    (d) the count of D.  L_k kills each lifted mirror row, so the mirror
-    lifted to k - 2 lies in D; with as many rows as the counted dim D, it is
-    D, and its r2-image is the socle.  The lift (rsquare_lift_rows) and L_k
-    read the factor columns through _apply_rows, so no mixed R_d or L_k is
+    (d) the count of D.  mirror_defect_rows proves the mirror lifted to
+    k - 2 is D, so its r2-image is the socle; no mixed R_d or L_k is
     assembled above the mirror degree.  At m = 0 the kernels are taken."""
     if k < 0:
         raise ValueError("negative degree")
@@ -852,9 +840,8 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         return _kernel_theorem_A(signature, k)
     M = signature.M
     exceptional = k in exceptional_indices(M)
-    certified = fischer_decomposition(signature, k).verified and (
-        k < 2 or fischer_decomposition(signature, k - 2).verified
-    )
+    report = fischer_decomposition(signature, k)
+    certified = report.verified and (k < 2 or fischer_decomposition(signature, k - 2).verified)
     dim_h = start_dim(signature, "H", k)
     dim_socle = _counted_defect_dim(signature, k - 2)
     dim_ht = dim_h + dim_socle
@@ -865,17 +852,9 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
         checks.append(("generalized equals harmonic", collapsed))
         checks.append(("socle is zero", collapsed))
     else:
-        mirror = harmonic_space(signature, 2 - M - k)
+        mirror, _, proved = mirror_defect_rows(report)
         dim_mirror = mirror.dim
-        lifted = rsquare_lift_rows(mirror, k)
-        checks.append(
-            (
-                "socle is r-power of mirror harmonics",
-                certified
-                and len(lifted) == dim_socle == dim_mirror
-                and not any(_apply_rows(signature, k, -2, laplacian_matrix, lifted)),
-            )
-        )
+        checks.append(("socle is r-power of mirror harmonics", certified and proved))
         checks.append(("strict chain socle < H < Ht", certified and dim_socle < dim_h < dim_ht))
         checks.append(("defect dimensions agree", certified and dim_socle == dim_mirror))
     return TheoremAReport(

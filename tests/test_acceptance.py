@@ -32,7 +32,7 @@ from superharm import (
     verify_gt_basis,
     verify_theorem_A,
 )
-from superharm.branching import defect_kernel
+from superharm.harmonics import defect_kernel
 from superharm.exactla import span_subspace, subspace_polynomials
 from superharm.operators import rsquare
 

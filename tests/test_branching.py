@@ -5,16 +5,16 @@ from math import factorial
 import pytest
 
 from superharm import branching, ck, exactla, harmonics
-from superharm.branching import (
-    branch_generalized,
-    branch_harmonic,
-    branching_index_sets,
-    defect_kernel,
-)
+from superharm.branching import branch_generalized, branch_harmonic, branching_index_sets
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import IntMatrix, Subspace, apply_columns, columns
 from superharm.gtbasis import verify_gt_basis
-from superharm.harmonics import exceptional_indices, generalized_harmonic_space, harmonic_space
+from superharm.harmonics import (
+    defect_kernel,
+    exceptional_indices,
+    generalized_harmonic_space,
+    harmonic_space,
+)
 from superharm.superpoly import SuperSignature, space_dimension
 
 S33 = SuperSignature(3, 3)
@@ -184,20 +184,26 @@ BRANCHING_GRID = [SuperSignature(m, n) for m, n in VERIFY_GRID if m]
 
 
 def test_branching_takes_no_lower_harmonic_kernel(monkeypatch):
-    # the summand dimensions are counted (harmonics.start_dim): branching
-    # takes harmonic and generalized kernels on the upper signature only
+    # for m >= 1 dim H_k, dim Ht_k and the summand dimensions are counted
+    # (harmonics.start_dim), and the Laplacian slot takes the lifted mirror:
+    # branching takes no H, Ht or defect kernel on P_k or P_(k-2), upper or
+    # lower, and its one kernel is the mirror H_(2-M-k), here H_1 of (2|6)
     seen = []
-    for name in ("harmonic_space", "generalized_harmonic_space"):
 
-        def recording(sig, k, original=getattr(branching, name)):
-            seen.append(sig)
-            return original(sig, k)
+    def recording(A, ambient=None, original=harmonics.kernel):
+        seen.append(ambient)
+        return original(A, ambient)
 
-        monkeypatch.setattr(branching, name, recording)
-    for sig, branch in ((S33, branch_harmonic), (S23, branch_generalized)):
+    monkeypatch.setattr(harmonics, "kernel", recording)
+    for sig, branch, kernels in (
+        (S33, branch_harmonic, []),
+        (S23, branch_generalized, [(S23, 1)]),
+    ):
+        for space in (harmonic_space, generalized_harmonic_space, defect_kernel):
+            space.cache_clear()
         seen.clear()
         assert branch(sig, 5).verified
-        assert seen and set(seen) == {sig}
+        assert seen == kernels
 
 
 # the verify suite's branching cases (m >= 1, k <= 5, and every degree of each
@@ -367,15 +373,39 @@ def test_summands_ascend_and_suppressed_absent():
 
 
 def test_inadmissible_laplacian_part_fails_its_slot_check(monkeypatch):
-    # every w of degree k - 2 offered as a prescribed Laplacian: each still
-    # reads back, but lap(r2 w) = 0 fails for most, so the extensions are
-    # not generalized harmonics
-    def everything(sig, degree):
-        dim = space_dimension(sig, degree)
-        return Subspace.from_rows(dim, [{i: 1} for i in range(dim)], (sig, degree))
+    # every w of degree k - 2 offered as a lifted mirror row, and so as a
+    # prescribed Laplacian: each still reads back, but lap(r2 w) = 0 fails
+    # for most, so the extensions are not generalized harmonics
+    def everything(space, degree):
+        sig, _ = space.ambient
+        return [{i: 1} for i in range(space_dimension(sig, degree))]
 
-    monkeypatch.setattr(branching, "defect_kernel", everything)
+    monkeypatch.setattr(harmonics, "rsquare_lift_rows", everything)
     checks = dict(branch_generalized(S23, 4).checks)
+    assert not checks["admissible Laplacian parts are the lifted mirror harmonics"]
+    assert not checks["Laplacian-slot generators verify"]
+
+
+def test_unkilled_lifted_mirror_row_fails_admissibility(monkeypatch):
+    # one lifted mirror row swapped for a unit row that L_k R_(k-2) does not
+    # kill: the count of rows still holds, so only the kill can tell
+    original = harmonics.rsquare_lift_rows
+
+    def swapped(space, degree):
+        rows = original(space, degree)
+        sig, _ = space.ambient
+        lap, r2 = harmonics.laplacian_matrix(sig, degree + 2), harmonics.rsquare_matrix(sig, degree)
+        outside = next(
+            j
+            for j in range(space_dimension(sig, degree))
+            if apply_columns(lap, apply_columns(r2, {j: 1}))
+        )
+        return [{outside: 1}, *rows[1:]]
+
+    monkeypatch.setattr(harmonics, "rsquare_lift_rows", swapped)
+    checks = dict(branch_generalized(S23, 4).checks)
+    assert not checks["admissible Laplacian parts are the lifted mirror harmonics"]
+    assert checks["extension data dimension count"]
     assert not checks["Laplacian-slot generators verify"]
 
 

@@ -292,10 +292,11 @@ _GOLDEN = [
     (["branch", "--m", "4", "--n", "4", "--k", "6", "--generalized"], 0,
      "641f874c80d0145340d136aec2c58145e377c5dc150965dcdcabca2407237357"),
     # the Fischer certificate on (4|8) past its exceptional window, with the
-    # defect kernels at the Ht starts 4 and 6
+    # defect dimensions at the Ht starts 4 and 6 counted
     (["fischer", "--m", "4", "--n", "4", "--k", "10"], 0,
      "f31b92a0f1b8171bfad16b0718951d40f06fdca251ed058d7050b17379aa79c8"),
-    # Ht, the socle and the defect kernels on the (4|8) window 4..6
+    # Theorem A on the (4|8) window 4..6: counted H, Ht and socle, and the
+    # lifted mirror proved to be the defect kernel
     (["verify", "--suite", "theoremA", "--m", "4", "--n", "4", "--format", "json"], 0,
      "9aa6a286b598bfc98593a5c66189452ae01e9313a42c78172d55b7b364f4ca68"),
     # the GT descent on (3|4) at k = 6, the size the benchmark's
@@ -338,6 +339,14 @@ _GOLDEN = [
     # element
     (["gt-basis", "--m", "4", "--n", "4", "--k", "8"], 0,
      "9a16b3c951897deacbe4d6cc58600fc1aa1b9f9ad9f956a6ad5016678531c7e0"),
+    # the largest branch run: (4|8) at k = 10, dim H_10 counted, with the
+    # boundary and normal slots checked on 7424 and 5632 unit rows
+    (["branch", "--m", "4", "--n", "4", "--k", "10"], 0,
+     "041ddb457fe130c3724919b727b016e662492f149b35127e8ce0a419f6623278"),
+    # GT verification on (4|8) through its window 4..6 and one degree past
+    # it: the element counts against the counted dimensions
+    (["verify", "--suite", "gt", "--m", "4", "--n", "4", "--kmax", "7"], 0,
+     "0fc2e544d4b9b7bbbeb4b34de0650408a135608aa154fa936e8557cedd210ed8"),
 ]
 
 

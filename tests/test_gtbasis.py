@@ -296,6 +296,7 @@ def test_element_of_another_basis_fails_without_raising(monkeypatch, donor):
     checks = dict(rep.checks)
     assert not rep.verified
     assert not checks["every element is annihilated"]
+    assert not checks["elements are linearly independent"]
     assert not checks["restriction data matches one level down"]
     assert [name for name, _ in rep.checks] == [
         "element count equals space dimension",

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superharm import ck, exactla, harmonics
+from superharm import branching, ck, exactla, gtbasis, harmonics
+from superharm.branching import branch_generalized, branch_harmonic
 from superharm.ck import CKData, ck_extend
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import (
@@ -20,7 +21,6 @@ from superharm.exactla import (
     apply_columns,
     columns,
     kernel,
-    matmul,
     operator_matrix,
     polynomial_vector,
     rank,
@@ -39,8 +39,10 @@ from superharm.harmonics import (
     rsquare_lift_rows,
     rsquare_matrix,
     socle_space,
+    start_dim,
     verify_theorem_A,
 )
+from superharm.gtbasis import verify_gt_basis
 from superharm.operators import laplacian, rsquare, rsquare_mul
 from superharm.superpoly import (
     SuperMonomial,
@@ -248,10 +250,10 @@ def test_socle_cut_from_the_wrong_kernel_fails_the_socle_check(monkeypatch):
     assert [name for name, ok in rep.checks if not ok] == ["socle is r-power of mirror harmonics"]
 
 
-def test_defect_kernel_is_shared_with_branching():
-    from superharm import branching
-
-    assert branching.defect_kernel is defect_kernel
+def test_lifted_mirror_proof_is_shared_with_branching():
+    # branching's Laplacian slot and Theorem A's socle rest on one proof that
+    # the lifted mirror is the defect kernel
+    assert branching.mirror_defect_rows is harmonics.mirror_defect_rows
 
 
 def test_rsquare_powers_at_one_fermionic_pair():
@@ -1191,6 +1193,31 @@ def test_corrupted_factor_entry_fails_every_theorem_A_check(monkeypatch, fresh_c
         assert not any(ok for _, ok in verify_theorem_A(S23, k).checks), k
 
 
+@pytest.mark.parametrize(
+    "report, sig, k, ring, degree, names",
+    [
+        (branch_harmonic, SuperSignature(3, 3), 5, SuperSignature(3, 0), 2,
+         ["boundary data accounts for every harmonic"]),
+        (branch_generalized, S23, 5, SuperSignature(2, 0), 1,
+         ["admissible Laplacian parts are the lifted mirror harmonics",
+          "extension data dimension count"]),
+        (verify_gt_basis, SuperSignature(3, 2), 4, SuperSignature(3, 0), 2,
+         ["element count equals space dimension"]),
+    ],
+    ids=["branch-harmonic", "branch-generalized", "gt"],
+)
+def test_dropped_rsquare_lead_fails_the_counted_dimension_checks(
+    monkeypatch, fresh_caches, report, sig, k, ring, degree, names
+):
+    # the dimensions these checks compare are counted (start_dim), and the
+    # counts agree by a binomial identity whatever the matrices say; only the
+    # upper Fischer report, whose lead check (b) proves them, can tell
+    monkeypatch.setattr(gtbasis, "_CACHE", {})
+    _drop_lead(monkeypatch, ring, degree, 0)
+    checks = dict(report(sig, k).checks)
+    assert not any(checks[name] for name in names)
+
+
 # the verify grid at the theoremA suite's degrees, (2|6) to k = 8 and (4|8) to
 # k = 7, through both exceptional windows 4..6
 PREIMAGE_CASES = [
@@ -1198,13 +1225,15 @@ PREIMAGE_CASES = [
 ] + [(S23, range(9)), (SuperSignature(4, 4), range(8))]
 
 
-@pytest.mark.parametrize("sig, degrees", PREIMAGE_CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "sig, degrees", [(sig, degrees) for sig, degrees in PREIMAGE_CASES if sig.m], ids=lambda v: str(v)
+)
 def test_preimage_ht_matches_the_triple_product_kernel(sig, degrees):
-    # Ht_k = ker(L_k R_(k-2) L_k), the reference built here from the product
+    # Ht_k = L_k^-1(D_(k-2)) with L_k onto for m >= 1, so start_dim counts
+    # dim Ht_k as dim H_k + dim D_(k-2); the kernel of L_k R_(k-2) L_k must
+    # have that dimension
     for k in degrees:
-        lap = laplacian_matrix(sig, k)
-        triple = matmul(matmul(lap, rsquare_matrix(sig, k - 2)), lap)
-        assert generalized_harmonic_space(sig, k) == kernel(triple, (sig, k)), k
+        assert generalized_harmonic_space(sig, k).dim == start_dim(sig, "Ht", k), k
 
 
 def _row_built(A):
@@ -1217,8 +1246,8 @@ def test_column_built_mixed_matrices_give_the_row_built_spaces(
     monkeypatch, fresh_caches, sig, degrees
 ):
     # H, Ht and the defect kernel from the assembled, column-built L and R,
-    # and again from row-built twins of the same matrices: kernel, matmul
-    # and the preimage reduction of Ht read both forms alike
+    # and again from row-built twins of the same matrices: kernel and matmul
+    # read both forms alike
     spaces = (harmonic_space, generalized_harmonic_space, defect_kernel)
     columnwise = {(fn, k): fn(sig, k) for fn in spaces for k in degrees}
     twins = {}
@@ -1271,8 +1300,10 @@ def test_filtration_strict_at_exceptional_degrees():
 
 def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
     # Lift the mirror's neighbour H_(l+2) by one power of r2 fewer: the
-    # degree still comes out at k, the space is not the socle.  The counts
-    # take no lift, so only the socle check fails.
+    # degree still comes out at k - 2, where the mirror is lifted to, and the
+    # rows are not the defect kernel there.  The counts take no lift, so only
+    # the socle check fails.  k = 5, 6: at k = 4 the neighbour H_4 lies above
+    # k - 2.
     original = harmonics.rsquare_lift_rows
 
     def one_power_short(space, k):
@@ -1280,7 +1311,7 @@ def test_wrong_mirror_lift_power_fails_socle_check(monkeypatch):
         return original(harmonic_space(signature, degree + 2), k)
 
     monkeypatch.setattr(harmonics, "rsquare_lift_rows", one_power_short)
-    for k in (4, 5):
+    for k in (5, 6):
         rep = verify_theorem_A(S23, k)
         assert not rep.verified
         assert [name for name, ok in rep.checks if not ok] == [
