@@ -41,8 +41,11 @@ counted too.  For m - 1 >= 1 the count at l rests on the lead certificate
 (b) at l - 2 <= k - 2 (and, for Ht', on the closed forms of P'_(l-2));
 the lower decompositions of degrees k and k - 1 run (b) at every degree up
 to k - 2, and the completeness check requires them to verify, so a report
-that verifies has proved its summand dimensions.  At m - 1 = 0 start_dim
-takes the kernels.  The space decomposed, H_k or Ht_k, is sized by
+that verifies has proved its summand dimensions.  At m - 1 = 0 the counts
+rest on the identity (a) on Lambda(2n) instead (the down and up lemmas of
+harmonics), which the same two lower reports run at every degree their
+starts read, so branching takes no kernel on the lower ring there either.
+The space decomposed, H_k or Ht_k, is sized by
 start_dim on the upper signature too, which counts there (m >= 1), and the
 checks that compare it with the slot data also require the upper Fischer
 report at k to verify, the proof of that count; without it they would be
@@ -62,10 +65,11 @@ extension on the degree-k basis, one row at a time.  E is read back by
 slices and by one product with the cached matrix L_k: its x_m^0 and x_m^1
 slices must be k! times the data in the boundary and normal slot and zero
 otherwise, and L_k E must be k! times the data in the Laplacian slot and 0
-otherwise.  A Laplacian row w must also pass L_k R_(k-2) w = 0.  Each
-product reads the columns that the cached matrix holds
-(exactla.apply_columns), built once per matrix, so every slot check of
-every report, and the GT basis, read one build.  The slots and their
+otherwise.  The Laplacian rows w must also pass L_k R_(k-2) w = 0, read
+through the factor columns as in mirror_defect_rows, so no mixed R_(k-2)
+is assembled.  Each other product reads the columns that the cached
+matrix holds (exactla.apply_columns), built once per matrix, so every slot
+check of every report, and the GT basis, read one build.  The slots and their
 degrees live in ck; the GT step check of gtbasis reads the same triple on
 integer rows, off the coordinates of each element.  The read-back is a
 left inverse of the extension, so the extension is injective and its image
@@ -86,6 +90,7 @@ from .ck import SLOTS, slot_ambient, slot_extension
 from .exactla import apply_columns, kernel  # noqa: F401
 from .harmonics import (
     IndexSets,
+    _apply_rows,
     branching_index_sets,
     exceptional_indices,
     fischer_decomposition,
@@ -132,22 +137,23 @@ def _slot_generators_ok(signature, k, slot, rows) -> bool:
     "laplacian") set to each integer row, on the basis of the slot's data
     (ck.slot_extension): each must read its data back in that slot alone,
     by its x_m^0 and x_m^1 slices and by L_k times it, read through the
-    columns the cached L_k holds (exactla.apply_columns).  A Laplacian
-    part w must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, so that
-    the extension is a generalized harmonic: lap r2 lap Q = lap(r2 w) once
-    lap Q = w holds."""
+    columns the cached L_k holds (exactla.apply_columns).  Laplacian parts
+    w must also satisfy lap(r2 w) = 0, as L_k R_(k-2) w = 0, read through
+    the factor columns (harmonics._apply_rows), so that the extension is a
+    generalized harmonic: lap r2 lap Q = lap(r2 w) once lap Q = w holds."""
     top = factorial(k)
     extend = slot_extension(signature, k, slot)
     lap = laplacian_matrix(signature, k)
     if slot == "laplacian":
-        r2 = rsquare_matrix(signature, k - 2)
+        rows = list(rows)
+        lifted = _apply_rows(signature, k - 2, 2, rsquare_matrix, rows)
+        if any(_apply_rows(signature, k, -2, laplacian_matrix, lifted)):
+            return False
     for row in rows:
         ext, *slices = extend(row)
         data = {i: top * c for i, c in row.items()}
         read = (*slices, apply_columns(lap, ext))
         if any(got != (data if name == slot else {}) for name, got in zip(SLOTS, read)):
-            return False
-        if slot == "laplacian" and apply_columns(lap, apply_columns(r2, row)):
             return False
     return True
 

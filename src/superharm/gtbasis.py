@@ -51,9 +51,10 @@ per-step check both read them.  In these small rings the recursion
 multiplies polynomials and stores each product as a row
 (GTBasisElement.from_polynomial).  Nonzero fermionic harmonics live only in
 degrees 0..n.  A generalized fermionic target is the plain one, in the basis
-and in its verification (_generalized): the window of M = -2n starts at
-n + 2, and above degree n lap is injective and its image meets ker(lap r2)
-only in 0, so Ht_k = H_k = 0 there.
+and in its verification (_generalized): by the down and up lemmas of
+harmonics, Ht_k = H_k at every degree of Lambda(2n), and both are 0 above
+degree n, so also in the window of M = -2n, which starts at n + 2.  The
+Fischer report at k, which the count check requires at every m, proves it.
 """
 
 from __future__ import annotations
@@ -341,9 +342,9 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     annihilation by the defining operator, linear independence, and
     one-step restriction data for every element.
 
-    The dimension is harmonics.start_dim's: the kernel's at m = 0, and for
-    m >= 1 a count, so the count check also requires the Fischer report at
-    k, which proves it, to verify; no kernel of H_k or Ht_k is taken.
+    The dimension is harmonics.start_dim's, a count at every m, so the count
+    check also requires the Fischer report at k, which proves it, to verify;
+    no kernel of H_k or Ht_k is taken.
 
     Each element is read as it is held, integer numerators over one
     denominator, and the rows are ranked.  At every m, L_k applied to the
@@ -358,7 +359,7 @@ def verify_gt_basis(signature: SuperSignature, k: int, target: str = "H") -> GTB
     basis = gt_basis(signature, k, target)
     generalized = target == "Ht" and _generalized(signature, k)
     expected_dim = start_dim(signature, "Ht" if generalized else "H", k)
-    counted = signature.m == 0 or fischer_decomposition(signature, k).verified
+    counted = fischer_decomposition(signature, k).verified
     split = _xm_split(signature, k) if signature.m else None
     L = laplacian_matrix(signature, k)
     membership_ok = data_ok = independent = True

@@ -19,16 +19,16 @@ the remaining starts J_k contribute plain harmonics:
 For m = 0 the multiplication by r2 is no longer injective and the formula
 above is not available; the purely fermionic decomposition indexed by
 N_min(k, 2n-k) is used instead, and the report verifies only if it agrees
-with the index-set formula.
+with the index-set formula once the components that vanish are dropped.
 
 H_k, Ht_k = ker(L_k R_(k-2) L_k) and the defect kernel below are exact
-kernels of exact matrices.  start_dim is the one place that decides how
-dim H_k and dim Ht_k are obtained: it takes the kernel at m = 0 and counts
-for m >= 1 (see the end of the certificate), where a verified Fischer report
-at k proves the count.  The Fischer decomposition, Theorem A, branching and
-the GT verification read it, and for m >= 1 the one kernel they take is the
-mirror harmonics of an exceptional degree, on a degree at most -M/2.  The
-kernels stay the tests' reference at m >= 1.
+kernels of exact matrices.  start_dim is the one place that decides dim H_k
+and dim Ht_k, and it counts them at every m (see the end of the
+certificate): a verified Fischer report at k proves the count.  The Fischer
+decomposition, Theorem A, branching and the GT verification read it.  For
+m >= 1 the one kernel they take is the mirror harmonics of an exceptional
+degree, on a degree at most -M/2; at m = 0 only Theorem A takes kernels
+(_kernel_theorem_A).  The kernels stay the tests' reference.
 
 The ring is the tensor product P(m|0) (x) Lambda(2n) of its two factor
 rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), and lap and
@@ -124,13 +124,14 @@ sum to dim P_k; then, for m >= 1, (c) and (d) on P_(l-2) at each
 exceptional start l (below), (b) on the bosonic ring at every
 d_b = 0..k - 2, (a) there at the same degrees and (a) on Lambda(2n) at
 every d_f = 0..min(k - 2, 2n); at m = 0, (a) on P_d at
-d = k - 2, k - 4, .. >= 0.  Together they prove the sum direct and equal to
-P_k.  A failed report's witness names the first check that failed: the
-component out of degree or the repeated eigenvalue and its two starts, the
-component whose lift is not injective, the dimension sum, the degree and
-column of the lead, or the degree and row of the identity, prefixed by
-"bosonic" or "fermionic" when it is a factor ring's, and by the degree
-l - 2 and its start l when it is a lower plan's.
+d = k - 2, k - 4, .. >= 0 and, for k >= n + 2, at d = k, k + 2, .. <= 2n
+(below), and the plan agreement.  Together they prove the sum direct and
+equal to P_k.  A failed report's witness names the first check that
+failed: the component out of degree or the repeated eigenvalue and its two
+starts, the component whose lift is not injective, the dimension sum, the
+degree and column of the lead, or the degree and row of the identity,
+prefixed by "bosonic" or "fermionic" when it is a factor ring's, and by the
+degree l - 2 and its start l when it is a lower plan's.
 
 For m >= 1 the start dimensions that (d) sums take no kernel on P_l, and
 dim P_l is counted in closed form (superpoly.space_dimension).  R_(l-2) and
@@ -163,7 +164,41 @@ within the report: a report that verifies has proved the dimensions it
 summed, with no further check.  A wrong count fails (d), a wrong plan
 below an exceptional start fails that plan's (c) or (d), and a missing lead
 fails (b), even where it shrinks a defect kernel, which the report does
-not read.  At m = 0 (b) is false, and the starts keep their kernels.
+not read.
+
+At m = 0, M = -2n and (b) is false; the count comes from the sl(2) strings
+of Lambda(2n) (Howe duality for sp(2n) x sl(2)).  With e = r2/2,
+f = -lap/2 and h = d - n on P_d, (a) at d reads [e, f] = h, and two lemmas
+follow from it:
+
+    down lemma: if (a) holds at d, d - 2, .. >= 0 and d < n, f e is
+    injective on P_d.  From f e g = 0, (a) once per step gives
+    e f g_j = t_j g_j for g_j = f^j g, t_j = h_d + h_(d-2) + .. + h_(d-2j)
+    < 0, and g_j = 0 past degree 0 makes every g_j = 0 from the bottom up.
+
+    up lemma: if (a) holds at l, l + 2, .. <= 2n, then
+    f e^j v = -j (mu + j - 1) e^(j-1) v, mu = l - n, for every v in P_l with
+    e f v = 0, H_l among them.
+
+For l = d + 2 <= n + 1, f e is injective and square on P_d, so onto, and
+so is L_l onto P_(l-2): dim H_l = dim P_l - dim P_(l-2), and
+lap r2 lap p = 0 forces lap p = 0, so Ht_l = H_l.  For l >= n + 1,
+mu >= 1: were v != 0, the largest j with e^(j-1) v != 0 would have
+e^j v = 0 and a nonzero coefficient, so every such v is 0.  That gives
+H_l = 0, and Ht_l = 0 too, as lap r2 lap p = 0 puts e f p in H_l.  So at
+every l dim Ht_l = dim H_l = max(0, dim P_l - dim P_(l-2)), the difference
+being 0 at l = n + 1 and at most 0 above.  On H_l, l <= n, the coefficient
+first vanishes at j = n - l + 1, so r^(2j) is injective on H_l up to
+j = n - l, and e^(n-l+1) H_l lies in H_(2n-l+2) = 0: r^(2j) H_l != 0
+exactly when l + j <= n, and the nonzero components r^(k-l) H_l of P_k are
+those with l <= n and l + k <= 2n, a closed form the plan agreement reads.
+
+The down lemma at a start l <= n + 1 reads (a) at l - 2, l - 4, ..; the up
+lemma at a start l >= n + 2 reads it at l, l + 2, .. <= 2n, and the
+vanishing of r^(k-l) H_l where l + k > 2n (so k >= n + 2) at
+2n - l + 2 <= k and above.  So the m = 0 certificate runs (a) at
+d = k - 2, k - 4, .. >= 0 and, for k >= n + 2, at d = k, k + 2, .. <= 2n,
+and a report that verifies has proved its counts and its plan agreement.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -183,10 +218,10 @@ mixed matrix the proof assembles is the mirror's own L, for its kernel.
 Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps all
 the canonical integer rows of a Subspace through _apply_rows with r2, one
 degree step at a time, from the space's degree up to k, so a mixed ring
-builds no R_d for them.  The socle, the m = 0 plan agreement, lifted_mirror
-and mirror_defect_rows (the mirror harmonics H_(2-M-k), lifted to the socle
-at degree k and to the admissible Laplacian parts at k - 2) work on those
-rows with no polynomial in between.  rsquare_lift_row lifts one row
+builds no R_d for them.  The socle, lifted_mirror and mirror_defect_rows
+(the mirror harmonics H_(2-M-k), lifted to the socle at degree k and to the
+admissible Laplacian parts at k - 2) work on those rows with no polynomial
+in between.  rsquare_lift_row lifts one row
 through the held columns of the cached R_d (exactla.apply_columns); the GT
 descent and its step check (module gtbasis) lift the rows of their many
 lower basis elements with it, each R_d assembled once for all of them.
@@ -541,16 +576,6 @@ class DecompositionReport:
     notes: tuple[str, ...] = ()
 
 
-_SPACES = {"H": harmonic_space, "Ht": generalized_harmonic_space}
-
-
-def _component_rows(
-    signature: SuperSignature, kind: str, degree: int, k: int
-) -> list[dict[int, int]]:
-    """Integer rows of the component r^(k-degree) * (H or Ht)_degree of P_k."""
-    return rsquare_lift_rows(_SPACES[kind](signature, degree), k)
-
-
 def _formula_plan(sets: IndexSets) -> list[tuple[str, int, int]]:
     """Components of the index-set formula, in start-degree order."""
     plan = [("Ht", l, sets.k - l) for l in sets.exceptional] + [
@@ -663,13 +688,16 @@ def _certificate_failure(
     come first.  For m >= 1 the same checks follow on P_(l-2) at each
     exceptional start l, whose decomposition proves the counted defect
     dimension, and then the r2 leads and the commutator identity on the
-    factor rings, at every degree up to k - 2 in rising order; at m = 0 the
-    identity on P_d at d = k - 2, k - 4, .. >= 0."""
+    factor rings, at every degree up to k - 2 in rising order.  At m = 0
+    the identity runs on P_d at d = k - 2, k - 4, .. >= 0, for the down
+    lemma, and then, for k >= n + 2, at d = k, k + 2, .. <= 2n, for the up
+    lemma."""
     witness = _plan_failure(signature, k, summands)
     if witness:
         return witness
     if signature.m == 0:
-        checks = [("", _commutator_failure, signature, range(k - 2, -1, -2))]
+        up = range(k, 2 * signature.n + 1, 2) if k >= signature.n + 2 else ()
+        checks = [("", _commutator_failure, signature, [*range(k - 2, -1, -2), *up])]
     else:
         for l in fischer_index_sets(signature, k).exceptional:
             witness = _plan_failure(signature, l - 2, _summands(signature, l - 2)[0])
@@ -702,16 +730,15 @@ def _counted_defect_dim(signature: SuperSignature, degree: int) -> int:
 
 
 def start_dim(signature: SuperSignature, kind: str, degree: int) -> int:
-    """dim (H or Ht)_degree: counted for m >= 1, dim P_l - dim P_(l-2) plus,
-    for Ht, the counted defect dimension at l - 2; (b) at l - 2 and the
-    verified decomposition of P_(l-2) prove the counts (module docstring).
-    The kernel's at m = 0.  Fischer's starts, Theorem A, branching (its
-    summands and the space it decomposes) and the GT verification all take
-    their dimensions here."""
-    if signature.m == 0:
-        return _SPACES[kind](signature, degree).dim
-    dim = space_dimension(signature, degree) - space_dimension(signature, degree - 2)
-    if kind == "Ht":
+    """dim (H or Ht)_degree, counted at every m (module docstring):
+    max(0, dim P_l - dim P_(l-2)), plus, for Ht with m >= 1, the counted
+    defect dimension at l - 2.  For m >= 1, (b) at l - 2 and the verified
+    decomposition of P_(l-2) prove the count; at m = 0, where Ht = H, the
+    down lemma proves it for l <= n + 1 and the up lemma, 0, above.
+    Fischer's starts, Theorem A, branching (its summands and the space it
+    decomposes) and the GT verification all take their dimensions here."""
+    dim = max(0, space_dimension(signature, degree) - space_dimension(signature, degree - 2))
+    if kind == "Ht" and signature.m:
         dim += _counted_defect_dim(signature, degree - 2)
     return dim
 
@@ -737,8 +764,9 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     dim P_l - dim P_(l-2), plus the counted defect dimension on P_(l-2) at
     an exceptional start, and the certificate's lead check (b) at l - 2,
     with the plan checks (c) and (d) of P_(l-2) at an exceptional start, is
-    what proves them (module docstring).  At m = 0 they are the dimensions
-    of the kernels."""
+    what proves them (module docstring).  At m = 0 they are counted too,
+    and the identity (a) at the degrees the down and up lemmas read proves
+    them and the plan agreement; no kernel is taken at any m."""
     if k < 0:
         raise ValueError("negative degree")
     summands, suppressed = _summands(signature, k)
@@ -747,7 +775,7 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     if signature.m == 0:
         plan = [(s.kind, s.degree, s.rpower) for s in summands]
         formula_plan = _formula_plan(fischer_index_sets(signature, k))
-        agreement = _plans_agree(signature, plan, formula_plan, k)
+        agreement = _plans_agree(signature, plan, formula_plan)
         notes = (
             "m=0: purely fermionic decomposition used; index-set formula "
             + ("matches after dropping trivial components" if agreement else "DISAGREES"),
@@ -767,15 +795,17 @@ def fischer_decomposition(signature: SuperSignature, k: int) -> DecompositionRep
     )
 
 
-def _plans_agree(signature, fermionic_plan, formula_plan, k) -> bool:
+def _plans_agree(signature, fermionic_plan, formula_plan) -> bool:
     """At m = 0 the index-set formula may list components that vanish; it
-    must never miss a nonzero one and never claim a nonzero extra one."""
+    must never miss a nonzero one and never claim a nonzero extra one.  Ht
+    equals H at m = 0, and r^(2j) H_l is nonzero exactly when l + j <= n
+    (module docstring, the up lemma)."""
 
     def nonzero_components(plan):
         return {
-            (degree, rpower)  # Ht equals H at m = 0
-            for kind, degree, rpower in plan
-            if any(_component_rows(signature, kind, degree, k))
+            (degree, rpower)
+            for _, degree, rpower in plan
+            if 2 * degree + rpower <= 2 * signature.n
         }
 
     return nonzero_components(fermionic_plan) == nonzero_components(formula_plan)
@@ -829,9 +859,11 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     For m >= 1 the one kernel taken is the mirror H_(2-M-k) at an
     exceptional k, on a degree at most -M/2 (module docstring).  dim H_k,
     dim D_(k-2) and so dim Ht_k and the socle are counted, and every check
-    also requires the Fischer reports at k and k - 2 to verify: their (b)
-    proves the counts of H and the injectivity of the lift, their (c) and
-    (d) the count of D.  mirror_defect_rows proves the mirror lifted to
+    also requires the Fischer report at k to verify and the plan checks (c)
+    and (d) of P_(k-2) to hold: the report's (b) proves the counts of H and
+    the injectivity of the lift, the plan checks the count of D.  The
+    report at k - 2 would add nothing else: its (a) and (b) are among those
+    of the report at k.  mirror_defect_rows proves the mirror lifted to
     k - 2 is D, so its r2-image is the socle; no mixed R_d or L_k is
     assembled above the mirror degree.  At m = 0 the kernels are taken."""
     if k < 0:
@@ -841,7 +873,8 @@ def verify_theorem_A(signature: SuperSignature, k: int) -> TheoremAReport:
     M = signature.M
     exceptional = k in exceptional_indices(M)
     report = fischer_decomposition(signature, k)
-    certified = report.verified and (k < 2 or fischer_decomposition(signature, k - 2).verified)
+    below = _plan_failure(signature, k - 2, _summands(signature, k - 2)[0])
+    certified = report.verified and below is None
     dim_h = start_dim(signature, "H", k)
     dim_socle = _counted_defect_dim(signature, k - 2)
     dim_ht = dim_h + dim_socle

@@ -14,6 +14,7 @@ from superharm.harmonics import (
     exceptional_indices,
     generalized_harmonic_space,
     harmonic_space,
+    rsquare_lift_rows,
 )
 from superharm.superpoly import SuperSignature, space_dimension
 
@@ -169,6 +170,13 @@ def test_broken_lower_plan_fails_completeness(monkeypatch):
                 assert not rep.verified
 
 
+def _component_rows(sig, kind, degree, k):
+    """The component r^(k - degree) (H or Ht)_degree of P_k as integer rows:
+    the kernel's rows, lifted by r2."""
+    space = harmonic_space if kind == "H" else generalized_harmonic_space
+    return rsquare_lift_rows(space(sig, degree), k)
+
+
 def _fischer_generators(lower, d):
     """The lower Fischer components of P'_d as integer rows, stacked from
     their lifted rows: the generators the slot checks stand for."""
@@ -176,7 +184,7 @@ def _fischer_generators(lower, d):
     return [
         row
         for kind, degree, _ in plan
-        for row in harmonics._component_rows(lower, kind, degree, d)
+        for row in _component_rows(lower, kind, degree, d)
     ]
 
 
@@ -407,6 +415,26 @@ def test_unkilled_lifted_mirror_row_fails_admissibility(monkeypatch):
     assert not checks["admissible Laplacian parts are the lifted mirror harmonics"]
     assert checks["extension data dimension count"]
     assert not checks["Laplacian-slot generators verify"]
+
+
+@pytest.mark.parametrize(
+    "sig, k", [(S23, 4), (S23, 5), (S23, 6), (SuperSignature(4, 4), 6)], ids=str
+)
+def test_laplacian_slot_assembles_no_rsquare_matrix(monkeypatch, sig, k):
+    # L_k R_(k-2) w = 0 is read through the factor columns, so a generalized
+    # branching assembles no shift-2 matrix of a mixed ring
+    assembled = []
+    original = harmonics._assemble
+
+    def recording(signature, d, shift, factor_matrix):
+        assembled.append((signature, d, shift))
+        return original(signature, d, shift, factor_matrix)
+
+    monkeypatch.setattr(harmonics, "_assemble", recording)
+    for cached in (harmonics.laplacian_matrix, harmonics.rsquare_matrix, harmonic_space):
+        cached.cache_clear()
+    assert branch_generalized(sig, k).verified
+    assert assembled and all(shift == -2 for _, _, shift in assembled), assembled
 
 
 def test_wrong_summand_dimension_fails_the_first_check(monkeypatch):

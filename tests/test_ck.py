@@ -20,7 +20,12 @@ from superharm.ck import (
 )
 from superharm.cli import _GRID as VERIFY_GRID, _SUITE_KMAX
 from superharm.exactla import polynomial_vector, vector_polynomial
-from superharm.harmonics import defect_kernel
+from superharm.harmonics import (
+    defect_kernel,
+    generalized_harmonic_space,
+    harmonic_space,
+    rsquare_lift_rows,
+)
 from superharm.operators import laplacian, xi
 from superharm.superpoly import (
     SuperMonomial,
@@ -383,6 +388,13 @@ def test_broken_series_fails_round_trip_and_branching(monkeypatch, alternate, gr
 # -- the index-space extension against the polynomial one ------------------------
 
 
+def _component_rows(sig, kind, degree, k):
+    """The component r^(k - degree) (H or Ht)_degree of P_k as integer rows:
+    the kernel's rows, lifted by r2."""
+    space = harmonic_space if kind == "H" else generalized_harmonic_space
+    return rsquare_lift_rows(space(sig, degree), k)
+
+
 def _slot_rows(sig, k):
     """slot -> integer rows of its data: the unit rows of its basis, and the
     lower Fischer generators (boundary, normal) or the defect kernel
@@ -396,7 +408,7 @@ def _slot_rows(sig, k):
         elif d >= 0:
             plan, _ = harmonics._decomposition_plan(ring, d)
             for kind, degree, _ in plan:
-                rows[slot] += harmonics._component_rows(ring, kind, degree, d)
+                rows[slot] += _component_rows(ring, kind, degree, d)
     return rows
 
 

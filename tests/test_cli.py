@@ -347,6 +347,14 @@ _GOLDEN = [
     # it: the element counts against the counted dimensions
     (["verify", "--suite", "gt", "--m", "4", "--n", "4", "--kmax", "7"], 0,
      "0fc2e544d4b9b7bbbeb4b34de0650408a135608aa154fa936e8557cedd210ed8"),
+    # Fischer on (0|10) to k = 12: past the middle degree 5 every H_l is 0,
+    # and from k = 7 on the certificate reads the degrees up to the top 10
+    (["fischer", "--m", "0", "--n", "5", "--kmax", "12", "--format", "json"], 0,
+     "e7e764f07238322770fb2f938ad169f2d0a3489827464e210462a68af0e86991"),
+    # branch JSON of (1|6) at k = 6: the summands of the purely fermionic
+    # lower ring (0|6), counted from its sl(2) strings
+    (["branch", "--m", "1", "--n", "3", "--k", "6", "--format", "json"], 0,
+     "78ad396c711d64d9b0739e5d00909c0ce75b3e8762e15c79da6b5bdd2da36417"),
 ]
 
 

@@ -453,6 +453,140 @@ def test_fermionic_disagreement_fails_verification(monkeypatch):
     assert "DISAGREES" in rep.notes[0]
 
 
+# (0|2n), n <= 6, at every degree through the top 2n and two past it
+FERMIONIC_GRID = [(SuperSignature(0, n), k) for n in range(1, 7) for k in range(2 * n + 3)]
+
+
+def _kernel_plans_agree(sig, plan, other, k):
+    """The m = 0 plan agreement read off the kernels: the components whose
+    lifted kernel rows are not all zero must be the same."""
+
+    def nonzero(components):
+        return {
+            (degree, rpower)
+            for kind, degree, rpower in components
+            if any(_component_rows(sig, kind, degree, k))
+        }
+
+    return nonzero(plan) == nonzero(other)
+
+
+def test_closed_form_plan_agreement_matches_the_kernel_lifts():
+    # the closed form reads r^(k-l) (H or Ht)_l as nonzero exactly when
+    # l + k <= 2n; at every start of every P_k of the grid it must match the
+    # lifted kernel rows, while the lift bounds n - l + 1 and n - l - 1 each
+    # miss some; and the agreement must equal the kernels' on the real plans
+    # and on a formula plan with its suppressed mirrors or its first start
+    # edited
+    bounds = {"n - l": 0, "n - l + 1": 2, "n - l - 1": -2}
+    mismatches = dict.fromkeys(bounds, 0)
+    cases = 0
+    for sig, k in FERMIONIC_GRID:
+        for l in range(k % 2, k + 1, 2):
+            for kind in ("H", "Ht"):
+                nonzero = any(_component_rows(sig, kind, l, k))
+                assert harmonics._plans_agree(sig, [(kind, l, k - l)], []) != nonzero, (sig, k, l)
+                cases += 1
+                for name, slack in bounds.items():
+                    mismatches[name] += (l + k <= 2 * sig.n + slack) != nonzero
+        sets = fischer_index_sets(sig, k)
+        fermionic, _ = harmonics._decomposition_plan(sig, k)
+        formula = harmonics._formula_plan(sets)
+        mirrors = [("H", l, k - l) for l in sets.suppressed]
+        for plan in (fermionic, formula, formula + mirrors, formula[1:]):
+            agree = _kernel_plans_agree(sig, fermionic, plan, k)
+            assert harmonics._plans_agree(sig, fermionic, plan) == agree, (sig, k, plan)
+    assert cases == 398
+    assert mismatches == {"n - l": 0, "n - l + 1": 66, "n - l - 1": 54}
+
+
+@pytest.mark.parametrize("n", range(1, 7), ids=lambda n: f"(0|{2 * n})")
+def test_lift_bound_one_too_high_fails_the_report(monkeypatch, n):
+    # the agreement with r^(2j) H_l read as nonzero up to j = n - l + 1:
+    # at k = n + 1 the formula's plan then holds a nonzero H_(n+1) that the
+    # fermionic plan lacks, and that report fails; no other degree does
+    def mutant(signature, fermionic_plan, formula_plan):
+        def nonzero(plan):
+            return {(d, r) for _, d, r in plan if 2 * d + r <= 2 * signature.n + 2}
+
+        return nonzero(fermionic_plan) == nonzero(formula_plan)
+
+    sig = SuperSignature(0, n)
+    monkeypatch.setattr(harmonics, "_plans_agree", mutant)
+    failed = {k: fischer_decomposition(sig, k).failure_witness for k in range(2 * n + 3)}
+    assert {k: w for k, w in failed.items() if w} == {
+        n + 1: "m=0: the index-set formula and the fermionic decomposition differ"
+    }
+
+
+def test_m0_count_off_by_one_fails_the_reports(monkeypatch):
+    # the closed form max(0, dim P_l - dim P_(l-2)) of (0|6) one too large at
+    # l = 1 fails the Fischer sum at k = 5 (P_5 = r^4 H_1), the GT count and
+    # the branching of (1|6) onto it; without its max(0, .), the negative
+    # counts above n = 3 fail the GT count and the branching sum
+    sig, upper = SuperSignature(0, 3), SuperSignature(1, 3)
+    assert fischer_decomposition(sig, 5).verified
+
+    def patch(count):
+        for module in (harmonics, branching, gtbasis):
+            monkeypatch.setattr(module, "start_dim", lambda s, kind, l: count(s, l))
+
+    def closed(s, l):
+        return max(0, space_dimension(s, l) - space_dimension(s, l - 2))
+
+    patch(lambda s, l: closed(s, l) + (s == sig and l == 1))
+    assert fischer_decomposition(sig, 5).failure_witness == "sum of dims 7 vs dim P_5 = 6"
+    assert not verify_gt_basis(sig, 1).verified
+    assert branch_harmonic(upper, 1).checks[0] == (
+        "summand dimensions sum to the branched dimension",
+        False,
+    )
+    patch(lambda s, l: space_dimension(s, l) - space_dimension(s, l - 2))
+    assert fischer_decomposition(sig, 5).verified  # its plan has no start above 3
+    assert not verify_gt_basis(sig, 5).verified
+    assert branch_harmonic(upper, 5).checks[0] == (
+        "summand dimensions sum to the branched dimension",
+        False,
+    )
+
+
+def _flipped(A, row):
+    """A with the sign of the first entry of one row flipped."""
+    rows = [dict(r) for r in A.row_dicts()]
+    first = min(rows[row])
+    rows[row][first] = -rows[row][first]
+    return IntMatrix(A.cols, rows)
+
+
+def test_flipped_fermionic_entry_above_k_fails_the_report(monkeypatch, fresh_caches):
+    # (0|8) at k = 6 = n + 2: the up lemma reads (a) at 6 and 8 as well as
+    # the down lemma's 4, 2, 0.  One sign flipped in L_8, above k, fails
+    # (a) at 6; with the certificate cut back to the degrees below k, the
+    # flip would pass, so the top degrees are what see it
+    sig, k = SuperSignature(0, 4), 6
+    seen = []
+    commutator = harmonics._commutator_failure
+
+    def recording(ring, d):
+        seen.append(d)
+        return commutator(ring, d)
+
+    monkeypatch.setattr(harmonics, "_commutator_failure", recording)
+    assert fischer_decomposition(sig, k).verified
+    assert seen == [4, 2, 0, 6, 8]
+    cached = harmonics.laplacian_matrix
+    flipped = _flipped(cached(sig, 8), 0)
+    monkeypatch.setattr(
+        harmonics, "laplacian_matrix", lambda s, d: flipped if (s, d) == (sig, 8) else cached(s, d)
+    )
+    rep = fischer_decomposition(sig, k)
+    assert rep.failure_witness == "[lap, r2] = 8 fails at degree 6, row 0"
+    monkeypatch.setattr(
+        harmonics, "_commutator_failure", lambda ring, d: None if d >= k else commutator(ring, d)
+    )
+    assert fischer_decomposition(sig, k).verified
+
+
 def _with_plan(monkeypatch, edit):
     original = harmonics._decomposition_plan
 
@@ -739,19 +873,32 @@ def test_no_fischer_start_takes_a_kernel_on_its_degree(monkeypatch, fresh_caches
     assert calls == []
 
 
-def test_fermionic_fischer_starts_keep_their_kernels(monkeypatch, fresh_caches):
-    sig = SuperSignature(0, 3)
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=lambda n: f"(0|{2 * n})")
+def test_m0_paths_take_no_kernel(monkeypatch, fresh_caches, n):
+    # the m = 0 start dimensions are counted from the sl(2) strings of
+    # Lambda(2n): no Fischer report or GT verification of (0|2n) or (1|2n),
+    # and no branching of (1|2n) onto (0|2n), takes a kernel, at any degree
+    # through the top 2n and past it
     calls = _recorded_kernels(monkeypatch)
-    rep = fischer_decomposition(sig, 3)
-    assert rep.verified
-    assert sorted(set(calls)) == [(l, len(monomial_basis(sig, l))) for l in (1, 3)]
+    ring, upper = SuperSignature(0, n), SuperSignature(1, n)
+    for k in range(2 * n + 3):
+        _clear_harmonic_caches()
+        assert branch_harmonic(upper, k).verified, k
+        for sig in (ring, upper):
+            assert fischer_decomposition(sig, k).verified, (sig, k)
+            for target in ("H", "Ht"):
+                assert verify_gt_basis(sig, k, target).verified, (sig, k, target)
+        assert calls == [], k
 
 
-# the m >= 1 signatures of the verify grid at the fischer suite's degrees, and
-# (4|8) through its exceptional window 4..6 and one degree past it
-COUNTED_START_CASES = [
-    (SuperSignature(m, n), range(_SUITE_KMAX["fischer"] + 1)) for m, n in VERIFY_GRID if m
-] + [(SuperSignature(4, 4), range(8))]
+# the m >= 1 signatures of the verify grid at the fischer suite's degrees,
+# (4|8) through its exceptional window 4..6 and one degree past it, and
+# (0|2n), n <= 6, at every degree through the top 2n and two past it
+COUNTED_START_CASES = (
+    [(SuperSignature(m, n), range(_SUITE_KMAX["fischer"] + 1)) for m, n in VERIFY_GRID if m]
+    + [(SuperSignature(4, 4), range(8))]
+    + [(SuperSignature(0, n), range(2 * n + 3)) for n in range(1, 7)]
+)
 
 
 def _kernel_start_dim(sig, kind, degree):
@@ -762,7 +909,13 @@ def _kernel_start_dim(sig, kind, degree):
 @pytest.mark.parametrize("sig, degrees", COUNTED_START_CASES, ids=lambda v: str(v))
 def test_counted_start_dims_match_the_kernels(monkeypatch, sig, degrees):
     # the reference report takes every start dimension from the kernel on
-    # P_l: dims, verdicts and witnesses must all agree with it
+    # P_l: dims, verdicts and witnesses must all agree with it; at m = 0 the
+    # count of H_l and Ht_l, max(0, dim P_l - dim P_(l-2)), is also compared
+    # with both kernels at every degree, H_l = Ht_l = 0 above n included
+    if sig.m == 0:
+        for l in degrees:
+            for kind in ("H", "Ht"):
+                assert start_dim(sig, kind, l) == _kernel_start_dim(sig, kind, l), (kind, l)
     counted = [fischer_decomposition(sig, k) for k in degrees]
     monkeypatch.setattr(harmonics, "start_dim", _kernel_start_dim)
     for k, rep in zip(degrees, counted):
@@ -851,6 +1004,46 @@ def test_theorem_A_takes_one_kernel_on_the_mirror(monkeypatch, fresh_caches, sig
         assert calls == ([(s, len(monomial_basis(sig, s)))] if k in window else []), k
 
 
+@pytest.mark.parametrize("sig", [S23, SuperSignature(4, 4)], ids=str)
+def test_theorem_A_reads_one_fischer_report(monkeypatch, sig):
+    # the report at k - 2 adds only the plan checks of P_(k-2) to the one at
+    # k, and Theorem A runs those alone
+    calls = []
+    original = harmonics.fischer_decomposition
+
+    def recording(signature, k):
+        calls.append((signature, k))
+        return original(signature, k)
+
+    monkeypatch.setattr(harmonics, "fischer_decomposition", recording)
+    for k in range(9):
+        calls.clear()
+        assert verify_theorem_A(sig, k).verified, k
+        assert calls == [(sig, k)], k
+
+
+@pytest.mark.parametrize(
+    "sig, k", [(S23, 3), (S23, 5), (S23, 7), (S23, 8), (SuperSignature(4, 4), 8)], ids=str
+)
+def test_plan_broken_at_k_minus_2_fails_every_theorem_A_check(monkeypatch, sig, k):
+    # a plan of P_(k-2) that repeats or loses a component, every other
+    # degree's intact: off the window the report at k still verifies, as it
+    # reads no plan of P_(k-2), and the plan checks of P_(k-2) fail Theorem A
+    original = harmonics._decomposition_plan
+    for edit in (lambda plan: plan + plan[:1], lambda plan: plan[1:]):
+        monkeypatch.setattr(
+            harmonics,
+            "_decomposition_plan",
+            lambda s, d, edit=edit: (
+                (edit(original(s, d)[0]), original(s, d)[1]) if d == k - 2 else original(s, d)
+            ),
+        )
+        exceptional = k in exceptional_indices(sig.M)
+        assert fischer_decomposition(sig, k).verified != exceptional
+        rep = verify_theorem_A(sig, k)
+        assert rep.checks and not any(ok for _, ok in rep.checks), rep.checks
+
+
 @pytest.mark.parametrize(
     "sig, degrees", [(SuperSignature(4, 4), range(4, 7)), (SuperSignature(6, 6), [5])], ids=str
 )
@@ -892,13 +1085,20 @@ def _plan_mutations(plan):
     return [plan, plan + plan[:1], plan[1:]]
 
 
+def _component_rows(sig, kind, degree, k):
+    """The component r^(k - degree) (H or Ht)_degree of P_k as integer rows:
+    the kernel's rows, lifted by r2."""
+    space = harmonic_space if kind == "H" else generalized_harmonic_space
+    return rsquare_lift_rows(space(sig, degree), k)
+
+
 def _joint_rank(sig, plan, k):
     """Rank of the lifted component rows of a plan, stacked: the reference
     verdict on directness, built here and not in the library."""
     return rank(
         row
         for kind, degree, _ in plan
-        for row in harmonics._component_rows(sig, kind, degree, k)
+        for row in _component_rows(sig, kind, degree, k)
     )
 
 
