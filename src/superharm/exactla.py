@@ -5,8 +5,9 @@ holds one dict per row mapping column index to a nonzero int; a
 column-built one (IntMatrix.from_columns) holds only its columns in
 compressed form (columns: three flat int arrays) and derives its rows
 afresh whenever a reader asks for them, keeping none.  Module harmonics
-builds the Laplacian of a factor ring row by row, reads r2 off it, and
-assembles the matrices of a mixed ring straight into columns;
+builds the Laplacian of the rank-one rings (1|0) and (0|2) row by row,
+reads r2 off it, and assembles the matrices of every other ring straight
+into columns;
 operator_matrix, the int matrix of any map applied to each whole basis
 monomial, is the tests' reference for all of them.  For products with one
 sparse vector at a time, apply_columns(A, vec) reads the columns of A,
@@ -16,7 +17,8 @@ each column of a product as the first factor applied to a column of the
 second, and returns the product column-built; kernel reads the rows of a
 column-built matrix straight off its columns.  So kernels, products and
 ranks make no Fraction.  Outside this module only harmonics reads the
-arrays, to assemble mixed-ring matrices and to check the leads of r2.
+arrays, to assemble the matrices of split rings and to check the leads of
+r2.
 
 Elimination runs fraction-free over integers.  A row's content (the gcd
 of its entries) is reduced once per pivot row, not after

@@ -30,51 +30,67 @@ m >= 1 the one kernel they take is the mirror harmonics of an exceptional
 degree, on a degree at most -M/2; at m = 0 only Theorem A takes kernels
 (_kernel_theorem_A).  The kernels stay the tests' reference.
 
-The ring is the tensor product P(m|0) (x) Lambda(2n) of its two factor
-rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), and lap and
-r2 are sums of even operators that act on one factor each.  The matrices
-are built on the factor rings, and those of a mixed ring are assembled from
-them.  On a factor ring the matrix L_k of the Laplacian is the one matrix
-built from polynomials: operators.laplacian images each basis monomial
-once, once per (signature, degree), and the matrix is cached.  On a mixed
-ring, lap has no mixed bosonic-fermionic term and x^a is even, so
+Every ring but (1|0), (0|2) and (0|0) is the tensor product of two smaller
+rings, its major and minor factors (SuperSignature.factors), and lap and
+r2 are sums of even operators that act on one factor each.  A mixed ring
+is P(m|0) (x) Lambda(2n), the bosonic ring (m|0) and the Grassmann algebra
+(0|2n); (m|0) is (1|0) (x) (m-1|0), x1 split off; and Lambda(2n) is
+Lambda(2) (x) Lambda(2n-2), the top pair t(2n-1), t(2n) split off.  So
+every ring comes down to the rank-one rings (1|0) and (0|2), and only on
+them (and on (0|0)) is a matrix built from polynomials: operators.laplacian
+images each basis monomial once, once per (signature, degree), and the
+matrix is cached.  An even operator passes the odd variables of the other
+factor twice or not at all, so no sign enters: for u a monomial of the
+major factor and v one of the minor,
 
-    lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F),
+    lap(u v) = lap(u) v + u lap(v),
 
-and column x^a t_F of L_k takes column x^a of the bosonic L_|a| with t_F
-kept and column t_F of the fermionic L_|F| with x^a kept.  A term x^a' goes
-to the row of x^a' t_F and a term t_F' to the row of x^a t_F'; the two row
-sets are disjoint, as F' != F.  r2 = r2_b + r2_f splits in the same way.
-One column rule, _column_rule, states this for both operators on the
-columns the factor matrices hold (exactla.columns).  The degree-d basis
-lists each bosonic part x^a times the masks of degree d - |a| in ascending
-order, so x^a t_G sits at the first index of x^a plus the position of G
-among those masks; the first indices are counted from the bosonic bases
-(_parts), and no mixed basis is listed.  The rule has two readers.
-_assemble maps it over every column, transposes nothing, and writes the
-mixed L_k or R_d straight into compressed columns (IntMatrix.from_columns):
-a mixed matrix never holds a row.  _apply_rows applies it to the columns in
-the support of a few rows only, unranking each index by bisecting the first
-indices, and builds no mixed matrix; on a factor ring it is apply_columns on
-the cached matrix.  The factor matrices are row-built, since the certificate
-below reads them by rows and names a failing row.  So a mixed ring makes no
-polynomial, and a wrong factor entry reaches every mixed matrix and every
-row read through the rule, while the certificate runs on the factor
-matrices themselves.  Each operator has one cached IntMatrix per
-(signature, degree), and every reader of a column reads the columns that
-matrix holds; the readers that eliminate (kernel, and the products of
-the defect kernel and of Ht) derive the rows of a mixed matrix for the one
-call and drop them.  exactla.operator_matrix, which images every
-monomial whole, stays the tests' reference for L_k and R_d.
+and column u v of L_k takes column u of the major L_|u| with v kept and
+column v of the minor L_|v| with u kept.  A term u' goes to the row of u' v
+and a term v' to the row of u v'; the two row sets are disjoint, as
+u' != u.  r2 splits in the same way.  One column rule, _column_rule, states
+this for both operators on the columns the factor matrices hold
+(exactla.columns).  The major part is the leading key of the canonical
+order: exponent vectors sort lexicographically, so x1 leads; masks sort by
+value, so the top pair leads; and the exponent vector leads the mask.  So
+the degree-d basis lists each major monomial u, in order, times the minor
+basis of degree d - |u|, and u v sits at the first index of u plus the
+position of v there; the first indices are counted from the minor ring's
+dimensions (_parts), and no basis of the ring is listed.  The rule has two
+readers.  _assemble maps it over every column, transposes nothing, and
+writes L_k or R_d straight into compressed columns
+(IntMatrix.from_columns): an assembled matrix never holds a row.
+_apply_rows applies it to the columns in the support of a few rows only,
+unranking each index by bisecting the first indices, and builds no matrix
+of the ring; on a rank-one ring it is apply_columns on the cached matrix.
+The rank-one matrices are row-built, since the certificate below reads
+them by rows and names a failing row.  So a wrong rank-one entry reaches
+every matrix and every row read through the rule, while the certificate
+runs on the rank-one matrices themselves.  Each operator has one cached
+IntMatrix per (signature, degree), and every reader of a column reads the
+columns that matrix holds; the readers that eliminate (kernel, and the
+products of the defect kernel and of Ht) derive the rows of an assembled
+matrix for the one call and drop them.
 
-On a factor ring the matrix R_d of multiplication by r2 is read off
+The certificate cannot see the placement, so the tests compare every
+assembled L_k and R_d with exactla.operator_matrix, which images every
+monomial whole.  A wrong first index, or Lambda(2n) leading a mixed ring,
+changes the matrices.  Which variable a split names does not: splitting
+off x_m or the bottom pair as the minor factor is a placement of the
+canonical order too, and putting x_m or the bottom pair first reorders the
+basis by a relabelling of the bosonic variables or of the fermion pairs,
+under which lap and r2 are invariant, with no sign.
+
+On a rank-one ring the matrix R_d of multiplication by r2 is read off
 L_(d+2): under the Fischer weights w(x^a t_F) = a! (-4)^p(F), p(F) the
 number of whole pairs in F, r2 is the adjoint of lap, so
 R_d[t, s] w(t) = L_(d+2)[s, t] w(s).  Every ratio w(t)/w(s) on the support,
 (a_i+2)(a_i+1) for t = x_i^2 s or -4 for a pair added, is nonzero, so the
 supports agree, and the entry is +1 where the two fermion masks agree and
 -1 where a pair was added.  rsquare_matrix turns each nonzero entry of row
-s of L_(d+2), at column t, into that +-1 at row t, column s of R_d.  All
+s of L_(d+2), at column t, into that +-1 at row t, column s of R_d.  The
+assembled R_d and L_(d+2) of a split ring then have transposed supports
+too, as the rule puts each factor's entries at mirrored places.  All
 entries are ints, and so are those of the products lap r2 (the defect
 kernel) and lap r2 lap (Ht): from the monomial maps to the canonical
 integer rows of a Subspace no Fraction is made.
@@ -105,33 +121,41 @@ r^(2j) H_l, and (a) gives lap^j r^(2j) u = c_1 .. c_j u for u in H_l, with
 c_i = 2i (2l + 2i + M - 2).  A nonzero product proves that lift injective;
 a vanishing c_i is the witness.
 
-For m >= 1, (a) and (b) are checked on the factor rings, not on P_d.  On
-P_(d_b) (x) Lambda^(d_f), [lap, r2] = [lap_b, r2_b] (x) 1 + 1 (x) [lap_f, r2_f]:
-the cross terms vanish, as even operators on different factors commute.
-The two parts are (4 d_b + 2m) + (4 d_f - 4n) = 4d + 2M, so (a) on P_d
-follows from (a) on the bosonic ring at d_b and on Lambda(2n) at d_f, and
-every d <= k - 2 is a sum d_b + d_f with d_b <= k - 2 and
-d_f <= min(k - 2, 2n).  Column x^a t_F of R_d is column x^a of the bosonic
-R_|a| with t_F kept, plus fermionic terms x^a t_F' that keep the x1
-exponent of x^a.  So (b) on P_d follows from (b) on the bosonic ring at
-|a| <= d.  So the certificate builds no matrix of a mixed ring, and for
-m >= 1 a Fischer decomposition builds none at all.
+(a), and (b) for m >= 1, are checked on the rank-one rings, not on P_d.
+On A (x) B,
+A and B the factors, [lap, r2] = [lap_A, r2_A] (x) 1 + 1 (x) [lap_B, r2_B]:
+the cross terms vanish, as even operators on different factors commute,
+and the assembled matrices are such tensor sums by construction.  On
+A_(d_A) (x) B_(d_B) the two parts are (4 d_A + 2 M_A) + (4 d_B + 2 M_B) =
+4d + 2M, as M adds over the factors, so (a) on P_d follows from (a) on A
+at d_A and on B at d_B, over every split d = d_A + d_B.  Down the splits,
+(a) on every P_d with d <= k - 2 follows from (a) on (1|0) at
+e = 0..k - 2, where it is the scalar identity
+(e + 2)(e + 1) - e(e - 1) = 4e + 2, and on Lambda(2) at
+d <= min(k - 2, 2), its top degree.  Column u v of R_d is column u of the
+major R_|u| with v kept, plus minor terms u v' that keep u.  On
+(m|0) = (1|0) (x) (m-1|0) the major part takes x1^e to x1^(e+2) with
+entry 1, by (b) on (1|0) at e, and the minor part keeps the x1 exponent
+e; on a mixed ring the fermionic part keeps the exponent vector.  So (b)
+on P_d follows from (b) on (1|0) at every e <= d.  The certificate
+builds no matrix but the rank-one ones: O(k) scalar checks, and a
+Fischer decomposition builds no other matrix at any (m|2n).
 
 fischer_decomposition checks, in this order: (c) every component lies in
 P_k and the values c_l are distinct over the plan's starts, and at m = 0
 each component is an H_l with c_1 .. c_j != 0; (d) the start dimensions
 sum to dim P_k; then, for m >= 1, (c) and (d) on P_(l-2) at each
-exceptional start l (below), (b) on the bosonic ring at every
-d_b = 0..k - 2, (a) there at the same degrees and (a) on Lambda(2n) at
-every d_f = 0..min(k - 2, 2n); at m = 0, (a) on P_d at
-d = k - 2, k - 4, .. >= 0 and, for k >= n + 2, at d = k, k + 2, .. <= 2n
-(below), and the plan agreement.  Together they prove the sum direct and
-equal to P_k.  A failed report's witness names the first check that
-failed: the component out of degree or the repeated eigenvalue and its two
-starts, the component whose lift is not injective, the dimension sum, the
-degree and column of the lead, or the degree and row of the identity,
-prefixed by "bosonic" or "fermionic" when it is a factor ring's, and by the
-degree l - 2 and its start l when it is a lower plan's.
+exceptional start l (below), (b) on (1|0) at every e = 0..k - 2 and (a)
+there at the same degrees; then, for n >= 1, (a) on Lambda(2) at every
+d <= min(top, 2), top being k - 2 for m >= 1 and, at m = 0, the highest
+degree that the down and up lemmas read (below); and at m = 0 the plan
+agreement.  Together they prove the sum direct and equal to P_k.  A
+failed report's witness names the first check that failed: the component
+out of degree or the repeated eigenvalue and its two starts, the
+component whose lift is not injective, the dimension sum, the degree and
+column of the lead, or the degree and row of the identity, prefixed by
+"bosonic" on (1|0) and "fermionic" on Lambda(2), and by the degree l - 2
+and its start l when it is a lower plan's.
 
 For m >= 1 the start dimensions that (d) sums take no kernel on P_l, and
 dim P_l is counted in closed form (superpoly.space_dimension).  R_(l-2) and
@@ -196,9 +220,12 @@ those with l <= n and l + k <= 2n, a closed form the plan agreement reads.
 The down lemma at a start l <= n + 1 reads (a) at l - 2, l - 4, ..; the up
 lemma at a start l >= n + 2 reads it at l, l + 2, .. <= 2n, and the
 vanishing of r^(k-l) H_l where l + k > 2n (so k >= n + 2) at
-2n - l + 2 <= k and above.  So the m = 0 certificate runs (a) at
-d = k - 2, k - 4, .. >= 0 and, for k >= n + 2, at d = k, k + 2, .. <= 2n,
-and a report that verifies has proved its counts and its plan agreement.
+2n - l + 2 <= k and above.  So a report reads (a) on Lambda(2n) at
+d = k - 2, k - 4, .. >= 0 and, for k >= n + 2, at d = k, k + 2, .. <= 2n.
+(a) at d follows from (a) on Lambda(2) at the degrees up to min(d, 2), as
+above, so the m = 0 certificate runs (a) on Lambda(2) at every
+d <= min(top, 2), top the highest of those degrees, and a report that
+verifies has proved its counts and its plan agreement.
 
 The socle is r2 times the defect kernel two degrees down: an element of
 r2 P_(k-2) is r2 W, and it is harmonic iff lap(r2 W) = 0, so
@@ -217,8 +244,8 @@ mixed matrix the proof assembles is the mirror's own L, for its kernel.
 
 Subspaces are lifted in coordinates: rsquare_lift_rows(space, k) maps all
 the canonical integer rows of a Subspace through _apply_rows with r2, one
-degree step at a time, from the space's degree up to k, so a mixed ring
-builds no R_d for them.  The socle, lifted_mirror and mirror_defect_rows
+degree step at a time, from the space's degree up to k, so a split ring
+builds no R_d of its own for them.  The socle, lifted_mirror and mirror_defect_rows
 (the mirror harmonics H_(2-M-k), lifted to the socle at degree k and to the
 admissible Laplacian parts at k - 2) work on those rows with no polynomial
 in between.  rsquare_lift_row lifts one row
@@ -232,7 +259,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .exactla import (
@@ -262,80 +289,86 @@ def exceptional_indices(M: int) -> frozenset[int]:
     return frozenset(range(2 - M // 2, 2 - M + 1))
 
 
-def _factor_rings(signature: SuperSignature) -> tuple[SuperSignature, SuperSignature]:
-    """The bosonic ring (m|0) and the Grassmann algebra (0|2n) whose tensor
-    product is the ring of `signature`."""
-    return SuperSignature(signature.m, 0), SuperSignature(0, signature.n)
+def _head(signature: SuperSignature) -> SuperSignature:
+    """The rank-one ring that leads a ring's split: its major factor taken
+    down to (1|0) for m >= 1 or to (0|2) at m = 0, n >= 1; (0|0) itself."""
+    while signature.factors():
+        signature = signature.factors()[0]
+    return signature
 
 
-def _parts(signature: SuperSignature, d: int) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """The bosonic parts x^a of the degree-d basis of a mixed ring, in
-    canonical order, as (first, a, |a|, position of x^a in the bosonic basis
-    of degree |a|).  The basis lists x^a times each of the C(2n, d - |a|)
-    masks of the remaining degree in ascending order, the order of the
-    fermionic ring's basis of that degree, so x^a t_G sits at first plus the
-    position of G there.  first is counted; the mixed basis is not listed."""
-    bosonic_ring = SuperSignature(signature.m, 0)
-    twon = signature.fermionic_count
+def _parts(
+    signature: SuperSignature, d: int
+) -> list[tuple[int, int, SuperMonomial, int, int]]:
+    """The major parts u of the degree-d basis of a split ring, in canonical
+    order, as (first, count, u, |u|, position of u in the major ring's
+    basis of degree |u|).  The basis lists u times each of the count
+    monomials of the minor ring of degree d - |u| in that ring's order, so
+    u v sits at first plus the position of v there.  first is counted; the
+    ring's basis is not listed."""
+    major, minor = signature.factors()
+    counts = [space_dimension(minor, d - e) for e in range(d + 1)]
     parts = sorted(
-        (powers, e, s)
-        for e in range(max(0, d - twon), d + 1)
-        for s, (powers, _) in enumerate(monomial_basis(bosonic_ring, e))
+        (
+            (mono, e, s)
+            for e, count in enumerate(counts)
+            if count
+            for s, mono in enumerate(monomial_basis(major, e))
+        ),
+        key=itemgetter(0),
     )
     placed, first = [], 0
-    for powers, e, s in parts:
-        placed.append((first, powers, e, s))
-        first += comb(twon, d - e)
+    for mono, e, s in parts:
+        placed.append((first, counts[e], mono, e, s))
+        first += counts[e]
     return placed
 
 
 def _column_rule(signature: SuperSignature, k: int, shift: int, factor_matrix):
-    """The columns of A = A_b (x) 1 + 1 (x) A_f from P_k to P_(k+shift) of a
-    mixed signature (module docstring):
+    """The columns of A = A_major (x) 1 + 1 (x) A_minor from P_k to
+    P_(k+shift) of a split ring (module docstring):
 
-        A(x^a t_F) = A_b(x^a) t_F + x^a A_f(t_F).
+        A(u v) = A_major(u) v + u A_minor(v).
 
-    factor_matrix(ring, d) is the matrix of A_b or A_f on degree d of a
+    factor_matrix(ring, d) is the matrix of the operator on degree d of a
     factor ring; the columns it holds are read, each factor matrix once per
-    rule.  The rule maps a part (a, |a|, s) of P_k, as _parts lists it, to
-    the function from the position of F to column x^a t_F, as
-    (rows, entries).  A term x^a' t_G lands at the first index of x^a' in
-    P_(k+shift) plus the position of G, so the rows come sorted from the
-    factor columns: the bosonic terms below x^a, then the fermionic terms,
-    then those above."""
-    bosonic_ring, fermionic_ring = _factor_rings(signature)
-    first = {powers: f for f, powers, _, _ in _parts(signature, k + shift)}
-    bosonic: dict[int, tuple] = {}  # |a| -> columns of A_b, and its image basis
-    fermionic: dict[int, list] = {}  # |F| -> columns of A_f, as lists
+    rule.  The rule maps a part (u, |u|, s) of P_k, as _parts lists it, to
+    the function from the position of v to column u v, as (rows, entries).
+    A term u' w lands at the first index of u' in P_(k+shift) plus the
+    position of w, so the rows come sorted from the factor columns: the
+    major terms below u, then the minor terms, then those above."""
+    major, minor = signature.factors()
+    first = {mono: f for f, _, mono, _, _ in _parts(signature, k + shift)}
+    majors: dict[int, tuple] = {}  # |u| -> columns of A_major, and its image basis
+    minors: dict[int, tuple] = {}  # |v| -> columns of A_minor, as lists
 
-    def part(powers: tuple[int, ...], e: int, s: int):
-        if e not in bosonic:
-            image = monomial_basis(bosonic_ring, e + shift)
-            bosonic[e] = columns(factor_matrix(bosonic_ring, e)), image
-        (starts, rows, entries), image = bosonic[e]
+    def part(mono: SuperMonomial, e: int, s: int):
+        if e not in majors:
+            majors[e] = columns(factor_matrix(major, e)), monomial_basis(major, e + shift)
+        (starts, rows, entries), image = majors[e]
         low, low_entries, high, high_entries = [], [], [], []
         for x in range(starts[s], starts[s + 1]):
-            a = image[rows[x]].powers
-            if a < powers:
-                low.append(first[a])
+            u = image[rows[x]]
+            if u < mono:
+                low.append(first[u])
                 low_entries.append(entries[x])
             else:
-                high.append(first[a])
+                high.append(first[u])
                 high_entries.append(entries[x])
-        if k - e not in fermionic:
-            starts, rows, entries = columns(factor_matrix(fermionic_ring, k - e))
-            spans = [slice(starts[g], starts[g + 1]) for g in range(len(starts) - 1)]
-            fermionic[k - e] = [(rows[x].tolist(), entries[x].tolist()) for x in spans]
-        images = fermionic[k - e]
-        base = first.get(powers)  # held if x^a A_f(t_F) has a term
+        if k - e not in minors:
+            starts, rows, entries = columns(factor_matrix(minor, k - e))
+            minors[k - e] = starts.tolist(), rows.tolist(), entries.tolist()
+        starts, rows, entries = minors[k - e]
+        base = first.get(mono)  # held if u A_minor(v) has a term
 
         def column(position: int) -> tuple[list[int], list[int]]:
-            image, image_entries = images[position]
-            targets = [t + position for t in low]
-            if image:
-                targets += [base + g for g in image]
-            targets += [t + position for t in high]
-            return targets, low_entries + image_entries + high_entries
+            a, b = starts[position], starts[position + 1]
+            targets = [t + position for t in low] if low else []
+            if a < b:
+                targets += [base + g for g in rows[a:b]]
+            if high:
+                targets += [t + position for t in high]
+            return targets, low_entries + entries[a:b] + high_entries
 
         return column
 
@@ -343,16 +376,15 @@ def _column_rule(signature: SuperSignature, k: int, shift: int, factor_matrix):
 
 
 def _assemble(signature: SuperSignature, k: int, shift: int, factor_matrix) -> IntMatrix:
-    """The matrix from P_k to P_(k+shift) of a mixed signature: the column
-    rule mapped over every column, written straight into compressed
-    columns, with no row held."""
+    """The matrix from P_k to P_(k+shift) of a split ring: the column rule
+    mapped over every column, written straight into compressed columns,
+    with no row held."""
     rule = _column_rule(signature, k, shift, factor_matrix)
-    twon = signature.fermionic_count
 
     def every_column():
-        for _, powers, e, s in _parts(signature, k):
-            column = rule(powers, e, s)
-            for position in range(comb(twon, k - e)):
+        for _, count, mono, e, s in _parts(signature, k):
+            column = rule(mono, e, s)
+            for position in range(count):
                 yield column(position)
 
     return IntMatrix.from_columns(space_dimension(signature, k + shift), every_column())
@@ -367,11 +399,11 @@ def _apply_rows(
 ) -> list[dict[int, int]]:
     """A applied to each integer row on the basis of P_d, for the operator
     A from P_d to P_(d+shift) whose factor matrices factor_matrix gives, as
-    for _assemble.  On a mixed ring the column rule runs on the columns in
-    the rows' support only, each index unranked by bisecting the parts'
-    first indices, and no matrix of the ring is built; on a factor ring it
-    is apply_columns on the cached matrix."""
-    if not (signature.m and signature.n):
+    for _assemble.  On a split ring the column rule runs on the columns in
+    the support of the rows only, each index unranked by bisecting the
+    parts' first indices, and no matrix of the ring is built; on a rank-one
+    ring it is apply_columns on the cached matrix."""
+    if not signature.factors():
         A = factor_matrix(signature, d)
         return [apply_columns(A, row) for row in rows]
     parts = _parts(signature, d)
@@ -384,8 +416,8 @@ def _apply_rows(
         for i, v in row.items():
             j = bisect_right(firsts, i) - 1
             if j not in read:
-                _, powers, e, s = parts[j]
-                read[j] = rule(powers, e, s)
+                _, _, mono, e, s = parts[j]
+                read[j] = rule(mono, e, s)
             targets, entries = read[j](i - firsts[j])
             for t, c in zip(targets, entries):
                 acc[t] = acc.get(t, 0) + v * c
@@ -395,11 +427,12 @@ def _apply_rows(
 
 @lru_cache(maxsize=None)
 def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
-    """Matrix of the Laplacian from P_k to P_(k-2).  On a factor ring (m = 0
-    or n = 0) each basis monomial is imaged once by operators.laplacian; on
-    a mixed ring it is assembled from the factor rings' matrices (module
-    docstring)."""
-    if signature.m and signature.n:
+    """Matrix of the Laplacian from P_k to P_(k-2).  On the rank-one rings
+    (1|0) and (0|2), and on (0|0), each basis monomial is imaged once by
+    operators.laplacian; every other ring's is assembled from the matrices
+    of its major and minor factors, and so, down the splits, from those of
+    the rank-one rings (module docstring)."""
+    if signature.factors():
         return _assemble(signature, k, -2, laplacian_matrix)
     source = monomial_basis(signature, k)
     tidx = basis_index(signature, k - 2)
@@ -413,9 +446,9 @@ def laplacian_matrix(signature: SuperSignature, k: int) -> IntMatrix:
 @lru_cache(maxsize=None)
 def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
     """Matrix of multiplication by r2 from P_degree to P_(degree+2): read
-    off L_(degree+2) on a factor ring, assembled on a mixed ring (module
-    docstring)."""
-    if signature.m and signature.n:
+    off L_(degree+2) on a rank-one ring, assembled from the factors'
+    matrices on every other ring (module docstring)."""
+    if signature.factors():
         return _assemble(signature, degree, 2, rsquare_matrix)
     source = monomial_basis(signature, degree)
     target = monomial_basis(signature, degree + 2)
@@ -430,8 +463,8 @@ def rsquare_matrix(signature: SuperSignature, degree: int) -> IntMatrix:
 def rsquare_lift_rows(space: Subspace, k: int) -> list[dict[int, int]]:
     """The rows of a Subspace multiplied by the power of r2 that takes its
     degree to k, as integer rows in the degree-k basis, lifted together one
-    degree step at a time by _apply_rows: on a mixed ring through the
-    factor columns, with no mixed R_d built.  At the space's own degree
+    degree step at a time by _apply_rows: on a split ring through the
+    factor columns, with no R_d of the ring built.  At the space's own degree
     they are its own rows, not copies; a k below that degree or of the
     other parity raises ValueError."""
     signature, degree = space.ambient
@@ -611,7 +644,9 @@ def _fermionic_summand_plan(signature: SuperSignature, k: int) -> list[tuple[str
 def _lead_failure(signature: SuperSignature, d: int) -> str | None:
     """Check (b) at degree d: every column s of the r2 matrix has a 1 at
     x1^2 s and its other entries at smaller x1 exponents, so r2 is
-    injective on P_d.  The witness names the first column that fails."""
+    injective on P_d.  The certificate runs it on (1|0), where column 0 is
+    x1^d -> x1^(d+2); the tests run it on P_d.  The witness names the
+    first column that fails."""
     target = monomial_basis(signature, d + 2)
     tidx = basis_index(signature, d + 2)
     starts, rows, entries = columns(rsquare_matrix(signature, d))
@@ -687,28 +722,33 @@ def _certificate_failure(
     first check that fails, or None.  The plan checks (c) and (d) on P_k
     come first.  For m >= 1 the same checks follow on P_(l-2) at each
     exceptional start l, whose decomposition proves the counted defect
-    dimension, and then the r2 leads and the commutator identity on the
-    factor rings, at every degree up to k - 2 in rising order.  At m = 0
-    the identity runs on P_d at d = k - 2, k - 4, .. >= 0, for the down
-    lemma, and then, for k >= n + 2, at d = k, k + 2, .. <= 2n, for the up
-    lemma."""
+    dimension, and then the r2 lead and the commutator identity on (1|0),
+    each at every degree up to k - 2 in rising order.  For n >= 1 the
+    identity on Lambda(2) follows, at every degree up to 2 and up to top:
+    k - 2 for m >= 1, and at m = 0 the highest degree that the down lemma
+    (d = k - 2, k - 4, .. >= 0) and the up lemma (for k >= n + 2,
+    d = k, k + 2, .. <= 2n) read.  These are O(k) scalar checks on two
+    rank-one rings, which prove (a) and (b) on every ring the report needs
+    them on."""
     witness = _plan_failure(signature, k, summands)
     if witness:
         return witness
     if signature.m == 0:
         up = range(k, 2 * signature.n + 1, 2) if k >= signature.n + 2 else ()
-        checks = [("", _commutator_failure, signature, [*range(k - 2, -1, -2), *up])]
+        top, checks = max(up, default=k - 2), []
     else:
         for l in fischer_index_sets(signature, k).exceptional:
             witness = _plan_failure(signature, l - 2, _summands(signature, l - 2)[0])
             if witness:
                 return f"P_{l - 2} below the exceptional start {l}: {witness}"
-        bosonic, fermionic = _factor_rings(signature)
+        top, line = k - 2, _head(signature)
         checks = [
-            ("bosonic ", _lead_failure, bosonic, range(k - 1)),
-            ("bosonic ", _commutator_failure, bosonic, range(k - 1)),
-            ("fermionic ", _commutator_failure, fermionic, range(min(k - 2, 2 * signature.n) + 1)),
+            ("bosonic ", _lead_failure, line, range(k - 1)),
+            ("bosonic ", _commutator_failure, line, range(k - 1)),
         ]
+    if signature.n:
+        pair = _head(signature.factors()[1] if signature.m else signature)
+        checks.append(("fermionic ", _commutator_failure, pair, range(min(top, 2) + 1)))
     for name, check, ring, degrees in checks:
         for d in degrees:
             witness = check(ring, d)

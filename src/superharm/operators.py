@@ -24,14 +24,15 @@ commutator a b - b a.
 Every operator is a plain map SuperPolynomial -> SuperPolynomial: the
 exact application of the displayed formulas.  Composition is composition of
 functions.  The matrix of the Laplacian on one degree (module harmonics) is
-built from the images under laplacian of the monomials of the two factor
-rings, the bosonic ring (m|0) and the Grassmann algebra (0|2n), applied with
-the int coefficient 1; the rules compute in ints, so the matrix has int
-entries.  The rule below has no term that mixes the two kinds of variable,
-so lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F), and the matrix of a mixed
-ring is assembled from those of its factor rings.  The matrix of
-rsquare_mul is read off the Laplacian's on a factor ring, as its adjoint
-under the Fischer weights, and assembled in the same way on a mixed ring.
+built from the images under laplacian of the monomials of the rank-one
+rings (1|0) and (0|2) only, applied with the int coefficient 1; the rules
+compute in ints, so the matrix has int entries.  The rule below has no
+term that mixes two variables or two fermionic pairs, so
+lap(x^a t_F) = lap(x^a) t_F + x^a lap(t_F), and likewise for x1 against
+the other bosonic variables and for the top pair against the other pairs:
+every other ring's matrix is assembled from those of the rank-one rings.
+The matrix of rsquare_mul is read off the Laplacian's on a rank-one ring,
+as its adjoint under the Fischer weights, and assembled in the same way.
 exactla.operator_matrix, which applies a map to each whole basis monomial,
 stays the tests' reference for both.
 

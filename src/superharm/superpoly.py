@@ -50,6 +50,7 @@ class SuperSignature:
         # held beside the fields, not as fields: asdict and eq see (m, n) only
         object.__setattr__(self, "_hash", hash((self.m, self.n)))
         object.__setattr__(self, "_restricted", None)
+        object.__setattr__(self, "_factors", None)
 
     def __hash__(self) -> int:
         """The hash of (m, n), computed once at construction: signatures key
@@ -74,12 +75,40 @@ class SuperSignature:
             object.__setattr__(self, "_restricted", SuperSignature(self.m - 1, self.n))
         return self._restricted
 
+    def factors(self) -> tuple["SuperSignature", "SuperSignature"] | None:
+        """The major and minor rings whose tensor product is this ring, or
+        None for the rank-one rings (1|0) and (0|2) and for (0|0).  The
+        major ring's part of a monomial is the leading key of the canonical
+        order, and the minor ring's part varies within it: (m|0) (x) (0|2n)
+        for a mixed ring (the exponent vector first); (1|0) (x) (m-1|0) for
+        (m|0), x1 first, as exponent vectors sort lexicographically; and
+        (0|2) (x) (0|2n-2) for (0|2n), the top pair t(2n-1), t(2n) first, as
+        masks sort by value.  Made on the first call and held, as
+        restricted() is, and the rank-one rings are one instance each, so
+        the matrix caches that these rings key find them by identity."""
+        if self._factors is None:
+            m, n = self.m, self.n
+            if m and n:
+                shapes = (m, 0), (0, n)
+            elif m > 1:
+                shapes = (1, 0), (m - 1, 0)
+            elif n > 1:
+                shapes = (0, 1), (0, n - 1)
+            else:
+                shapes = ()
+            factors = tuple(_RANK_ONE.get(shape) or SuperSignature(*shape) for shape in shapes)
+            object.__setattr__(self, "_factors", factors)
+        return self._factors or None
+
     def extended(self) -> "SuperSignature":
         """Signature with one extra bosonic variable appended."""
         return SuperSignature(self.m + 1, self.n)
 
     def __str__(self) -> str:
         return f"({self.m}|{2 * self.n})"
+
+
+_RANK_ONE = {(1, 0): SuperSignature(1, 0), (0, 1): SuperSignature(0, 1)}
 
 
 class SuperMonomial(NamedTuple):
@@ -439,12 +468,15 @@ def basis_index(signature: SuperSignature, k: int) -> Mapping[SuperMonomial, int
 
 def space_dimension(signature: SuperSignature, k: int) -> int:
     """dim P_k = sum_f C(2n, f) C(k - f + m - 1, m - 1), counted without
-    listing monomials; at m = 0 only f = k contributes."""
+    listing monomials; at m = 0 only f = k contributes, and at n = 0 only
+    f = 0."""
     if k < 0:
         return 0
     m, twon = signature.m, signature.fermionic_count
     if m == 0:
         return math.comb(twon, k)
+    if twon == 0:
+        return math.comb(k + m - 1, m - 1)
     return sum(
         math.comb(twon, f) * math.comb(k - f + m - 1, m - 1) for f in range(min(twon, k) + 1)
     )

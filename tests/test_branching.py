@@ -422,7 +422,8 @@ def test_unkilled_lifted_mirror_row_fails_admissibility(monkeypatch):
 )
 def test_laplacian_slot_assembles_no_rsquare_matrix(monkeypatch, sig, k):
     # L_k R_(k-2) w = 0 is read through the factor columns, so a generalized
-    # branching assembles no shift-2 matrix of a mixed ring
+    # branching assembles no shift-2 matrix of a mixed ring; the factor
+    # rings' own matrices are assembled from the rank-one rings'
     assembled = []
     original = harmonics._assemble
 
@@ -434,7 +435,8 @@ def test_laplacian_slot_assembles_no_rsquare_matrix(monkeypatch, sig, k):
     for cached in (harmonics.laplacian_matrix, harmonics.rsquare_matrix, harmonic_space):
         cached.cache_clear()
     assert branch_generalized(sig, k).verified
-    assert assembled and all(shift == -2 for _, _, shift in assembled), assembled
+    mixed = [(ring, d, shift) for ring, d, shift in assembled if ring.m and ring.n]
+    assert mixed and all(shift == -2 for _, _, shift in mixed), mixed
 
 
 def test_wrong_summand_dimension_fails_the_first_check(monkeypatch):

@@ -309,11 +309,12 @@ _GOLDEN = [
     # the GT step check through the (2|6) window {4, 5, 6}
     (["verify", "--suite", "gt", "--m", "2", "--n", "3", "--kmax", "6", "--format", "json"], 0,
      "b5cbf3f4d76ed2ed5b1e3a45dfd1b4638b20c7debb969fb26ce3ea468d56505a"),
-    # the lead certificate on the bosonic factor (4|0) at every degree up
-    # to 9, over the (4|8) window and past it
+    # the lead certificate on (1|0) at every degree up to 9, which proves
+    # the leads of (4|8) over its window and past it
     (["fischer", "--m", "4", "--n", "4", "--kmax", "11", "--format", "json"], 0,
      "5471ec6599389a5ce83c1728786ad21f4504f30dc7ef24ee398a568acc0861b5"),
-    # a bosonic-only ring: R_d read straight off L_(d+2)
+    # a bosonic-only ring: (3|0) split on x1, its R_d assembled from those
+    # of (1|0), which are read off L_(d+2) there
     (["fischer", "--m", "3", "--n", "0", "--kmax", "8", "--format", "json"], 0,
      "78f98b9ea3a458f9a74b555650eb63c2f48040cf3966fc1c1e62d24a3360b7e7"),
     # Theorem A on (4|8) through its window 4..6 and four degrees past it,
@@ -348,13 +349,27 @@ _GOLDEN = [
     (["verify", "--suite", "gt", "--m", "4", "--n", "4", "--kmax", "7"], 0,
      "0fc2e544d4b9b7bbbeb4b34de0650408a135608aa154fa936e8557cedd210ed8"),
     # Fischer on (0|10) to k = 12: past the middle degree 5 every H_l is 0,
-    # and from k = 7 on the certificate reads the degrees up to the top 10
+    # and from k = 7 on the lemmas read the degrees up to the top 10, which
+    # (0|2) proves
     (["fischer", "--m", "0", "--n", "5", "--kmax", "12", "--format", "json"], 0,
      "e7e764f07238322770fb2f938ad169f2d0a3489827464e210462a68af0e86991"),
     # branch JSON of (1|6) at k = 6: the summands of the purely fermionic
     # lower ring (0|6), counted from its sl(2) strings
     (["branch", "--m", "1", "--n", "3", "--k", "6", "--format", "json"], 0,
      "78ad396c711d64d9b0739e5d00909c0ce75b3e8762e15c79da6b5bdd2da36417"),
+    # a purely bosonic ring twelve variables deep: its matrices are split on
+    # x_1 down to (1|0), and the certificate reads (1|0) alone
+    (["fischer", "--m", "12", "--n", "0", "--k", "8", "--format", "json"], 0,
+     "70617872286427c85cddd05943cecdfeb6d8b7e00e3fd1d7adabcfede62b12a7"),
+    (["fischer", "--m", "5", "--n", "0", "--kmax", "12", "--format", "json"], 0,
+     "714d7dc38495bdc257725c94b1618d7217ab9d5a0a926e3c52f5050339d7ad53"),
+    # a mixed ring whose factors (5|0) and (0|10) are split again
+    (["fischer", "--m", "5", "--n", "5", "--k", "8", "--format", "json"], 0,
+     "560a132bb230deb50eee28fc3fa055fee95d1171c5cfe08b43e6375474ff1c85"),
+    # Lambda(12) split on its top pair down to Lambda(2), through the whole
+    # up-lemma range k >= 8
+    (["fischer", "--m", "0", "--n", "6", "--kmax", "12", "--format", "json"], 0,
+     "d71a7e370f17fec9d435aa446f6657f9b00299a75e7973c1c3da602874e8cebf"),
 ]
 
 

@@ -431,7 +431,7 @@ def test_row_descent_matches_the_polynomial_construction(m, n, k):
 
 def _corrupt_bosonic_rsquare(monkeypatch, ring, degree):
     """+1 on the x1^2 lead of column 0 of R_degree on the bosonic factor
-    ring, in a new IntMatrix with columns of its own: every mixed r2 matrix
+    ring, in a new IntMatrix with columns of its own: every r2 matrix
     assembled from it changes with it."""
     original = harmonics.rsquare_matrix.__wrapped__
     powers, fermions = monomial_basis(ring, degree)[0]
@@ -450,9 +450,14 @@ def _corrupt_bosonic_rsquare(monkeypatch, ring, degree):
 
 @pytest.mark.parametrize("m,n,k,target", [(3, 2, 5, "H"), (2, 3, 5, "Ht"), (3, 0, 4, "H")])
 def test_wrong_rsquare_factor_entry_fails_restriction_data(monkeypatch, m, n, k, target):
-    # the basis is built with the true r2; one entry of a bosonic factor
-    # column off by one reaches the lift of the lower coordinates in the
-    # step check, which no longer matches the elements' slot data
+    # the basis is built with the true r2; one entry of the lower ring's
+    # bosonic factor column off by one reaches the lift of the lower
+    # coordinates in the step check, which no longer matches the elements'
+    # slot data.  The upper bosonic ring (m|0) is (1|0) (x) (m-1|0), so the
+    # entry reaches the upper r2 too.  Annihilation of H reads L_k only;
+    # that of Ht reads the upper R_(k-2).  Below (1|3) the lower factor is
+    # (1|0) itself, whose leads the upper Fischer certificate reads, so
+    # the count fails there too
     sig = SuperSignature(m, n)
     lower = sig.restricted()
     assert verify_gt_basis(sig, k, target).verified
@@ -461,7 +466,9 @@ def test_wrong_rsquare_factor_entry_fails_restriction_data(monkeypatch, m, n, k,
     assert harmonics.rsquare_matrix(lower, 1) != before
     checks = dict(verify_gt_basis(sig, k, target).checks)
     assert not checks["restriction data matches one level down"]
-    assert checks["every element is annihilated"] and checks["elements are linearly independent"]
+    assert checks["elements are linearly independent"]
+    assert checks["every element is annihilated"] == (target == "H")
+    assert checks["element count equals space dimension"] == (lower.m > 1)
 
 
 @pytest.mark.parametrize("m,n,k,target", [(3, 3, 5, "Ht"), (3, 2, 5, "H"), (2, 3, 5, "Ht")])

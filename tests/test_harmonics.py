@@ -559,32 +559,35 @@ def _flipped(A, row):
 
 
 def test_flipped_fermionic_entry_above_k_fails_the_report(monkeypatch, fresh_caches):
-    # (0|8) at k = 6 = n + 2: the up lemma reads (a) at 6 and 8 as well as
-    # the down lemma's 4, 2, 0.  One sign flipped in L_8, above k, fails
-    # (a) at 6; with the certificate cut back to the degrees below k, the
-    # flip would pass, so the top degrees are what see it
+    # (0|8) at k = 6 = n + 2: the down and up lemmas read (a) on (0|8) at
+    # 4, 2, 0, 6 and 8, and (a) on (0|2) at 0, 1 and 2, the whole of (0|2),
+    # proves each of them.  The one entry of its L_2, its sign flipped,
+    # reaches L_8 of (0|8), above k, and the report fails at degree 0 of
+    # (0|2).  At k = 0 and 1 the lemmas read no degree, and neither does
+    # the certificate
     sig, k = SuperSignature(0, 4), 6
     seen = []
     commutator = harmonics._commutator_failure
 
     def recording(ring, d):
-        seen.append(d)
+        seen.append((ring, d))
         return commutator(ring, d)
 
     monkeypatch.setattr(harmonics, "_commutator_failure", recording)
     assert fischer_decomposition(sig, k).verified
-    assert seen == [4, 2, 0, 6, 8]
+    assert seen == [(PAIR, 0), (PAIR, 1), (PAIR, 2)]
+    seen.clear()
+    for low in (0, 1):
+        assert fischer_decomposition(sig, low).verified and not seen, low
     cached = harmonics.laplacian_matrix
-    flipped = _flipped(cached(sig, 8), 0)
+    flipped = _flipped(cached(PAIR, 2), 0)
     monkeypatch.setattr(
-        harmonics, "laplacian_matrix", lambda s, d: flipped if (s, d) == (sig, 8) else cached(s, d)
+        harmonics, "laplacian_matrix", lambda s, d: flipped if (s, d) == (PAIR, 2) else cached(s, d)
     )
+    _clear_harmonic_caches()
+    assert laplacian_matrix(sig, 8) != operator_matrix(laplacian, sig, 8, -2)
     rep = fischer_decomposition(sig, k)
-    assert rep.failure_witness == "[lap, r2] = 8 fails at degree 6, row 0"
-    monkeypatch.setattr(
-        harmonics, "_commutator_failure", lambda ring, d: None if d >= k else commutator(ring, d)
-    )
-    assert fischer_decomposition(sig, k).verified
+    assert rep.failure_witness == "fermionic [lap, r2] = -4 fails at degree 0, row 0"
 
 
 def _with_plan(monkeypatch, edit):
@@ -671,13 +674,14 @@ def fresh_caches():
 
 
 def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
-    # the Laplacian is built from polynomials only on the factor rings (2|0)
-    # and (0|6), once per degree, each basis monomial imaged once per build;
-    # the mixed ring's matrices are assembled from theirs and image no
+    # the Laplacian is built from polynomials only on the rank-one rings
+    # (1|0) and (0|2), once per degree, each basis monomial imaged once per
+    # build; every other ring's matrices, the factor rings (2|0) and (0|6)
+    # and the mixed ring among them, are assembled from theirs and image no
     # polynomial, and r2 is read off the Laplacian
     log = []
     cached = laplacian_matrix
-    factor_rings = (SuperSignature(2, 0), SuperSignature(0, 3))
+    rank_one = (SuperSignature(1, 0), SuperSignature(0, 1))
 
     def tracking(signature, k):
         misses = cached.cache_info().misses
@@ -712,26 +716,30 @@ def test_matrices_are_built_once_per_degree(monkeypatch, fresh_caches):
             images = open_builds.pop()
             if built:
                 builds.append((signature, k))
-            if built and signature in factor_rings:
+            if built and signature in rank_one:
                 assert images == list(monomial_basis(signature, k)), (signature, k)
             else:
                 assert not images, (signature, k)
         else:
             ((mono, c),) = entry[1].terms.items()
-            assert c == 1 and entry[1].signature in factor_rings, mono
+            assert c == 1 and entry[1].signature in rank_one, mono
             open_builds[-1].append(mono)  # IndexError outside a build: no stray image
     assert len(builds) == len(set(builds))
-    # the identity at bosonic degree 5 reads the bosonic L_7; the mixed L_7,
-    # which only a certificate on P_5 would need, is never built
-    assert (factor_rings[0], 7) in builds and (S23, 7) not in builds
-    assert {sig for sig, _ in builds} == {S23, *factor_rings}
+    # the identity on (1|0) at degree 5 reads its L_7; the mixed L_7, which
+    # only a certificate on P_5 would need, is never built
+    assert (rank_one[0], 7) in builds and (S23, 7) not in builds
+    # Theorem A reads the factor rings through the mirror's rows, and they
+    # are split down to the rank-one rings
+    split = {S23, SuperSignature(2, 0), SuperSignature(0, 3), SuperSignature(0, 2)}
+    assert {sig for sig, _ in builds} == split | set(rank_one)
 
 
 def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
-    # the lower Laplacians of the ck suite's grid: a mixed one is assembled
-    # from the columns its factor matrices hold, with no row read or
-    # derived from columns, and each factor matrix is compressed once,
-    # however many assemblies read it
+    # the lower Laplacians of the ck suite's grid: every matrix of a split
+    # ring is assembled from the columns its factor matrices hold, with no
+    # row read or derived from columns, and holds columns only; the rank-one
+    # matrices are the only ones compressed from rows, each once, however
+    # many assemblies read it
     def refuse(self):
         raise AssertionError("IntMatrix.row_dicts called")
 
@@ -758,39 +766,41 @@ def test_mixed_assembly_reads_held_factor_columns(monkeypatch, fresh_caches):
     for lower in lowers:
         for k in range(kmax + 1):
             ck._lower_laplacians(lower, k)
-    assert cached.cache_info().misses == len(matrices) == 37
-    # a mixed L_k reads its bosonic factor on degrees 0..k and its
-    # fermionic factor on 0..min(k, 2n)
-    read = {
-        (ring, d)
-        for lower in lowers
-        if lower.m and lower.n
-        for ring, top in zip(harmonics._factor_rings(lower), (kmax, min(kmax, 2 * lower.n)))
-        for d in range(top + 1)
+    assert cached.cache_info().misses == len(matrices)
+    # a split ring's L_k reads its factors on every degree they share with
+    # P_k, so (1|0) is read on 0..kmax and (0|2) on 0..2
+    line, pair = SuperSignature(1, 0), SuperSignature(0, 1)
+    assert {key for key in matrices if not key[0].factors()} >= {
+        *((line, d) for d in range(kmax + 1)),
+        *((pair, d) for d in range(3)),
     }
-    assert len(built) == len({id(A) for A in built}) == len(read)
-    assert {id(A) for A in built} == {id(matrices[key]) for key in read}
-    # the mixed matrices are written as columns and hold no rows
-    assert all(A._data is None for (sig, _), A in matrices.items() if sig.m and sig.n)
+    assert len(built) == len({id(A) for A in built})
+    assert {id(A) for A in built} <= {
+        id(A) for (sig, _), A in matrices.items() if not sig.factors()
+    }
+    assert all(A._data is None for (sig, _), A in matrices.items() if sig.factors())
 
 
-# the verify grid at every suite's degrees, (4|8) and (0|4), (3|0) to k = 8;
-# every range starts at k = 0 and 1, where P_(k-2) = 0
+# the verify grid at every suite's degrees, and (4|8), (3|0), (5|0), (0|4)
+# and (0|6) to k = 8; every range starts at k = 0 and 1, where P_(k-2) = 0
 ASSEMBLY_CASES = [
     (SuperSignature(m, n), range(max(_SUITE_KMAX.values()) + 1)) for m, n in VERIFY_GRID
-] + [(SuperSignature(4, 4), range(9)), (SuperSignature(0, 2), range(9)), (SuperSignature(3, 0), range(9))]
+] + [
+    (SuperSignature(m, n), range(9))
+    for m, n in ((4, 4), (3, 0), (5, 0), (0, 2), (0, 3))
+]
 
 
 @pytest.mark.parametrize("sig, degrees", ASSEMBLY_CASES, ids=lambda v: str(v))
 def test_assembled_laplacian_matches_the_operator_matrix(sig, degrees):
     # also column by column, each column in row order (the reference's
     # columns are compressed from its rows, so each lists its rows
-    # ascending); a mixed matrix holds its columns only
+    # ascending); the matrix of a split ring holds its columns only
     for k in degrees:
         reference = operator_matrix(laplacian, sig, k, -2)
         assert laplacian_matrix(sig, k) == reference, k
         assert columns(laplacian_matrix(sig, k)) == columns(reference), k
-        assert (laplacian_matrix(sig, k)._data is None) == bool(sig.m and sig.n), k
+        assert (laplacian_matrix(sig, k)._data is None) == bool(sig.factors()), k
         if k < 2:
             assert reference.rows == 0 and reference.cols == len(monomial_basis(sig, k))
 
@@ -801,7 +811,7 @@ def test_assembled_rsquare_matches_the_operator_matrix(sig, degrees):
         R = rsquare_matrix(sig, d)
         reference = operator_matrix(rsquare_mul, sig, d, 2)
         assert R == reference and columns(R) == columns(reference), d
-        assert (R._data is None) == bool(sig.m and sig.n), d
+        assert (R._data is None) == bool(sig.factors()), d
 
 
 # the verify grid, (0|4) and (3|0) among it, then (4|8) and (2|8), each up to
@@ -848,6 +858,126 @@ def test_assembled_laplacian_sees_the_pair_terms(monkeypatch, fresh_caches, sig)
     monkeypatch.setattr(harmonics, "laplacian", without_pairs)
     for k in (2, 3, 4):
         assert laplacian_matrix(sig, k) != operator_matrix(laplacian, sig, k, -2), k
+
+
+def _misplaced(sig, degrees):
+    """The (operator, degree) pairs up to the top degree at which the
+    assembled L or R of sig differs from the operator_matrix reference: the
+    comparison the assembly tests make."""
+    return [
+        (name, k)
+        for k in degrees
+        for name, matrix, operator, shift in (
+            ("lap", laplacian_matrix, laplacian, -2),
+            ("r2", rsquare_matrix, rsquare_mul, 2),
+        )
+        if matrix(sig, k) != operator_matrix(operator, sig, k, shift)
+    ]
+
+
+# a ring of each split down to the rank-one rings
+PLACEMENT_SIGS = [SuperSignature(3, 0), SuperSignature(0, 3), SuperSignature(4, 4)]
+
+
+@pytest.mark.parametrize("sig", PLACEMENT_SIGS, ids=str)
+def test_first_index_off_by_one_fails_the_assembly_tests(monkeypatch, fresh_caches, sig):
+    # every first index after that of the first part one too low, so every
+    # index stays in range: the assembly tests see it at every split ring
+    parts = harmonics._parts
+
+    def shifted(signature, d):
+        return [(first - bool(first), *rest) for first, *rest in parts(signature, d)]
+
+    monkeypatch.setattr(harmonics, "_parts", shifted)
+    assert _misplaced(sig, range(9))
+
+
+@pytest.mark.parametrize("sig", [SuperSignature(2, 3), SuperSignature(4, 4)], ids=str)
+def test_fermionic_major_fails_the_assembly_tests(monkeypatch, fresh_caches, sig):
+    # Lambda(2n) as the major factor of a mixed ring, the exponent vector
+    # varying within each mask: the basis sorts the exponent vector first
+    factors = SuperSignature.factors
+
+    def swapped(ring):
+        split = factors(ring)
+        return split[::-1] if ring.m and ring.n else split
+
+    monkeypatch.setattr(SuperSignature, "factors", swapped)
+    assert _misplaced(sig, range(1, 9))
+
+
+@pytest.mark.parametrize("sig", PLACEMENT_SIGS, ids=str)
+def test_a_split_on_x_m_or_on_the_bottom_pair_places_every_entry(monkeypatch, fresh_caches, sig):
+    # (m|0) as (m-1|0) (x) (1|0), x_m split off as the minor factor, and
+    # Lambda(2n) as Lambda(2n-2) (x) Lambda(2), the bottom pair split off, are
+    # placements of the basis too: the canonical order puts a leading block of
+    # variables before a trailing one whichever block is split off.  Putting
+    # x_m or the bottom pair first instead reorders the basis by a relabelling
+    # of the bosonic variables or of the fermion pairs, and lap and r2 are
+    # invariant under both, with no reordering sign (their pair terms are
+    # even), so such a placement would give the same matrices too: the
+    # variable that a split names cannot be wrong in a way these tests, or
+    # the certificate, could see
+    factors = SuperSignature.factors
+
+    def reversed_pure(ring):
+        split = factors(ring)
+        return split[::-1] if split and not (ring.m and ring.n) else split
+
+    monkeypatch.setattr(SuperSignature, "factors", reversed_pure)
+    assert not _misplaced(sig, range(9))
+    _clear_harmonic_caches()
+    monkeypatch.undo()
+
+    def relabelled(ring, d, key):
+        basis = monomial_basis(ring, d)
+        order = sorted(range(len(basis)), key=lambda i: key(basis[i]))
+        return {i: rank for rank, i in enumerate(order)}
+
+    def moved(monomial):
+        if sig.m:
+            return (monomial.powers[-1],) + monomial.powers[:-1], monomial.fermions
+        return monomial.fermions & 3, monomial.fermions >> 2
+
+    for k in range(2, 9):
+        for operator, shift in ((laplacian, -2), (rsquare_mul, 2)):
+            A = operator_matrix(operator, sig, k, shift)
+            source, target = relabelled(sig, k, moved), relabelled(sig, k + shift, moved)
+            rows = [{} for _ in range(A.rows)]
+            for i, row in enumerate(A.row_dicts()):
+                rows[target[i]] = {source[j]: v for j, v in row.items()}
+            assert IntMatrix(A.cols, rows) == A, (operator, k)
+
+
+@pytest.mark.parametrize("sig", [SuperSignature(4, 4), SuperSignature(0, 5)], ids=str)
+def test_fischer_images_only_the_rank_one_rings(monkeypatch, fresh_caches, sig):
+    # with every cache cleared, a Fischer report at k = 12 images monomials
+    # of (1|0) and (0|2) only, and its certificate's checks read no other
+    # ring: O(k) scalar checks, whatever the signature
+    rank_one = {SuperSignature(1, 0), SuperSignature(0, 1)}
+    imaged, read, checked = set(), set(), set()
+
+    def recording_laplacian(p):
+        imaged.add(p.signature)
+        return laplacian(p)
+
+    def recording(fn, seen):
+        def inner(ring, d):
+            seen.add(ring)
+            return fn(ring, d)
+
+        return inner
+
+    monkeypatch.setattr(harmonics, "laplacian", recording_laplacian)
+    for name in ("laplacian_matrix", "rsquare_matrix"):
+        monkeypatch.setattr(harmonics, name, recording(getattr(harmonics, name), read))
+    for name in ("_lead_failure", "_commutator_failure"):
+        monkeypatch.setattr(harmonics, name, recording(getattr(harmonics, name), checked))
+    for fn in (monomial_basis, basis_index):
+        fn.cache_clear()
+    assert fischer_decomposition(sig, 12).verified
+    assert imaged == read == checked and checked <= rank_one
+    assert checked == (rank_one if sig.m else {SuperSignature(0, 1)})
 
 
 def _recorded_kernels(monkeypatch):
@@ -1065,7 +1195,8 @@ def test_theorem_A_assembles_no_mixed_matrix_above_the_mirror(
         _clear_harmonic_caches()
         assembled.clear()
         assert verify_theorem_A(sig, k).verified, k
-        assert assembled == [(sig, 2 - sig.M - k, -2)], k
+        mixed = [(ring, d, shift) for ring, d, shift in assembled if ring.m and ring.n]
+        assert mixed == [(sig, 2 - sig.M - k, -2)], k
 
 
 FAST_PATH_GRID = [SuperSignature(m, n) for m in range(5) for n in range(4)]
@@ -1195,7 +1326,7 @@ def _with_rsquare_matrix(monkeypatch, edit):
 
 
 def _drop_lead(monkeypatch, ring, degree, column):
-    """Drop the x1^2 lead of one column of R_degree on a factor ring."""
+    """Drop the x1^2 lead of one column of R_degree on a row-built ring."""
 
     def edit(sig, d, columns):
         if (sig, d) != (ring, degree):
@@ -1209,7 +1340,8 @@ def _drop_lead(monkeypatch, ring, degree, column):
 
 
 def _flip_pair_signs(monkeypatch, ring):
-    """+1 where a pair is added, in place of -1, in r2 on a fermionic ring."""
+    """+1 where a pair is added, in place of -1, in r2 on a row-built
+    fermionic ring."""
 
     def edit(sig, d, columns):
         if sig != ring:
@@ -1220,9 +1352,9 @@ def _flip_pair_signs(monkeypatch, ring):
 
 
 def _add_to_laplacian_entry(monkeypatch, ring, degree):
-    """Add 1 to the first entry of row 0 of L_degree on a factor ring: an
-    entry already nonzero, so r2, read off the Laplacian, keeps its support
-    and every lead."""
+    """Add 1 to the first entry of row 0 of L_degree on a row-built ring:
+    an entry already nonzero, so r2, read off the Laplacian, keeps its
+    support and every lead."""
     original = harmonics.laplacian_matrix
 
     def edited(sig, d):
@@ -1236,12 +1368,9 @@ def _add_to_laplacian_entry(monkeypatch, ring, degree):
     monkeypatch.setattr(harmonics, "laplacian_matrix", edited)
 
 
-def _bosonic(sig):
-    return SuperSignature(sig.m, 0)
-
-
-def _fermionic(sig):
-    return SuperSignature(0, sig.n)
+# the rank-one rings: every other ring's matrices are assembled from theirs,
+# and the certificate reads only these
+LINE, PAIR = SuperSignature(1, 0), SuperSignature(0, 1)
 
 
 def _full_ring_matrices_changed(sig, k):
@@ -1255,10 +1384,10 @@ def _full_ring_matrices_changed(sig, k):
 
 
 def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_caches):
-    # x3^3 in bosonic degree 3, below H_5: every start is an H, so the counted
+    # x1^3 on (1|0), degree 3, below H_5: every start is an H, so the counted
     # dimensions telescope to dim P_5 whatever the leads say.  The mixed R_3
-    # is assembled from the bosonic one and loses the lead too.
-    _drop_lead(monkeypatch, _bosonic(REGULAR_MIXED), 3, 0)
+    # is assembled through (3|0) from the rank-one one and loses leads too.
+    _drop_lead(monkeypatch, LINE, 3, 0)
     rep = fischer_decomposition(REGULAR_MIXED, 5)
     assert not rep.verified
     assert rep.failure_witness == "bosonic r2 lead certificate fails at degree 3, column 0"
@@ -1266,26 +1395,27 @@ def test_dropped_rsquare_lead_fails_the_lead_certificate(monkeypatch, fresh_cach
 
 
 @pytest.mark.parametrize(
-    "column, defect_dim, witness",
+    "degree, defect_dim, witness",
     [
-        # x1 x2^3: the defect kernel on P_4 keeps its dimension
-        (1, 1, "bosonic r2 lead certificate fails at degree 4, column 1"),
-        # x2^4: the defect kernel shrinks, but the report counts its
+        # x1^3 on (1|0): the defect kernel on P_4 keeps its dimension
+        (3, 1, "bosonic r2 lead certificate fails at degree 3, column 0"),
+        # x1^4: the defect kernel shrinks, but the report counts its
         # dimension, so the lead check is what fails
-        (0, 0, "bosonic r2 lead certificate fails at degree 4, column 0"),
+        (4, 0, "bosonic r2 lead certificate fails at degree 4, column 0"),
     ],
     ids=["lead-witness", "sum-witness"],
 )
 def test_dropped_rsquare_lead_below_an_exceptional_start_fails(
-    monkeypatch, fresh_caches, column, defect_dim, witness
+    monkeypatch, fresh_caches, degree, defect_dim, witness
 ):
-    # degree 4 lies below the Ht_6 start of (2|6) k = 6, whose counted
+    # degrees 3 and 4 lie below the Ht_6 start of (2|6) k = 6, whose counted
     # dimension adds the counted defect dimension on P_4; the defect kernel,
-    # built with the mixed R_4 that is assembled from this bosonic R_4, may
-    # shrink, and the count rests on the lead check that fails
+    # built with the mixed R_4 that is assembled through (2|0) from this
+    # R_degree of (1|0), may shrink, and the count rests on the lead check
+    # that fails
     assert defect_kernel(S23, 4).dim == 1
     _clear_harmonic_caches()
-    _drop_lead(monkeypatch, _bosonic(S23), 4, column)
+    _drop_lead(monkeypatch, LINE, degree, 0)
     assert rsquare_matrix(S23, 4) != operator_matrix(rsquare_mul, S23, 4, 2)
     rep = fischer_decomposition(S23, 6)
     assert not rep.verified
@@ -1294,35 +1424,35 @@ def test_dropped_rsquare_lead_below_an_exceptional_start_fails(
 
 
 def test_flipped_rsquare_sign_fails_the_commutator_identity(monkeypatch, fresh_caches):
-    # +1 where a pair is added, in place of -1, in the fermionic factor: every
-    # lead is still a 1 at x1^2 times its monomial, so only [lap, r2] = 4E + 2M
-    # can tell.  The mixed R_3 takes the flipped signs.
-    _flip_pair_signs(monkeypatch, _fermionic(REGULAR_MIXED))
+    # +1 where the pair is added, in place of -1, in r2 on (0|2): every lead
+    # is still a 1 at x1^2 times its monomial, so only [lap, r2] = 4E + 2M
+    # can tell.  The mixed R_3 takes the flipped sign through (0|4).
+    _flip_pair_signs(monkeypatch, PAIR)
     rep = fischer_decomposition(REGULAR_MIXED, 5)
     assert not rep.verified
-    # at fermionic degree 0: 4*0 - 4*2 = -8
-    assert rep.failure_witness.startswith("fermionic [lap, r2] = -8 fails at degree 0, row ")
+    # at degree 0 of (0|2): 4*0 - 4*1 = -4
+    assert rep.failure_witness == "fermionic [lap, r2] = -4 fails at degree 0, row 0"
     assert rsquare_matrix(REGULAR_MIXED, 3) != operator_matrix(rsquare_mul, REGULAR_MIXED, 3, 2)
 
 
 @pytest.mark.parametrize(
-    "factor, witness",
+    "ring, degree, witness",
     [
-        # 4*2 + 2*4 = 16 on (4|0)
-        (_bosonic, "bosonic [lap, r2] = 16 fails at degree 2, row 0"),
-        # 4*2 - 4*2 = 0 on (0|4)
-        (_fermionic, "fermionic [lap, r2] = 0 fails at degree 2, row 0"),
+        # 4*2 + 2*1 = 10 on (1|0), which reads its L_4 first at degree 2
+        (LINE, 4, "bosonic [lap, r2] = 10 fails at degree 2, row 0"),
+        # 4*0 - 4*1 = -4 on (0|2), whose one nonzero Laplacian is L_2
+        (PAIR, 2, "fermionic [lap, r2] = -4 fails at degree 0, row 0"),
     ],
     ids=["bosonic", "fermionic"],
 )
 def test_wrong_factor_laplacian_entry_fails_the_commutator_identity(
-    monkeypatch, fresh_caches, factor, witness
+    monkeypatch, fresh_caches, ring, degree, witness
 ):
-    # one entry of a factor ring's L_4 off by one on (4|4): the leads hold, the
-    # mixed L_4 takes the wrong entry, and the identity fails at the lowest
-    # degree that reads L_4
+    # one entry of a rank-one ring's Laplacian off by one, read by (4|8): the
+    # leads hold, the mixed L_4 takes the wrong entry through (4|0) or
+    # (0|4), and the identity fails at the lowest degree that reads the entry
     sig = SuperSignature(4, 2)
-    _add_to_laplacian_entry(monkeypatch, factor(sig), 4)
+    _add_to_laplacian_entry(monkeypatch, ring, degree)
     assert laplacian_matrix(sig, 4) != operator_matrix(laplacian, sig, 4, -2)
     rep = fischer_decomposition(sig, 6)
     assert not rep.verified
@@ -1332,7 +1462,7 @@ def test_wrong_factor_laplacian_entry_fails_the_commutator_identity(
 def _full_size_certificate(sig, k):
     """The lead check (b) and the identity (a) on P_d itself, at
     d = k - 2, k - 4, .. >= 0 ((a) alone at m = 0): the reference for the
-    certificate on the factor rings."""
+    certificate on the rank-one rings."""
     checks = (harmonics._lead_failure, harmonics._commutator_failure)
     for check in checks if sig.m else checks[1:]:
         for d in range(k - 2, -1, -2):
@@ -1360,10 +1490,10 @@ def test_factor_certificate_verdict_matches_the_full_size_certificate(sig, degre
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda patch, sig: _drop_lead(patch, _bosonic(sig), 2, 0),
-        lambda patch, sig: _flip_pair_signs(patch, _fermionic(sig)),
-        lambda patch, sig: _add_to_laplacian_entry(patch, _bosonic(sig), 4),
-        lambda patch, sig: _add_to_laplacian_entry(patch, _fermionic(sig), 4),
+        lambda patch, sig: _drop_lead(patch, LINE, 2, 0),
+        lambda patch, sig: _flip_pair_signs(patch, PAIR),
+        lambda patch, sig: _add_to_laplacian_entry(patch, LINE, 4),
+        lambda patch, sig: _add_to_laplacian_entry(patch, PAIR, 2),
     ],
     ids=["bosonic-lead", "fermionic-sign", "bosonic-laplacian", "fermionic-laplacian"],
 )
@@ -1380,8 +1510,8 @@ def test_corrupted_factor_entry_fails_both_certificates(monkeypatch, fresh_cache
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda patch, sig: _drop_lead(patch, _bosonic(sig), 2, 0),
-        lambda patch, sig: _flip_pair_signs(patch, _fermionic(sig)),
+        lambda patch, sig: _drop_lead(patch, LINE, 2, 0),
+        lambda patch, sig: _flip_pair_signs(patch, PAIR),
     ],
     ids=["bosonic-lead", "fermionic-sign"],
 )
@@ -1396,12 +1526,12 @@ def test_corrupted_factor_entry_fails_every_theorem_A_check(monkeypatch, fresh_c
 @pytest.mark.parametrize(
     "report, sig, k, ring, degree, names",
     [
-        (branch_harmonic, SuperSignature(3, 3), 5, SuperSignature(3, 0), 2,
+        (branch_harmonic, SuperSignature(3, 3), 5, LINE, 2,
          ["boundary data accounts for every harmonic"]),
-        (branch_generalized, S23, 5, SuperSignature(2, 0), 1,
+        (branch_generalized, S23, 5, LINE, 1,
          ["admissible Laplacian parts are the lifted mirror harmonics",
           "extension data dimension count"]),
-        (verify_gt_basis, SuperSignature(3, 2), 4, SuperSignature(3, 0), 2,
+        (verify_gt_basis, SuperSignature(3, 2), 4, LINE, 2,
          ["element count equals space dimension"]),
     ],
     ids=["branch-harmonic", "branch-generalized", "gt"],

@@ -64,6 +64,45 @@ def test_restricted_signature_is_made_once():
         SuperSignature(0, 2).restricted()
 
 
+def test_tensor_factors_are_made_once_and_lead_the_basis_order():
+    cases = {
+        (3, 2): ((3, 0), (0, 2)),
+        (1, 1): ((1, 0), (0, 1)),
+        (4, 0): ((1, 0), (3, 0)),
+        (2, 0): ((1, 0), (1, 0)),
+        (0, 3): ((0, 1), (0, 2)),
+        (0, 2): ((0, 1), (0, 1)),
+    }
+    for (m, n), (major, minor) in cases.items():
+        sig = SuperSignature(m, n)
+        assert sig.factors() == (SuperSignature(*major), SuperSignature(*minor))
+        assert sig.factors() is sig.factors()
+    for m, n in ((1, 0), (0, 1), (0, 0)):
+        assert SuperSignature(m, n).factors() is None
+    # the rank-one rings are one instance each, whichever ring splits them off
+    line = SuperSignature(5, 0).factors()[0]
+    assert line is SuperSignature(2, 0).factors()[1] is SuperSignature(1, 3).factors()[0]
+    assert SuperSignature(0, 4).factors()[0] is SuperSignature(0, 2).factors()[1]
+
+    # the degree-d basis lists the major monomials u in order, each times the
+    # minor basis of degree d - |u|: x1 before (x2..xm), the top pair before
+    # the lower pairs, the exponent vector before the mask
+    def joined(sig, u, v):
+        if sig.m and sig.n:
+            return SuperMonomial(u.powers, v.fermions)
+        if sig.m:
+            return SuperMonomial(u.powers + v.powers, 0)
+        return SuperMonomial((), v.fermions | u.fermions << (2 * sig.n - 2))
+
+    for m, n in ((3, 2), (1, 2), (4, 0), (2, 0), (0, 3), (0, 2)):
+        sig = SuperSignature(m, n)
+        major, minor = sig.factors()
+        for d in range(8):
+            majors = sorted(u for e in range(d + 1) for u in monomial_basis(major, e))
+            listed = [joined(sig, u, v) for u in majors for v in monomial_basis(minor, d - u.degree)]
+            assert tuple(listed) == monomial_basis(sig, d), (sig, d)
+
+
 def test_degenerate_signatures_are_legal():
     assert monomial_basis(SuperSignature(0, 1), 1) == (
         SuperMonomial((), 1),
